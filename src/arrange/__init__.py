@@ -22,7 +22,8 @@ from .projective import (CohClass, DegreeMismatch, NegativeCodim, ProjProduct,
                          SpaceMap, SpaceMismatch, betti_poly, compose, cup,
                          identity_map, poincare_pair, power_inclusion,
                          pullback, pushforward)
-from .spectral import (ExplicitModeUnavailable, FeasibilityResult, Infeasible,
+from .spectral import (ExplicitModeUnavailable, FeasibilityResult,
+                       HomologyMismatch, Infeasible, MalformedCell,
                        MissingStratumData, NoGeometry, NotComposable,
                        RunResult, SpectralPage, WeightTable, WeightViolation,
                        WeightedCell, assemble_e2, build_differential_config,

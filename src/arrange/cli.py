@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import ArrangeError, NotAdmissible, NotRankOne
+from .errors import ArrangeError, NotAdmissible
 from .models import (abstract_model, check_mon, configuration_model,
                      hyperplane_model, os_oracle)
 from .polys import IntPoly
@@ -29,8 +29,10 @@ from .projective import ProjProduct
 from .spectral import (Infeasible, assemble_e2, build_differential_config,
                        build_differential_ncd, feasibility, run,
                        skew_row_homology)
-from .stalks import (InconsistentDecomposition, StalkTable, decompose,
-                     stalk_tables, verify_pointwise)
+# verify_pointwise runs inside decompose; it stays in this namespace for
+# callers that wrap it (benchmark/tracer.py)
+from .stalks import (InconsistentDecomposition, StalkTable,  # noqa: F401
+                     decompose, stalk_tables, verify_pointwise)
 
 SCHEMA_VERSION = 1
 
@@ -84,8 +86,11 @@ def parse(document: dict, command: str = "run", overrides: dict | None = None) -
         if "c" in model:
             _require(model["c"] == 1, "hyperplane models have c = 1")
     elif kind == "configuration":
-        _require(isinstance(model.get("factor"), list) and model["factor"],
+        factor = model.get("factor")
+        _require(isinstance(factor, list) and factor,
                  "configuration model needs 'factor' (projective factor dims)")
+        _require(all(type(n) is int and n >= 0 for n in factor),
+                 f"model.factor must list integers >= 0, got {factor!r}")
         _require(isinstance(model.get("points"), int) and model["points"] >= 2,
                  "configuration model needs integer 'points' >= 2")
         if "c" in model:
@@ -105,7 +110,10 @@ def parse(document: dict, command: str = "run", overrides: dict | None = None) -
             _require(bool(fl.get("betti")),
                      f"abstract flat {fl.get('key')!r} is missing 'betti'")
 
-    options = dict(document.get("options") or {})
+    options = document.get("options") or {}
+    _require(isinstance(options, dict),
+             f"options must be a JSON object, got {options!r}")
+    options = dict(options)
     options.update(overrides or {})
     mode = options.get("mode")
     _require(mode in (None, "explicit", "feasibility", "bounds"),
@@ -203,10 +211,6 @@ class ResultCache:
                 json.dumps(payload, sort_keys=True))
         except OSError:
             pass  # caching is best-effort
-
-
-def _poly_list(poly):
-    return poly.to_list()
 
 
 def _stalks_section(poset, tables):
@@ -321,7 +325,7 @@ def execute(job: JobSpec) -> tuple:
         if model.kind != "hyperplane" or model.c != 1:
             raise SchemaError("oracle command needs a hyperplane model")
         poly = os_oracle(poset)
-        report["oracle"] = {"poly": _poly_list(poly), "text": str(poly)}
+        report["oracle"] = {"poly": poly.to_list(), "text": str(poly)}
         report["verdicts"] = verdicts
         return report, EXIT_OK
 
@@ -348,7 +352,7 @@ def execute(job: JobSpec) -> tuple:
 
     try:
         dec = decompose(model, tables=tables)
-        pw = verify_pointwise(model, dec, tables=tables)
+        pw = dec.pointwise
     except InconsistentDecomposition as exc:
         dec, pw = exc.dec, exc.report
     report["decomposition"] = [
@@ -388,7 +392,7 @@ def execute(job: JobSpec) -> tuple:
     oracle_poly = None
     if model.kind == "hyperplane" and model.c == 1:
         oracle_poly = os_oracle(poset)
-        report["oracle"] = {"poly": _poly_list(oracle_poly),
+        report["oracle"] = {"poly": oracle_poly.to_list(),
                             "text": str(oracle_poly)}
 
     exit_code = EXIT_OK
@@ -402,7 +406,7 @@ def execute(job: JobSpec) -> tuple:
         report["differential_ranks"] = [
             {"p": p, "q": q, "rank": r} for (p, q), r in sorted(res.ranks.items())]
         report["einfty"] = _page_section(res.einfty)
-        report["betti"] = _poly_list(res.betti)
+        report["betti"] = res.betti.to_list()
         report["betti_text"] = str(res.betti)
         report["euler"] = res.euler
         report["weight_table"] = [
@@ -450,7 +454,7 @@ def execute(job: JobSpec) -> tuple:
             section["unique"] = res.unique
             section["ranks"] = [{"p": p, "q": q, "rank": r}
                                 for (p, q), r in sorted(res.ranks.items())]
-            section["target"] = _poly_list(target)
+            section["target"] = target.to_list()
             verdict("feasibility", bool(res.feasible))
         report["feasibility"] = section
 
@@ -639,9 +643,6 @@ def main(argv=None) -> int:
     try:
         job = parse(document, command=args.command, overrides=overrides)
         report, code = execute(job)
-    except (ParseError, SchemaError, NotRankOne) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except ArrangeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -1,19 +1,23 @@
 """Exact linear algebra over the rationals.
 
 Ranks and homology dimensions are discrete invariants: a single rounded
-pivot would corrupt every Betti number downstream, so everything here runs
-on Fraction and nothing else.  Matrices are stored sparsely (no zero
-entries); elimination falls back to dense rows below 64x64 where the
-overhead of dictionaries is not worth it.
+pivot would corrupt every Betti number downstream, so nothing here is
+approximate.  Matrix entries are exact Fractions, stored sparsely (no zero
+entries).  Elimination runs on integers: ``echelon`` clears each row of its
+denominators, then combines rows fraction-free and keeps each one primitive
+(divided by the gcd of its entries).  That one elimination gives the rank,
+the pivot columns and the kernel basis of a matrix.
+
+``rref`` is the canonical Fraction form of a row space, which the poset
+layer uses to key flats.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import ArrangeError
-
-_DENSE_LIMIT = 64
 
 
 class ShapeMismatch(ArrangeError):
@@ -116,90 +120,177 @@ class RationalMatrix:
         return dense
 
     def rank(self):
-        if not self.entries:
-            return 0
-        if self.rows < _DENSE_LIMIT and self.cols < _DENSE_LIMIT:
-            return _dense_rank(self.to_dense())
-        return _sparse_rank(self.entries, self.rows)
+        return echelon(self).rank
 
     def kernel_dim(self):
         return self.cols - self.rank()
 
     def kernel_basis(self):
         """Basis of the right kernel, as tuples of Fractions (one per column)."""
-        reduced, pivots = rref(self.to_dense()) if self.rows else ((), ())
-        pivot_set = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivot_set]
-        basis = []
-        for f in free:
-            vec = [Fraction(0)] * self.cols
-            vec[f] = Fraction(1)
-            for r, pc in enumerate(pivots):
-                vec[pc] = -reduced[r][f]
-            basis.append(tuple(vec))
-        return basis
+        return echelon(self).kernel_basis()
 
     def __repr__(self):
         return f"RationalMatrix({self.rows}x{self.cols}, nnz={len(self.entries)})"
 
 
-def _dense_rank(mat):
-    nrows = len(mat)
-    ncols = len(mat[0]) if nrows else 0
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        sel = None
-        for i in range(row, nrows):
-            if mat[i][col]:
-                sel = i
-                break
-        if sel is None:
-            continue
-        mat[row], mat[sel] = mat[sel], mat[row]
-        pv = mat[row][col]
-        for i in range(row + 1, nrows):
-            f = mat[i][col]
-            if f:
-                f = f / pv
-                mi, mr = mat[i], mat[row]
-                for j in range(col, ncols):
-                    mi[j] -= f * mr[j]
-        rank += 1
-        row += 1
-        if row == nrows:
-            break
-    return rank
+def _primitive(row):
+    """``row`` divided by the gcd of its entries."""
+    g = gcd(*row.values()) if row else 1
+    if g != 1:
+        row = {j: v // g for j, v in row.items()}
+    return row
 
 
-def _sparse_rank(entries, nrows):
+def primitive_rows(m):
+    """Each nonzero row of ``m`` as a dict column -> int, cleared of
+    denominators and divided by the gcd of its entries; keyed by row."""
     rows = {}
-    for (i, j), v in entries.items():
+    for (i, j), v in m.entries.items():
         rows.setdefault(i, {})[j] = v
-    rank = 0
-    while rows:
-        r = min(rows, key=lambda k: len(rows[k]))
-        row = rows.pop(r)
-        if not row:
-            continue
-        rank += 1
-        c = min(row)
-        pv = row[c]
-        touched = [r2 for r2, row2 in rows.items() if c in row2]
-        for r2 in touched:
-            row2 = rows[r2]
-            f = row2.pop(c) / pv
-            for cc, vv in row.items():
-                if cc == c:
-                    continue
-                nv = row2.get(cc, Fraction(0)) - f * vv
-                if nv:
-                    row2[cc] = nv
-                else:
-                    row2.pop(cc, None)
-            if not row2:
-                del rows[r2]
-    return rank
+    out = {}
+    for i, row in rows.items():
+        den = lcm(*(v.denominator for v in row.values()))
+        out[i] = _primitive({j: v.numerator * (den // v.denominator)
+                             for j, v in row.items()})
+    return out
+
+
+def product_is_zero(a, b):
+    """Whether a * b == 0.  Scaling the rows of ``a`` and the columns of
+    ``b`` by nonzero numbers does not change which entries of the product
+    vanish, so this runs on their primitive integer forms."""
+    if a.cols != b.rows:
+        raise ShapeMismatch(
+            f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
+    by_mid = {}
+    for j, col in primitive_rows(b.transpose()).items():
+        for k, v in col.items():
+            by_mid.setdefault(k, []).append((j, v))
+    for row in primitive_rows(a).values():
+        acc = {}
+        for k, x in row.items():
+            for j, v in by_mid.get(k, ()):
+                acc[j] = acc.get(j, 0) + x * v
+        if any(acc.values()):
+            return False
+    return True
+
+
+def eliminate(row, pivot_row, col):
+    """The primitive integer combination of ``row`` and ``pivot_row`` that
+    is zero at ``col``; both rows must be nonzero there."""
+    a, b = pivot_row[col], row[col]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    out = {j: a * v for j, v in row.items() if j != col}
+    for j, v in pivot_row.items():
+        if j != col:
+            nv = out.get(j, 0) - b * v
+            if nv:
+                out[j] = nv
+            else:
+                del out[j]
+    return _primitive(out)
+
+
+class Echelon:
+    """Row echelon form of a matrix, kept in primitive integer rows.
+
+    ``rows`` maps each pivot column to the row whose first nonzero column it
+    is.  These are the pivot columns of the reduced row echelon form, so the
+    kernel read off here is the one that form gives: one vector per free
+    column f, with 1 at f and 0 at the other free columns.
+    """
+
+    __slots__ = ("cols", "rows", "_kernel")
+
+    def __init__(self, cols, rows):
+        self.cols = cols
+        self.rows = rows
+        self._kernel = None
+
+    @property
+    def rank(self):
+        return len(self.rows)
+
+    def _kernel_terms(self):
+        """(free column, [(pivot column, entry at the free column, pivot
+        entry)]) in increasing column order, from the reduced form, which is
+        made on first use by clearing every pivot column above each pivot."""
+        if self._kernel is None:
+            red = {}
+            for c in sorted(self.rows, reverse=True):
+                row = self.rows[c]
+                for j in [j for j in row if j != c and j in red]:
+                    row = eliminate(row, red[j], j)
+                red[c] = row
+            terms = {}
+            for c, row in red.items():
+                for j, v in row.items():
+                    if j != c:
+                        terms.setdefault(j, []).append((c, v, row[c]))
+            self._kernel = [(f, terms.get(f, [])) for f in range(self.cols)
+                             if f not in red]
+        return self._kernel
+
+    def kernel_vectors(self):
+        """The kernel basis as primitive integer vectors (dicts index -> int)."""
+        out = []
+        for f, terms in self._kernel_terms():
+            scale = lcm(*(a for _, _, a in terms)) if terms else 1
+            vec = {f: scale}
+            for c, v, a in terms:
+                vec[c] = -v * scale // a
+            out.append(_primitive(vec))
+        return out
+
+    def kernel_basis(self):
+        """The kernel basis as tuples of Fractions (one entry per column)."""
+        basis = []
+        for f, terms in self._kernel_terms():
+            vec = [Fraction(0)] * self.cols
+            vec[f] = Fraction(1)
+            for c, v, a in terms:
+                vec[c] = Fraction(-v, a)
+            basis.append(tuple(vec))
+        return basis
+
+
+def echelon(m: RationalMatrix) -> Echelon:
+    """Fraction-free sparse elimination of ``m``.
+
+    Rows are cleared of denominators first.  Each step takes the shortest
+    remaining row, pivots on its first nonzero column and clears that column
+    from every other remaining row with ``eliminate``, so entries stay
+    integers and rows stay primitive.
+    """
+    live = primitive_rows(m)
+    by_col = {}
+    for i, row in live.items():
+        for j in row:
+            by_col.setdefault(j, set()).add(i)
+    pivots = {}
+    while live:
+        i = min(live, key=lambda k: len(live[k]))
+        row = live.pop(i)
+        for j in row:
+            by_col[j].discard(i)
+        col = min(row)
+        pivots[col] = row
+        for i2 in list(by_col[col]):
+            old = live[i2]
+            new = eliminate(old, row, col)
+            for j in old:
+                if j not in new:
+                    by_col[j].discard(i2)
+            for j in new:
+                if j not in old:
+                    by_col.setdefault(j, set()).add(i2)
+            if new:
+                live[i2] = new
+            else:
+                del live[i2]
+    return Echelon(m.cols, pivots)
 
 
 def rank(m: RationalMatrix) -> int:
@@ -218,7 +309,7 @@ def homology_dim(d_in: RationalMatrix, d_out: RationalMatrix) -> int:
     if d_out.cols != d_in.rows:
         raise ShapeMismatch(
             f"middle space disagrees: d_out domain {d_out.cols}, d_in codomain {d_in.rows}")
-    if not (d_out * d_in).is_zero():
+    if not product_is_zero(d_out, d_in):
         raise CompositionNonzero("d_out * d_in != 0: not a complex")
     return d_out.cols - d_out.rank() - d_in.rank()
 

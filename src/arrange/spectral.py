@@ -19,8 +19,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ArrangeError, NotRankOne
-from .linalg import RationalMatrix, homology_dim
+# homology_dim is no longer called here; it stays in this namespace for
+# callers that wrap it (benchmark/tracer.py counts its calls)
+from .linalg import (RationalMatrix, echelon, eliminate,  # noqa: F401
+                     homology_dim, primitive_rows, product_is_zero)
 from .polys import IntPoly
+from .poset import _bits
 from .projective import ProjProduct, power_inclusion, pushforward
 
 
@@ -48,6 +52,14 @@ class Infeasible(ArrangeError):
     pass
 
 
+class MalformedCell(ArrangeError):
+    """A cell's basis labels disagree with its dimension or its support."""
+
+
+class HomologyMismatch(ArrangeError):
+    """Homology labels or the Euler characteristic disagree with the ranks."""
+
+
 @dataclass(frozen=True)
 class WeightedCell:
     p: int
@@ -58,18 +70,28 @@ class WeightedCell:
 
 
 class SpectralPage:
-    """Bigraded table of weighted cells with at most one differential."""
+    """Bigraded table of weighted cells with at most one differential.
+
+    The page keeps its own copy of the caller's block table and makes the
+    factorisation of each block (``factor``) and the d^2 check
+    (``check_differential``) once; the blocks must not change afterwards.
+    """
 
     def __init__(self, c, r, cells, differential=None):
         self.c = c
         self.r = r
         self.cells = dict(cells)
-        self.differential = differential
+        self.differential = None if differential is None else dict(differential)
+        self._factors = {}
+        self._checked = False
         for (p, q), cell in self.cells.items():
             if q % (2 * c - 1):
                 raise ArrangeError(
                     f"cell at q={q} would violate the vanishing pattern (c={c})")
-            assert cell.dim == len(cell.basis)
+            if cell.dim != len(cell.basis):
+                raise MalformedCell(
+                    f"cell ({p}, {q}) has dim {cell.dim} but "
+                    f"{len(cell.basis)} basis labels")
 
     def cell_dim(self, p, q):
         cell = self.cells.get((p, q))
@@ -100,10 +122,30 @@ class SpectralPage:
                 return m
         return RationalMatrix.zeros(self.cell_dim(*tgt), self.cell_dim(p, q))
 
+    def factor(self, p, q):
+        """Echelon form of the block leaving (p, q), made once per page."""
+        ech = self._factors.get((p, q))
+        if ech is None:
+            ech = self._factors[(p, q)] = echelon(self.block(p, q))
+        return ech
+
+    def homology(self, p, q):
+        """dim ker(d_out) / im(d_in) at (p, q), from the blocks' factors;
+        0 off the page.  The page must have passed check_differential."""
+        cell = self.cells.get((p, q))
+        if cell is None:
+            return 0
+        src = self.source_of(p, q)
+        rank_in = self.factor(*src).rank if src in self.cells else 0
+        return cell.dim - self.factor(p, q).rank - rank_in
+
     def check_differential(self):
-        """d^2 = 0 and weight preservation of every nonzero block."""
+        """d^2 = 0 and weight preservation of every nonzero block; once the
+        page has passed, later calls return at once."""
         if self.differential is None:
             raise NotComposable("page has no differential")
+        if self._checked:
+            return
         for (p, q), m in self.differential.items():
             src = self.cells.get((p, q))
             tgt = self.cells.get(self.target_of(p, q))
@@ -116,8 +158,9 @@ class SpectralPage:
                     f"nonzero block {(p, q)} -> {self.target_of(p, q)} joins "
                     f"weights {src.weight} and {tgt.weight}")
             nxt = self.differential.get(self.target_of(p, q))
-            if nxt is not None and not (nxt * m).is_zero():
+            if nxt is not None and not product_is_zero(nxt, m):
                 raise NotComposable(f"d^2 != 0 at {(p, q)}")
+        self._checked = True
 
     def __repr__(self):
         return (f"SpectralPage(r={self.r}, c={self.c}, "
@@ -252,8 +295,7 @@ def build_differential_ncd(model, page) -> dict:
         entries = {}
         for col, (fi, token, _) in enumerate(cell.basis):
             mask = poset.member_mask(fi)
-            members = sorted(_mask_bits(mask))
-            for j, mpos in enumerate(members):
+            for j, mpos in enumerate(_bits(mask)):
                 gi = mask_to_flat[mask & ~(1 << mpos)]
                 sign = -1 if j % 2 else 1
                 inc = model.inclusion(fi, gi)
@@ -324,7 +366,10 @@ def build_differential_config(model, page) -> dict:
             tpos = _positions(tcell)
             entries = {}
             for col, (fi, token, mult) in enumerate(cell.basis):
-                assert fi == small
+                if fi != small:
+                    raise MalformedCell(
+                        f"cell ({p}, {q}) has a basis label on flat {fi}, "
+                        f"not on the small diagonal {small}")
                 image = pushforward(delta, factor.monomial_class(token))
                 for pf in pair_flats:
                     coef = coeffs[pf][mult]
@@ -341,41 +386,33 @@ def build_differential_config(model, page) -> dict:
     return diff
 
 
-def _mask_bits(mask):
-    i = 0
-    while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1
-
-
-def _homology_labels(cell, d_in, d_out):
+def _homology_labels(cell, image, kernel):
     """Pick basis labels for the homology of one cell.
 
-    Representatives are kernel vectors independent modulo the image; each
-    contributes the label at its pivot coordinate.
+    ``image`` spans the image of the incoming block and ``kernel`` is the
+    kernel basis of the outgoing one, both as integer vectors.  They are
+    inserted in that order into an echelon basis, each reduced in
+    increasing pivot order until its first nonzero coordinate is new; a
+    kernel vector that adds a coordinate contributes the label there.  The
+    first nonzero coordinates of an echelon basis depend only on its span,
+    so the labels depend only on the spans of the vectors inserted.
     """
-    n = cell.dim
-    pivots = {}
+    lead = {}
 
     def insert(vec):
-        v = list(vec)
-        for pr in sorted(pivots):
-            if v[pr]:
-                f = v[pr]
-                pv = pivots[pr]
-                v = [a - f * b for a, b in zip(v, pv)]
-        for i, x in enumerate(v):
-            if x:
-                pivots[i] = [y / x for y in v]
+        while vec:
+            i = min(vec)
+            pivot = lead.get(i)
+            if pivot is None:
+                lead[i] = vec
                 return i
+            vec = eliminate(vec, pivot, i)
         return None
 
-    for j in range(d_in.cols):
-        insert([d_in.get(i, j) for i in range(n)])
+    for vec in image:
+        insert(vec)
     labels = []
-    for vec in d_out.kernel_basis():
+    for vec in kernel:
         pr = insert(vec)
         if pr is not None:
             labels.append(cell.basis[pr])
@@ -391,21 +428,25 @@ def run(page: SpectralPage) -> RunResult:
     einf_cells = {}
     ranks = {}
     for (p, q), cell in page.cells.items():
-        d_out = page.block(p, q)
-        skey = page.source_of(p, q)
-        if page.cells.get(skey):
-            d_in = page.block(*skey)
-        else:
-            d_in = RationalMatrix.zeros(cell.dim, 0)
-        h = homology_dim(d_in, d_out)
-        if not d_out.is_zero():
-            ranks[(p, q)] = d_out.rank()
+        d_out = page.factor(p, q)
+        if d_out.rank:
+            ranks[(p, q)] = d_out.rank
+        h = page.homology(p, q)
         if h:
-            labels = _homology_labels(cell, d_in, d_out)
-            assert len(labels) == h
+            src = page.source_of(p, q)
+            image = (primitive_rows(page.block(*src).transpose()).values()
+                     if src in page.cells else ())
+            labels = _homology_labels(cell, image, d_out.kernel_vectors())
+            if len(labels) != h:
+                raise HomologyMismatch(
+                    f"cell ({p}, {q}): {len(labels)} homology labels for "
+                    f"homology of dimension {h}")
             einf_cells[(p, q)] = WeightedCell(p, q, h, cell.weight, labels)
     einfty = SpectralPage(c, 2 * c + 1, einf_cells)
-    assert einfty.euler() == page.euler(), "Euler characteristic drifted"
+    if einfty.euler() != page.euler():
+        raise HomologyMismatch(
+            f"Euler characteristic drifted from {page.euler()} on the second "
+            f"page to {einfty.euler()} on the limit page")
     maxk = max((p + q for (p, q) in einf_cells), default=0)
     betti = IntPoly([sum(cell.dim for (p, q), cell in einf_cells.items()
                          if p + q == k) for k in range(maxk + 1)])
@@ -421,27 +462,15 @@ def skew_row_homology(page: SpectralPage, k: int, ell: int) -> int:
 
     For hypersurface models this is the weight-(k + ell) graded piece of
     H^k of the complement; it must agree with the weight table of ``run``.
+    The position-``ell`` cell is (k - ell, ell), and its homology is read
+    from the same block factorisations that ``run`` uses.
     """
     if page.c != 1:
         raise NotRankOne("skew rows as displayed require c = 1")
     if page.differential is None:
         raise NotComposable("needs an explicit differential")
-
-    def cell_at(j):
-        return (k + ell - 2 * j, j)
-
-    def block_from(j):
-        p, q = cell_at(j)
-        if q < 0 or page.cells.get((p, q)) is None:
-            return RationalMatrix.zeros(page.cell_dim(*cell_at(j - 1)), 0)
-        return page.block(p, q)
-
-    d_out = block_from(ell)
-    d_in = block_from(ell + 1)
-    if d_in.rows != page.cell_dim(*cell_at(ell)):
-        # incoming block exists but its recorded target is this cell
-        raise NotComposable("skew row shapes disagree")
-    return homology_dim(d_in, d_out)
+    page.check_differential()
+    return page.homology(k - ell, ell)
 
 
 def feasibility(page: SpectralPage, target: IntPoly | None = None) -> FeasibilityResult:

@@ -66,6 +66,9 @@ class Summand:
 class SheafDecomposition:
     c: int
     summands: tuple
+    # the pointwise check that ``decompose`` ran on this decomposition
+    pointwise: PointwiseReport | None = field(default=None, compare=False,
+                                              repr=False)
 
     def at_degree(self, k):
         return [s for s in self.summands if s.degree == k]
@@ -154,7 +157,7 @@ def decompose(model, tables=None) -> SheafDecomposition:
         if mult:
             summands.append(Summand(f.index, level, degree, mult, 2 * c * level))
     dec = SheafDecomposition(c, tuple(summands))
-    report = verify_pointwise(model, dec, tables=tables)
+    report = dec.pointwise = verify_pointwise(model, dec, tables=tables)
     if not report.ok:
         raise InconsistentDecomposition(
             f"{len(report.mismatches)} stalk/multiplicity mismatches",

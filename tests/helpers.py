@@ -1,8 +1,12 @@
 """Shared generators and brute-force oracles for the test suite."""
 
+import os
+import random
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
+import arrange
 from arrange.linalg import reduce_against, rref
 
 
@@ -125,10 +129,40 @@ def random_nongeneric_central_forms(rng, m, ncoords):
         return forms + [(dep, 0)]
 
 
-def run_explicit(model):
-    """Assemble, differentiate, and run an explicit-mode model."""
+def coordinate_forms(n):
+    return [([1 if j == i else 0 for j in range(n + 1)], 0)
+            for i in range(n + 1)]
+
+
+def criterion_10_models():
+    """The c = 1 explicit models of acceptance criterion 10."""
+    from arrange.models import configuration_model, hyperplane_model
+    from arrange.projective import ProjProduct
+    rng = random.Random(20240206)
+    models = [hyperplane_model(coordinate_forms(n), mode="projective")
+              for n in (1, 2, 3, 4)]
+    models += [hyperplane_model(
+        random_generic_projective_forms(rng, m, 3), mode="projective")
+        for m in (4, 5, 6)]
+    models += [configuration_model(ProjProduct((1,)), n) for n in (2, 3)]
+    return models
+
+
+def child_env():
+    """Environment for a child interpreter that may run in another
+    directory, where a relative PYTHONPATH entry such as "src" no longer
+    resolves: put the package pytest imported first."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(arrange.__file__).resolve().parent.parent),
+                      env.get("PYTHONPATH")]))
+    return env
+
+
+def explicit_page(model):
+    """Assemble and differentiate an explicit-mode model."""
     from arrange import (assemble_e2, build_differential_config,
-                         build_differential_ncd, decompose, run)
+                         build_differential_ncd, decompose)
     dec = decompose(model)
     page = assemble_e2(dec, model.strata(), model.ambient, model.c,
                        bottom=model.poset.bottom)
@@ -136,5 +170,11 @@ def run_explicit(model):
         diff = build_differential_ncd(model, page)
     else:
         diff = build_differential_config(model, page)
-    page = page.with_differential(diff)
+    return page.with_differential(diff)
+
+
+def run_explicit(model):
+    """Assemble, differentiate, and run an explicit-mode model."""
+    from arrange import run
+    page = explicit_page(model)
     return page, run(page)

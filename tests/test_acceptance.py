@@ -15,18 +15,14 @@ from arrange.polys import IntPoly
 from arrange.projective import ProjProduct
 from arrange.spectral import assemble_e2, feasibility, skew_row_homology
 from arrange.stalks import decompose, stalk_tables, verify_pointwise
-from helpers import (random_central_forms, random_generic_projective_forms,
+from helpers import (coordinate_forms, criterion_10_models,
+                     random_central_forms, random_generic_projective_forms,
                      random_nongeneric_central_forms, run_explicit)
 
 
 def _line(num, text, ok=True):
     print(f"ACCEPTANCE {num:02d}: {text} ... {'PASS' if ok else 'FAIL'}")
     assert ok
-
-
-def coordinate_forms(n):
-    return [([1 if j == i else 0 for j in range(n + 1)], 0)
-            for i in range(n + 1)]
 
 
 def _models_for_criteria_1_to_4():
@@ -193,15 +189,8 @@ def test_criterion_9_monodromy_checker():
 
 
 def test_criterion_10_skew_rows_match_weight_table():
-    rng = random.Random(20240206)
-    models = [hyperplane_model(coordinate_forms(n), mode="projective")
-              for n in (1, 2, 3, 4)]
-    models += [hyperplane_model(
-        random_generic_projective_forms(rng, m, 3), mode="projective")
-        for m in (4, 5, 6)]
-    models += [configuration_model(ProjProduct((1,)), n) for n in (2, 3)]
     pairs = 0
-    for model in models:
+    for model in criterion_10_models():
         assert model.c == 1 and model.explicit
         page, res = run_explicit(model)
         maxq = max(q for (_, q) in page.cells)

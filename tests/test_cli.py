@@ -1,15 +1,13 @@
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import arrange
 from arrange.cli import (EXIT_INFEASIBLE, EXIT_INPUT, EXIT_MISMATCH, EXIT_OK,
                          SchemaError, execute, main, parse, render_machine)
 from arrange.polys import IntPoly
+from helpers import child_env
 
 BOOLEAN_P2 = {
     "schema_version": 1,
@@ -264,16 +262,46 @@ def test_main_explicit_unavailable_is_input_error(tmp_path, monkeypatch):
     assert main(["run", path, "--mode", "explicit"]) == EXIT_INPUT
 
 
-def test_console_entry_point(tmp_path):
-    # The child runs in tmp_path, where a relative PYTHONPATH entry such as
-    # "src" no longer resolves; point it at the package pytest imported.
-    path = write_job(tmp_path, CONFIG_P1_3)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(Path(arrange.__file__).resolve().parent.parent),
-                      env.get("PYTHONPATH")]))
-    proc = subprocess.run(
+def run_child(tmp_path, doc):
+    """``arrange run`` on ``doc`` in a child interpreter run in tmp_path."""
+    path = write_job(tmp_path, doc)
+    return subprocess.run(
         [sys.executable, "-m", "arrange.cli", "run", path, "--no-cache"],
-        capture_output=True, text=True, cwd=tmp_path, env=env)
+        capture_output=True, text=True, cwd=tmp_path, env=child_env())
+
+
+def test_console_entry_point(tmp_path):
+    proc = run_child(tmp_path, CONFIG_P1_3)
     assert proc.returncode == 0, proc.stderr
     assert "1 + t^3" in proc.stdout
+
+
+@pytest.mark.parametrize("field, edit", [
+    ("options", lambda doc: doc.update(options=[1])),
+    ("model.factor", lambda doc: doc["model"].update(factor=["a"])),
+    ("model.factor", lambda doc: doc["model"].update(factor=[True])),
+], ids=["options_list", "factor_string", "factor_bool"])
+def test_malformed_document_exits_4_without_traceback(tmp_path, field, edit):
+    doc = json.loads(json.dumps(CONFIG_P1_3))
+    edit(doc)
+    proc = run_child(tmp_path, doc)
+    assert proc.returncode == EXIT_INPUT, proc.stderr
+    assert field in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_pointwise_check_runs_once_per_job(tmp_path, monkeypatch):
+    import arrange.stalks as stalks
+    monkeypatch.chdir(tmp_path)
+    calls = []
+    real = stalks.verify_pointwise
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(stalks, "verify_pointwise", counting)
+    report, code = execute(parse(BOOLEAN_P2, command="verify"))
+    assert code == EXIT_OK
+    assert len(calls) == 1
+    assert report["pointwise"] == {"ok": True, "mismatches": []}

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from arrange.linalg import (CompositionNonzero, RationalMatrix, ShapeMismatch,
-                            homology_dim, kernel_dim, rank, reduce_against,
-                            rref)
+                            echelon, homology_dim, kernel_dim,
+                            product_is_zero, rank, reduce_against, rref)
 from helpers import minor_rank
 
 
@@ -166,3 +166,94 @@ def test_sparse_path_large_matrix():
     n = 70
     m = RationalMatrix(n, n, {(i, i): Fraction(1) for i in range(0, n, 2)})
     assert m.rank() == 35
+
+
+def _block_diagonal(rng, blocks, extra_rows, extra_cols):
+    """Small random blocks (non-integer entries) on the diagonal of a larger
+    matrix, padded with zero rows and columns and shuffled; returns the
+    matrix and the blocks."""
+    dense = [_random_matrix(rng, r, c).to_dense() for r, c in blocks]
+    nrows = sum(len(b) for b in dense) + extra_rows
+    ncols = sum(len(b[0]) for b in dense) + extra_cols
+    row_perm = list(range(nrows))
+    col_perm = list(range(ncols))
+    rng.shuffle(row_perm)
+    rng.shuffle(col_perm)
+    entries = {}
+    r0 = c0 = 0
+    for b in dense:
+        for i, row in enumerate(b):
+            for j, v in enumerate(row):
+                if v:
+                    entries[(row_perm[r0 + i], col_perm[c0 + j])] = v
+        r0 += len(b)
+        c0 += len(b[0])
+    return RationalMatrix(nrows, ncols, entries), dense
+
+
+def test_echelon_rank_against_minor_oracle_beyond_dense_limit():
+    # the rank of a block-diagonal matrix is the sum of the block ranks,
+    # each taken by minor expansion; shapes reach past 64x64
+    rng = random.Random(29)
+    for _ in range(6):
+        blocks = [(rng.randint(1, 4), rng.randint(1, 4))
+                  for _ in range(rng.randint(30, 40))]
+        m, dense = _block_diagonal(rng, blocks, rng.randint(0, 5),
+                                   rng.randint(0, 5))
+        assert max(m.rows, m.cols) > 64
+        assert any(v.denominator > 1 for v in m.entries.values())
+        expected = sum(minor_rank(b) for b in dense)
+        assert echelon(m).rank == m.rank() == expected
+        assert m.transpose().rank() == expected
+
+
+def test_echelon_rank_against_minor_oracle_dense_rationals():
+    rng = random.Random(31)
+    for _ in range(60):
+        m = _random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5),
+                           density=rng.random())
+        assert echelon(m).rank == minor_rank(m.to_dense())
+
+
+def _rref_kernel(m):
+    """The kernel basis that the reduced row echelon form gives."""
+    reduced, pivots = rref(m.to_dense()) if m.rows else ((), ())
+    basis = []
+    for f in (c for c in range(m.cols) if c not in pivots):
+        vec = [Fraction(0)] * m.cols
+        vec[f] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -reduced[r][f]
+        basis.append(tuple(vec))
+    return basis
+
+
+def test_kernel_basis_equals_reduced_echelon_kernel():
+    rng = random.Random(37)
+    cases = [_random_matrix(rng, rng.randint(0, 7), rng.randint(1, 7),
+                            density=rng.random()) for _ in range(80)]
+    cases += [_block_diagonal(rng, [(rng.randint(1, 3), rng.randint(1, 4))
+                                    for _ in range(25)], 3, 4)[0]
+              for _ in range(2)]
+    for m in cases:
+        basis = m.kernel_basis()
+        assert basis == _rref_kernel(m)
+        assert all(isinstance(x, Fraction) for vec in basis for x in vec)
+        # the integer kernel vectors span the same lines
+        for vec, ref in zip(echelon(m).kernel_vectors(), basis):
+            f = next(i for i, x in enumerate(ref) if x == 1 and i in vec)
+            assert all(Fraction(vec.get(i, 0), vec[f]) == ref[i]
+                       for i in range(m.cols))
+
+
+def test_product_is_zero_matches_product():
+    rng = random.Random(41)
+    for _ in range(60):
+        a = _random_matrix(rng, rng.randint(1, 4), 3, density=0.4)
+        b = _random_matrix(rng, 3, rng.randint(1, 4), density=0.4)
+        assert product_is_zero(a, b) == (a * b).is_zero()
+    d_out = RationalMatrix.from_rows([[Fraction(1, 2), Fraction(1, 3)]])
+    d_in = RationalMatrix.from_rows([[Fraction(2, 3)], [-1]])
+    assert product_is_zero(d_out, d_in)
+    with pytest.raises(ShapeMismatch):
+        product_is_zero(d_out, d_out)

@@ -1,16 +1,25 @@
+import random
+import subprocess
+import sys
+from fractions import Fraction
+
 import pytest
 
-from arrange.linalg import RationalMatrix
+import arrange.linalg as linalg
+import arrange.spectral as spectral
+from arrange.linalg import RationalMatrix, rref
 from arrange.models import configuration_model, hyperplane_model, os_oracle
 from arrange.polys import IntPoly
 from arrange.projective import ProjProduct
-from arrange.spectral import (ExplicitModeUnavailable, Infeasible,
-                              MissingStratumData, NotComposable, SpectralPage,
-                              WeightViolation, WeightedCell, assemble_e2,
+from arrange.spectral import (ExplicitModeUnavailable, HomologyMismatch,
+                              Infeasible, MalformedCell, MissingStratumData,
+                              NotComposable, SpectralPage, WeightViolation,
+                              WeightedCell, assemble_e2,
                               build_differential_config, feasibility, run,
                               skew_row_homology)
 from arrange.stalks import decompose
-from helpers import run_explicit
+from helpers import (child_env, coordinate_forms, criterion_10_models,
+                     explicit_page, run_explicit)
 
 BOOLEAN_P2 = [([1, 0, 0], 0), ([0, 1, 0], 0), ([0, 0, 1], 0)]
 TWO_POINTS_P1 = [([1, 0], 0), ([0, 1], 0)]
@@ -263,3 +272,157 @@ def test_basis_labels_carry_provenance():
     flats = {label[0] for label in cell.basis}
     line_ids = {f.index for f in m.poset.flats if f.codim == 1}
     assert flats <= line_ids
+
+
+def skew_sweep(page):
+    """Every skew row the CLI's verify computes."""
+    maxq = max(q for (_, q) in page.cells)
+    maxk = max(p + q for (p, q) in page.cells)
+    return {(k, ell): skew_row_homology(page, k, ell)
+            for k in range(maxk + 1) for ell in range(maxq + 1)}
+
+
+@pytest.mark.parametrize("model", [
+    hyperplane_model(coordinate_forms(4), mode="projective"),
+    configuration_model(ProjProduct((1,)), 3)], ids=["coordinate_P4", "F_P1_3"])
+def test_each_nonzero_block_factorised_once(model, monkeypatch):
+    page = explicit_page(model)
+    factored = []
+
+    def counting(m):
+        factored.append(m)
+        return real(m)
+
+    real = linalg.echelon
+    monkeypatch.setattr(linalg, "echelon", counting)
+    monkeypatch.setattr(spectral, "echelon", counting)
+    res = run(page)
+    sweep = skew_sweep(page)
+    nonzero = [m for m in page.differential.values() if not m.is_zero()]
+    assert nonzero
+    assert sorted(map(id, (m for m in factored if not m.is_zero()))) == \
+        sorted(map(id, nonzero))
+    assert all(h == res.weights.get(k, k + ell)
+               for (k, ell), h in sweep.items())
+
+
+def reference_labels(cell, d_in, d_out):
+    """Homology labels by Fraction echelon insertion, the rule run keeps:
+    reduce in increasing pivot order, take the first nonzero coordinate."""
+    reduced, pivots = rref(d_out.to_dense()) if d_out.rows else ((), ())
+    kernel = []
+    for f in (c for c in range(cell.dim) if c not in pivots):
+        vec = [Fraction(0)] * cell.dim
+        vec[f] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -reduced[r][f]
+        kernel.append(vec)
+    lead = {}
+
+    def insert(v):
+        for pr in sorted(lead):
+            f = v[pr]
+            if f:
+                v = [a - f * b for a, b in zip(v, lead[pr])]
+        i = next((i for i, x in enumerate(v) if x), None)
+        if i is not None:
+            lead[i] = [y / v[i] for y in v]
+        return i
+
+    for j in range(d_in.cols):
+        insert([d_in.get(i, j) for i in range(cell.dim)])
+    return tuple(cell.basis[i] for i in map(insert, kernel) if i is not None)
+
+
+def assert_labels_match_reference(page, res):
+    for (p, q), cell in page.cells.items():
+        src = page.source_of(p, q)
+        d_in = (page.block(*src) if src in page.cells
+                else RationalMatrix.zeros(cell.dim, 0))
+        expected = reference_labels(cell, d_in, page.block(p, q))
+        got = res.einfty.cells.get((p, q))
+        assert (got.basis if got else ()) == expected, (p, q)
+
+
+def _random_rational(rng):
+    return Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3)))
+
+
+def random_complex_page(rng):
+    """A three-cell chain (0,2) -> (2,1) -> (4,0) with d2 * d1 = 0: the
+    middle space is split by a unimodular change of basis u into an image
+    part, a part d2 sees, and a part neither block touches."""
+    r, s, t = rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 2)
+    n = max(r + s + t, 1)
+    n1, n3 = rng.randint(1, 4), rng.randint(1, 4)
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    u_inv = [row[:] for row in u]
+    for _ in range(6):
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        k = rng.randint(-2, 2) if i != j else 0
+        for row in u:                       # u <- u * (I + k e_ij)
+            row[j] += k * row[i]
+        u_inv[i] = [a - k * b for a, b in zip(u_inv[i], u_inv[j])]
+    x = [[_random_rational(rng) for _ in range(n1)] for _ in range(r)]
+    y = [[_random_rational(rng) for _ in range(s)] for _ in range(n3)]
+    d1 = [[sum(u[i][a] * x[a][j] for a in range(r)) for j in range(n1)]
+          for i in range(n)]
+    d2 = [[sum(y[i][b] * u_inv[r + b][j] for b in range(s)) for j in range(n)]
+          for i in range(n3)]
+    dims = {(0, 2): n1, (2, 1): n, (4, 0): n3}
+    cells = {key: WeightedCell(*key, dim, 4,
+                               tuple((key, i, 0) for i in range(dim)))
+             for key, dim in dims.items()}
+    diff = {(0, 2): RationalMatrix.from_rows(d1),
+            (2, 1): RationalMatrix.from_rows(d2)}
+    return SpectralPage(1, 2, cells, differential=diff)
+
+
+def test_labels_match_fraction_reference_on_random_complexes():
+    rng = random.Random(43)
+    for _ in range(60):
+        page = random_complex_page(rng)
+        assert_labels_match_reference(page, run(page))
+
+
+def test_labels_match_fraction_reference_on_criterion_10_models():
+    for model in criterion_10_models():
+        page, res = run_explicit(model)
+        assert_labels_match_reference(page, res)
+
+
+def test_cell_with_wrong_basis_count_raises():
+    with pytest.raises(MalformedCell, match=r"\(2, 1\)"):
+        SpectralPage(1, 2, {(2, 1): WeightedCell(2, 1, 2, 4, (("a", 0, 0),))})
+
+
+def test_cell_check_runs_under_optimisation():
+    code = ("from arrange.spectral import SpectralPage, WeightedCell\n"
+            "SpectralPage(1, 2, {(0, 0): WeightedCell(0, 0, 3, 0, ())})\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, env=child_env())
+    assert proc.returncode != 0
+    assert "MalformedCell: cell (0, 0) has dim 3" in proc.stderr
+
+
+def test_config_label_off_the_small_diagonal_raises():
+    m = configuration_model(ProjProduct((1,)), 3)
+    page = assemble(m)
+    key = next(k for k in page.cells if k[1] == 2)
+    cell = page.cells[key]
+    cells = dict(page.cells)
+    cells[key] = WeightedCell(*key, cell.dim, cell.weight,
+                              tuple((m.poset.bottom, tok, mult)
+                                    for _, tok, mult in cell.basis))
+    bad = SpectralPage(page.c, page.r, cells)
+    with pytest.raises(MalformedCell, match=rf"cell \({key[0]}, 2\)"):
+        build_differential_config(m, bad)
+
+
+def test_labels_disagreeing_with_ranks_raise(monkeypatch):
+    page = explicit_page(hyperplane_model(BOOLEAN_P2, mode="projective"))
+    real = SpectralPage.homology
+    monkeypatch.setattr(SpectralPage, "homology",
+                        lambda self, p, q: real(self, p, q) + 1)
+    with pytest.raises(HomologyMismatch, match=r"cell \(\d+, \d+\)"):
+        run(page)
