@@ -66,6 +66,14 @@ def _require(cond, message):
         raise SchemaError(message)
 
 
+def _int_at_least(x, low):
+    return type(x) is int and x >= low  # a JSON integer, not a boolean
+
+
+def _ints_at_least(x, low):
+    return isinstance(x, list) and all(_int_at_least(v, low) for v in x)
+
+
 def parse(document: dict, command: str = "run", overrides: dict | None = None) -> JobSpec:
     """Validate a job document and fill defaults."""
     if not isinstance(document, dict):
@@ -85,34 +93,51 @@ def parse(document: dict, command: str = "run", overrides: dict | None = None) -
                  "model.mode must be affine|central|projective")
         if "c" in model:
             _require(model["c"] == 1, "hyperplane models have c = 1")
+        ambient = model.get("ambient")
+        _require(ambient is None or _int_at_least(ambient, 0),
+                 f"model.ambient must be an integer >= 0, got {ambient!r}")
     elif kind == "configuration":
         factor = model.get("factor")
-        _require(isinstance(factor, list) and factor,
-                 "configuration model needs 'factor' (projective factor dims)")
-        _require(all(type(n) is int and n >= 0 for n in factor),
-                 f"model.factor must list integers >= 0, got {factor!r}")
-        _require(isinstance(model.get("points"), int) and model["points"] >= 2,
+        _require(_ints_at_least(factor, 0) and factor,
+                 f"model.factor must be a nonempty list of integers >= 0 "
+                 f"(projective factor dims), got {factor!r}")
+        _require(_int_at_least(model.get("points"), 2),
                  "configuration model needs integer 'points' >= 2")
         if "c" in model:
             _require(model["c"] == sum(model["factor"]),
                      "configuration models have c = dim of the factor")
     else:
-        _require(isinstance(model.get("c"), int) and model["c"] >= 1,
+        _require(_int_at_least(model.get("c"), 1),
                  "abstract model needs integer 'c' >= 1")
-        _require(isinstance(model.get("ambient"), list),
-                 "abstract model needs 'ambient' Betti list")
+        _require(_ints_at_least(model.get("ambient"), 0),
+                 f"model.ambient must list Betti numbers >= 0, "
+                 f"got {model.get('ambient')!r}")
         poset = model.get("poset")
         _require(isinstance(poset, dict) and isinstance(poset.get("flats"), list),
                  "abstract model needs 'poset' with a 'flats' list")
-        for fl in poset["flats"]:
-            _require(isinstance(fl, dict) and "key" in fl and "codim" in fl,
-                     "abstract flats need 'key' and 'codim'")
-            _require(bool(fl.get("betti")),
-                     f"abstract flat {fl.get('key')!r} is missing 'betti'")
+        for i, fl in enumerate(poset["flats"]):
+            where = f"model.poset.flats[{i}]"
+            _require(isinstance(fl, dict) and isinstance(fl.get("key"), (str, int)),
+                     f"{where} needs a string or integer 'key'")
+            _require(_int_at_least(fl.get("codim"), 1),
+                     f"{where}.codim must be an integer >= 1, got {fl.get('codim')!r}")
+            _require(_ints_at_least(fl.get("betti"), 0) and fl["betti"],
+                     f"{where}.betti must be a nonempty list of Betti numbers "
+                     f">= 0, got {fl.get('betti')!r}")
+        order = poset.get("order", [])
+        _require(isinstance(order, list), "model.poset.order must be a list")
+        for i, pair in enumerate(order):
+            _require(isinstance(pair, list) and len(pair) == 2
+                     and all(isinstance(k, (str, int)) for k in pair),
+                     f"model.poset.order[{i}] must be a pair of flat keys, "
+                     f"got {pair!r}")
 
     options = document.get("options") or {}
     _require(isinstance(options, dict),
              f"options must be a JSON object, got {options!r}")
+    cache = options.get("cache", True)
+    _require(isinstance(cache, bool),
+             f"options.cache must be true or false, got {cache!r}")
     options = dict(options)
     options.update(overrides or {})
     mode = options.get("mode")
@@ -124,12 +149,14 @@ def parse(document: dict, command: str = "run", overrides: dict | None = None) -
     if isinstance(target, str) and target != "oracle":
         target = [s.strip() for s in target.split(",")]
     if isinstance(target, list):
+        _require(all(type(x) in (int, str) for x in target),
+                 f"options.target must list integers, got {target!r}")
         try:
             target = IntPoly([int(x) for x in target])
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"bad target polynomial: {exc}") from None
+        except ValueError as exc:
+            raise SchemaError(f"bad options.target polynomial: {exc}") from None
     _require(target is None or target == "oracle" or isinstance(target, IntPoly),
-             "target must be 'oracle' or a coefficient list")
+             "options.target must be 'oracle' or a coefficient list")
 
     local_system = None
     ls = document.get("local_system")
@@ -142,7 +169,7 @@ def parse(document: dict, command: str = "run", overrides: dict | None = None) -
             raise SchemaError(f"bad exponent: {exc}") from None
 
     return JobSpec(command=command, model=model, mode=mode, target=target,
-                   fmt=fmt, cache=bool(options.get("cache", True)),
+                   fmt=fmt, cache=options.get("cache", True),
                    local_system=local_system)
 
 
@@ -223,14 +250,12 @@ def _stalks_section(poset, tables):
 
 
 def _purity_check(model, tables):
+    """Stalks vanish outside the degrees (2c-1)*l; there the weight 2c*l
+    follows from the degree (``StalkTable.weights``)."""
     c = model.c
-    violations = []
-    for i, t in tables.items():
-        for k, d in t.dims.items():
-            if d and k % (2 * c - 1):
-                violations.append({"flat": i, "degree": k, "reason": "vanishing"})
-            if d and t.weights.get(k) != 2 * c * k // (2 * c - 1):
-                violations.append({"flat": i, "degree": k, "reason": "weight"})
+    violations = [{"flat": i, "degree": k, "reason": "vanishing"}
+                  for i, t in tables.items() for k, d in t.dims.items()
+                  if d and k % (2 * c - 1)]
     return {"ok": not violations, "violations": violations}
 
 
@@ -242,23 +267,14 @@ def _page_section(page):
 
 def _abstract_export(model):
     """Self-contained combinatorial description, re-ingestible as an
-    abstract model reproducing the same page."""
+    abstract model reproducing the same page.  The order lists the cover
+    pairs only; ``from_abstract`` takes their transitive closure."""
     poset = model.poset
-    flats = []
-    order = []
-    names = {}
-    for f in poset.flats:
-        if f.index == poset.bottom:
-            continue
-        names[f.index] = f"F{f.index}"
-        flats.append({"key": names[f.index], "codim": f.codim,
-                      "betti": list(model.stratum_betti(f.index))})
-    for f in poset.flats:
-        for g in poset.flats:
-            if f.index == g.index or f.index == poset.bottom or g.index == poset.bottom:
-                continue
-            if poset.le(f.index, g.index):
-                order.append([names[f.index], names[g.index]])
+    flats = [{"key": f"F{f.index}", "codim": f.codim,
+              "betti": list(model.stratum_betti(f.index))}
+             for f in poset.proper_flats()]
+    order = [[f"F{i}", f"F{j}"] for i, j in poset.covers()
+             if i != poset.bottom]
     return {"kind": "abstract", "c": model.c,
             "ambient": list(model.ambient_betti()),
             "poset": {"flats": flats, "order": order}}
@@ -336,8 +352,7 @@ def execute(job: JobSpec) -> tuple:
             tables = {
                 item["flat"]: StalkTable(
                     item["flat"],
-                    {int(k): v for k, v in item["dims"].items()},
-                    {int(k): v for k, v in item["weights"].items()})
+                    {int(k): v for k, v in item["dims"].items()}, model.c)
                 for item in cached["stalks"]}
             if set(tables) != {f.index for f in poset.flats}:
                 tables = None
@@ -369,8 +384,7 @@ def execute(job: JobSpec) -> tuple:
         cache.store(cache_key, {
             "poset": poset.to_dict(),
             "stalks": [{"flat": i,
-                        "dims": {str(k): v for k, v in t.dims.items()},
-                        "weights": {str(k): v for k, v in t.weights.items()}}
+                        "dims": {str(k): v for k, v in t.dims.items()}}
                        for i, t in sorted(tables.items())]})
 
     if job.command == "stalks":

@@ -194,25 +194,27 @@ def abstract_model(c, ambient_betti, flats, order) -> ArrangementModel:
         abstract_betti=betti, mode="abstract", explicit=False)
 
 
-def os_oracle(poset: IntersectionPoset, mode=None) -> IntPoly:
+def os_oracle(poset: IntersectionPoset) -> IntPoly:
     """Sum of |mu| over flats, graded by codimension: the classical Betti
     numbers of a hypersurface-arrangement complement.
 
-    Projective posets are deconed: the polynomial of the central cone is
-    divided by (1 + t), exactly.
+    A projective poset is coned, then the cone's polynomial is divided by
+    (1 + t), exactly.  The cone adds the apex (codim ambient_dim + 1, |mu| =
+    |sum of all other mu|) unless some flat lies on every member.
     """
     if poset.codim_c != 1:
         raise NotRankOne(f"oracle needs c = 1, got c = {poset.codim_c}")
-    mode = mode or poset.mode
-    if mode in ("affine", "central", "partition"):
+    if poset.mode in ("affine", "central", "partition"):
         return _mobius_poly(poset)
-    if mode == "projective":
-        if poset.forms is None:
-            raise ArrangeError("projective oracle needs the defining forms")
-        cone = IntersectionPoset.from_linear_systems(
-            poset.forms, poset.ambient_dim + 1, "central", codim_c=1)
-        return _mobius_poly(cone).div_exact(IntPoly([1, 1]))
-    raise ArrangeError(f"no oracle for mode {mode!r}")
+    if poset.mode == "projective":
+        cone = _mobius_poly(poset)
+        everything = (1 << len(poset.members)) - 1
+        if not any(poset.member_mask(f.index) == everything
+                   for f in poset.flats):
+            cone = cone + IntPoly.monomial(poset.ambient_dim + 1,
+                                           abs(sum(poset.mobius)))
+        return cone.div_exact(IntPoly([1, 1]))
+    raise ArrangeError(f"no oracle for mode {poset.mode!r}")
 
 
 def _mobius_poly(poset):

@@ -78,13 +78,12 @@ class IntersectionPoset:
     """Flats of an arrangement ordered by reverse inclusion of supports."""
 
     def __init__(self, ambient_dim, codim_c, mode, flats, down, member_data,
-                 forms=None, check=True):
+                 check=True):
         self.ambient_dim = ambient_dim
         self.codim_c = codim_c
         self.mode = mode
         self.flats = list(flats)
         self.down = list(down)          # down[i] = bitmask of {j : j <= i}
-        self.forms = forms
         bottoms = [f.index for f in self.flats if f.codim == 0]
         if len(bottoms) != 1:
             raise ArrangeError(f"poset needs a unique bottom, found {len(bottoms)}")
@@ -146,30 +145,25 @@ class IntersectionPoset:
         # breadth-first closure over canonical systems
         bottom_key = ()
         discovered = {bottom_key: 0}
-        systems_by_key = {bottom_key: ()}
         order_list = [bottom_key]
         frontier = [bottom_key]
         while frontier:
             new_frontier = []
             for key in frontier:
-                base = systems_by_key[key]
                 for mrows in member_rrefs:
-                    reduced, pivots = rref(list(base) + list(mrows))
+                    reduced, pivots = rref(list(key) + list(mrows))
                     if pivots and pivots[-1] == ncoords:
                         continue  # inconsistent: empty intersection
                     if len(reduced) > max_codim:
                         continue  # projective: drop the cone apex
                     if reduced not in discovered:
                         discovered[reduced] = len(order_list)
-                        systems_by_key[reduced] = reduced
                         order_list.append(reduced)
                         new_frontier.append(reduced)
             frontier = new_frontier
 
-        flats = []
-        for idx, key in enumerate(order_list):
-            codim = len(key)
-            flats.append(Flat(idx, codim, ("lin", key), _linear_display(idx, codim)))
+        flats = [Flat(idx, len(key), ("lin", key), f"F{idx}" if key else "ambient")
+                 for idx, key in enumerate(order_list)]
 
         # member containment: every row of the member reduces to zero
         containment = []
@@ -197,9 +191,7 @@ class IntersectionPoset:
                 raise DuplicateMember("nested or repeated members")
             member_data.append((m, f"Z{m + 1}", atom))
 
-        kept_forms = list(systems) if codim_c == 1 else None
-        return cls(ambient_dim, codim_c, mode, flats, down, member_data,
-                   forms=kept_forms)
+        return cls(ambient_dim, codim_c, mode, flats, down, member_data)
 
     @classmethod
     def partition_lattice(cls, n):
@@ -363,8 +355,17 @@ class IntersectionPoset:
     def mu(self, i):
         return self.mobius[i]
 
-    def atoms(self):
-        return [mem.atom for mem in self.members]
+    def covers(self):
+        """Sorted pairs (i, j) with j covering i: i below j and no flat
+        strictly between."""
+        pairs = []
+        for j in range(len(self.flats)):
+            below = self.down[j] & ~(1 << j)
+            between = 0
+            for k in _bits(below):
+                between |= self.down[k] & ~(1 << k)
+            pairs.extend((i, j) for i in _bits(below & ~between))
+        return sorted(pairs)
 
     def proper_flats(self):
         return [f for f in self.flats if f.index != self.bottom]
@@ -393,8 +394,7 @@ class IntersectionPoset:
 
     # ----- surgery ----------------------------------------------------------
 
-    def _sub_poset(self, keep, member_data, codim_shift=0, ambient_shift=0,
-                   forms=None):
+    def _sub_poset(self, keep, member_data, codim_shift=0, ambient_shift=0):
         keep = sorted(keep)
         remap = {old: new for new, old in enumerate(keep)}
         flats = []
@@ -412,7 +412,7 @@ class IntersectionPoset:
                    for (label, display, atom) in member_data]
         return IntersectionPoset(
             self.ambient_dim - ambient_shift, self.codim_c, self.mode,
-            flats, down, members, forms=forms, check=False)
+            flats, down, members, check=False)
 
     def localize(self, x):
         """Sub-poset of flats containing flat x: the local picture at a
@@ -447,10 +447,7 @@ class IntersectionPoset:
                 keep.append(f.index)
         member_data = [(m.label, m.display, m.atom)
                        for pos, m in enumerate(self.members) if pos != member_pos]
-        forms = None
-        if self.forms is not None:
-            forms = [rows for pos, rows in enumerate(self.forms) if pos != member_pos]
-        return self._sub_poset(keep, member_data, forms=forms)
+        return self._sub_poset(keep, member_data)
 
     def restriction(self, member_pos):
         """Arrangement traced on one member, with coincident traces merged.
@@ -487,7 +484,7 @@ class IntersectionPoset:
         member_data = [(m.label, m.display, m.atom) for m in self.members]
         return IntersectionPoset(
             self.ambient_dim * factor, self.codim_c * factor, self.mode,
-            flats, self.down, member_data, forms=self.forms, check=False)
+            flats, self.down, member_data, check=False)
 
     # ----- serialization ----------------------------------------------------
 
@@ -501,10 +498,6 @@ class IntersectionPoset:
             "down": [str(m) for m in self.down],
             "members": [{"label": _obj_to_json(m.label), "display": m.display,
                          "atom": m.atom} for m in self.members],
-            "forms": None if self.forms is None else [
-                [[_obj_to_json(tuple(Fraction(x) for x in cov)),
-                  _obj_to_json(Fraction(const))] for cov, const in rows]
-                for rows in self.forms],
         }
 
     @classmethod
@@ -514,21 +507,13 @@ class IntersectionPoset:
         down = [int(m) for m in data["down"]]
         member_data = [(_obj_from_json(md["label"]), md["display"], md["atom"])
                        for md in data["members"]]
-        forms = None
-        if data.get("forms") is not None:
-            forms = [[(list(_obj_from_json(cov)), _obj_from_json(const))
-                      for cov, const in rows] for rows in data["forms"]]
         return cls(data["ambient_dim"], data["codim_c"], data["mode"],
-                   flats, down, member_data, forms=forms)
+                   flats, down, member_data)
 
     def __repr__(self):
         return (f"IntersectionPoset({self.mode}, dim={self.ambient_dim}, "
                 f"c={self.codim_c}, flats={len(self.flats)}, "
                 f"members={len(self.members)})")
-
-
-def _linear_display(idx, codim):
-    return "ambient" if codim == 0 else f"F{idx}"
 
 
 def _set_partitions(n):

@@ -45,10 +45,16 @@ class InconsistentDecomposition(ArrangeError):
 
 @dataclass
 class StalkTable:
-    """Stalk dimensions and weights at a generic point of one flat."""
+    """Stalk dimensions at a generic point of one flat, for member
+    codimension c."""
     flat: int
     dims: dict
-    weights: dict
+    c: int
+
+    @property
+    def weights(self):
+        """Weight 2c*l in degree (2c-1)*l, derived from the degree."""
+        return {k: 2 * self.c * k // (2 * self.c - 1) for k in self.dims}
 
 
 @dataclass(frozen=True)
@@ -72,9 +78,6 @@ class SheafDecomposition:
 
     def at_degree(self, k):
         return [s for s in self.summands if s.degree == k]
-
-    def degrees(self):
-        return sorted({s.degree for s in self.summands})
 
 
 @dataclass
@@ -126,13 +129,7 @@ def stalk_dims(model, flat) -> StalkTable:
     _require_admissible(model)
     local = model.poset.localize(flat)
     dims = _recurse(local, model.c, model._stalk_memo)
-    weights = {}
-    for k in dims:
-        if k % (2 * model.c - 1):
-            raise ArrangeError(
-                f"stalk recursion produced degree {k} with c={model.c}")
-        weights[k] = 2 * model.c * k // (2 * model.c - 1)
-    return StalkTable(flat, dict(dims), weights)
+    return StalkTable(flat, dict(dims), model.c)
 
 
 def stalk_tables(model) -> dict:

@@ -5,8 +5,10 @@ import sys
 import pytest
 
 from arrange.cli import (EXIT_INFEASIBLE, EXIT_INPUT, EXIT_MISMATCH, EXIT_OK,
-                         SchemaError, execute, main, parse, render_machine)
+                         SchemaError, build_model, execute, main, parse,
+                         render_machine)
 from arrange.polys import IntPoly
+from arrange.poset import IntersectionPoset
 from helpers import child_env
 
 BOOLEAN_P2 = {
@@ -154,6 +156,57 @@ def test_round_trip_abstract_reproduces_page(tmp_path, monkeypatch):
         assert cells1 == cells2
 
 
+def test_abstract_export_lists_exactly_the_covers(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    coordinate_p3 = {"schema_version": 1, "model": {
+        "kind": "hyperplane",
+        "forms": [[1 if j == i else 0 for j in range(4)] for i in range(4)]}}
+    for doc in (BOOLEAN_P2, CONFIG_P1_3, coordinate_p3):
+        job = parse(doc)
+        poset = build_model(job).poset
+        report, _ = execute(job)
+        exported = report["abstract_model"]["poset"]
+        index = {fl["key"]: int(fl["key"][1:]) for fl in exported["flats"]}
+        pairs = {(index[a], index[b]) for a, b in exported["order"]}
+        proper = [f.index for f in poset.proper_flats()]
+        below = {(i, j) for i in proper for j in proper
+                 if i != j and poset.le(i, j)}
+        covers = {(i, j) for i, j in below
+                  if not any((i, k) in below and (k, j) in below
+                             for k in proper)}
+        assert pairs == covers
+        assert len(exported["order"]) == len(pairs)
+        again = IntersectionPoset.from_abstract(
+            [(fl["key"], fl["codim"]) for fl in exported["flats"]],
+            exported["order"], codim_c=poset.codim_c)
+        key_of = {f.index: f.key[1] for f in again.flats if f.index}
+        again_below = {(index[key_of[i]], index[key_of[j]])
+                       for i in key_of for j in key_of
+                       if i != j and again.le(i, j)}
+        assert again_below == below
+
+
+def test_cached_table_off_the_vanishing_degrees_fails_purity(tmp_path,
+                                                             monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    doc = {"schema_version": 1,
+           "model": {"kind": "configuration", "factor": [2], "points": 2}}
+    _, code = execute(parse(doc, command="stalks"))
+    assert code == EXIT_OK
+    [path] = (tmp_path / ".arrange-cache").glob("*.json")
+    payload = json.loads(path.read_text())
+    assert "forms" not in payload["poset"]
+    assert all(set(item) == {"flat", "dims"} for item in payload["stalks"])
+    # c = 2: stalks may only live in degrees divisible by 2c - 1 = 3
+    payload["stalks"][0]["dims"]["2"] = 1
+    path.write_text(json.dumps(payload))
+    report, code = execute(parse(doc, command="verify"))
+    assert code == EXIT_MISMATCH
+    assert {"check": "vanishing_and_purity", "ok": False} in report["verdicts"]
+    assert {"flat": payload["stalks"][0]["flat"], "degree": 2,
+            "reason": "vanishing"} in report["purity"]["violations"]
+
+
 def test_exit_code_inadmissible(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     doc = {"schema_version": 1,
@@ -276,13 +329,30 @@ def test_console_entry_point(tmp_path):
     assert "1 + t^3" in proc.stdout
 
 
-@pytest.mark.parametrize("field, edit", [
-    ("options", lambda doc: doc.update(options=[1])),
-    ("model.factor", lambda doc: doc["model"].update(factor=["a"])),
-    ("model.factor", lambda doc: doc["model"].update(factor=[True])),
-], ids=["options_list", "factor_string", "factor_bool"])
-def test_malformed_document_exits_4_without_traceback(tmp_path, field, edit):
-    doc = json.loads(json.dumps(CONFIG_P1_3))
+@pytest.mark.parametrize("field, base, edit", [
+    ("options", CONFIG_P1_3, lambda doc: doc.update(options=[1])),
+    ("model.factor", CONFIG_P1_3,
+     lambda doc: doc["model"].update(factor=["a"])),
+    ("model.factor", CONFIG_P1_3,
+     lambda doc: doc["model"].update(factor=[True])),
+    ("model.ambient", BOOLEAN_P2,
+     lambda doc: doc["model"].update(ambient="1")),
+    ("model.poset.flats[0].betti", ABSTRACT_PAIR,
+     lambda doc: doc["model"]["poset"]["flats"][0].update(betti=["x"])),
+    ("model.poset.flats[0].codim", ABSTRACT_PAIR,
+     lambda doc: doc["model"]["poset"]["flats"][0].update(codim="x")),
+    ("model.poset.order[0]", ABSTRACT_PAIR,
+     lambda doc: doc["model"]["poset"].update(order=[["Z1"]])),
+    ("options.target", CONFIG_P1_3,
+     lambda doc: doc.update(options={"target": [1.5]})),
+    ("options.cache", CONFIG_P1_3,
+     lambda doc: doc.update(options={"cache": "no"})),
+], ids=["options_list", "factor_string", "factor_bool", "ambient_string",
+        "betti_string", "codim_string", "order_single_key", "target_float",
+        "cache_string"])
+def test_malformed_document_exits_4_without_traceback(tmp_path, field, base,
+                                                      edit):
+    doc = json.loads(json.dumps(base))
     edit(doc)
     proc = run_child(tmp_path, doc)
     assert proc.returncode == EXIT_INPUT, proc.stderr

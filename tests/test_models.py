@@ -106,6 +106,40 @@ def test_deconing_consistency():
         assert os_oracle(proj) * IntPoly([1, 1]) == os_oracle(cone)
 
 
+def generic_complement_poly(m, n):
+    """m hyperplanes in general position in P^n: sum of C(m-1, k) t^k."""
+    from math import comb
+    return IntPoly([comb(m - 1, k) for k in range(n + 1)])
+
+
+def test_projective_oracle_builds_no_poset(monkeypatch):
+    from helpers import random_generic_projective_forms
+    rng = random.Random(59)
+    cases = [(hyperplane_model(coordinate_forms(4)).poset,
+              IntPoly([1, 1]) ** 4)]
+    for m in (4, 5, 6):
+        forms = random_generic_projective_forms(rng, m, 3)
+        cases.append((hyperplane_model(forms).poset,
+                      generic_complement_poly(m, 3)))
+    cases += [(IntersectionPoset.from_dict(p.to_dict()), want)
+              for p, want in cases]
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("os_oracle built a poset")
+
+    monkeypatch.setattr(IntersectionPoset, "from_linear_systems", no_build)
+    for p, want in cases:
+        assert p.mode == "projective"
+        assert os_oracle(p) == want
+
+
+def test_projective_oracle_forms_not_spanning():
+    # three concurrent lines in P^2: every flat lies on [0:0:1], so the cone
+    # has no apex; the complement is C x (C minus two points)
+    m = hyperplane_model([([1, 0, 0], 0), ([0, 1, 0], 0), ([1, 1, 0], 0)])
+    assert os_oracle(m.poset) == IntPoly([1, 2])
+
+
 def test_end_to_end_oracle_equality_random_generic():
     from helpers import random_generic_projective_forms
     rng = random.Random(53)

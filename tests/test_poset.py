@@ -283,6 +283,35 @@ def test_serialization_round_trip():
         assert [m.label for m in q.members] == [m.label for m in p.members]
 
 
+def test_serialization_ignores_stored_forms():
+    p = IntersectionPoset.from_linear_forms(CONCURRENT3, 2, "central")
+    data = p.to_dict()
+    assert "forms" not in data
+    # a cache file written before the forms were dropped still loads
+    data["forms"] = [[[{"tuple": [{"frac": "1"}, {"frac": "0"}]},
+                       {"frac": "0"}]]]
+    q = IntersectionPoset.from_dict(data)
+    assert q.down == p.down
+    assert not hasattr(q, "forms")
+
+
+def test_covers_are_the_cover_relation():
+    rng = random.Random(61)
+    posets = [IntersectionPoset.partition_lattice(4),
+              IntersectionPoset.from_linear_forms(CONCURRENT3, 2, "central")]
+    posets += [IntersectionPoset.from_linear_forms(
+        random_central_forms(rng, rng.randint(3, 6), 4), 4, "central")
+        for _ in range(3)]
+    for p in posets:
+        n = len(p)
+        below = {(i, j) for i in range(n) for j in range(n)
+                 if i != j and p.le(i, j)}
+        expected = sorted((i, j) for i, j in below
+                          if not any((i, k) in below and (k, j) in below
+                                     for k in range(n)))
+        assert p.covers() == expected
+
+
 def test_abstract_build_and_order_closure():
     p = IntersectionPoset.from_abstract(
         [("A", 1), ("B", 1), ("T", 2), ("D", 3)],
