@@ -456,6 +456,7 @@ def execute(job: JobSpec) -> tuple:
             res = feasibility(page, target)
         except Infeasible as exc:
             report["feasibility"] = {"feasible": False, "reason": str(exc)}
+            verdict("feasibility", False)
             report["verdicts"] = verdicts
             return report, EXIT_INFEASIBLE
         section = {

@@ -5,7 +5,9 @@ Flats are ordered by reverse inclusion of supports: the ambient space is
 the unique bottom element and deeper strata sit higher.  The poset carries
 member incidence, the Mobius function, and the surgery operations
 (deletion, restriction, localization) that drive every stalk computation
-downstream.
+downstream.  Surgery works on local arrangements ``(flats, atoms)``: a
+bitmask of the poset's own flat indices and the members' atoms, so a flat
+keeps one index through the whole stalk recursion.
 
 Linear builds enumerate flats by breadth-first closure: intersect each
 known flat with each member, canonicalize the defining system by reduced
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import ArrangeError
 from .linalg import reduce_against, rref
@@ -66,12 +69,11 @@ class AdmissibilityReport:
 
 
 def _bits(mask):
-    i = 0
+    """Indices of the set bits, increasing; costs one step per set bit."""
     while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class IntersectionPoset:
@@ -304,6 +306,15 @@ class IntersectionPoset:
             masks.append(mask)
         return masks
 
+    @cached_property
+    def up(self):
+        """up[j] = bitmask of {i : j <= i}; built on first surgery."""
+        up = [0] * len(self.flats)
+        for i, mask in enumerate(self.down):
+            for j in _bits(mask):
+                up[j] |= 1 << i
+        return up
+
     def _compute_mobius(self):
         mob = [0] * len(self.flats)
         for idx in sorted(range(len(self.flats)), key=lambda i: self.flats[i].codim):
@@ -373,16 +384,9 @@ class IntersectionPoset:
     def by_codim(self, k):
         return [f for f in self.flats if f.codim == k]
 
-    def content_key(self):
-        """Canonical identity of this poset inside its parent model.
-
-        Flat keys are globally unique per model, so the key set plus the
-        bottom and member labels pin the induced sub-poset exactly.  Used to
-        memoize the stalk recursion.
-        """
-        return (tuple(sorted(repr(f.key) for f in self.flats)),
-                repr(self.flats[self.bottom].key),
-                tuple(sorted(repr(m.label) for m in self.members)))
+    def content_key(self, flats, atoms):
+        """Memo key of ``(flats, atoms)``: the flat mask and the atom mask."""
+        return flats, sum(1 << a for a in atoms)
 
     def check_admissible(self):
         violations = [f.index for f in self.flats if f.codim % self.codim_c]
@@ -394,86 +398,75 @@ class IntersectionPoset:
 
     # ----- surgery ----------------------------------------------------------
 
-    def _sub_poset(self, keep, member_data, codim_shift=0, ambient_shift=0):
-        keep = sorted(keep)
+    def local_arrangement(self, x):
+        """Flats below x and the members through x, in member order."""
+        flats = self.down[x]
+        return flats, tuple(m.atom for m in self.members if flats >> m.atom & 1)
+
+    def delete_member(self, flats, atoms, pos):
+        """The local arrangement without its member at ``pos``: a flat
+        survives iff no strictly shallower flat lies on all its other
+        members, i.e. it is still an intersection of the remaining ones."""
+        rest = atoms[:pos] + atoms[pos + 1:]
+        rest_mask = sum(1 << a for a in rest)
+        kept = 0
+        for f in _bits(flats):
+            shallower = flats & self.down[f] & ~(1 << f)
+            for a in _bits(rest_mask & self.down[f]):
+                shallower &= self.up[a]
+            if not shallower:
+                kept |= 1 << f
+        return kept, rest
+
+    def restrict_to_member(self, flats, atoms, pos):
+        """The local arrangement traced on its member at ``pos``: the flats
+        above its atom; the new members, by increasing index, are the minimal
+        ones (the deduplicated components of the pairwise intersections)."""
+        a = atoms[pos]
+        kept = flats & self.up[a]
+        proper = kept & ~(1 << a)
+        if not proper:
+            raise EmptyRestriction(f"no other member meets {self.flats[a].display}")
+        return kept, tuple(i for i in _bits(proper)
+                           if not self.down[i] & proper & ~(1 << i))
+
+    def _sub_poset(self, flats, atoms):
+        """Standalone poset of ``(flats, atoms)``, codimensions measured from
+        its bottom; a member not of this poset is labelled by its flat key."""
+        keep = list(_bits(flats))
         remap = {old: new for new, old in enumerate(keep)}
-        flats = []
-        for old in keep:
-            f = self.flats[old]
-            flats.append(Flat(remap[old], f.codim - codim_shift, f.key, f.display))
-        down = []
-        for old in keep:
-            mask = 0
-            for j in _bits(self.down[old]):
-                if j in remap:
-                    mask |= 1 << remap[j]
-            down.append(mask)
-        members = [(label, display, remap[atom])
-                   for (label, display, atom) in member_data]
+        shift = min(self.flats[old].codim for old in keep)
+        sub_flats = [Flat(new, f.codim - shift, f.key, f.display)
+                     for new, f in enumerate(self.flats[old] for old in keep)]
+        down = [sum(1 << remap[j] for j in _bits(self.down[old] & flats))
+                for old in keep]
+        labels = {m.atom: (m.label, m.display) for m in self.members}
+        member_data = [labels.get(a, (self.flats[a].key, self.flats[a].display))
+                       + (remap[a],) for a in atoms]
         return IntersectionPoset(
-            self.ambient_dim - ambient_shift, self.codim_c, self.mode,
-            flats, down, members, check=False)
+            self.ambient_dim - shift, self.codim_c, self.mode,
+            sub_flats, down, member_data, check=False)
+
+    def _whole(self, member_pos):
+        """Every flat and member, and ``member_pos`` once checked."""
+        if not 0 <= member_pos < len(self.members):
+            raise ArrangeError(f"no member at position {member_pos}")
+        return ((1 << len(self.flats)) - 1,
+                tuple(m.atom for m in self.members), member_pos)
 
     def localize(self, x):
-        """Sub-poset of flats containing flat x: the local picture at a
-        generic point of x."""
-        keep = list(_bits(self.down[x]))
-        mask = self._member_mask[x]
-        member_data = [(m.label, m.display, m.atom)
-                       for pos, m in enumerate(self.members) if mask >> pos & 1]
-        return self._sub_poset(keep, member_data)
+        """Sub-poset of the local arrangement at a generic point of x."""
+        return self._sub_poset(*self.local_arrangement(x))
 
     def deletion(self, member_pos):
-        """Poset of the arrangement with one member removed.
-
-        A flat survives iff it is still an intersection of the remaining
-        members, i.e. no strictly shallower flat already contains all its
-        other members.
-        """
+        """Poset of the arrangement with one member removed."""
         if len(self.members) <= 1:
             raise LastMember("cannot delete the only member")
-        if not 0 <= member_pos < len(self.members):
-            raise ArrangeError(f"no member at position {member_pos}")
-        bit = 1 << member_pos
-        keep = []
-        for f in self.flats:
-            target = self._member_mask[f.index] & ~bit
-            survives = True
-            for j in _bits(self.down[f.index]):
-                if j != f.index and self._member_mask[j] & target == target:
-                    survives = False
-                    break
-            if survives:
-                keep.append(f.index)
-        member_data = [(m.label, m.display, m.atom)
-                       for pos, m in enumerate(self.members) if pos != member_pos]
-        return self._sub_poset(keep, member_data)
+        return self._sub_poset(*self.delete_member(*self._whole(member_pos)))
 
     def restriction(self, member_pos):
-        """Arrangement traced on one member, with coincident traces merged.
-
-        The flats are exactly the flats lying inside the chosen member; the
-        new members are the minimal ones among them (the deduplicated
-        components of the pairwise intersections), and codimensions are
-        measured inside the member.
-        """
-        if not 0 <= member_pos < len(self.members):
-            raise ArrangeError(f"no member at position {member_pos}")
-        a = self.members[member_pos].atom
-        keep = [i for i in range(len(self.flats)) if self.down[i] >> a & 1]
-        proper = [i for i in keep if i != a]
-        if not proper:
-            raise EmptyRestriction(
-                f"no other member meets {self.members[member_pos].display}")
-        new_atoms = []
-        for i in proper:
-            if not any(j != i and j != a and self.down[i] >> j & 1 for j in proper):
-                new_atoms.append(i)
-        member_data = [(self.flats[t].key, self.flats[t].display, t)
-                       for t in sorted(new_atoms)]
-        shift = self.flats[a].codim
-        return self._sub_poset(keep, member_data, codim_shift=shift,
-                               ambient_shift=shift)
+        """Arrangement traced on one member, codimensions measured inside."""
+        return self._sub_poset(*self.restrict_to_member(*self._whole(member_pos)))
 
     def scale_codims(self, factor):
         """Multiply every codimension by a constant (diagonal models)."""

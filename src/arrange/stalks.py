@@ -5,15 +5,13 @@ arrangement of members through that flat.  Stalk dimensions obey a
 deletion/restriction recursion: split off one member, recurse on the rest
 and on the traced arrangement inside the split member, and glue with a
 degree shift of 2c-1.  The recursion automatically concentrates output in
-degrees divisible by 2c-1, carrying weight 2c*l in degree (2c-1)*l.
+degrees divisible by 2c-1, carrying weight 2c*l in degree (2c-1)*l.  It
+walks (flat mask, member atoms) pairs over the model's own poset, builds no
+sub-poset, and memoizes per model on the flat mask and the atom mask.
 
 Multiplicity of a stratum in the degree-(2c-1)l constant-sheaf summand is
 the stalk dimension at its generic point; the pointwise check compares the
 resulting sum of multiplicities against the raw recursion at every flat.
-
-The per-model memo is the only shared state; inserts are idempotent
-(values are pure functions of the key), so evaluations at distinct flats
-may run concurrently.
 """
 
 from __future__ import annotations
@@ -94,24 +92,25 @@ def _require_admissible(model):
             report=report)
 
 
-def _recurse(local, c, memo, depth=0):
-    """Stalk dimensions of the local arrangement ``local`` (all members pass
-    through the point), as a dict degree -> dim."""
+def _recurse(model, flats, atoms, depth=0):
+    """Stalk dimensions of the local arrangement ``(flats, atoms)`` of the
+    model's poset (all members pass through the point), as degree -> dim."""
     if depth > _DEPTH_LIMIT:
         raise RecursionDepthExceeded(
             "stalk recursion exceeded the depth guard; malformed poset?")
-    key = local.content_key()
-    hit = memo.get(key)
+    poset, c = model.poset, model.c
+    key = poset.content_key(flats, atoms)
+    hit = model._stalk_memo.get(key)
     if hit is not None:
         return hit
-    s = len(local.members)
+    s = len(atoms)
     if s == 0:
         dims = {0: 1}
     elif s == 1:
         dims = {0: 1, 2 * c - 1: 1}
     else:
-        deleted = _recurse(local.deletion(0), c, memo, depth + 1)
-        traced = _recurse(local.restriction(0), c, memo, depth + 1)
+        deleted = _recurse(model, *poset.delete_member(flats, atoms, 0), depth + 1)
+        traced = _recurse(model, *poset.restrict_to_member(flats, atoms, 0), depth + 1)
         top = max(2 * c - 1, max(deleted), max(traced) + 2 * c - 1)
         dims = {0: 1}
         for k in range(1, top + 1):
@@ -120,30 +119,36 @@ def _recurse(local, c, memo, depth=0):
                 v += traced.get(k + 1 - 2 * c, 0)
             if v:
                 dims[k] = v
-    memo[key] = dims
+    model._stalk_memo[key] = dims
     return dims
+
+
+def _stalk_table(model, flat):
+    dims = _recurse(model, *model.poset.local_arrangement(flat))
+    return StalkTable(flat, dict(dims), model.c)
 
 
 def stalk_dims(model, flat) -> StalkTable:
     """Stalk table at a generic point of ``flat`` (poset index)."""
     _require_admissible(model)
-    local = model.poset.localize(flat)
-    dims = _recurse(local, model.c, model._stalk_memo)
-    return StalkTable(flat, dict(dims), model.c)
+    return _stalk_table(model, flat)
 
 
 def stalk_tables(model) -> dict:
-    return {f.index: stalk_dims(model, f.index) for f in model.poset.flats}
+    """Stalk tables at every flat; admissibility is checked once."""
+    _require_admissible(model)
+    return {f.index: _stalk_table(model, f.index) for f in model.poset.flats}
 
 
 def decompose(model, tables=None) -> SheafDecomposition:
     """Constant-sheaf decomposition: one summand per flat with nonzero
     generic stalk in its own level degree.  Level 0 (the constant sheaf on
     the ambient space) is left implicit."""
-    _require_admissible(model)
-    c = model.c
     if tables is None:
         tables = stalk_tables(model)
+    else:
+        _require_admissible(model)
+    c = model.c
     summands = []
     for f in model.poset.flats:
         if f.index == model.poset.bottom:

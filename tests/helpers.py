@@ -2,6 +2,8 @@
 
 import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -157,6 +159,12 @@ def child_env():
         filter(None, [str(Path(arrange.__file__).resolve().parent.parent),
                       env.get("PYTHONPATH")]))
     return env
+
+
+def run_child(cwd, *args):
+    """The interpreter run on ``args`` in ``cwd``, under ``child_env()``."""
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, cwd=cwd, env=child_env())
 
 
 def explicit_page(model):

@@ -1,6 +1,5 @@
 import json
-import subprocess
-import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +8,7 @@ from arrange.cli import (EXIT_INFEASIBLE, EXIT_INPUT, EXIT_MISMATCH, EXIT_OK,
                          render_machine)
 from arrange.polys import IntPoly
 from arrange.poset import IntersectionPoset
-from helpers import child_env
+from helpers import run_child
 
 BOOLEAN_P2 = {
     "schema_version": 1,
@@ -247,6 +246,21 @@ def test_exit_code_infeasible(tmp_path, monkeypatch):
     assert report["feasibility"]["feasible"] is False
 
 
+@pytest.mark.parametrize("fmt", ["human", "machine"])
+def test_infeasible_target_reports_failed_verdict(tmp_path, monkeypatch,
+                                                  capsys, fmt):
+    monkeypatch.chdir(tmp_path)
+    path = write_job(tmp_path, CONFIG_P1_3)
+    assert main(["verify", path, "--mode", "feasibility", "--target",
+                 "1,0,0,2", "--no-cache", "--format", fmt]) == EXIT_INFEASIBLE
+    out = capsys.readouterr().out
+    if fmt == "human":
+        assert out.rstrip().endswith("FAILED ['feasibility']")
+    else:
+        assert {"check": "feasibility", "ok": False} in \
+            json.loads(out)["verdicts"]
+
+
 def test_main_full_run(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     path = write_job(tmp_path, BOOLEAN_P2)
@@ -315,18 +329,30 @@ def test_main_explicit_unavailable_is_input_error(tmp_path, monkeypatch):
     assert main(["run", path, "--mode", "explicit"]) == EXIT_INPUT
 
 
-def run_child(tmp_path, doc):
+def run_job(tmp_path, doc):
     """``arrange run`` on ``doc`` in a child interpreter run in tmp_path."""
     path = write_job(tmp_path, doc)
-    return subprocess.run(
-        [sys.executable, "-m", "arrange.cli", "run", path, "--no-cache"],
-        capture_output=True, text=True, cwd=tmp_path, env=child_env())
+    return run_child(tmp_path, "-m", "arrange.cli", "run", path, "--no-cache")
 
 
 def test_console_entry_point(tmp_path):
-    proc = run_child(tmp_path, CONFIG_P1_3)
+    proc = run_job(tmp_path, CONFIG_P1_3)
     assert proc.returncode == 0, proc.stderr
     assert "1 + t^3" in proc.stdout
+
+
+def test_benchmark_tracer_runs(tmp_path):
+    # the traced benchmark run rebinds names inside the package; a rename
+    # there must fail here, not only in the benchmark
+    tracer = Path(__file__).resolve().parent.parent / "benchmark" / "tracer.py"
+    path = write_job(tmp_path, CONFIG_P1_3)
+    spans = tmp_path / "spans.json"
+    proc = run_child(tmp_path, str(tracer), str(spans), "verify", path,
+                     "--format", "machine", "--no-cache")
+    assert proc.returncode == 0, proc.stderr
+    trace = json.loads(spans.read_text())
+    assert "stalks.tables" in {span[0] for span in trace["spans"]}
+    assert trace["counts"]["stalks.content_key_calls"] > 0
 
 
 @pytest.mark.parametrize("field, base, edit", [
@@ -354,7 +380,7 @@ def test_malformed_document_exits_4_without_traceback(tmp_path, field, base,
                                                       edit):
     doc = json.loads(json.dumps(base))
     edit(doc)
-    proc = run_child(tmp_path, doc)
+    proc = run_job(tmp_path, doc)
     assert proc.returncode == EXIT_INPUT, proc.stderr
     assert field in proc.stderr
     assert "Traceback" not in proc.stderr

@@ -8,7 +8,8 @@ from arrange.models import configuration_model, hyperplane_model
 from arrange.projective import ProjProduct
 from arrange.stalks import (decompose, stalk_dims, stalk_tables,
                             verify_pointwise)
-from helpers import random_central_forms
+from helpers import (coordinate_forms, random_central_forms,
+                     random_generic_projective_forms)
 
 
 def model_concurrent3(mode="central"):
@@ -192,6 +193,77 @@ def test_memoization_shares_work():
         mode="central")
     stalk_tables(m)
     assert len(m._stalk_memo) > 0
+
+
+def test_admissibility_checked_once_per_call(monkeypatch):
+    import arrange.stalks as stalks_mod
+    calls = []
+    real = stalks_mod._require_admissible
+
+    def counting(model):
+        calls.append(1)
+        return real(model)
+
+    monkeypatch.setattr(stalks_mod, "_require_admissible", counting)
+    m = configuration_model(ProjProduct((1,)), 5)
+    stalk_tables(m)
+    assert len(calls) == 1
+    decompose(m)
+    assert len(calls) == 2
+
+
+def _normal_crossing_dims(k):
+    return {j: math.comb(k, j) for j in range(k + 1)}
+
+
+def _partition_dims(blocks):
+    """prod over blocks b, i = 1..|b|-1 of (1 + i t), as degree -> dim."""
+    poly = [1]
+    for b in blocks:
+        for i in range(1, len(b)):
+            poly = [(poly[j] if j < len(poly) else 0)
+                    + (i * poly[j - 1] if j else 0)
+                    for j in range(len(poly) + 1)]
+    return {j: d for j, d in enumerate(poly) if d}
+
+
+def test_recursion_builds_no_poset(monkeypatch):
+    from arrange.cli import _abstract_export
+    from arrange.models import abstract_model
+    from arrange.poset import IntersectionPoset
+    config = configuration_model(ProjProduct((1,)), 4)
+    twin_doc = _abstract_export(config)
+    twin = abstract_model(twin_doc["c"], twin_doc["ambient"],
+                          twin_doc["poset"]["flats"],
+                          twin_doc["poset"]["order"])
+    crossing = [
+        hyperplane_model(coordinate_forms(4), mode="projective"),
+        hyperplane_model(random_generic_projective_forms(random.Random(7), 8),
+                         mode="projective")]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("stalk recursion built a poset")
+
+    monkeypatch.setattr(IntersectionPoset, "__init__", refuse)
+    for m in crossing:
+        for i, t in stalk_tables(m).items():
+            assert t.dims == _normal_crossing_dims(m.poset.flats[i].codim)
+    expected = {f"F{f.index}": _partition_dims(f.key[1])
+                for f in config.poset.proper_flats()}
+    for i, t in stalk_tables(config).items():
+        if i != config.poset.bottom:
+            assert t.dims == expected[f"F{i}"]
+    for i, t in stalk_tables(twin).items():
+        if i != twin.poset.bottom:
+            assert t.dims == expected[twin.poset.flats[i].display]
+
+
+def test_memo_sizes():
+    coordinate = hyperplane_model(coordinate_forms(6), mode="projective")
+    config = configuration_model(ProjProduct((1,)), 6)
+    for m, size in ((coordinate, 442), (config, 1676)):
+        stalk_tables(m)
+        assert len(m._stalk_memo) == size
 
 
 def test_incoherent_abstract_poset_fails_pointwise():
