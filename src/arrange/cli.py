@@ -6,8 +6,10 @@ timestamps) so identical inputs produce byte-identical output, and every
 machine report embeds an abstract-model block that can be re-ingested to
 reproduce the same second page.
 
-Exit codes: 0 ok, 2 verification mismatch, 3 infeasible target,
-4 input error.
+Exit codes: 0 ok, 2 verification mismatch or a feasibility search left
+undecided at its split budget (``spectral.FEASIBILITY_BUDGET``),
+3 infeasible target, 4 input error, including a configuration model whose
+estimated flat count Bell(points) exceeds ``MAX_FLATS``.
 """
 
 from __future__ import annotations
@@ -40,6 +42,10 @@ EXIT_OK = 0
 EXIT_MISMATCH = 2
 EXIT_INFEASIBLE = 3
 EXIT_INPUT = 4
+
+# Largest flat count a configuration job may ask for, estimated as
+# Bell(points) before any build: 9 points give 21,147 flats, 10 give 115,975.
+MAX_FLATS = 100_000
 
 
 class ParseError(ArrangeError):
@@ -74,6 +80,31 @@ def _ints_at_least(x, low):
     return isinstance(x, list) and all(_int_at_least(v, low) for v in x)
 
 
+def _bell(n):
+    """Bell(n), the number of set partitions of n points (Bell triangle)."""
+    row = [1]
+    for _ in range(n - 1):
+        nxt = [row[-1]]
+        for x in row:
+            nxt.append(nxt[-1] + x)
+        row = nxt
+    return row[-1]
+
+
+def _check_partition_size(points):
+    """Refuse a partition lattice of more than MAX_FLATS flats before it is
+    built.  Bell(n) >= 2^(n-1), so past 30 points that bound is shown."""
+    if points > 30:
+        estimate = f"Bell({points}) >= 2^{points - 1}"
+    else:
+        flats = _bell(points)
+        if flats <= MAX_FLATS:
+            return
+        estimate = f"Bell({points}) = {flats:,}"
+    raise SchemaError(f"configuration model with {points} points has "
+                      f"{estimate} flats, over the limit of {MAX_FLATS:,}")
+
+
 def parse(document: dict, command: str = "run", overrides: dict | None = None) -> JobSpec:
     """Validate a job document and fill defaults."""
     if not isinstance(document, dict):
@@ -101,8 +132,10 @@ def parse(document: dict, command: str = "run", overrides: dict | None = None) -
         _require(_ints_at_least(factor, 0) and factor,
                  f"model.factor must be a nonempty list of integers >= 0 "
                  f"(projective factor dims), got {factor!r}")
-        _require(_int_at_least(model.get("points"), 2),
+        points = model.get("points")
+        _require(_int_at_least(points, 2),
                  "configuration model needs integer 'points' >= 2")
+        _check_partition_size(points)
         if "c" in model:
             _require(model["c"] == sum(model["factor"]),
                      "configuration models have c = dim of the factor")
@@ -297,8 +330,8 @@ def execute(job: JobSpec) -> tuple:
     if cached is not None:
         try:
             cached_poset = IntersectionPoset.from_dict(cached["poset"])
-        except (ArrangeError, KeyError):
-            cached_poset = None
+        except (ArrangeError, KeyError, TypeError, ValueError):
+            cached_poset = None     # a damaged entry is a miss
 
     try:
         model = build_model(job, cached_poset=cached_poset)
@@ -466,10 +499,14 @@ def execute(job: JobSpec) -> tuple:
         }
         if target is not None:
             section["feasible"] = res.feasible
-            section["unique"] = res.unique
-            section["ranks"] = [{"p": p, "q": q, "rank": r}
-                                for (p, q), r in sorted(res.ranks.items())]
             section["target"] = target.to_list()
+            if res.undecided:
+                section["undecided"] = True
+                section["splits"] = res.splits
+            else:
+                section["unique"] = res.unique
+                section["ranks"] = [{"p": p, "q": q, "rank": r}
+                                    for (p, q), r in sorted(res.ranks.items())]
             verdict("feasibility", bool(res.feasible))
         report["feasibility"] = section
 
@@ -586,7 +623,9 @@ def render_human(report: dict) -> str:
             rows = [(b["k"], b["lower"], b["upper"]) for b in fz["bounds"]]
             out.append("betti bounds:")
             out.extend("  " + ln for ln in _table(rows, ["k", "lower", "upper"]))
-            if "feasible" in fz:
+            if fz.get("undecided"):
+                out.append(f"feasibility: UNDECIDED after {fz['splits']} splits")
+            elif "feasible" in fz:
                 out.append(f"target {fz['target']}: feasible="
                            f"{fz['feasible']} unique={fz['unique']}")
                 ranks = ", ".join(f"({r['p']},{r['q']})->{r['rank']}"

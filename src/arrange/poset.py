@@ -498,8 +498,12 @@ class IntersectionPoset:
         flats = [Flat(i, fd["codim"], _obj_from_json(fd["key"]), fd["display"])
                  for i, fd in enumerate(data["flats"])]
         down = [int(m) for m in data["down"]]
+        if len(down) != len(flats) or any(m < 0 or m >> len(flats) for m in down):
+            raise ArrangeError("stored order names a flat index out of range")
         member_data = [(_obj_from_json(md["label"]), md["display"], md["atom"])
                        for md in data["members"]]
+        if any(not 0 <= atom < len(flats) for *_, atom in member_data):
+            raise ArrangeError("stored member atom is out of range")
         return cls(data["ambient_dim"], data["codim_c"], data["mode"],
                    flats, down, member_data)
 

@@ -10,7 +10,8 @@ antidiagonals and weight-graded pieces off the rows.
 When no explicit differential is available the page still pins the Euler
 characteristic and per-degree bounds; with a target polynomial the
 admissible differential ranks form short chains along skew-rows, searched
-exhaustively with exact integers.
+exactly by a memoized depth-first search that stops undecided past a
+budget of splits.
 """
 
 from __future__ import annotations
@@ -211,6 +212,8 @@ class FeasibilityResult:
     feasible: bool | None = None
     unique: bool | None = None
     ranks: dict | None = None
+    undecided: bool = False      # the search went over its split budget
+    splits: int = 0              # splits the rank search visited
 
 
 def _betti_of(data, p):
@@ -473,13 +476,122 @@ def skew_row_homology(page: SpectralPage, k: int, ell: int) -> int:
     return page.homology(k - ell, ell)
 
 
+# Splits the rank search may visit before it stops undecided.  Each split
+# adds at most one memo entry, so this also bounds the memo.
+FEASIBILITY_BUDGET = 3_000_000
+
+
+class _OverBudget(Exception):
+    pass
+
+
+def _splits(total, caps):
+    """Every r with 0 <= r[i] <= caps[i] and sum(r) == total, in
+    lexicographically ascending order; ``caps`` is nonempty."""
+    if len(caps) == 1:
+        if total <= caps[0]:
+            yield (total,)
+        return
+    rest = sum(caps[1:])
+    for r in range(max(0, total - rest), min(caps[0], total) + 1):
+        for tail in _splits(total - r, caps[1:]):
+            yield (r,) + tail
+
+
+class _RankSearch:
+    """Depth-first count of the rank assignments that give a target.
+
+    Stage i is the i-th antidiagonal that holds cells; a state is (i, the
+    incoming ranks of stage i's cells, in sorted cell order).  ``memo`` maps
+    each visited state to (completions capped at 2, first split that has a
+    completion).
+    """
+
+    def __init__(self, page, target):
+        cells = page.cells
+        self.splits = 0
+        self.memo = {}
+        self.degrees = sorted({p + q for (p, q) in cells})
+        self.keys = [sorted(key for key in cells if sum(key) == k)
+                     for k in self.degrees]
+        self.dims = [tuple(cells[key].dim for key in keys) for keys in self.keys]
+        self.betti = [target.coeff(k) for k in self.degrees]
+        self.deepest = self.degrees[0] if self.degrees else 0
+        self.start = (0,) * len(self.keys[0]) if self.keys else ()
+        # per stage: each cell's position in the next stage (None when its
+        # target is no cell) and the cap the target puts on its rank
+        self.feeds, self.target_dims = [], []
+        for i, keys in enumerate(self.keys):
+            nxt = self.keys[i + 1] if i + 1 < len(self.keys) else []
+            where = {key: j for j, key in enumerate(nxt)}
+            tgts = [page.target_of(*key) for key in keys]
+            self.feeds.append(tuple(where.get(t) for t in tgts))
+            self.target_dims.append(tuple(page.cell_dim(*t) if t in cells
+                                          else 0 for t in tgts))
+
+    def _next(self, i, split):
+        """Incoming ranks of stage i + 1 after ``split`` at stage i."""
+        width = len(self.keys[i + 1]) if i + 1 < len(self.keys) else 0
+        nxt = [0] * width
+        for j, r in zip(self.feeds[i], split):
+            if j is not None:
+                nxt[j] = r
+        return tuple(nxt)
+
+    def count(self, i, incoming):
+        """Completions from state (i, incoming), capped at 2."""
+        if i == len(self.degrees):
+            return 1
+        state = (i, incoming)
+        hit = self.memo.get(state)
+        if hit is not None:
+            return hit[0]
+        self.deepest = max(self.deepest, self.degrees[i])
+        total, first = 0, None
+        need = sum(self.dims[i]) - sum(incoming) - self.betti[i]
+        if need >= 0:
+            caps = tuple(max(0, min(d - a, t)) for d, a, t in
+                         zip(self.dims[i], incoming, self.target_dims[i]))
+            for split in _splits(need, caps):
+                if self.splits >= FEASIBILITY_BUDGET:
+                    raise _OverBudget
+                self.splits += 1
+                found = self.count(i + 1, self._next(i, split))
+                if found and first is None:
+                    first = split
+                total += found
+                if total >= 2:
+                    total = 2
+                    break
+        self.memo[state] = (total, first)
+        return total
+
+    def first_ranks(self):
+        """The first solution, following each state's first split."""
+        ranks = {}
+        incoming = self.start
+        for i, keys in enumerate(self.keys):
+            split = self.memo[(i, incoming)][1]
+            ranks.update((key, r) for key, r in zip(keys, split) if r)
+            incoming = self._next(i, split)
+        return ranks
+
+
 def feasibility(page: SpectralPage, target: IntPoly | None = None) -> FeasibilityResult:
     """Exact Euler characteristic, per-degree bounds, and (optionally) the
     integer rank assignments reproducing a target Betti polynomial.
 
     Every cell has at most one incoming and one outgoing block, so the
-    unknown ranks decompose along skew-rows; the search walks antidiagonals
-    in order and enumerates rank splittings exactly.
+    unknown ranks decompose along skew-rows.  The search walks the
+    antidiagonals in order; at each it splits the forced total rank among
+    the cells' outgoing blocks, and it is memoized on (antidiagonal,
+    incoming ranks of its cells), with each state's number of completions
+    capped at 2.  The first solution is the first in the order r ascending,
+    cell by cell, antidiagonal by antidiagonal.
+
+    The search visits at most ``FEASIBILITY_BUDGET`` splits; past that it
+    stops and returns an undecided result (``feasible`` None, ``undecided``
+    True), never ``Infeasible``.
     """
     euler = page.euler()
     cells = page.cells
@@ -511,60 +623,15 @@ def feasibility(page: SpectralPage, target: IntPoly | None = None) -> Feasibilit
         raise Infeasible(
             f"target Euler characteristic {target.evaluate(-1)} != {euler}")
 
-    stages = sorted({p + q for (p, q) in cells})
-    cells_by_stage = {k: sorted((p, q) for (p, q) in cells if p + q == k)
-                      for k in stages}
-    solutions = []
-    deepest = [stages[0] if stages else 0]
-
-    def solve(si, in_ranks, chosen):
-        # in_ranks: incoming rank already forced on each cell by the
-        # previous stage; chosen: the rank assignment so far
-        if len(solutions) >= 2:
-            return
-        if si == len(stages):
-            solutions.append(dict(chosen))
-            return
-        k = stages[si]
-        deepest[0] = max(deepest[0], k)
-        keys = cells_by_stage[k]
-        need = sum(cells[key].dim - in_ranks.get(key, 0) for key in keys) \
-            - target.coeff(k)
-        if need < 0:
-            return
-
-        choices = []
-        for key in keys:
-            tgt = page.target_of(*key)
-            cap_src = cells[key].dim - in_ranks.get(key, 0)
-            cap = min(cap_src, page.cell_dim(*tgt)) if tgt in cells else 0
-            choices.append((key, tgt, max(0, cap)))
-
-        def assign(ci, remaining, picked):
-            if len(solutions) >= 2:
-                return
-            if ci == len(choices):
-                if remaining == 0:
-                    nxt_in = dict(in_ranks)
-                    nxt_chosen = dict(chosen)
-                    for key, tgt, r in picked:
-                        if r:
-                            nxt_chosen[key] = r
-                            nxt_in[tgt] = r
-                    solve(si + 1, nxt_in, nxt_chosen)
-                return
-            key, tgt, cap = choices[ci]
-            tail_cap = sum(c for _, _, c in choices[ci + 1:])
-            lo = max(0, remaining - tail_cap)
-            for r in range(lo, min(cap, remaining) + 1):
-                assign(ci + 1, remaining - r, picked + [(key, tgt, r)])
-
-        assign(0, need, [])
-
-    solve(0, {}, {})
-    if not solutions:
+    search = _RankSearch(page, target)
+    try:
+        count = search.count(0, search.start)
+    except _OverBudget:
+        return FeasibilityResult(euler, bounds, undecided=True,
+                                 splits=search.splits)
+    if not count:
         raise Infeasible(
             "no integer rank assignment matches the target along the "
-            f"skew-rows; first obstruction at total degree {deepest[0]}")
-    return FeasibilityResult(euler, bounds, feasible=True,
-                             unique=len(solutions) == 1, ranks=solutions[0])
+            f"skew-rows; first obstruction at total degree {search.deepest}")
+    return FeasibilityResult(euler, bounds, feasible=True, unique=count == 1,
+                             ranks=search.first_ranks(), splits=search.splits)

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import arrange
 from arrange.linalg import reduce_against, rref
+from arrange.spectral import FeasibilityResult, Infeasible
 
 
 def minor_rank(rows):
@@ -186,3 +187,103 @@ def run_explicit(model):
     from arrange import run
     page = explicit_page(model)
     return page, run(page)
+
+
+def enumerate_feasibility(page, target=None):
+    """Oracle for ``spectral.feasibility``: the plain enumerator that the
+    memoized search replaced, kept apart from it.
+
+    Exact Euler characteristic, per-degree bounds, and (optionally) the
+    integer rank assignments reproducing a target Betti polynomial.
+
+    Every cell has at most one incoming and one outgoing block, so the
+    unknown ranks decompose along skew-rows; the search walks antidiagonals
+    in order and enumerates rank splittings exactly.
+    """
+    euler = page.euler()
+    cells = page.cells
+    upper = {}
+    for (p, q), cell in cells.items():
+        upper[p + q] = upper.get(p + q, 0) + cell.dim
+    bounds = {}
+    for (p, q), cell in cells.items():
+        k = p + q
+        max_in = min(cell.dim, page.cell_dim(*page.source_of(p, q)))
+        max_out = min(cell.dim, page.cell_dim(*page.target_of(p, q)))
+        lo = max(0, cell.dim - max_in - max_out)
+        pair = bounds.get(k, (0, upper[k]))
+        bounds[k] = (pair[0] + lo, upper[k])
+    for k in upper:
+        bounds.setdefault(k, (0, upper[k]))
+    if target is None:
+        return FeasibilityResult(euler, bounds)
+
+    maxk = max(upper, default=0)
+    if target.degree > maxk:
+        raise Infeasible(
+            f"target has degree {target.degree} but the page stops at {maxk}")
+    for k in range(maxk + 1):
+        if not 0 <= target.coeff(k) <= upper.get(k, 0):
+            raise Infeasible(
+                f"target b_{k} = {target.coeff(k)} outside [0, {upper.get(k, 0)}]")
+    if target.evaluate(-1) != euler:
+        raise Infeasible(
+            f"target Euler characteristic {target.evaluate(-1)} != {euler}")
+
+    stages = sorted({p + q for (p, q) in cells})
+    cells_by_stage = {k: sorted((p, q) for (p, q) in cells if p + q == k)
+                      for k in stages}
+    solutions = []
+    deepest = [stages[0] if stages else 0]
+
+    def solve(si, in_ranks, chosen):
+        # in_ranks: incoming rank already forced on each cell by the
+        # previous stage; chosen: the rank assignment so far
+        if len(solutions) >= 2:
+            return
+        if si == len(stages):
+            solutions.append(dict(chosen))
+            return
+        k = stages[si]
+        deepest[0] = max(deepest[0], k)
+        keys = cells_by_stage[k]
+        need = sum(cells[key].dim - in_ranks.get(key, 0) for key in keys) \
+            - target.coeff(k)
+        if need < 0:
+            return
+
+        choices = []
+        for key in keys:
+            tgt = page.target_of(*key)
+            cap_src = cells[key].dim - in_ranks.get(key, 0)
+            cap = min(cap_src, page.cell_dim(*tgt)) if tgt in cells else 0
+            choices.append((key, tgt, max(0, cap)))
+
+        def assign(ci, remaining, picked):
+            if len(solutions) >= 2:
+                return
+            if ci == len(choices):
+                if remaining == 0:
+                    nxt_in = dict(in_ranks)
+                    nxt_chosen = dict(chosen)
+                    for key, tgt, r in picked:
+                        if r:
+                            nxt_chosen[key] = r
+                            nxt_in[tgt] = r
+                    solve(si + 1, nxt_in, nxt_chosen)
+                return
+            key, tgt, cap = choices[ci]
+            tail_cap = sum(c for _, _, c in choices[ci + 1:])
+            lo = max(0, remaining - tail_cap)
+            for r in range(lo, min(cap, remaining) + 1):
+                assign(ci + 1, remaining - r, picked + [(key, tgt, r)])
+
+        assign(0, need, [])
+
+    solve(0, {}, {})
+    if not solutions:
+        raise Infeasible(
+            "no integer rank assignment matches the target along the "
+            f"skew-rows; first obstruction at total degree {deepest[0]}")
+    return FeasibilityResult(euler, bounds, feasible=True,
+                             unique=len(solutions) == 1, ranks=solutions[0])

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+import arrange.spectral as spectral
 from arrange.cli import (EXIT_INFEASIBLE, EXIT_INPUT, EXIT_MISMATCH, EXIT_OK,
                          SchemaError, build_model, execute, main, parse,
                          render_machine)
@@ -259,6 +260,80 @@ def test_infeasible_target_reports_failed_verdict(tmp_path, monkeypatch,
     else:
         assert {"check": "feasibility", "ok": False} in \
             json.loads(out)["verdicts"]
+
+
+@pytest.mark.parametrize("fmt", ["human", "machine"])
+def test_search_over_budget_reports_undecided(tmp_path, monkeypatch, capsys,
+                                              fmt):
+    # F(P^1,3) with its closed-form target needs 7 splits
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(spectral, "FEASIBILITY_BUDGET", 3)
+    path = write_job(tmp_path, CONFIG_P1_3)
+    assert main(["verify", path, "--mode", "feasibility", "--target",
+                 "1,0,0,1", "--no-cache", "--format", fmt]) == EXIT_MISMATCH
+    out = capsys.readouterr().out
+    if fmt == "human":
+        assert "feasibility: UNDECIDED after 3 splits\n" in out
+        assert "INFEASIBLE" not in out
+        assert out.rstrip().endswith("FAILED ['feasibility']")
+    else:
+        report = json.loads(out)
+        assert '"feasible": null' in out
+        assert report["feasibility"]["undecided"] is True
+        assert report["feasibility"]["splits"] == 3
+        assert {"check": "feasibility", "ok": False} in report["verdicts"]
+
+
+def test_decided_search_adds_no_report_key(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    path = write_job(tmp_path, CONFIG_P1_3)
+    assert main(["verify", path, "--mode", "feasibility", "--target",
+                 "1,0,0,1", "--no-cache", "--format", "machine"]) == EXIT_OK
+    section = json.loads(capsys.readouterr().out)["feasibility"]
+    assert set(section) == {"bounds", "euler", "feasible", "ranks", "target",
+                            "unique"}
+
+
+def _set_down_bit_40(poset):
+    poset["down"][1] = str(int(poset["down"][1]) | 1 << 40)
+
+
+@pytest.mark.parametrize("damage", [
+    _set_down_bit_40,
+    lambda poset: poset["down"].__setitem__(1, "x"),
+    lambda poset: poset["members"][0].update(atom="1"),
+], ids=["down_bit_past_end", "down_not_a_number", "atom_string"])
+def test_damaged_cached_poset_is_recomputed(tmp_path, monkeypatch, capsys,
+                                            damage):
+    monkeypatch.chdir(tmp_path)
+    path = write_job(tmp_path, CONFIG_P1_3)
+    assert main(["stalks", path, "--format", "machine", "--no-cache"]) == EXIT_OK
+    fresh = capsys.readouterr().out
+    assert main(["stalks", path, "--format", "machine"]) == EXIT_OK
+    capsys.readouterr()
+    (entry,) = (tmp_path / ".arrange-cache").iterdir()
+    payload = json.loads(entry.read_text())
+    damage(payload["poset"])
+    entry.write_text(json.dumps(payload))
+    assert main(["stalks", path, "--format", "machine"]) == EXIT_OK
+    assert capsys.readouterr().out == fresh
+
+
+def test_configuration_size_guard_refuses_before_the_build(tmp_path,
+                                                           monkeypatch,
+                                                           capsys):
+    def no_build(*args, **kwargs):
+        raise AssertionError("partition lattice built")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(IntersectionPoset, "partition_lattice", no_build)
+    doc = json.loads(json.dumps(CONFIG_P1_3))
+    doc["model"]["points"] = 30
+    assert main(["verify", write_job(tmp_path, doc)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "Bell(30) = 846,749,014,511,809,332,450,147 flats" in err
+    doc["model"]["points"] = 9          # Bell(9) = 21,147 stays allowed
+    assert parse(doc).model["points"] == 9
 
 
 def test_main_full_run(tmp_path, monkeypatch, capsys):

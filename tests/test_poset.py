@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from arrange.errors import ArrangeError
 from arrange.poset import (DuplicateMember, EmptyInput, EmptyRestriction,
                            IntersectionPoset, InvalidForm, LastMember)
 from helpers import brute_force_linear_flats, random_central_forms
@@ -293,6 +294,19 @@ def test_serialization_ignores_stored_forms():
     q = IntersectionPoset.from_dict(data)
     assert q.down == p.down
     assert not hasattr(q, "forms")
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d["down"].__setitem__(1, str(int(d["down"][1]) | 1 << 40)),
+    lambda d: d["down"].__setitem__(1, "-1"),
+    lambda d: d["down"].pop(),
+    lambda d: d["members"][0].update(atom=len(d["flats"])),
+], ids=["down_bit_past_end", "down_negative", "down_missing", "atom_past_end"])
+def test_from_dict_rejects_indices_out_of_range(edit):
+    data = IntersectionPoset.partition_lattice(3).to_dict()
+    edit(data)
+    with pytest.raises(ArrangeError, match="out of range"):
+        IntersectionPoset.from_dict(data)
 
 
 def test_covers_are_the_cover_relation():

@@ -19,7 +19,7 @@ from arrange.spectral import (ExplicitModeUnavailable, HomologyMismatch,
                               skew_row_homology)
 from arrange.stalks import decompose
 from helpers import (child_env, coordinate_forms, criterion_10_models,
-                     explicit_page, run_explicit)
+                     enumerate_feasibility, explicit_page, run_explicit)
 
 BOOLEAN_P2 = [([1, 0, 0], 0), ([0, 1, 0], 0), ([0, 0, 1], 0)]
 TWO_POINTS_P1 = [([1, 0], 0), ([0, 1], 0)]
@@ -257,6 +257,118 @@ def test_feasibility_nongeneric_projective():
     res = feasibility(page, os_oracle(m.poset))
     assert res.feasible and res.unique
     assert res.euler == -1
+
+
+def random_small_page(rng):
+    """Up to 7 x 4 cells of dimension 1..6 on the rows q = (2c - 1) * l."""
+    c = rng.choice((1, 1, 2))
+    cells = {}
+    for p in range(rng.randint(1, 7)):
+        for level in range(rng.randint(1, 4)):
+            if rng.random() < 0.7:
+                q, dim = (2 * c - 1) * level, rng.randint(1, 6)
+                cells[(p, q)] = WeightedCell(p, q, dim, p + 2 * c * level,
+                                             tuple(range(dim)))
+    return SpectralPage(c, 2 * c, cells)
+
+
+def euler_consistent_target(rng, page):
+    """Half the time the Betti numbers of random admissible ranks, so
+    feasible; otherwise random Betti numbers within the degree totals with
+    the page's Euler characteristic; None when none was found."""
+    upper = {}
+    for (p, q), cell in page.cells.items():
+        upper[p + q] = upper.get(p + q, 0) + cell.dim
+    if not upper:
+        return None
+    maxk = max(upper)
+    if rng.random() < 0.5:
+        betti = [0] * (maxk + 1)
+        into = {}
+        for key in sorted(page.cells, key=sum):
+            tgt = page.target_of(*key)
+            free = page.cells[key].dim - into.get(key, 0)
+            r = rng.randint(0, min(free, page.cell_dim(*tgt)))
+            if r:
+                into[tgt] = r
+            betti[sum(key)] += free - r
+        return IntPoly(betti)
+    for _ in range(50):
+        betti = [rng.randint(0, upper.get(k, 0)) for k in range(maxk + 1)]
+        rest = page.euler() - sum((-1) ** k * b for k, b in enumerate(betti)
+                                  if k != maxk)
+        betti[maxk] = (-1) ** maxk * rest
+        if 0 <= betti[maxk] <= upper[maxk]:
+            return IntPoly(betti)
+    return None
+
+
+def outcome(search, page, target):
+    try:
+        return search(page, target)
+    except Infeasible as exc:
+        return str(exc)
+
+
+def test_feasibility_matches_enumerator_on_random_pages():
+    """The memoized search against the plain enumerator it replaced: the
+    same feasible, unique and ranks, or the same Infeasible reason."""
+    rng = random.Random(20261018)
+    seen = {"unique": 0, "several": 0, "infeasible": 0}
+    pages = 0
+    while pages < 1200:
+        page = random_small_page(rng)
+        target = euler_consistent_target(rng, page)
+        if target is None:
+            continue
+        pages += 1
+        want = outcome(enumerate_feasibility, page, target)
+        got = outcome(feasibility, page, target)
+        if isinstance(want, str):
+            seen["infeasible"] += 1
+            assert got == want, (page.cells, target)
+            continue
+        assert not isinstance(got, str), (page.cells, target, got)
+        assert (got.feasible, got.unique, got.ranks) == \
+            (want.feasible, want.unique, want.ranks)
+        assert not got.undecided
+        seen["unique" if got.unique else "several"] += 1
+    assert min(seen["unique"], seen["several"], seen["infeasible"]) >= 40, seen
+
+
+def p1_config_page(n):
+    return assemble(configuration_model(ProjProduct((1,)), n))
+
+
+F_P1_6_TARGET = IntPoly([1, 9, 26, 25, 9, 26, 24])  # (1+t^3)(1+2t)(1+3t)(1+4t)
+
+
+def test_feasibility_f_p1_6_decides_within_20000_splits():
+    res = feasibility(p1_config_page(6), F_P1_6_TARGET)
+    assert res.feasible and not res.unique
+    assert 0 < res.splits <= 20_000
+    assert res.splits <= spectral.FEASIBILITY_BUDGET // 100
+
+
+def test_feasibility_over_budget_is_undecided_never_infeasible(monkeypatch):
+    page = p1_config_page(6)
+    full = feasibility(page, F_P1_6_TARGET)
+    for budget in (0, 1, full.splits // 2, full.splits - 1):
+        monkeypatch.setattr(spectral, "FEASIBILITY_BUDGET", budget)
+        res = feasibility(page, F_P1_6_TARGET)
+        assert res.undecided and res.feasible is None and res.ranks is None
+        assert res.splits == budget
+    monkeypatch.setattr(spectral, "FEASIBILITY_BUDGET", full.splits)
+    res = feasibility(page, F_P1_6_TARGET)
+    assert not res.undecided and res.ranks == full.ranks
+    # an Euler-consistent target that the full search refutes
+    monkeypatch.undo()
+    refuted = IntPoly([1, 9, 26, 25, 8, 25, 24])
+    with pytest.raises(Infeasible, match="first obstruction"):
+        feasibility(page, refuted)
+    monkeypatch.setattr(spectral, "FEASIBILITY_BUDGET", 10)
+    res = feasibility(page, refuted)
+    assert res.undecided and res.feasible is None and res.splits == 10
 
 
 def test_row_vanishing_pattern_enforced():
