@@ -8,8 +8,9 @@ denominators, then combines rows fraction-free and keeps each one primitive
 (divided by the gcd of its entries).  That one elimination gives the rank,
 the pivot columns and the kernel basis of a matrix.
 
-``rref`` is the canonical Fraction form of a row space, which the poset
-layer uses to key flats.
+``rref`` is the canonical Fraction form of a row space.  The poset layer
+calls it once per member, to find repeated members, and once per flat, to
+write the flat's key; its closure runs on integer rows with ``eliminate``.
 """
 
 from __future__ import annotations
@@ -319,7 +320,7 @@ def rref(rows):
 
     Returns (rows, pivot_columns) with zero rows dropped.  The output is the
     canonical representative of the row space, which is what the poset layer
-    uses to deduplicate flats.
+    writes as a flat's key.
     """
     mat = [[_frac(x) for x in row] for row in rows]
     ncols = len(mat[0]) if mat else 0
@@ -346,15 +347,3 @@ def rref(rows):
             break
     return tuple(tuple(row) for row in mat[:r]), tuple(pivots)
 
-
-def reduce_against(row, reduced_rows):
-    """Reduce a single row against rows already in reduced echelon form."""
-    out = [_frac(x) for x in row]
-    for rrow in reduced_rows:
-        pc = next((j for j, v in enumerate(rrow) if v), None)
-        if pc is None:
-            continue
-        f = out[pc]
-        if f:
-            out = [a - f * b for a, b in zip(out, rrow)]
-    return tuple(out)

@@ -10,9 +10,13 @@ bitmask of the poset's own flat indices and the members' atoms, so a flat
 keeps one index through the whole stalk recursion.
 
 Linear builds enumerate flats by breadth-first closure: intersect each
-known flat with each member, canonicalize the defining system by reduced
-row echelon form, and deduplicate on that canonical key.  This visits only
-actual flats instead of all 2^s index subsets.
+known flat with each member and deduplicate on the member mask, the set of
+members containing the result.  A linear flat is the intersection of the
+members that contain it, so that mask is its identity.  Each flat keeps an
+echelon basis of primitive integer rows, so rank, consistency and member
+containment are fraction-free eliminations; the canonical reduced row
+echelon form is computed once per flat, at the end, as its key.  This
+visits only actual flats instead of all 2^s index subsets.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import ArrangeError
-from .linalg import reduce_against, rref
+from .linalg import RationalMatrix, eliminate, primitive_rows, rref
 
 
 class DuplicateMember(ArrangeError):
@@ -66,6 +70,27 @@ class AdmissibilityReport:
     ok: bool
     violations: list
     note: str = ""
+
+
+def _reduce(row, basis):
+    """``row`` with every pivot column of the echelon ``basis`` ({pivot
+    column: primitive integer row, zero left of its pivot}) cleared, in
+    increasing column order; zero (empty) iff ``row`` is in its span."""
+    for c in sorted(basis):
+        if c in row:
+            row = eliminate(row, basis[c], c)
+    return row
+
+
+def _echelon(rows, basis):
+    """Echelon rows spanning ``rows`` modulo ``basis``: each row reduced
+    against ``basis`` and the rows kept before it."""
+    out = {}
+    for row in rows:
+        row = _reduce(_reduce(row, basis), out)
+        if row:
+            out[min(row)] = row
+    return out
 
 
 def _bits(mask):
@@ -143,53 +168,75 @@ class IntersectionPoset:
             raise DuplicateMember("two members define the same subspace")
 
         max_codim = ncoords - 1 if mode == "projective" else ncoords
+        member_rows = [
+            list(primitive_rows(RationalMatrix.from_rows(reduced)).values())
+            for reduced in member_rrefs]
+        nmembers = len(member_rows)
 
-        # breadth-first closure over canonical systems
-        bottom_key = ()
-        discovered = {bottom_key: 0}
-        order_list = [bottom_key]
-        frontier = [bottom_key]
+        # breadth-first closure, frontier order then member order; each flat
+        # has its member mask and an integer echelon basis of its rows
+        masks = [0]
+        bases = [{}]
+        index_of = {0: 0}
+        frontier = [0]
         while frontier:
             new_frontier = []
-            for key in frontier:
-                for mrows in member_rrefs:
-                    reduced, pivots = rref(list(key) + list(mrows))
-                    if pivots and pivots[-1] == ncoords:
+            for x in frontier:
+                basis, mask_x = bases[x], masks[x]
+                # each member's rows reduced against x's basis are zero on
+                # its pivots, so m2 contains x meet m iff m2's reduced rows
+                # reduce to zero against m's alone
+                quotient = {m: _echelon(rows, basis)
+                            for m, rows in enumerate(member_rows)
+                            if not mask_x >> m & 1}
+                children = []
+                for m, ech in quotient.items():
+                    if any(mask >> m & 1 and rank == len(ech)
+                           for mask, rank in children):
+                        continue  # x meets m in a flat already met
+                    if ncoords in ech:
                         continue  # inconsistent: empty intersection
-                    if len(reduced) > max_codim:
+                    if len(basis) + len(ech) > max_codim:
                         continue  # projective: drop the cone apex
-                    if reduced not in discovered:
-                        discovered[reduced] = len(order_list)
-                        order_list.append(reduced)
-                        new_frontier.append(reduced)
+                    mask = mask_x | 1 << m
+                    for m2, ech2 in quotient.items():
+                        if (m2 != m and len(ech2) <= len(ech) and not any(
+                                _reduce(row, ech) for row in ech2.values())):
+                            mask |= 1 << m2
+                    children.append((mask, len(ech)))
+                    if mask not in index_of:
+                        index_of[mask] = len(masks)
+                        new_frontier.append(len(masks))
+                        masks.append(mask)
+                        bases.append({**basis, **ech})
             frontier = new_frontier
 
-        flats = [Flat(idx, len(key), ("lin", key), f"F{idx}" if key else "ambient")
-                 for idx, key in enumerate(order_list)]
+        flats = []
+        for idx, basis in enumerate(bases):
+            key, _ = rref([[row.get(j, 0) for j in range(ncoords + 1)]
+                           for row in basis.values()])
+            flats.append(Flat(idx, len(key), ("lin", key),
+                              f"F{idx}" if key else "ambient"))
 
-        # member containment: every row of the member reduces to zero
-        containment = []
-        for key in order_list:
-            mask = 0
-            for m, mrows in enumerate(member_rrefs):
-                if all(not any(reduce_against(row, key)) for row in mrows):
-                    mask |= 1 << m
-            containment.append(mask)
-
-        # a linear flat equals the intersection of the members containing it,
-        # so the order is containment of member sets
+        # the order is containment of member masks: j <= i unless a member
+        # outside i's mask passes through j
+        on = [0] * nmembers
+        for i, mask in enumerate(masks):
+            for m in _bits(mask):
+                on[m] |= 1 << i
+        everything = (1 << len(masks)) - 1
+        all_members = (1 << nmembers) - 1
         down = []
-        for i in range(len(order_list)):
-            mask = 0
-            for j in range(len(order_list)):
-                if containment[j] & containment[i] == containment[j]:
-                    mask |= 1 << j
-            down.append(mask)
+        for mask in masks:
+            off = 0
+            for m in _bits(all_members & ~mask):
+                off |= on[m]
+            down.append(everything & ~off)
 
         member_data = []
-        for m, mrows in enumerate(member_rrefs):
-            atom = discovered.get(mrows)
-            if atom is None or containment[atom] != 1 << m:
+        for m in range(nmembers):
+            atom = index_of.get(1 << m)
+            if atom is None:
                 raise DuplicateMember("nested or repeated members")
             member_data.append((m, f"Z{m + 1}", atom))
 

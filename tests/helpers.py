@@ -9,7 +9,9 @@ from itertools import combinations
 from pathlib import Path
 
 import arrange
-from arrange.linalg import reduce_against, rref
+from arrange.linalg import rref
+from arrange.poset import (DuplicateMember, EmptyInput, Flat,
+                           IntersectionPoset, InvalidForm)
 from arrange.spectral import FeasibilityResult, Infeasible
 
 
@@ -37,6 +39,110 @@ def minor_rank(rows):
                 if det(list(rs), list(cs)):
                     return size
     return 0
+
+
+def reduce_against(row, reduced_rows):
+    """Reduce a single row against rows already in reduced echelon form."""
+    out = [Fraction(x) for x in row]
+    for rrow in reduced_rows:
+        pc = next((j for j, v in enumerate(rrow) if v), None)
+        if pc is None:
+            continue
+        f = out[pc]
+        if f:
+            out = [a - f * b for a, b in zip(out, rrow)]
+    return tuple(out)
+
+
+def reference_linear_poset(systems, ambient_dim, mode="affine", codim_c=None):
+    """Oracle for ``IntersectionPoset.from_linear_systems``: the closure that
+    the member-mask build replaced, kept apart from it.
+
+    Breadth-first over canonical systems: each known flat meets each member,
+    the result is keyed by its Fraction reduced row echelon form, and member
+    containment is tested by reducing each member's rows against that form.
+    """
+    if not systems:
+        raise EmptyInput("no members given")
+    ncoords = ambient_dim + 1 if mode == "projective" else ambient_dim
+    member_rrefs = []
+    for rows in systems:
+        aug = []
+        for cov, const in rows:
+            cov = [Fraction(x) for x in cov]
+            if len(cov) != ncoords:
+                raise InvalidForm(
+                    f"covector length {len(cov)} != {ncoords} coordinates")
+            if not any(cov):
+                raise InvalidForm("zero covector")
+            if mode in ("central", "projective") and Fraction(const):
+                raise InvalidForm(f"{mode} mode requires zero constants")
+            aug.append(tuple(cov) + (Fraction(const),))
+        reduced, pivots = rref(aug)
+        if pivots and pivots[-1] == ncoords:
+            raise InvalidForm("member system is inconsistent")
+        member_rrefs.append(reduced)
+    if codim_c is None:
+        codim_c = len(member_rrefs[0])
+    for reduced in member_rrefs:
+        if len(reduced) != codim_c:
+            raise InvalidForm(
+                f"member codimension {len(reduced)} != c = {codim_c}")
+    if len(set(member_rrefs)) != len(member_rrefs):
+        raise DuplicateMember("two members define the same subspace")
+
+    max_codim = ncoords - 1 if mode == "projective" else ncoords
+
+    # breadth-first closure over canonical systems
+    bottom_key = ()
+    discovered = {bottom_key: 0}
+    order_list = [bottom_key]
+    frontier = [bottom_key]
+    while frontier:
+        new_frontier = []
+        for key in frontier:
+            for mrows in member_rrefs:
+                reduced, pivots = rref(list(key) + list(mrows))
+                if pivots and pivots[-1] == ncoords:
+                    continue  # inconsistent: empty intersection
+                if len(reduced) > max_codim:
+                    continue  # projective: drop the cone apex
+                if reduced not in discovered:
+                    discovered[reduced] = len(order_list)
+                    order_list.append(reduced)
+                    new_frontier.append(reduced)
+        frontier = new_frontier
+
+    flats = [Flat(idx, len(key), ("lin", key), f"F{idx}" if key else "ambient")
+             for idx, key in enumerate(order_list)]
+
+    # member containment: every row of the member reduces to zero
+    containment = []
+    for key in order_list:
+        mask = 0
+        for m, mrows in enumerate(member_rrefs):
+            if all(not any(reduce_against(row, key)) for row in mrows):
+                mask |= 1 << m
+        containment.append(mask)
+
+    # a linear flat equals the intersection of the members containing it,
+    # so the order is containment of member sets
+    down = []
+    for i in range(len(order_list)):
+        mask = 0
+        for j in range(len(order_list)):
+            if containment[j] & containment[i] == containment[j]:
+                mask |= 1 << j
+        down.append(mask)
+
+    member_data = []
+    for m, mrows in enumerate(member_rrefs):
+        atom = discovered.get(mrows)
+        if atom is None or containment[atom] != 1 << m:
+            raise DuplicateMember("nested or repeated members")
+        member_data.append((m, f"Z{m + 1}", atom))
+
+    return IntersectionPoset(ambient_dim, codim_c, mode, flats, down, member_data)
 
 
 def brute_force_linear_flats(forms, ncoords):
@@ -85,6 +191,37 @@ def _proportional(a, b):
         elif q != cross:
             return False
     return True
+
+
+def random_linear_systems(rng):
+    """(systems, ambient_dim, mode, kinds): a small random input for
+    ``from_linear_systems``, and the features it was drawn with.
+
+    Modes are affine, central or projective; members are hyperplanes or
+    codimension-2 systems; entries may be non-integer rationals; affine
+    members may be parallel to the one before (an empty intersection)."""
+    mode = rng.choice(["affine", "central", "projective"])
+    ncoords = rng.randint(2, 4)
+    ambient_dim = ncoords - 1 if mode == "projective" else ncoords
+    c = rng.choice([1, 1, 2]) if ncoords >= 3 else 1
+    rational = rng.random() < 0.3
+    kinds = {mode, f"c={c}"} | ({"rational"} if rational else set())
+
+    def entry():
+        v = rng.randint(-2, 2)
+        if rational and rng.random() < 0.3:
+            return Fraction(v, rng.randint(2, 3))
+        return v
+
+    systems = []
+    for _ in range(rng.randint(1, 6)):
+        rows = [([entry() for _ in range(ncoords)],
+                 entry() if mode == "affine" else 0) for _ in range(c)]
+        if mode == "affine" and systems and rng.random() < 0.2:
+            rows = [(cov, const + 1) for cov, const in systems[-1]]
+            kinds.add("parallel")
+        systems.append(rows)
+    return systems, ambient_dim, mode, kinds
 
 
 def random_central_forms(rng, m, ncoords, lo=-2, hi=2):

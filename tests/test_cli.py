@@ -1,7 +1,14 @@
+import contextlib
+import copy
+import io
 import json
+import os
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import arrange.spectral as spectral
 from arrange.cli import (EXIT_INFEASIBLE, EXIT_INPUT, EXIT_MISMATCH, EXIT_OK,
@@ -476,3 +483,60 @@ def test_pointwise_check_runs_once_per_job(tmp_path, monkeypatch):
     assert code == EXIT_OK
     assert len(calls) == 1
     assert report["pointwise"] == {"ok": True, "mismatches": []}
+
+
+def _field_paths(node, prefix=()):
+    """The path of every field of a JSON document, containers included."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return []
+    out = []
+    for k, v in items:
+        out.append(prefix + (k,))
+        out.extend(_field_paths(v, prefix + (k,)))
+    return out
+
+
+# another JSON type, null, or a small integer: never a value that could
+# start a large build
+REPLACEMENTS = st.one_of(st.none(), st.integers(-2, 4), st.booleans(),
+                         st.sampled_from(["", "x", "1/2", "-1"]),
+                         st.sampled_from([0.5, -1.0]),
+                         st.sampled_from([[], [1], ["a", "b"]]),
+                         st.sampled_from([{}, {"key": 1}]))
+
+
+@st.composite
+def mutated_documents(draw):
+    """A small valid document with one field deleted or replaced."""
+    doc = copy.deepcopy(draw(st.sampled_from([BOOLEAN_P2, CONFIG_P1_3,
+                                              ABSTRACT_PAIR])))
+    path = draw(st.sampled_from(_field_paths(doc)))
+    parent = doc
+    for k in path[:-1]:
+        parent = parent[k]
+    if draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(REPLACEMENTS)
+    return doc
+
+
+@seed(20261018)
+@settings(max_examples=200, deadline=None, database=None)
+@given(doc=mutated_documents(),
+       command=st.sampled_from(["verify", "run", "lattice", "stalks", "oracle"]))
+def test_mutated_document_exits_cleanly(doc, command):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "job.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, path, "--no-cache"])
+    assert code in (EXIT_OK, EXIT_MISMATCH, EXIT_INFEASIBLE, EXIT_INPUT), \
+        (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

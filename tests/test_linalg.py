@@ -5,8 +5,8 @@ import pytest
 
 from arrange.linalg import (CompositionNonzero, RationalMatrix, ShapeMismatch,
                             echelon, homology_dim, kernel_dim,
-                            product_is_zero, rank, reduce_against, rref)
-from helpers import minor_rank
+                            product_is_zero, rank, rref)
+from helpers import minor_rank, reduce_against
 
 
 def test_rank_identity():

@@ -1,11 +1,15 @@
 import random
+from itertools import combinations
 
 import pytest
 
+import arrange.poset as poset
 from arrange.errors import ArrangeError
 from arrange.poset import (DuplicateMember, EmptyInput, EmptyRestriction,
                            IntersectionPoset, InvalidForm, LastMember)
-from helpers import brute_force_linear_flats, random_central_forms
+from helpers import (brute_force_linear_flats, coordinate_forms,
+                     random_central_forms, random_linear_systems,
+                     reference_linear_poset)
 
 GENERIC3 = [([1, 0], 0), ([0, 1], 0), ([1, 1], 1)]
 CONCURRENT3 = [([1, 0], 0), ([0, 1], 0), ([1, 1], 0)]
@@ -73,6 +77,82 @@ def test_brute_force_subset_oracle():
         oracle = brute_force_linear_flats(forms, ncoords)
         built = {f.key[1]: frozenset(p.members_of(f.index)) for f in p.flats}
         assert built == oracle
+
+
+def _build(build, systems, ambient_dim, mode):
+    """The poset's ``to_dict()``, or the class of the exception raised."""
+    try:
+        return build(systems, ambient_dim, mode).to_dict()
+    except ArrangeError as exc:
+        return type(exc)
+
+
+def test_member_mask_build_matches_reference_closure():
+    # flat order, keys, down masks and members, on random inputs of every
+    # mode; the subset oracle above is order-free and cannot see an index
+    # reshuffle
+    rng = random.Random(8)
+    built = 0
+    seen = set()
+    for _ in range(500):
+        systems, ambient_dim, mode, kinds = random_linear_systems(rng)
+        expected = _build(reference_linear_poset, systems, ambient_dim, mode)
+        got = _build(IntersectionPoset.from_linear_systems,
+                     systems, ambient_dim, mode)
+        assert got == expected, (systems, ambient_dim, mode)
+        if isinstance(expected, dict):
+            built += 1
+            seen |= kinds
+    assert built >= 300
+    assert seen == {"affine", "central", "projective", "c=1", "c=2",
+                    "rational", "parallel"}
+
+
+@pytest.mark.parametrize("systems, ambient_dim, mode", [
+    ([], 2, "affine"),
+    ([[([0, 0], 1)]], 2, "affine"),
+    ([[([1, 0, 0], 0)]], 2, "affine"),
+    ([[([1, 0], 0)], [([2, 0], 0)]], 2, "central"),
+    ([[([1, 0], 1)]], 2, "central"),
+    ([[([1, 0], 0), ([1, 0], 1)]], 2, "affine"),
+    ([[([1, 0], 0), ([0, 1], 0)], [([1, 0], 0)]], 2, "central"),
+    ([[([1, 0], 0), ([0, 1], 0)]], 1, "projective"),
+], ids=["empty", "zero_covector", "wrong_length", "duplicate",
+        "central_constant", "inconsistent_member",
+        "codim_mismatch", "member_is_cone_apex"])
+def test_rejections_match_reference_closure(systems, ambient_dim, mode):
+    expected = _build(reference_linear_poset, systems, ambient_dim, mode)
+    assert isinstance(expected, type)
+    assert _build(IntersectionPoset.from_linear_systems,
+                  systems, ambient_dim, mode) is expected
+
+
+def _braid_forms(n):
+    forms = []
+    for i, j in combinations(range(n), 2):
+        cov = [0] * n
+        cov[i], cov[j] = 1, -1
+        forms.append((cov, 0))
+    return forms
+
+
+@pytest.mark.parametrize("forms, ambient_dim, mode, flats", [
+    (coordinate_forms(6), 6, "projective", 127),
+    (_braid_forms(5), 5, "central", 52),
+], ids=["coordinate_P6", "braid_A4_central"])
+def test_one_rref_per_member_and_per_flat(monkeypatch, forms, ambient_dim,
+                                          mode, flats):
+    calls = []
+    real = poset.rref
+
+    def counting(rows):
+        calls.append(1)
+        return real(rows)
+
+    monkeypatch.setattr(poset, "rref", counting)
+    p = IntersectionPoset.from_linear_forms(forms, ambient_dim, mode)
+    assert len(p) == flats
+    assert len(calls) == len(p.members) + len(p.flats)
 
 
 def test_projective_drops_cone_apex():
