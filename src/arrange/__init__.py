@@ -19,9 +19,9 @@ from .poset import (AdmissibilityReport, DuplicateMember, EmptyInput,
                     EmptyRestriction, Flat, IntersectionPoset, LastMember,
                     Member)
 from .projective import (CohClass, DegreeMismatch, NegativeCodim, ProjProduct,
-                         SpaceMap, SpaceMismatch, betti_poly, compose, cup,
-                         identity_map, poincare_pair, power_inclusion,
-                         pullback, pushforward)
+                         SpaceMap, SpaceMismatch, compose, cup, identity_map,
+                         poincare_pair, power_inclusion, pullback,
+                         pushforward)
 from .spectral import (ExplicitModeUnavailable, FeasibilityResult,
                        HomologyMismatch, Infeasible, MalformedCell,
                        MissingStratumData, NoGeometry, NotComposable,

@@ -477,6 +477,11 @@ def execute(job: JobSpec) -> tuple:
                                         "agrees": agree})
             report["skew_rows"] = {"ok": ok, "entries": entries}
             verdict("skew_row_weights", ok)
+        if model.kind == "hyperplane":
+            # H^k of a hyperplane complement is pure of weight 2k
+            # (Brieskorn 1973; Deligne, Theorie de Hodge II, 1971)
+            verdict("weight_purity",
+                    all(w == 2 * k for (k, w), _ in res.weights.items()))
     else:
         target = job.target
         if target == "oracle":

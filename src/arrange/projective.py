@@ -1,16 +1,17 @@
 """Cohomology rings of products of projective spaces.
 
-A class is a Fraction-linear combination of monomials h1^a1...hm^am with
-each exponent bounded by the factor dimension.  In this basis the Poincare
-pairing is the anti-diagonal permutation matrix, so the duality-defined
-pushforward is a direct coefficient transcription rather than a linear
-solve.  Everything is graded: mixed-degree classes are rejected.
+A class is an integer linear combination of monomials h1^a1...hm^am with
+each exponent bounded by the factor dimension; every class, pairing and
+pushforward on a product of projective spaces is integral.  In this basis
+the Poincare pairing is the anti-diagonal permutation matrix, so the
+duality-defined pushforward is a direct coefficient transcription rather
+than a linear solve.  Everything is graded: mixed-degree classes are
+rejected.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ArrangeError
@@ -85,7 +86,7 @@ class ProjProduct:
         return tuple(self.factor_dims)
 
     def one(self):
-        return CohClass(self, 0, {tuple(0 for _ in self.factor_dims): Fraction(1)})
+        return CohClass(self, 0, {tuple(0 for _ in self.factor_dims): 1})
 
     def zero(self, degree):
         return CohClass(self, degree, {})
@@ -97,14 +98,14 @@ class ProjProduct:
         if self.factor_dims[i] == 0:
             return self.zero(2)
         exp = tuple(1 if j == i else 0 for j in range(self.nfactors))
-        return CohClass(self, 2, {exp: Fraction(1)})
+        return CohClass(self, 2, {exp: 1})
 
     def generators(self):
         return tuple(self.generator(i) for i in range(self.nfactors))
 
     def monomial_class(self, expts):
         expts = tuple(int(a) for a in expts)
-        return CohClass(self, 2 * sum(expts), {expts: Fraction(1)})
+        return CohClass(self, 2 * sum(expts), {expts: 1})
 
     def __str__(self):
         return " x ".join(f"P{n}" for n in self.factor_dims)
@@ -123,7 +124,6 @@ class CohClass:
         self.coeffs = {}
         box = space.factor_dims
         for exp, c in coeffs.items():
-            c = c if isinstance(c, Fraction) else Fraction(c)
             if not c:
                 continue
             if len(exp) != space.nfactors or any(
@@ -146,7 +146,7 @@ class CohClass:
             raise SpaceMismatch("can only add classes of equal space and degree")
         out = dict(self.coeffs)
         for exp, c in other.coeffs.items():
-            s = out.get(exp, Fraction(0)) + c
+            s = out.get(exp, 0) + c
             if s:
                 out[exp] = s
             else:
@@ -154,7 +154,6 @@ class CohClass:
         return CohClass(self.space, self.degree, out)
 
     def scale(self, factor):
-        factor = Fraction(factor)
         return CohClass(self.space, self.degree,
                         {e: c * factor for e, c in self.coeffs.items()})
 
@@ -202,7 +201,7 @@ def cup(a: CohClass, b: CohClass) -> CohClass:
             e = tuple(x + y for x, y in zip(e1, e2))
             if any(x > n for x, n in zip(e, box)):
                 continue
-            s = out.get(e, Fraction(0)) + c1 * c2
+            s = out.get(e, 0) + c1 * c2
             if s:
                 out[e] = s
             else:
@@ -231,7 +230,7 @@ def pullback(f: SpaceMap, a: CohClass) -> CohClass:
     return out
 
 
-def poincare_pair(a: CohClass, b: CohClass) -> Fraction:
+def poincare_pair(a: CohClass, b: CohClass) -> int:
     """Coefficient of the top monomial in a.b (the Poincare pairing)."""
     if a.space != b.space:
         raise SpaceMismatch("pairing needs classes on the same space")
@@ -239,7 +238,7 @@ def poincare_pair(a: CohClass, b: CohClass) -> Fraction:
         raise DegreeMismatch(
             f"degrees {a.degree}+{b.degree} != 2*dim = {2 * a.space.dim}")
     top = a.space.top()
-    total = Fraction(0)
+    total = 0
     for e1, c1 in a.coeffs.items():
         e2 = tuple(t - x for t, x in zip(top, e1))
         c2 = b.coeffs.get(e2)
@@ -270,10 +269,6 @@ def pushforward(f: SpaceMap, a: CohClass) -> CohClass:
         if val:
             out[mono] = val
     return CohClass(target, deg_out, out)
-
-
-def betti_poly(s: ProjProduct) -> IntPoly:
-    return s.betti_poly()
 
 
 def compose(g: SpaceMap, f: SpaceMap) -> SpaceMap:

@@ -17,7 +17,6 @@ budget of splits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import ArrangeError, NotRankOne
 # homology_dim is no longer called here; it stays in this namespace for
@@ -269,8 +268,40 @@ def assemble_e2(dec, strata, ambient, c, bottom=0) -> SpectralPage:
     return SpectralPage(c, 2 * c, out)
 
 
-def _positions(cell):
-    return {label: i for i, label in enumerate(cell.basis)}
+def _build_blocks(page, rows, images):
+    """The blocks of the differential leaving the cells in ``rows``.
+
+    ``images(push, cell, label)`` says where one basis label of the cell at
+    ``cell`` goes, as (target label, integer coefficient) pairs, and the
+    pairs are summed into one block per cell whose target cell exists.
+    ``push(map_key, inclusion, monomial)`` is the coefficient dict of the
+    pushforward of a monomial class along ``inclusion()``, made once per
+    (map_key, monomial) in this build; ``map_key`` must name the map, not
+    only its two spaces.
+    """
+    table = {}
+
+    def push(map_key, inclusion, monomial):
+        image = table.get((map_key, monomial))
+        if image is None:
+            f = inclusion()
+            image = table[(map_key, monomial)] = pushforward(
+                f, f.source.monomial_class(monomial)).coeffs
+        return image
+
+    diff = {}
+    for (p, q), cell in sorted(page.cells.items()):
+        tcell = page.cells.get(page.target_of(p, q))
+        if q not in rows or tcell is None:
+            continue
+        tpos = {label: i for i, label in enumerate(tcell.basis)}
+        entries = {}
+        for col, label in enumerate(cell.basis):
+            for tlabel, coef in images(push, (p, q), label):
+                at = (tpos[tlabel], col)
+                entries[at] = entries.get(at, 0) + coef
+        diff[(p, q)] = RationalMatrix(tcell.dim, cell.dim, entries)
+    return diff
 
 
 def build_differential_ncd(model, page) -> dict:
@@ -279,39 +310,31 @@ def build_differential_ncd(model, page) -> dict:
     Requires simple normal crossings: each flat lies on exactly codim many
     members, so dropping one member from a flat's set names a unique
     shallower flat.  The sign is (-1)^(position of the dropped member in
-    the sorted member tuple).
+    the sorted member tuple).  The inclusion of one stratum into another
+    depends only on their two spaces (``ArrangementModel.inclusion``), so
+    each image is pushed forward once per (source space, target space,
+    monomial).
     """
     if model.kind != "hyperplane" or not model.ncd or model.geometry is None:
         raise NoGeometry("explicit blocks need a normal-crossing hyperplane "
                          "model with stratum geometry")
     poset = model.poset
+    geometry = model.geometry
     mask_to_flat = {poset.member_mask(f.index): f.index for f in poset.flats}
-    diff = {}
-    for (p, q), cell in sorted(page.cells.items()):
-        if q < 1:
-            continue
-        tkey = page.target_of(p, q)
-        tcell = page.cells.get(tkey)
-        if tcell is None:
-            continue
-        tpos = _positions(tcell)
-        entries = {}
-        for col, (fi, token, _) in enumerate(cell.basis):
-            mask = poset.member_mask(fi)
-            for j, mpos in enumerate(_bits(mask)):
-                gi = mask_to_flat[mask & ~(1 << mpos)]
-                sign = -1 if j % 2 else 1
-                inc = model.inclusion(fi, gi)
-                image = pushforward(inc, model.geometry[fi][0].monomial_class(token))
-                for exp, val in image.coeffs.items():
-                    row = tpos[(gi, exp, 0)]
-                    s = entries.get((row, col), Fraction(0)) + sign * val
-                    if s:
-                        entries[(row, col)] = s
-                    else:
-                        entries.pop((row, col), None)
-        diff[(p, q)] = RationalMatrix(tcell.dim, cell.dim, entries)
-    return diff
+
+    def images(push, cell, label):
+        fi, token, _ = label
+        mask = poset.member_mask(fi)
+        out = []
+        for j, mpos in enumerate(_bits(mask)):
+            gi = mask_to_flat[mask & ~(1 << mpos)]
+            sign = -1 if j % 2 else 1
+            image = push((geometry[fi][0], geometry[gi][0]),
+                         lambda: model.inclusion(fi, gi), token)
+            out.extend(((gi, exp, 0), sign * val) for exp, val in image.items())
+        return out
+
+    return _build_blocks(page, {q for (_, q) in page.cells if q >= 1}, images)
 
 
 # Multiplicity-space coefficients for the three-point diagonal arrangement:
@@ -323,70 +346,42 @@ _TRIPLE_MULT = ((-1, -1), (1, 0), (0, 1))
 
 
 def build_differential_config(model, page) -> dict:
-    """Explicit blocks for configuration models of up to three points."""
+    """Explicit blocks for configuration models of up to three points.
+
+    Level 1 goes to level 0 by the pushforward along each pair diagonal,
+    once per (flat, monomial), since each flat has its own inclusion.
+    Level 2 goes to level 1 by the pushforward along the diagonal
+    Y -> Y^2, once per monomial, spread over the pair diagonals by
+    ``_TRIPLE_MULT``.
+    """
     if model.kind != "configuration":
         raise NoGeometry("not a configuration model")
     n = model.n
     if n > 3:
         raise ExplicitModeUnavailable(
             f"explicit differential implemented for n <= 3, got n = {n}")
-    c = model.c
     poset = model.poset
-    q1 = 2 * c - 1
-    pair_flats = sorted(f.index for f in poset.flats if f.codim == c)
-    diff = {}
+    q1 = 2 * model.c - 1
+    pair_flats = sorted(f.index for f in poset.flats if f.codim == model.c)
+    small = next((f.index for f in poset.flats if f.codim == 2 * model.c),
+                 None)
+    delta = power_inclusion(model.factor, [0, 0])   # Y -> Y^2 diagonal
 
-    # level 1 -> level 0: plain pushforward along each diagonal
-    for (p, q), cell in sorted(page.cells.items()):
-        if q != q1:
-            continue
-        tkey = page.target_of(p, q)
-        tcell = page.cells.get(tkey)
-        if tcell is None:
-            continue
-        tpos = _positions(tcell)
-        entries = {}
-        for col, (fi, token, _) in enumerate(cell.basis):
-            geom, inc = model.geometry[fi]
-            image = pushforward(inc, geom.monomial_class(token))
-            for exp, val in image.coeffs.items():
-                row = tpos[(poset.bottom, exp, 0)]
-                entries[(row, col)] = entries.get((row, col), Fraction(0)) + val
-        diff[(p, q)] = RationalMatrix(tcell.dim, cell.dim, entries)
+    def images(push, cell, label):
+        fi, token, mult = label
+        if cell[1] == q1:
+            image = push(fi, lambda: model.geometry[fi][1], token)
+            return [((poset.bottom, exp, 0), val) for exp, val in image.items()]
+        if fi != small:
+            raise MalformedCell(
+                f"cell {cell} has a basis label on flat {fi}, "
+                f"not on the small diagonal {small}")
+        image = push(None, lambda: delta, token)
+        return [((pf, exp, 0), coefs[mult] * val)
+                for pf, coefs in zip(pair_flats, _TRIPLE_MULT)
+                for exp, val in image.items()]
 
-    if n == 3:
-        small = next(f.index for f in poset.flats if f.codim == 2 * c)
-        factor = model.factor
-        delta = power_inclusion(factor, [0, 0])   # Y -> Y^2 diagonal
-        coeffs = {pf: _TRIPLE_MULT[i] for i, pf in enumerate(pair_flats)}
-        for (p, q), cell in sorted(page.cells.items()):
-            if q != 2 * q1:
-                continue
-            tkey = page.target_of(p, q)
-            tcell = page.cells.get(tkey)
-            if tcell is None:
-                continue
-            tpos = _positions(tcell)
-            entries = {}
-            for col, (fi, token, mult) in enumerate(cell.basis):
-                if fi != small:
-                    raise MalformedCell(
-                        f"cell ({p}, {q}) has a basis label on flat {fi}, "
-                        f"not on the small diagonal {small}")
-                image = pushforward(delta, factor.monomial_class(token))
-                for pf in pair_flats:
-                    coef = coeffs[pf][mult]
-                    if not coef:
-                        continue
-                    for exp, val in image.coeffs.items():
-                        row = tpos[(pf, exp, 0)]
-                        s = entries.get((row, col), Fraction(0)) + coef * val
-                        if s:
-                            entries[(row, col)] = s
-                        else:
-                            entries.pop((row, col), None)
-            diff[(p, q)] = RationalMatrix(tcell.dim, cell.dim, entries)
-    return diff
+    return _build_blocks(page, (q1, 2 * q1) if n == 3 else (q1,), images)
 
 
 def _homology_labels(cell, image, kernel):

@@ -9,10 +9,12 @@ from itertools import combinations
 from pathlib import Path
 
 import arrange
-from arrange.linalg import rref
+from arrange.linalg import RationalMatrix, rref
 from arrange.poset import (DuplicateMember, EmptyInput, Flat,
-                           IntersectionPoset, InvalidForm)
-from arrange.spectral import FeasibilityResult, Infeasible
+                           IntersectionPoset, InvalidForm, _bits)
+from arrange.projective import power_inclusion, pushforward
+from arrange.spectral import (ExplicitModeUnavailable, FeasibilityResult,
+                              Infeasible, MalformedCell, NoGeometry)
 
 
 def minor_rank(rows):
@@ -274,16 +276,20 @@ def coordinate_forms(n):
             for i in range(n + 1)]
 
 
+def criterion_10_hyperplane_forms():
+    """The forms of the projective hyperplane models of acceptance
+    criterion 10: coordinate P^1..P^4 and 4, 5, 6 generic planes in P^3."""
+    rng = random.Random(20240206)
+    return ([coordinate_forms(n) for n in (1, 2, 3, 4)]
+            + [random_generic_projective_forms(rng, m, 3) for m in (4, 5, 6)])
+
+
 def criterion_10_models():
     """The c = 1 explicit models of acceptance criterion 10."""
     from arrange.models import configuration_model, hyperplane_model
     from arrange.projective import ProjProduct
-    rng = random.Random(20240206)
-    models = [hyperplane_model(coordinate_forms(n), mode="projective")
-              for n in (1, 2, 3, 4)]
-    models += [hyperplane_model(
-        random_generic_projective_forms(rng, m, 3), mode="projective")
-        for m in (4, 5, 6)]
+    models = [hyperplane_model(forms, mode="projective")
+              for forms in criterion_10_hyperplane_forms()]
     models += [configuration_model(ProjProduct((1,)), n) for n in (2, 3)]
     return models
 
@@ -424,3 +430,131 @@ def enumerate_feasibility(page, target=None):
             f"skew-rows; first obstruction at total degree {deepest[0]}")
     return FeasibilityResult(euler, bounds, feasible=True,
                              unique=len(solutions) == 1, ranks=solutions[0])
+
+
+def _reference_positions(cell):
+    return {label: i for i, label in enumerate(cell.basis)}
+
+
+def reference_differential_ncd(model, page) -> dict:
+    """Oracle for ``spectral.build_differential_ncd``: the builder that the
+    shared block builder replaced, kept apart from it.  It pushes one
+    monomial forward per basis label and dropped member.
+
+    Alternating sum of one-step pushforwards between incident strata.
+
+    Requires simple normal crossings: each flat lies on exactly codim many
+    members, so dropping one member from a flat's set names a unique
+    shallower flat.  The sign is (-1)^(position of the dropped member in
+    the sorted member tuple).
+    """
+    if model.kind != "hyperplane" or not model.ncd or model.geometry is None:
+        raise NoGeometry("explicit blocks need a normal-crossing hyperplane "
+                         "model with stratum geometry")
+    poset = model.poset
+    mask_to_flat = {poset.member_mask(f.index): f.index for f in poset.flats}
+    diff = {}
+    for (p, q), cell in sorted(page.cells.items()):
+        if q < 1:
+            continue
+        tkey = page.target_of(p, q)
+        tcell = page.cells.get(tkey)
+        if tcell is None:
+            continue
+        tpos = _reference_positions(tcell)
+        entries = {}
+        for col, (fi, token, _) in enumerate(cell.basis):
+            mask = poset.member_mask(fi)
+            for j, mpos in enumerate(_bits(mask)):
+                gi = mask_to_flat[mask & ~(1 << mpos)]
+                sign = -1 if j % 2 else 1
+                inc = model.inclusion(fi, gi)
+                image = pushforward(inc, model.geometry[fi][0].monomial_class(token))
+                for exp, val in image.coeffs.items():
+                    row = tpos[(gi, exp, 0)]
+                    s = entries.get((row, col), Fraction(0)) + sign * val
+                    if s:
+                        entries[(row, col)] = s
+                    else:
+                        entries.pop((row, col), None)
+        diff[(p, q)] = RationalMatrix(tcell.dim, cell.dim, entries)
+    return diff
+
+
+# Multiplicity-space coefficients for the three-point diagonal arrangement:
+# columns index the two copies supported on the small diagonal, rows the
+# pair diagonals in sorted order.  Columns sum to zero, which together with
+# pushforward functoriality forces d^2 = 0; the rank-2 column space is the
+# full sum-zero plane, so homology does not depend on the choice of basis.
+_REFERENCE_TRIPLE_MULT = ((-1, -1), (1, 0), (0, 1))
+
+
+def reference_differential_config(model, page) -> dict:
+    """Oracle for ``spectral.build_differential_config``: the builder that
+    the shared block builder replaced, kept apart from it.
+
+    Explicit blocks for configuration models of up to three points."""
+    if model.kind != "configuration":
+        raise NoGeometry("not a configuration model")
+    n = model.n
+    if n > 3:
+        raise ExplicitModeUnavailable(
+            f"explicit differential implemented for n <= 3, got n = {n}")
+    c = model.c
+    poset = model.poset
+    q1 = 2 * c - 1
+    pair_flats = sorted(f.index for f in poset.flats if f.codim == c)
+    diff = {}
+
+    # level 1 -> level 0: plain pushforward along each diagonal
+    for (p, q), cell in sorted(page.cells.items()):
+        if q != q1:
+            continue
+        tkey = page.target_of(p, q)
+        tcell = page.cells.get(tkey)
+        if tcell is None:
+            continue
+        tpos = _reference_positions(tcell)
+        entries = {}
+        for col, (fi, token, _) in enumerate(cell.basis):
+            geom, inc = model.geometry[fi]
+            image = pushforward(inc, geom.monomial_class(token))
+            for exp, val in image.coeffs.items():
+                row = tpos[(poset.bottom, exp, 0)]
+                entries[(row, col)] = entries.get((row, col), Fraction(0)) + val
+        diff[(p, q)] = RationalMatrix(tcell.dim, cell.dim, entries)
+
+    if n == 3:
+        small = next(f.index for f in poset.flats if f.codim == 2 * c)
+        factor = model.factor
+        delta = power_inclusion(factor, [0, 0])   # Y -> Y^2 diagonal
+        coeffs = {pf: _REFERENCE_TRIPLE_MULT[i]
+                  for i, pf in enumerate(pair_flats)}
+        for (p, q), cell in sorted(page.cells.items()):
+            if q != 2 * q1:
+                continue
+            tkey = page.target_of(p, q)
+            tcell = page.cells.get(tkey)
+            if tcell is None:
+                continue
+            tpos = _reference_positions(tcell)
+            entries = {}
+            for col, (fi, token, mult) in enumerate(cell.basis):
+                if fi != small:
+                    raise MalformedCell(
+                        f"cell ({p}, {q}) has a basis label on flat {fi}, "
+                        f"not on the small diagonal {small}")
+                image = pushforward(delta, factor.monomial_class(token))
+                for pf in pair_flats:
+                    coef = coeffs[pf][mult]
+                    if not coef:
+                        continue
+                    for exp, val in image.coeffs.items():
+                        row = tpos[(pf, exp, 0)]
+                        s = entries.get((row, col), Fraction(0)) + coef * val
+                        if s:
+                            entries[(row, col)] = s
+                        else:
+                            entries.pop((row, col), None)
+            diff[(p, q)] = RationalMatrix(tcell.dim, cell.dim, entries)
+    return diff

@@ -3,6 +3,7 @@ import copy
 import io
 import json
 import os
+import random
 import tempfile
 from pathlib import Path
 
@@ -10,13 +11,15 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+import arrange.cli as cli
 import arrange.spectral as spectral
 from arrange.cli import (EXIT_INFEASIBLE, EXIT_INPUT, EXIT_MISMATCH, EXIT_OK,
                          SchemaError, build_model, execute, main, parse,
                          render_machine)
 from arrange.polys import IntPoly
 from arrange.poset import IntersectionPoset
-from helpers import run_child
+from helpers import (coordinate_forms, criterion_10_hyperplane_forms,
+                     random_generic_projective_forms, run_child)
 
 BOOLEAN_P2 = {
     "schema_version": 1,
@@ -107,6 +110,47 @@ def test_execute_configuration_f_p1_3(tmp_path, monkeypatch):
     report, code = execute(parse(CONFIG_P1_3))
     assert code == EXIT_OK
     assert report["betti"] == [1, 0, 0, 1]
+
+
+def hyperplane_document(forms):
+    return {"schema_version": 1,
+            "model": {"kind": "hyperplane", "mode": "projective",
+                      "forms": [{"covector": list(cov)} for cov, _ in forms]},
+            "options": {"cache": False}}
+
+
+def failed_verdicts(report):
+    return [v["check"] for v in report["verdicts"] if not v["ok"]]
+
+
+PURE_FORMS = criterion_10_hyperplane_forms() + [
+    coordinate_forms(6), coordinate_forms(8),
+    random_generic_projective_forms(random.Random(10), 10, 3),
+    random_generic_projective_forms(random.Random(12), 12, 3)]
+
+
+@pytest.mark.parametrize("forms", PURE_FORMS, ids=[
+    "coordinate_P1", "coordinate_P2", "coordinate_P3", "coordinate_P4",
+    "generic_4_P3", "generic_5_P3", "generic_6_P3", "coordinate_P6",
+    "coordinate_P8", "generic_10_P3", "generic_12_P3"])
+def test_weight_purity_holds_on_hyperplane_models(forms):
+    report, code = execute(parse(hyperplane_document(forms)))
+    assert code == EXIT_OK
+    assert {"check": "weight_purity", "ok": True} in report["verdicts"]
+
+
+def test_zero_differential_fails_weight_purity(monkeypatch):
+    monkeypatch.setattr(cli, "build_differential_ncd", lambda model, page: {})
+    report, code = execute(parse(hyperplane_document(coordinate_forms(2))))
+    assert code == EXIT_MISMATCH
+    assert "weight_purity" in failed_verdicts(report)
+
+
+def test_weight_purity_is_for_hyperplane_models_only(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    report, code = execute(parse(CONFIG_P1_3))
+    assert code == EXIT_OK
+    assert "weight_purity" not in {v["check"] for v in report["verdicts"]}
 
 
 def test_execute_abstract_is_bounds_only(tmp_path, monkeypatch):

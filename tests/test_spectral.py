@@ -15,11 +15,15 @@ from arrange.spectral import (ExplicitModeUnavailable, HomologyMismatch,
                               Infeasible, MalformedCell, MissingStratumData,
                               NotComposable, SpectralPage, WeightViolation,
                               WeightedCell, assemble_e2,
-                              build_differential_config, feasibility, run,
+                              build_differential_config,
+                              build_differential_ncd, feasibility, run,
                               skew_row_homology)
 from arrange.stalks import decompose
 from helpers import (child_env, coordinate_forms, criterion_10_models,
-                     enumerate_feasibility, explicit_page, run_explicit)
+                     enumerate_feasibility, explicit_page,
+                     random_generic_projective_forms,
+                     reference_differential_config,
+                     reference_differential_ncd, run_explicit)
 
 BOOLEAN_P2 = [([1, 0, 0], 0), ([0, 1, 0], 0), ([0, 0, 1], 0)]
 TWO_POINTS_P1 = [([1, 0], 0), ([0, 1], 0)]
@@ -538,3 +542,61 @@ def test_labels_disagreeing_with_ranks_raise(monkeypatch):
                         lambda self, p, q: real(self, p, q) + 1)
     with pytest.raises(HomologyMismatch, match=r"cell \(\d+, \d+\)"):
         run(page)
+
+
+def builders(model):
+    """The block builder and its reference oracle for one model."""
+    if model.kind == "hyperplane":
+        return build_differential_ncd, reference_differential_ncd
+    return build_differential_config, reference_differential_config
+
+
+ORACLE_MODELS = {
+    "coordinate_P6": lambda: hyperplane_model(coordinate_forms(6),
+                                              mode="projective"),
+    "generic_12_planes_P3": lambda: hyperplane_model(
+        random_generic_projective_forms(random.Random(12), 12, 3),
+        mode="projective"),
+    "F_P2_3": lambda: configuration_model(ProjProduct((2,)), 3),
+    "F_P1xP1_3": lambda: configuration_model(ProjProduct((1, 1)), 3),
+}
+
+
+def assert_blocks_match_reference(model):
+    page = assemble(model)
+    build, reference = builders(model)
+    blocks, expected = build(model, page), reference(model, page)
+    assert blocks.keys() == expected.keys()
+    for key, block in expected.items():
+        assert blocks[key] == block, key
+
+
+def test_blocks_match_reference_on_criterion_10_models():
+    for model in criterion_10_models():
+        assert_blocks_match_reference(model)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_MODELS))
+def test_blocks_match_reference(name):
+    assert_blocks_match_reference(ORACLE_MODELS[name]())
+
+
+@pytest.mark.parametrize("model, calls", [
+    (hyperplane_model(coordinate_forms(6), mode="projective"), 21),
+    (hyperplane_model(coordinate_forms(8), mode="projective"), 36),
+    (configuration_model(ProjProduct((1,)), 3), 14)],
+    ids=["coordinate_P6", "coordinate_P8", "F_P1_3"])
+def test_one_pushforward_per_map_and_monomial(model, calls, monkeypatch):
+    page = assemble(model)
+    inputs = []
+
+    def counting(f, a):
+        inputs.append((f.source, f.target, tuple(map(repr, f.generator_images)),
+                       tuple(a.coeffs)))
+        return real(f, a)
+
+    real = spectral.pushforward
+    monkeypatch.setattr(spectral, "pushforward", counting)
+    builders(model)[0](model, page)
+    assert len(set(inputs)) == len(inputs) == calls
+
