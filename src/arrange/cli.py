@@ -8,8 +8,9 @@ reproduce the same second page.
 
 Exit codes: 0 ok, 2 verification mismatch or a feasibility search left
 undecided at its split budget (``spectral.FEASIBILITY_BUDGET``),
-3 infeasible target, 4 input error, including a configuration model whose
-estimated flat count Bell(points) exceeds ``MAX_FLATS``.
+3 infeasible target, 4 input error, including a model whose estimated flat
+count (Bell(points), or the number of subsets of at most codim-many forms)
+exceeds ``MAX_FLATS``.
 """
 
 from __future__ import annotations
@@ -20,9 +21,11 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 from .errors import ArrangeError, NotAdmissible
+from .linalg import RationalMatrix, echelon
 from .models import (abstract_model, check_mon, configuration_model,
                      hyperplane_model, os_oracle)
 from .polys import IntPoly
@@ -43,8 +46,8 @@ EXIT_MISMATCH = 2
 EXIT_INFEASIBLE = 3
 EXIT_INPUT = 4
 
-# Largest flat count a configuration job may ask for, estimated as
-# Bell(points) before any build: 9 points give 21,147 flats, 10 give 115,975.
+# Largest flat count a job may ask for, estimated before any build: 9 points
+# give Bell(9) = 21,147 flats, 10 give 115,975.
 MAX_FLATS = 100_000
 
 
@@ -105,6 +108,24 @@ def _check_partition_size(points):
                       f"{estimate} flats, over the limit of {MAX_FLATS:,}")
 
 
+def _check_hyperplane_size(raw, mode):
+    """Refuse a hyperplane model that may have more than MAX_FLATS flats:
+    a flat of codimension k is cut out by k forms with independent covectors,
+    so with r the covector rank (at most the dimension of P^n in projective
+    mode) there are at most sum_{k <= r} C(m, k)."""
+    covs = [cov for cov, _ in _parse_forms(raw)]
+    if len({len(cov) for cov in covs}) > 1:
+        return  # the model build names the ragged form
+    r = echelon(RationalMatrix.from_rows(covs)).rank
+    m, r = len(covs), min(r, len(covs[0]) - 1) if mode == "projective" else r
+    flats = sum(comb(m, k) for k in range(r + 1))
+    if flats > MAX_FLATS:
+        raise SchemaError(
+            f"hyperplane model with {m} forms and codimension up to {r} has "
+            f"up to sum_(k<={r}) C({m}, k) = {flats:,} flats, over the limit "
+            f"of {MAX_FLATS:,}")
+
+
 def parse(document: dict, command: str = "run", overrides: dict | None = None) -> JobSpec:
     """Validate a job document and fill defaults."""
     if not isinstance(document, dict):
@@ -127,6 +148,7 @@ def parse(document: dict, command: str = "run", overrides: dict | None = None) -
         ambient = model.get("ambient")
         _require(ambient is None or _int_at_least(ambient, 0),
                  f"model.ambient must be an integer >= 0, got {ambient!r}")
+        _check_hyperplane_size(model["forms"], model.get("mode", "projective"))
     elif kind == "configuration":
         factor = model.get("factor")
         _require(_ints_at_least(factor, 0) and factor,

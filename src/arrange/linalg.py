@@ -2,15 +2,17 @@
 
 Ranks and homology dimensions are discrete invariants: a single rounded
 pivot would corrupt every Betti number downstream, so nothing here is
-approximate.  Matrix entries are exact Fractions, stored sparsely (no zero
-entries).  Elimination runs on integers: ``echelon`` clears each row of its
-denominators, then combines rows fraction-free and keeps each one primitive
-(divided by the gcd of its entries).  That one elimination gives the rank,
-the pivot columns and the kernel basis of a matrix.
+approximate.  Matrix entries are exact, ``int`` or ``Fraction``, stored
+sparsely (no zero entries).  The one elimination runs on integers:
+``echelon`` clears each row of its denominators, then combines rows
+fraction-free and keeps each one primitive (divided by the gcd of its
+entries); ``reduce_row`` reduces one such row against an echelon basis.
+That gives the rank, the pivot columns and the kernel basis of a matrix.
 
-``rref`` is the canonical Fraction form of a row space.  The poset layer
-calls it once per member, to find repeated members, and once per flat, to
-write the flat's key; its closure runs on integer rows with ``eliminate``.
+``rref`` is a view of ``echelon``: the canonical Fraction form of a row
+space.  The poset layer calls it once per member, to find repeated members,
+and once per flat, to write the flat's key; its closure runs on integer
+rows with ``reduce_row``.
 """
 
 from __future__ import annotations
@@ -29,10 +31,6 @@ class CompositionNonzero(ArrangeError):
     pass
 
 
-def _frac(x):
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 class RationalMatrix:
     """Sparse matrix over Q; only nonzero entries are stored."""
 
@@ -48,24 +46,19 @@ class RationalMatrix:
             for (i, j), v in entries.items():
                 if not (0 <= i < rows and 0 <= j < cols):
                     raise ShapeMismatch(f"index ({i},{j}) outside {rows}x{cols}")
-                v = _frac(v)
+                if not isinstance(v, (int, Fraction)):
+                    v = Fraction(v)
                 if v:
                     self.entries[(i, j)] = v
 
     @classmethod
     def from_rows(cls, data):
         data = [list(row) for row in data]
-        rows = len(data)
-        cols = len(data[0]) if rows else 0
-        entries = {}
-        for i, row in enumerate(data):
-            if len(row) != cols:
-                raise ShapeMismatch("ragged rows")
-            for j, v in enumerate(row):
-                v = _frac(v)
-                if v:
-                    entries[(i, j)] = v
-        return cls(rows, cols, entries)
+        cols = len(data[0]) if data else 0
+        if any(len(row) != cols for row in data):
+            raise ShapeMismatch("ragged rows")
+        return cls(len(data), cols, {(i, j): v for i, row in enumerate(data)
+                                     for j, v in enumerate(row) if v})
 
     @classmethod
     def zeros(cls, rows, cols):
@@ -73,7 +66,7 @@ class RationalMatrix:
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, {(i, i): Fraction(1) for i in range(n)})
+        return cls(n, n, {(i, i): 1 for i in range(n)})
 
     def get(self, i, j):
         return self.entries.get((i, j), Fraction(0))
@@ -107,7 +100,7 @@ class RationalMatrix:
         for (i, k), a in self.entries.items():
             for j, b in by_row.get(k, ()):
                 key = (i, j)
-                s = out.get(key, Fraction(0)) + a * b
+                s = out.get(key, 0) + a * b
                 if s:
                     out[key] = s
                 else:
@@ -194,6 +187,17 @@ def eliminate(row, pivot_row, col):
     return _primitive(out)
 
 
+def reduce_row(row, basis):
+    """``row`` (a primitive integer row, dict column -> int) with every
+    pivot column of the echelon ``basis`` ({pivot column: primitive row,
+    zero left of its pivot}) cleared, lowest pivot first; empty iff ``row``
+    is in the span of ``basis``."""
+    while pivots := row.keys() & basis.keys():
+        c = min(pivots)
+        row = eliminate(row, basis[c], c)
+    return row
+
+
 class Echelon:
     """Row echelon form of a matrix, kept in primitive integer rows.
 
@@ -203,35 +207,52 @@ class Echelon:
     column f, with 1 at f and 0 at the other free columns.
     """
 
-    __slots__ = ("cols", "rows", "_kernel")
+    __slots__ = ("cols", "rows", "_kernel", "_reduced")
 
     def __init__(self, cols, rows):
         self.cols = cols
         self.rows = rows
-        self._kernel = None
+        self._kernel = self._reduced = None
 
     @property
     def rank(self):
         return len(self.rows)
 
+    def _fully_reduced(self):
+        """The rows with every pivot column cleared above each pivot."""
+        full = {}
+        for c in sorted(self.rows, reverse=True):
+            full[c] = reduce_row(self.rows[c], full)
+        return full
+
+    def reduced(self):
+        """(rows, pivot columns) of the reduced row echelon form, made on
+        first use: each fully reduced row divided by its pivot, as a dense
+        tuple of Fractions."""
+        if self._reduced is None:
+            full = self._fully_reduced()
+            pivots = tuple(sorted(full))
+            rows = []
+            for c in pivots:
+                dense = [Fraction(0)] * self.cols
+                for j, v in full[c].items():
+                    dense[j] = Fraction(v, full[c][c])
+                rows.append(tuple(dense))
+            self._reduced = tuple(rows), pivots
+        return self._reduced
+
     def _kernel_terms(self):
         """(free column, [(pivot column, entry at the free column, pivot
-        entry)]) in increasing column order, from the reduced form, which is
-        made on first use by clearing every pivot column above each pivot."""
+        entry)]) in increasing column order, from the fully reduced rows."""
         if self._kernel is None:
-            red = {}
-            for c in sorted(self.rows, reverse=True):
-                row = self.rows[c]
-                for j in [j for j in row if j != c and j in red]:
-                    row = eliminate(row, red[j], j)
-                red[c] = row
+            full = self._fully_reduced()
             terms = {}
-            for c, row in red.items():
+            for c, row in full.items():
                 for j, v in row.items():
                     if j != c:
                         terms.setdefault(j, []).append((c, v, row[c]))
             self._kernel = [(f, terms.get(f, [])) for f in range(self.cols)
-                             if f not in red]
+                             if f not in full]
         return self._kernel
 
     def kernel_vectors(self):
@@ -316,34 +337,10 @@ def homology_dim(d_in: RationalMatrix, d_out: RationalMatrix) -> int:
 
 
 def rref(rows):
-    """Reduced row echelon form with unit pivots.
+    """Reduced row echelon form with unit pivots, read off ``echelon``.
 
-    Returns (rows, pivot_columns) with zero rows dropped.  The output is the
-    canonical representative of the row space, which is what the poset layer
-    writes as a flat's key.
+    Returns (rows, pivot_columns) with zero rows dropped, every entry a
+    Fraction.  The output is the canonical representative of the row space,
+    which is what the poset layer writes as a flat's key.
     """
-    mat = [[_frac(x) for x in row] for row in rows]
-    ncols = len(mat[0]) if mat else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        sel = None
-        for i in range(r, len(mat)):
-            if mat[i][c]:
-                sel = i
-                break
-        if sel is None:
-            continue
-        mat[r], mat[sel] = mat[sel], mat[r]
-        pv = mat[r][c]
-        mat[r] = [x / pv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return tuple(tuple(row) for row in mat[:r]), tuple(pivots)
-
+    return echelon(RationalMatrix.from_rows(rows)).reduced()

@@ -14,9 +14,11 @@ known flat with each member and deduplicate on the member mask, the set of
 members containing the result.  A linear flat is the intersection of the
 members that contain it, so that mask is its identity.  Each flat keeps an
 echelon basis of primitive integer rows, so rank, consistency and member
-containment are fraction-free eliminations; the canonical reduced row
-echelon form is computed once per flat, at the end, as its key.  This
-visits only actual flats instead of all 2^s index subsets.
+containment are reductions with ``linalg.reduce_row``; the canonical
+reduced row echelon form (``linalg.rref``, read off the same integer
+elimination) is computed once per member and once per flat, at the end,
+as its key.  This visits only actual flats instead of all 2^s index
+subsets.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import ArrangeError
-from .linalg import RationalMatrix, eliminate, primitive_rows, rref
+from .linalg import RationalMatrix, primitive_rows, reduce_row, rref
 
 
 class DuplicateMember(ArrangeError):
@@ -70,27 +72,6 @@ class AdmissibilityReport:
     ok: bool
     violations: list
     note: str = ""
-
-
-def _reduce(row, basis):
-    """``row`` with every pivot column of the echelon ``basis`` ({pivot
-    column: primitive integer row, zero left of its pivot}) cleared, in
-    increasing column order; zero (empty) iff ``row`` is in its span."""
-    for c in sorted(basis):
-        if c in row:
-            row = eliminate(row, basis[c], c)
-    return row
-
-
-def _echelon(rows, basis):
-    """Echelon rows spanning ``rows`` modulo ``basis``: each row reduced
-    against ``basis`` and the rows kept before it."""
-    out = {}
-    for row in rows:
-        row = _reduce(_reduce(row, basis), out)
-        if row:
-            out[min(row)] = row
-    return out
 
 
 def _bits(mask):
@@ -183,12 +164,16 @@ class IntersectionPoset:
             new_frontier = []
             for x in frontier:
                 basis, mask_x = bases[x], masks[x]
-                # each member's rows reduced against x's basis are zero on
-                # its pivots, so m2 contains x meet m iff m2's reduced rows
-                # reduce to zero against m's alone
-                quotient = {m: _echelon(rows, basis)
-                            for m, rows in enumerate(member_rows)
-                            if not mask_x >> m & 1}
+                # each member's rows modulo x's basis, as echelon rows
+                # zero on its pivots, so m2 contains x meet m iff m2's
+                # reduced rows reduce to zero against m's alone
+                quotient = {}
+                for m in range(nmembers):
+                    if not mask_x >> m & 1:
+                        ech = quotient[m] = {}
+                        for row in member_rows[m]:
+                            if row := reduce_row(reduce_row(row, basis), ech):
+                                ech[min(row)] = row
                 children = []
                 for m, ech in quotient.items():
                     if any(mask >> m & 1 and rank == len(ech)
@@ -201,7 +186,7 @@ class IntersectionPoset:
                     mask = mask_x | 1 << m
                     for m2, ech2 in quotient.items():
                         if (m2 != m and len(ech2) <= len(ech) and not any(
-                                _reduce(row, ech) for row in ech2.values())):
+                                reduce_row(row, ech) for row in ech2.values())):
                             mask |= 1 << m2
                     children.append((mask, len(ech)))
                     if mask not in index_of:
@@ -322,11 +307,6 @@ class IntersectionPoset:
                 if acc != down[i]:
                     down[i] = acc
                     changed = True
-        for i in range(n):
-            for j in _bits(down[i]):
-                if j != i and flats[j].codim >= flats[i].codim:
-                    raise ArrangeError(
-                        f"order violates grading: {flats[j].display} <= {flats[i].display}")
         member_data = []
         for f in flats:
             if f.codim == codim_c:
@@ -372,19 +352,28 @@ class IntersectionPoset:
         return mob
 
     def _validate(self):
+        """Check that the order is a graded partial order with the bottom
+        below every flat; each failure names the flats involved."""
         n = len(self.flats)
         for i, f in enumerate(self.flats):
             if f.index != i:
                 raise ArrangeError("flat indices out of order")
             if not self.down[i] >> i & 1:
-                raise ArrangeError("order not reflexive")
+                raise ArrangeError(f"order not reflexive at {f.display}")
             if not self.down[i] & (1 << self.bottom):
-                raise ArrangeError("bottom not below all flats")
+                raise ArrangeError(f"bottom {self.flats[self.bottom].display} "
+                                   f"not below {f.display}")
             for j in _bits(self.down[i]):
                 if j != i and self.flats[j].codim >= f.codim:
-                    raise ArrangeError("order not graded by codimension")
-                if self.down[j] & ~self.down[i]:
-                    raise ArrangeError("order not transitive")
+                    g = self.flats[j]
+                    raise ArrangeError(
+                        f"order not graded by codimension: {g.display} "
+                        f"(codim {g.codim}) <= {f.display} (codim {f.codim})")
+                if missing := self.down[j] & ~self.down[i]:
+                    g, k = self.flats[j], self.flats[next(_bits(missing))]
+                    raise ArrangeError(
+                        f"order not transitive: {k.display} <= {g.display} "
+                        f"<= {f.display} but not {k.display} <= {f.display}")
         keys = {f.key for f in self.flats}
         if len(keys) != n:
             raise ArrangeError("duplicate canonical keys")

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from .errors import ArrangeError, NotRankOne
 # homology_dim is no longer called here; it stays in this namespace for
 # callers that wrap it (benchmark/tracer.py counts its calls)
-from .linalg import (RationalMatrix, echelon, eliminate,  # noqa: F401
-                     homology_dim, primitive_rows, product_is_zero)
+from .linalg import (RationalMatrix, echelon, homology_dim,  # noqa: F401
+                     primitive_rows, product_is_zero, reduce_row)
 from .polys import IntPoly
 from .poset import _bits
 from .projective import ProjProduct, power_inclusion, pushforward
@@ -389,31 +389,21 @@ def _homology_labels(cell, image, kernel):
 
     ``image`` spans the image of the incoming block and ``kernel`` is the
     kernel basis of the outgoing one, both as integer vectors.  They are
-    inserted in that order into an echelon basis, each reduced in
-    increasing pivot order until its first nonzero coordinate is new; a
-    kernel vector that adds a coordinate contributes the label there.  The
-    first nonzero coordinates of an echelon basis depend only on its span,
-    so the labels depend only on the spans of the vectors inserted.
+    inserted in that order into an echelon basis, each reduced against it
+    with ``reduce_row``; a kernel vector that adds a first nonzero
+    coordinate contributes the label there.  The first nonzero coordinates
+    of an echelon basis depend only on its span, so the labels depend only
+    on the spans of the vectors inserted.
     """
     lead = {}
-
-    def insert(vec):
-        while vec:
-            i = min(vec)
-            pivot = lead.get(i)
-            if pivot is None:
-                lead[i] = vec
-                return i
-            vec = eliminate(vec, pivot, i)
-        return None
-
     for vec in image:
-        insert(vec)
+        if vec := reduce_row(vec, lead):
+            lead[min(vec)] = vec
     labels = []
     for vec in kernel:
-        pr = insert(vec)
-        if pr is not None:
-            labels.append(cell.basis[pr])
+        if vec := reduce_row(vec, lead):
+            lead[min(vec)] = vec
+            labels.append(cell.basis[min(vec)])
     return tuple(labels)
 
 

@@ -9,7 +9,7 @@ from itertools import combinations
 from pathlib import Path
 
 import arrange
-from arrange.linalg import RationalMatrix, rref
+from arrange.linalg import RationalMatrix
 from arrange.poset import (DuplicateMember, EmptyInput, Flat,
                            IntersectionPoset, InvalidForm, _bits)
 from arrange.projective import power_inclusion, pushforward
@@ -41,6 +41,39 @@ def minor_rank(rows):
                 if det(list(rs), list(cs)):
                     return size
     return 0
+
+
+def reference_rref(rows):
+    """Reduced row echelon form with unit pivots, by Fraction Gauss-Jordan.
+
+    Returns (rows, pivot_columns) with zero rows dropped.  The oracle for
+    ``linalg.rref``, which reads the same form off the integer ``echelon``.
+    """
+    mat = [[x if isinstance(x, Fraction) else Fraction(x) for x in row]
+           for row in rows]
+    ncols = len(mat[0]) if mat else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        sel = None
+        for i in range(r, len(mat)):
+            if mat[i][c]:
+                sel = i
+                break
+        if sel is None:
+            continue
+        mat[r], mat[sel] = mat[sel], mat[r]
+        pv = mat[r][c]
+        mat[r] = [x / pv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return tuple(tuple(row) for row in mat[:r]), tuple(pivots)
 
 
 def reduce_against(row, reduced_rows):
@@ -80,7 +113,7 @@ def reference_linear_poset(systems, ambient_dim, mode="affine", codim_c=None):
             if mode in ("central", "projective") and Fraction(const):
                 raise InvalidForm(f"{mode} mode requires zero constants")
             aug.append(tuple(cov) + (Fraction(const),))
-        reduced, pivots = rref(aug)
+        reduced, pivots = reference_rref(aug)
         if pivots and pivots[-1] == ncoords:
             raise InvalidForm("member system is inconsistent")
         member_rrefs.append(reduced)
@@ -104,7 +137,7 @@ def reference_linear_poset(systems, ambient_dim, mode="affine", codim_c=None):
         new_frontier = []
         for key in frontier:
             for mrows in member_rrefs:
-                reduced, pivots = rref(list(key) + list(mrows))
+                reduced, pivots = reference_rref(list(key) + list(mrows))
                 if pivots and pivots[-1] == ncoords:
                     continue  # inconsistent: empty intersection
                 if len(reduced) > max_codim:
@@ -160,7 +193,7 @@ def brute_force_linear_flats(forms, ncoords):
     keys = {}
     for r in range(len(forms) + 1):
         for subset in combinations(range(len(forms)), r):
-            reduced, pivots = rref([member_rows[i] for i in subset])
+            reduced, pivots = reference_rref([member_rows[i] for i in subset])
             if pivots and pivots[-1] == ncoords:
                 continue  # inconsistent
             keys.setdefault(reduced, set()).update(subset)
@@ -242,7 +275,7 @@ def is_generic(forms, ncoords):
     rows = [tuple(Fraction(x) for x in cov) for cov, _ in forms]
     for r in range(2, min(len(rows), ncoords) + 1):
         for subset in combinations(range(len(rows)), r):
-            reduced, _ = rref([rows[i] for i in subset])
+            reduced, _ = reference_rref([rows[i] for i in subset])
             if len(reduced) != r:
                 return False
     return True

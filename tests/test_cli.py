@@ -387,6 +387,37 @@ def test_configuration_size_guard_refuses_before_the_build(tmp_path,
     assert parse(doc).model["points"] == 9
 
 
+def test_hyperplane_size_guard_refuses_before_the_build(tmp_path,
+                                                        monkeypatch, capsys):
+    def no_build(*args, **kwargs):
+        raise AssertionError("linear poset built")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(IntersectionPoset, "from_linear_systems", no_build)
+    doc = hyperplane_document(coordinate_forms(20))
+    assert main(["verify", write_job(tmp_path, doc)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "sum_(k<=20) C(21, k) = 2,097,151 flats" in err
+    assert "Traceback" not in err
+
+
+def braid_document(n):
+    doc = hyperplane_document(
+        [([int(k == i) - int(k == j) for k in range(n)], 0)
+         for i in range(n) for j in range(i + 1, n)])
+    doc["model"]["mode"] = "central"
+    return doc
+
+
+def test_hyperplane_size_guard_passes_the_benchmark_sizes():
+    # flat bounds 2,047, 4,944, 82,160 and 299, all under MAX_FLATS: the
+    # braid forms have rank n - 1, one less than their length
+    generic = random_generic_projective_forms(random.Random(7), 12, 3)
+    for doc in (hyperplane_document(coordinate_forms(10)), braid_document(6),
+                braid_document(7), hyperplane_document(generic)):
+        assert parse(doc).model is doc["model"]
+
+
 def test_main_full_run(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     path = write_job(tmp_path, BOOLEAN_P2)
@@ -467,18 +498,32 @@ def test_console_entry_point(tmp_path):
     assert "1 + t^3" in proc.stdout
 
 
+def run_tracer(tmp_path, doc):
+    tracer = Path(__file__).resolve().parent.parent / "benchmark" / "tracer.py"
+    spans = tmp_path / "spans.json"
+    proc = run_child(tmp_path, str(tracer), str(spans), "verify",
+                     write_job(tmp_path, doc), "--format", "machine",
+                     "--no-cache")
+    assert proc.returncode == 0, proc.stderr
+    trace = json.loads(spans.read_text())
+    return {span[0] for span in trace["spans"]}, trace["counts"]
+
+
 def test_benchmark_tracer_runs(tmp_path):
     # the traced benchmark run rebinds names inside the package; a rename
     # there must fail here, not only in the benchmark
-    tracer = Path(__file__).resolve().parent.parent / "benchmark" / "tracer.py"
-    path = write_job(tmp_path, CONFIG_P1_3)
-    spans = tmp_path / "spans.json"
-    proc = run_child(tmp_path, str(tracer), str(spans), "verify", path,
-                     "--format", "machine", "--no-cache")
-    assert proc.returncode == 0, proc.stderr
-    trace = json.loads(spans.read_text())
-    assert "stalks.tables" in {span[0] for span in trace["spans"]}
-    assert trace["counts"]["stalks.content_key_calls"] > 0
+    names, counts = run_tracer(tmp_path, CONFIG_P1_3)
+    assert "stalks.tables" in names
+    assert counts["stalks.content_key_calls"] > 0
+
+
+def test_benchmark_tracer_names_on_a_linear_job(tmp_path):
+    # a linear job goes through the names the tracer rebinds for the poset
+    # build, rref, the stalks and run
+    names, counts = run_tracer(tmp_path, hyperplane_document(coordinate_forms(3)))
+    assert {"poset.build", "linalg.rref", "stalks.tables",
+            "spectral.run"} <= names
+    assert counts["poset.rref_calls"] > 0
 
 
 @pytest.mark.parametrize("field, base, edit", [

@@ -6,7 +6,7 @@ import pytest
 from arrange.linalg import (CompositionNonzero, RationalMatrix, ShapeMismatch,
                             echelon, homology_dim, kernel_dim,
                             product_is_zero, rank, rref)
-from helpers import minor_rank, reduce_against
+from helpers import minor_rank, reduce_against, reference_rref
 
 
 def test_rank_identity():
@@ -155,6 +155,36 @@ def test_rref_is_canonical():
     assert a == b
 
 
+def test_rref_equals_reference_gauss_jordan():
+    # rref is read off the integer echelon; the Fraction Gauss-Jordan
+    # reference must give the same rows and pivots, down to the repr
+    rng = random.Random(53)
+
+    def entry(density):
+        if rng.random() >= density:
+            return 0
+        v = rng.randint(-4, 4)
+        if rng.random() < 0.4:
+            return Fraction(v, rng.randint(1, 5))
+        return v
+
+    cases = [[], [[0, 0, 0]], [[0], [0]], [[3]], [[0], [Fraction(-2, 3)], [5]],
+             [[1, 2, 3], [1, 2, 3], [2, 4, 6]]]
+    for _ in range(2400):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 7)
+        density = rng.random()
+        rows = [[entry(density) for _ in range(ncols)] for _ in range(nrows)]
+        if rng.random() < 0.25:
+            rows.append(list(rng.choice(rows)))        # a repeated row
+        if rng.random() < 0.15:
+            rows.insert(rng.randrange(len(rows) + 1), [0] * ncols)
+        cases.append(rows)
+    assert sum(len(rows) and len(rows[0]) == 1 for rows in cases) > 50
+    for rows in cases:
+        got, expected = rref(rows), reference_rref(rows)
+        assert got == expected and repr(got) == repr(expected), rows
+
+
 def test_reduce_against_membership():
     reduced, _ = rref([[1, 0, 2], [0, 1, 3]])
     assert not any(reduce_against([2, 1, 7], reduced))
@@ -217,7 +247,7 @@ def test_echelon_rank_against_minor_oracle_dense_rationals():
 
 def _rref_kernel(m):
     """The kernel basis that the reduced row echelon form gives."""
-    reduced, pivots = rref(m.to_dense()) if m.rows else ((), ())
+    reduced, pivots = reference_rref(m.to_dense()) if m.rows else ((), ())
     basis = []
     for f in (c for c in range(m.cols) if c not in pivots):
         vec = [Fraction(0)] * m.cols

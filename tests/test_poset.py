@@ -415,3 +415,24 @@ def test_abstract_build_and_order_closure():
     assert p.le(a, d)  # closure of A <= T <= D
     assert p.mu(t) == 1
     assert sorted(p.members_of(t)) == ["A", "B"]
+
+
+def test_abstract_grading_violation_names_both_flats():
+    with pytest.raises(ArrangeError,
+                       match=r"graded by codimension: A \(codim 1\) <= "
+                             r"B \(codim 1\)"):
+        IntersectionPoset.from_abstract([("A", 1), ("B", 1)], [("A", "B")],
+                                        codim_c=1)
+
+
+def test_from_dict_non_transitive_order_names_the_flats():
+    p = IntersectionPoset.from_abstract(
+        [("A", 1), ("B", 1), ("T", 2), ("D", 3)],
+        [("A", "T"), ("B", "T"), ("T", "D")], codim_c=1)
+    a, d = (next(f.index for f in p.flats if f.display == nm)
+            for nm in ("A", "D"))
+    data = p.to_dict()
+    data["down"][d] = str(int(data["down"][d]) & ~(1 << a))
+    with pytest.raises(ArrangeError,
+                       match="not transitive: A <= T <= D but not A <= D"):
+        IntersectionPoset.from_dict(data)

@@ -7,7 +7,7 @@ import pytest
 
 import arrange.linalg as linalg
 import arrange.spectral as spectral
-from arrange.linalg import RationalMatrix, rref
+from arrange.linalg import RationalMatrix
 from arrange.models import configuration_model, hyperplane_model, os_oracle
 from arrange.polys import IntPoly
 from arrange.projective import ProjProduct
@@ -23,7 +23,8 @@ from helpers import (child_env, coordinate_forms, criterion_10_models,
                      enumerate_feasibility, explicit_page,
                      random_generic_projective_forms,
                      reference_differential_config,
-                     reference_differential_ncd, run_explicit)
+                     reference_differential_ncd, reference_rref,
+                     run_explicit)
 
 BOOLEAN_P2 = [([1, 0, 0], 0), ([0, 1, 0], 0), ([0, 0, 1], 0)]
 TWO_POINTS_P1 = [([1, 0], 0), ([0, 1], 0)]
@@ -425,7 +426,7 @@ def test_each_nonzero_block_factorised_once(model, monkeypatch):
 def reference_labels(cell, d_in, d_out):
     """Homology labels by Fraction echelon insertion, the rule run keeps:
     reduce in increasing pivot order, take the first nonzero coordinate."""
-    reduced, pivots = rref(d_out.to_dense()) if d_out.rows else ((), ())
+    reduced, pivots = reference_rref(d_out.to_dense()) if d_out.rows else ((), ())
     kernel = []
     for f in (c for c in range(cell.dim) if c not in pivots):
         vec = [Fraction(0)] * cell.dim
