@@ -6,6 +6,11 @@ timestamps) so identical inputs produce byte-identical output, and every
 machine report embeds an abstract-model block that can be re-ingested to
 reproduce the same second page.
 
+A verdict compares values made by independent code: stalks with the
+constant-sheaf split, a configuration page's Euler characteristic with
+``models.euler_oracle``, and c = 1 hyperplane Betti numbers and weights with
+the Orlik-Solomon count and purity.
+
 Exit codes: 0 ok, 2 verification mismatch or a feasibility search left
 undecided at its split budget (``spectral.FEASIBILITY_BUDGET``),
 3 infeasible target, 4 input error, including a model whose estimated flat
@@ -27,15 +32,16 @@ from pathlib import Path
 from .errors import ArrangeError, NotAdmissible
 from .linalg import RationalMatrix, echelon
 from .models import (abstract_model, check_mon, configuration_model,
-                     hyperplane_model, os_oracle)
+                     euler_oracle, hyperplane_model, os_oracle)
 from .polys import IntPoly
 from .poset import IntersectionPoset
 from .projective import ProjProduct
-from .spectral import (Infeasible, assemble_e2, build_differential_config,
-                       build_differential_ncd, feasibility, run,
-                       skew_row_homology)
-# verify_pointwise runs inside decompose; it stays in this namespace for
-# callers that wrap it (benchmark/tracer.py)
+# skew_row_homology is not called here and verify_pointwise runs inside
+# decompose; both stay in this namespace for callers that wrap them
+# (benchmark/tracer.py)
+from .spectral import (Infeasible, assemble_e2,  # noqa: F401
+                       build_differential_config, build_differential_ncd,
+                       feasibility, run, skew_row_homology)
 from .stalks import (InconsistentDecomposition, StalkTable,  # noqa: F401
                      decompose, stalk_tables, verify_pointwise)
 
@@ -449,6 +455,11 @@ def execute(job: JobSpec) -> tuple:
     page = assemble_e2(dec, model.strata(), model.ambient, model.c,
                        bottom=poset.bottom)
     report["e2"] = _page_section(page)
+    if model.kind == "configuration":
+        # chi(F(X, n)) from the Fadell-Neuwirth fibration, read from the
+        # factor and the point count alone
+        verdict("euler_oracle",
+                page.euler() == euler_oracle(model.factor, model.n))
 
     mode = job.mode
     if mode is None:
@@ -484,21 +495,6 @@ def execute(job: JobSpec) -> tuple:
             match = res.betti == oracle_poly
             report["oracle"]["match"] = match
             verdict("oracle_agreement", match)
-        if model.c == 1:
-            entries = []
-            ok = True
-            maxq = max((q for (_, q) in page.cells), default=0)
-            maxk = max((p + q for (p, q) in page.cells), default=0)
-            for k in range(maxk + 1):
-                for ell in range(maxq + 1):
-                    h = skew_row_homology(page, k, ell)
-                    agree = h == res.weights.get(k, k + ell)
-                    ok = ok and agree
-                    if h or not agree:
-                        entries.append({"k": k, "l": ell, "dim": h,
-                                        "agrees": agree})
-            report["skew_rows"] = {"ok": ok, "entries": entries}
-            verdict("skew_row_weights", ok)
         if model.kind == "hyperplane":
             # H^k of a hyperplane complement is pure of weight 2k
             # (Brieskorn 1973; Deligne, Theorie de Hodge II, 1971)
@@ -638,9 +634,6 @@ def render_human(report: dict) -> str:
         rows = [(w["k"], w["w"], w["dim"]) for w in report["weight_table"]]
         out.append("weight-graded pieces:")
         out.extend("  " + ln for ln in _table(rows, ["k", "weight", "dim"]))
-    if "skew_rows" in report:
-        out.append(f"skew-row homology vs weight table: "
-                   f"{'ok' if report['skew_rows']['ok'] else 'MISMATCH'}")
     if "feasibility" in report:
         fz = report["feasibility"]
         if fz.get("feasible") is False:

@@ -107,12 +107,6 @@ class RationalMatrix:
                     out.pop(key, None)
         return RationalMatrix(self.rows, other.cols, out)
 
-    def to_dense(self):
-        dense = [[Fraction(0)] * self.cols for _ in range(self.rows)]
-        for (i, j), v in self.entries.items():
-            dense[i][j] = v
-        return dense
-
     def rank(self):
         return echelon(self).rank
 

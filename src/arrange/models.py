@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import prod
 
 from .errors import ArrangeError, NotAdmissible, NotRankOne
 from .polys import IntPoly
@@ -215,6 +216,18 @@ def os_oracle(poset: IntersectionPoset) -> IntPoly:
                                            abs(sum(poset.mobius)))
         return cone.div_exact(IntPoly([1, 1]))
     raise ArrangeError(f"no oracle for mode {poset.mode!r}")
+
+
+def euler_oracle(factor: ProjProduct, n) -> int:
+    """chi(F(X, n)) = prod_{i<n} (chi(X) - i) for X = factor, with
+    chi(P^{d_1} x ... x P^{d_r}) = prod (d_i + 1).
+
+    The Fadell-Neuwirth fibration F(X, n) -> F(X, n - 1) has fibre X minus
+    n - 1 points (Fadell-Neuwirth 1962; Totaro, Topology 35, 1996).  It
+    reads neither the poset nor the stalks.
+    """
+    chi = prod(d + 1 for d in factor.factor_dims)
+    return prod(chi - i for i in range(n))
 
 
 def _mobius_poly(poset):

@@ -4,10 +4,15 @@ A flat is an irreducible stratum cut out by members of the arrangement.
 Flats are ordered by reverse inclusion of supports: the ambient space is
 the unique bottom element and deeper strata sit higher.  The poset carries
 member incidence, the Mobius function, and the surgery operations
-(deletion, restriction, localization) that drive every stalk computation
-downstream.  Surgery works on local arrangements ``(flats, atoms)``: a
-bitmask of the poset's own flat indices and the members' atoms, so a flat
-keeps one index through the whole stalk recursion.
+(deletion, restriction) that drive every stalk computation downstream.
+Surgery works on local arrangements ``(flats, atoms)``: a bitmask of the
+poset's own flat indices and the members' atoms, so a flat keeps one index
+through the whole stalk recursion.
+
+An order is validated where it enters: ``from_abstract`` and ``from_dict``
+run ``_validate``.  A build needs no check: a linear build orders flats by
+containment of member masks, graded since a flat is the intersection of the
+members in its mask; a partition lattice by inclusion of pair sets.
 
 Linear builds enumerate flats by breadth-first closure: intersect each
 known flat with each member and deduplicate on the member mask, the set of
@@ -85,8 +90,7 @@ def _bits(mask):
 class IntersectionPoset:
     """Flats of an arrangement ordered by reverse inclusion of supports."""
 
-    def __init__(self, ambient_dim, codim_c, mode, flats, down, member_data,
-                 check=True):
+    def __init__(self, ambient_dim, codim_c, mode, flats, down, member_data):
         self.ambient_dim = ambient_dim
         self.codim_c = codim_c
         self.mode = mode
@@ -100,8 +104,6 @@ class IntersectionPoset:
                              for (label, display, atom) in member_data)
         self._member_mask = self._compute_member_masks()
         self.mobius = self._compute_mobius()
-        if check:
-            self._validate()
 
     # ----- construction ---------------------------------------------------
 
@@ -319,7 +321,9 @@ class IntersectionPoset:
             if not any(down[f.index] >> atom & 1 for _, _, atom in member_data):
                 raise ArrangeError(
                     f"flat {f.display} lies on no member of codim {codim_c}")
-        return cls(ambient_dim, codim_c, "abstract", flats, down, member_data)
+        poset = cls(ambient_dim, codim_c, "abstract", flats, down, member_data)
+        poset._validate()
+        return poset
 
     # ----- invariants ------------------------------------------------------
 
@@ -353,7 +357,9 @@ class IntersectionPoset:
 
     def _validate(self):
         """Check that the order is a graded partial order with the bottom
-        below every flat; each failure names the flats involved."""
+        below every flat; each failure names the flats involved.  Only
+        ``from_abstract`` and ``from_dict`` call it: their orders come from
+        a document or a cache file."""
         n = len(self.flats)
         for i, f in enumerate(self.flats):
             if f.index != i:
@@ -395,10 +401,6 @@ class IntersectionPoset:
     def member_mask(self, i):
         return self._member_mask[i]
 
-    def members_of(self, i):
-        """Labels of the members whose subvariety contains flat i."""
-        return frozenset(self.members[m].label for m in _bits(self._member_mask[i]))
-
     def mu(self, i):
         return self.mobius[i]
 
@@ -416,9 +418,6 @@ class IntersectionPoset:
 
     def proper_flats(self):
         return [f for f in self.flats if f.index != self.bottom]
-
-    def by_codim(self, k):
-        return [f for f in self.flats if f.codim == k]
 
     def content_key(self, flats, atoms):
         """Memo key of ``(flats, atoms)``: the flat mask and the atom mask."""
@@ -481,7 +480,7 @@ class IntersectionPoset:
                        + (remap[a],) for a in atoms]
         return IntersectionPoset(
             self.ambient_dim - shift, self.codim_c, self.mode,
-            sub_flats, down, member_data, check=False)
+            sub_flats, down, member_data)
 
     def _whole(self, member_pos):
         """Every flat and member, and ``member_pos`` once checked."""
@@ -489,10 +488,6 @@ class IntersectionPoset:
             raise ArrangeError(f"no member at position {member_pos}")
         return ((1 << len(self.flats)) - 1,
                 tuple(m.atom for m in self.members), member_pos)
-
-    def localize(self, x):
-        """Sub-poset of the local arrangement at a generic point of x."""
-        return self._sub_poset(*self.local_arrangement(x))
 
     def deletion(self, member_pos):
         """Poset of the arrangement with one member removed."""
@@ -513,7 +508,7 @@ class IntersectionPoset:
         member_data = [(m.label, m.display, m.atom) for m in self.members]
         return IntersectionPoset(
             self.ambient_dim * factor, self.codim_c * factor, self.mode,
-            flats, self.down, member_data, check=False)
+            flats, self.down, member_data)
 
     # ----- serialization ----------------------------------------------------
 
@@ -540,8 +535,10 @@ class IntersectionPoset:
                        for md in data["members"]]
         if any(not 0 <= atom < len(flats) for *_, atom in member_data):
             raise ArrangeError("stored member atom is out of range")
-        return cls(data["ambient_dim"], data["codim_c"], data["mode"],
-                   flats, down, member_data)
+        poset = cls(data["ambient_dim"], data["codim_c"], data["mode"],
+                    flats, down, member_data)
+        poset._validate()
+        return poset
 
     def __repr__(self):
         return (f"IntersectionPoset({self.mode}, dim={self.ambient_dim}, "

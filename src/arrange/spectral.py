@@ -57,7 +57,7 @@ class MalformedCell(ArrangeError):
 
 
 class HomologyMismatch(ArrangeError):
-    """Homology labels or the Euler characteristic disagree with the ranks."""
+    """A cell's homology labels disagree in number with its ranks."""
 
 
 @dataclass(frozen=True)
@@ -376,6 +376,10 @@ def build_differential_config(model, page) -> dict:
             raise MalformedCell(
                 f"cell {cell} has a basis label on flat {fi}, "
                 f"not on the small diagonal {small}")
+        if mult >= len(_TRIPLE_MULT[0]):
+            raise MalformedCell(
+                f"cell {cell} has copy {mult} of the small diagonal {small}; "
+                f"three points give it {len(_TRIPLE_MULT[0])}")
         image = push(None, lambda: delta, token)
         return [((pf, exp, 0), coefs[mult] * val)
                 for pf, coefs in zip(pair_flats, _TRIPLE_MULT)
@@ -431,10 +435,6 @@ def run(page: SpectralPage) -> RunResult:
                     f"homology of dimension {h}")
             einf_cells[(p, q)] = WeightedCell(p, q, h, cell.weight, labels)
     einfty = SpectralPage(c, 2 * c + 1, einf_cells)
-    if einfty.euler() != page.euler():
-        raise HomologyMismatch(
-            f"Euler characteristic drifted from {page.euler()} on the second "
-            f"page to {einfty.euler()} on the limit page")
     maxk = max((p + q for (p, q) in einf_cells), default=0)
     betti = IntPoly([sum(cell.dim for (p, q), cell in einf_cells.items()
                          if p + q == k) for k in range(maxk + 1)])
@@ -449,9 +449,9 @@ def skew_row_homology(page: SpectralPage, k: int, ell: int) -> int:
     differential whose position-j term sits at (k + ell - 2j, j).
 
     For hypersurface models this is the weight-(k + ell) graded piece of
-    H^k of the complement; it must agree with the weight table of ``run``.
-    The position-``ell`` cell is (k - ell, ell), and its homology is read
-    from the same block factorisations that ``run`` uses.
+    H^k of the complement.  The position-``ell`` cell is (k - ell, ell),
+    and its homology is read from the same block factorisations that
+    ``run`` uses, so it is the entry ``run`` files under (k, k + ell).
     """
     if page.c != 1:
         raise NotRankOne("skew rows as displayed require c = 1")

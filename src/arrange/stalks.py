@@ -74,9 +74,6 @@ class SheafDecomposition:
     pointwise: PointwiseReport | None = field(default=None, compare=False,
                                               repr=False)
 
-    def at_degree(self, k):
-        return [s for s in self.summands if s.degree == k]
-
 
 @dataclass
 class PointwiseReport:

@@ -17,6 +17,14 @@ from arrange.spectral import (ExplicitModeUnavailable, FeasibilityResult,
                               Infeasible, MalformedCell, NoGeometry)
 
 
+def dense(matrix):
+    """The rows of a ``RationalMatrix`` as lists of Fractions."""
+    rows = [[Fraction(0)] * matrix.cols for _ in range(matrix.rows)]
+    for (i, j), v in matrix.entries.items():
+        rows[i][j] = Fraction(v)
+    return rows
+
+
 def minor_rank(rows):
     """Rank as the largest nonvanishing minor, by determinant expansion.
 

@@ -146,6 +146,81 @@ def test_zero_differential_fails_weight_purity(monkeypatch):
     assert "weight_purity" in failed_verdicts(report)
 
 
+@pytest.mark.parametrize("forms", criterion_10_hyperplane_forms(),
+                         ids=["coordinate_P1", "coordinate_P2",
+                              "coordinate_P3", "coordinate_P4",
+                              "generic_4_P3", "generic_5_P3", "generic_6_P3"])
+def test_explicit_report_has_no_skew_rows(forms):
+    # the skew-row homology is the weight table by construction, so it is
+    # neither a report section nor a verdict
+    report, code = execute(parse(hyperplane_document(forms)))
+    assert code == EXIT_OK and report["mode"] == "explicit"
+    assert "skew_rows" not in report
+    assert "skew_row_weights" not in {v["check"] for v in report["verdicts"]}
+
+
+F_P1_4 = {"schema_version": 1,
+          "model": {"kind": "configuration", "factor": [1], "points": 4}}
+
+
+@pytest.mark.parametrize("doc, mode", [
+    (CONFIG_P1_3, "explicit"), (CONFIG_P1_3, "bounds"),
+    (F_P1_4, "feasibility"), (F_P1_4, "bounds")])
+def test_euler_oracle_verdict_in_every_mode(tmp_path, monkeypatch, doc, mode):
+    monkeypatch.chdir(tmp_path)
+    report, code = execute(parse(doc, command="verify",
+                                 overrides={"mode": mode, "cache": False}))
+    assert code == EXIT_OK
+    assert {"check": "euler_oracle", "ok": True} in report["verdicts"]
+
+
+def test_euler_oracle_is_for_configuration_models_only():
+    report, code = execute(parse(hyperplane_document(coordinate_forms(2))))
+    assert code == EXIT_OK
+    assert "euler_oracle" not in {v["check"] for v in report["verdicts"]}
+
+
+def tamper_top_stalk(monkeypatch):
+    """Make ``cli.stalk_tables`` add 1 to the top stalk dimension of the
+    deepest flat.  The pointwise check reads its multiplicities from the
+    same tables, so it still passes."""
+    real = cli.stalk_tables
+
+    def tampered(model):
+        tables = real(model)
+        deepest = max(model.poset.flats, key=lambda f: f.codim).index
+        dims = tables[deepest].dims
+        dims[max(dims)] += 1
+        return tables
+
+    monkeypatch.setattr(cli, "stalk_tables", tampered)
+
+
+def test_euler_oracle_alone_fails_on_a_tampered_stalk(tmp_path, monkeypatch,
+                                                      capsys):
+    monkeypatch.chdir(tmp_path)
+    tamper_top_stalk(monkeypatch)
+    code = main(["verify", write_job(tmp_path, F_P1_4), "--mode", "bounds",
+                 "--format", "machine", "--no-cache"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == EXIT_MISMATCH
+    assert failed_verdicts(report) == ["euler_oracle"]
+    assert report["e2"]["euler"] == -2      # chi(F(P^1, 4)) = 0
+
+
+def test_extra_small_diagonal_copy_is_a_named_error(tmp_path, monkeypatch,
+                                                    capsys):
+    # the tampered F(P^1, 3) table gives the small diagonal three copies;
+    # the three-point differential has coefficients for two
+    monkeypatch.chdir(tmp_path)
+    tamper_top_stalk(monkeypatch)
+    code = main(["verify", write_job(tmp_path, CONFIG_P1_3), "--no-cache"])
+    err = capsys.readouterr().err
+    assert code == EXIT_INPUT
+    assert err.startswith("error: cell (0, 2) has copy 2 of the small "
+                          "diagonal")
+
+
 def test_weight_purity_is_for_hyperplane_models_only(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     report, code = execute(parse(CONFIG_P1_3))
@@ -509,21 +584,25 @@ def run_tracer(tmp_path, doc):
     return {span[0] for span in trace["spans"]}, trace["counts"]
 
 
-def test_benchmark_tracer_runs(tmp_path):
-    # the traced benchmark run rebinds names inside the package; a rename
-    # there must fail here, not only in the benchmark
-    names, counts = run_tracer(tmp_path, CONFIG_P1_3)
-    assert "stalks.tables" in names
-    assert counts["stalks.content_key_calls"] > 0
-
-
-def test_benchmark_tracer_names_on_a_linear_job(tmp_path):
-    # a linear job goes through the names the tracer rebinds for the poset
-    # build, rref, the stalks and run
-    names, counts = run_tracer(tmp_path, hyperplane_document(coordinate_forms(3)))
-    assert {"poset.build", "linalg.rref", "stalks.tables",
-            "spectral.run"} <= names
-    assert counts["poset.rref_calls"] > 0
+@pytest.mark.parametrize("doc, spans, counter", [
+    (CONFIG_P1_3, {"stalks.tables", "spectral.differential", "spectral.run"},
+     "stalks.content_key_calls"),
+    (hyperplane_document(coordinate_forms(3)),
+     {"poset.build", "linalg.rref", "stalks.tables", "spectral.run"},
+     "poset.rref_calls"),
+    (hyperplane_document(random_generic_projective_forms(
+        random.Random(4), 5, 2)),
+     {"poset.build", "spectral.differential", "projective.pushforward",
+      "spectral.run", "models.oracle"}, "poset.flats"),
+], ids=["configuration", "linear", "explicit_hyperplane"])
+def test_benchmark_tracer_runs(tmp_path, doc, spans, counter):
+    # the traced benchmark run rebinds names inside the package, among them
+    # cli.skew_row_homology, which no stage calls; a rename there must fail
+    # here, not only in the benchmark
+    names, counts = run_tracer(tmp_path, doc)
+    assert spans <= names
+    assert "spectral.skew_rows" not in names
+    assert counts[counter] > 0
 
 
 @pytest.mark.parametrize("field, base, edit", [

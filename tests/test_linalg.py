@@ -6,7 +6,7 @@ import pytest
 from arrange.linalg import (CompositionNonzero, RationalMatrix, ShapeMismatch,
                             echelon, homology_dim, kernel_dim,
                             product_is_zero, rank, rref)
-from helpers import minor_rank, reduce_against, reference_rref
+from helpers import dense, minor_rank, reduce_against, reference_rref
 
 
 def test_rank_identity():
@@ -93,7 +93,7 @@ def test_rank_against_minor_oracle():
         rows = rng.randint(1, 4)
         cols = rng.randint(1, 4)
         m = _random_matrix(rng, rows, cols)
-        assert m.rank() == minor_rank(m.to_dense())
+        assert m.rank() == minor_rank(dense(m))
 
 
 def test_kernel_plus_rank_is_cols():
@@ -202,23 +202,23 @@ def _block_diagonal(rng, blocks, extra_rows, extra_cols):
     """Small random blocks (non-integer entries) on the diagonal of a larger
     matrix, padded with zero rows and columns and shuffled; returns the
     matrix and the blocks."""
-    dense = [_random_matrix(rng, r, c).to_dense() for r, c in blocks]
-    nrows = sum(len(b) for b in dense) + extra_rows
-    ncols = sum(len(b[0]) for b in dense) + extra_cols
+    parts = [dense(_random_matrix(rng, r, c)) for r, c in blocks]
+    nrows = sum(len(b) for b in parts) + extra_rows
+    ncols = sum(len(b[0]) for b in parts) + extra_cols
     row_perm = list(range(nrows))
     col_perm = list(range(ncols))
     rng.shuffle(row_perm)
     rng.shuffle(col_perm)
     entries = {}
     r0 = c0 = 0
-    for b in dense:
+    for b in parts:
         for i, row in enumerate(b):
             for j, v in enumerate(row):
                 if v:
                     entries[(row_perm[r0 + i], col_perm[c0 + j])] = v
         r0 += len(b)
         c0 += len(b[0])
-    return RationalMatrix(nrows, ncols, entries), dense
+    return RationalMatrix(nrows, ncols, entries), parts
 
 
 def test_echelon_rank_against_minor_oracle_beyond_dense_limit():
@@ -228,11 +228,11 @@ def test_echelon_rank_against_minor_oracle_beyond_dense_limit():
     for _ in range(6):
         blocks = [(rng.randint(1, 4), rng.randint(1, 4))
                   for _ in range(rng.randint(30, 40))]
-        m, dense = _block_diagonal(rng, blocks, rng.randint(0, 5),
+        m, parts = _block_diagonal(rng, blocks, rng.randint(0, 5),
                                    rng.randint(0, 5))
         assert max(m.rows, m.cols) > 64
         assert any(v.denominator > 1 for v in m.entries.values())
-        expected = sum(minor_rank(b) for b in dense)
+        expected = sum(minor_rank(b) for b in parts)
         assert echelon(m).rank == m.rank() == expected
         assert m.transpose().rank() == expected
 
@@ -242,12 +242,12 @@ def test_echelon_rank_against_minor_oracle_dense_rationals():
     for _ in range(60):
         m = _random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5),
                            density=rng.random())
-        assert echelon(m).rank == minor_rank(m.to_dense())
+        assert echelon(m).rank == minor_rank(dense(m))
 
 
 def _rref_kernel(m):
     """The kernel basis that the reduced row echelon form gives."""
-    reduced, pivots = reference_rref(m.to_dense()) if m.rows else ((), ())
+    reduced, pivots = reference_rref(dense(m)) if m.rows else ((), ())
     basis = []
     for f in (c for c in range(m.cols) if c not in pivots):
         vec = [Fraction(0)] * m.cols

@@ -5,7 +5,8 @@ import pytest
 
 from arrange.errors import NotAdmissible, NotRankOne
 from arrange.models import (MissingBetti, abstract_model, check_mon,
-                            configuration_model, hyperplane_model, os_oracle)
+                            configuration_model, euler_oracle,
+                            hyperplane_model, os_oracle)
 from arrange.polys import IntPoly
 from arrange.poset import IntersectionPoset
 from arrange.projective import ProjProduct
@@ -28,7 +29,7 @@ def test_coordinate_model_is_ncd():
         # strata of codim k: binomial(n+1, k) copies of P^(n-k)
         from math import comb
         for k in range(1, n + 1):
-            flats = m.poset.by_codim(k)
+            flats = [f for f in m.poset.flats if f.codim == k]
             assert len(flats) == comb(n + 1, k)
             for f in flats:
                 assert m.geometry[f.index][0] == ProjProduct((n - k,))
@@ -149,6 +150,23 @@ def test_end_to_end_oracle_equality_random_generic():
         assert m.explicit
         _, res = run_explicit(m)
         assert res.betti == os_oracle(m.poset)
+
+
+@pytest.mark.parametrize("dims, n, chi", [
+    ((2,), 3, 6), ((1, 1), 3, 24), ((1, 1), 4, 24), ((2,), 4, 0),
+    ((3,), 3, 24), ((1,), 4, 0)])
+def test_euler_oracle_values(dims, n, chi):
+    # chi(F(X, n)) = prod_{i<n} (chi(X) - i), chi(P^a x P^b) = (a+1)(b+1)
+    assert euler_oracle(ProjProduct(dims), n) == chi
+
+
+def test_euler_oracle_matches_the_page():
+    for dims, n in [((1,), 2), ((1,), 3), ((1,), 4), ((1,), 5), ((2,), 3),
+                    ((2,), 4), ((1, 1), 3), ((1, 1), 4)]:
+        m = configuration_model(ProjProduct(dims), n)
+        page = assemble_e2(decompose(m), m.strata(), m.ambient, m.c,
+                           bottom=m.poset.bottom)
+        assert page.euler() == euler_oracle(m.factor, n), (dims, n)
 
 
 def test_check_mon_two_transverse():

@@ -19,7 +19,7 @@ from arrange.spectral import (ExplicitModeUnavailable, HomologyMismatch,
                               build_differential_ncd, feasibility, run,
                               skew_row_homology)
 from arrange.stalks import decompose
-from helpers import (child_env, coordinate_forms, criterion_10_models,
+from helpers import (child_env, coordinate_forms, criterion_10_models, dense,
                      enumerate_feasibility, explicit_page,
                      random_generic_projective_forms,
                      reference_differential_config,
@@ -426,7 +426,7 @@ def test_each_nonzero_block_factorised_once(model, monkeypatch):
 def reference_labels(cell, d_in, d_out):
     """Homology labels by Fraction echelon insertion, the rule run keeps:
     reduce in increasing pivot order, take the first nonzero coordinate."""
-    reduced, pivots = reference_rref(d_out.to_dense()) if d_out.rows else ((), ())
+    reduced, pivots = reference_rref(dense(d_out)) if d_out.rows else ((), ())
     kernel = []
     for f in (c for c in range(cell.dim) if c not in pivots):
         vec = [Fraction(0)] * cell.dim

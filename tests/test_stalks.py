@@ -95,8 +95,8 @@ def test_pointwise_examples():
     # triple point in degree 2: recursion gives 2, decomposition multiplicity 2
     top = deepest(m)
     assert stalk_dims(m, top).dims[2] == 2
-    assert sum(s.multiplicity for s in dec.at_degree(2)
-               if m.poset.le(s.support, top)) == 2
+    assert sum(s.multiplicity for s in dec.summands
+               if s.degree == 2 and m.poset.le(s.support, top)) == 2
 
 
 def test_pointwise_generic_double_point():
