@@ -458,8 +458,14 @@ def execute(job: JobSpec) -> tuple:
     if model.kind == "configuration":
         # chi(F(X, n)) from the Fadell-Neuwirth fibration, read from the
         # factor and the point count alone
-        verdict("euler_oracle",
-                page.euler() == euler_oracle(model.factor, model.n))
+        expected, euler = euler_oracle(model.factor, model.n), page.euler()
+        if not verdict("euler_oracle", euler == expected):
+            verdicts[-1].update(expected=expected, page=euler)
+    # a failed verdict ends the run here, with its report, before a
+    # differential is built on a page that failed a check
+    if any(not v["ok"] for v in verdicts):
+        report["verdicts"] = verdicts
+        return report, EXIT_MISMATCH
 
     mode = job.mode
     if mode is None:
@@ -666,6 +672,10 @@ def render_human(report: dict) -> str:
     if "verdicts" in report:
         bad = [v["check"] for v in report["verdicts"] if not v["ok"]]
         out.append("verdicts: " + ("all ok" if not bad else f"FAILED {bad}"))
+        for v in report["verdicts"]:
+            if "expected" in v:
+                out.append(f"  {v['check']}: expected {v['expected']}, "
+                           f"page {v['page']}")
     return "\n".join(out) + "\n"
 
 

@@ -137,7 +137,7 @@ def configuration_model(factor: ProjProduct, n: int, poset=None) -> ArrangementM
                               or len(poset.members) != n * (n - 1) // 2):
         poset = None
     if poset is None:
-        poset = IntersectionPoset.partition_lattice(n).scale_codims(c)
+        poset = IntersectionPoset.partition_lattice(n, c)
     ambient = ProjProduct(factor.factor_dims * n)
     geometry = {}
     for f in poset.flats:

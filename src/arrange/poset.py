@@ -10,9 +10,10 @@ poset's own flat indices and the members' atoms, so a flat keeps one index
 through the whole stalk recursion.
 
 An order is validated where it enters: ``from_abstract`` and ``from_dict``
-run ``_validate``.  A build needs no check: a linear build orders flats by
-containment of member masks, graded since a flat is the intersection of the
-members in its mask; a partition lattice by inclusion of pair sets.
+run ``_validate``.  A build needs no check: a linear build and a partition
+lattice both order flats by containment of member masks
+(``_containment_order``), graded since a flat is the intersection of the
+members in its mask; a partition's members are the pairs it merges.
 
 Linear builds enumerate flats by breadth-first closure: intersect each
 known flat with each member and deduplicate on the member mask, the set of
@@ -205,21 +206,6 @@ class IntersectionPoset:
             flats.append(Flat(idx, len(key), ("lin", key),
                               f"F{idx}" if key else "ambient"))
 
-        # the order is containment of member masks: j <= i unless a member
-        # outside i's mask passes through j
-        on = [0] * nmembers
-        for i, mask in enumerate(masks):
-            for m in _bits(mask):
-                on[m] |= 1 << i
-        everything = (1 << len(masks)) - 1
-        all_members = (1 << nmembers) - 1
-        down = []
-        for mask in masks:
-            off = 0
-            for m in _bits(all_members & ~mask):
-                off |= on[m]
-            down.append(everything & ~off)
-
         member_data = []
         for m in range(nmembers):
             atom = index_of.get(1 << m)
@@ -227,45 +213,39 @@ class IntersectionPoset:
                 raise DuplicateMember("nested or repeated members")
             member_data.append((m, f"Z{m + 1}", atom))
 
-        return cls(ambient_dim, codim_c, mode, flats, down, member_data)
+        return cls(ambient_dim, codim_c, mode, flats,
+                   _containment_order(masks, nmembers), member_data)
 
     @classmethod
-    def partition_lattice(cls, n):
+    def partition_lattice(cls, n, codim_c=1):
         """Lattice of set partitions of {1..n}; bottom is the discrete partition.
 
-        Codimension is stored in block-deficiency units (n - #blocks); a
-        geometric model scales it by the codimension of its diagonal.
+        Each merged pair i < j is a member, in lexicographic order, and a
+        partition's member mask holds the pairs it merges.  A flat of
+        ``n - #blocks`` merges has codimension ``codim_c`` times that, in an
+        ambient space of dimension ``n * codim_c``.
         """
         if n < 2:
             raise EmptyInput("partition lattice needs n >= 2")
+        if codim_c < 1:
+            raise ArrangeError("diagonal codimension must be >= 1")
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        pair_bit = {pair: 1 << m for m, pair in enumerate(pairs)}
         partitions = _set_partitions(n)
         partitions.sort(key=lambda p: (n - len(p), p))
         flats = []
-        pair_sets = []
+        masks = []
         for idx, blocks in enumerate(partitions):
-            codim = n - len(blocks)
             display = "|".join("".join(str(x) for x in b) for b in blocks)
-            flats.append(Flat(idx, codim, ("part", blocks), display))
-            pairs = set()
-            for b in blocks:
-                for i in range(len(b)):
-                    for j in range(i + 1, len(b)):
-                        pairs.add((b[i], b[j]))
-            pair_sets.append(frozenset(pairs))
-        down = []
-        for i in range(len(partitions)):
-            mask = 0
-            for j in range(len(partitions)):
-                if pair_sets[j] <= pair_sets[i]:
-                    mask |= 1 << j
-            down.append(mask)
-        atoms = {}
-        for idx in range(len(partitions)):
-            if len(pair_sets[idx]) == 1:
-                atoms[next(iter(pair_sets[idx]))] = idx
-        member_data = [(("pair", i, j), f"D{i}{j}", atoms[(i, j)])
-                       for (i, j) in sorted(atoms)]
-        return cls(n, 1, "partition", flats, down, member_data)
+            flats.append(Flat(idx, codim_c * (n - len(blocks)),
+                              ("part", blocks), display))
+            masks.append(sum(pair_bit[i, j] for b in blocks
+                             for k, i in enumerate(b) for j in b[k + 1:]))
+        index_of = {mask: idx for idx, mask in enumerate(masks)}
+        member_data = [(("pair", i, j), f"D{i}{j}", index_of[1 << m])
+                       for m, (i, j) in enumerate(pairs)]
+        return cls(n * codim_c, codim_c, "partition", flats,
+                   _containment_order(masks, len(pairs)), member_data)
 
     @classmethod
     def from_abstract(cls, flat_specs, order_pairs, codim_c, ambient_dim=None):
@@ -499,17 +479,6 @@ class IntersectionPoset:
         """Arrangement traced on one member, codimensions measured inside."""
         return self._sub_poset(*self.restrict_to_member(*self._whole(member_pos)))
 
-    def scale_codims(self, factor):
-        """Multiply every codimension by a constant (diagonal models)."""
-        if factor < 1:
-            raise ArrangeError("scale factor must be >= 1")
-        flats = [Flat(f.index, f.codim * factor, f.key, f.display)
-                 for f in self.flats]
-        member_data = [(m.label, m.display, m.atom) for m in self.members]
-        return IntersectionPoset(
-            self.ambient_dim * factor, self.codim_c * factor, self.mode,
-            flats, self.down, member_data)
-
     # ----- serialization ----------------------------------------------------
 
     def to_dict(self):
@@ -544,6 +513,24 @@ class IntersectionPoset:
         return (f"IntersectionPoset({self.mode}, dim={self.ambient_dim}, "
                 f"c={self.codim_c}, flats={len(self.flats)}, "
                 f"members={len(self.members)})")
+
+
+def _containment_order(masks, nmembers):
+    """down[i] for flats given by member masks: j <= i unless a member
+    outside i's mask passes through j."""
+    on = [0] * nmembers
+    for i, mask in enumerate(masks):
+        for m in _bits(mask):
+            on[m] |= 1 << i
+    everything = (1 << len(masks)) - 1
+    all_members = (1 << nmembers) - 1
+    down = []
+    for mask in masks:
+        off = 0
+        for m in _bits(all_members & ~mask):
+            off |= on[m]
+        down.append(everything & ~off)
+    return down
 
 
 def _set_partitions(n):

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ArrangeError
-from .polys import IntPoly
 
 
 class SpaceMismatch(ArrangeError):
@@ -75,12 +74,6 @@ class ProjProduct:
 
     def betti_list(self):
         return tuple(self.betti(p) for p in range(2 * self.dim + 1))
-
-    def betti_poly(self):
-        poly = IntPoly.one()
-        for n in self.factor_dims:
-            poly = poly * IntPoly([1 if k % 2 == 0 else 0 for k in range(2 * n + 1)])
-        return poly
 
     def top(self):
         return tuple(self.factor_dims)

@@ -188,6 +188,47 @@ def reference_linear_poset(systems, ambient_dim, mode="affine", codim_c=None):
     return IntersectionPoset(ambient_dim, codim_c, mode, flats, down, member_data)
 
 
+def reference_partition_lattice(n, codim_c=1):
+    """Oracle for ``IntersectionPoset.partition_lattice``: the pair-set
+    build that the member-mask build replaced, kept apart from it.
+
+    Partitions come from restricted growth strings, flat j lies below flat
+    i when j's set of merged pairs is a subset of i's, every codimension is
+    ``codim_c`` times the number of merges, and the members are the
+    partitions that merge one pair, by that pair.
+    """
+    partitions = []
+
+    def grow(word):
+        if len(word) == n:
+            blocks = {}
+            for x, b in enumerate(word, 1):
+                blocks.setdefault(b, []).append(x)
+            partitions.append(tuple(sorted(tuple(b) for b in blocks.values())))
+            return
+        for b in range(max(word, default=-1) + 2):
+            grow(word + [b])
+
+    grow([])
+    partitions.sort(key=lambda p: (n - len(p), p))
+    flats = []
+    pair_sets = []
+    for idx, blocks in enumerate(partitions):
+        display = "|".join("".join(str(x) for x in b) for b in blocks)
+        flats.append(Flat(idx, codim_c * (n - len(blocks)),
+                          ("part", blocks), display))
+        pair_sets.append(frozenset(pair for b in blocks
+                                   for pair in combinations(b, 2)))
+    down = [sum(1 << j for j, below in enumerate(pair_sets) if below <= above)
+            for above in pair_sets]
+    atoms = {next(iter(pairs)): idx for idx, pairs in enumerate(pair_sets)
+             if len(pairs) == 1}
+    member_data = [(("pair", i, j), f"D{i}{j}", atoms[i, j])
+                   for (i, j) in sorted(atoms)]
+    return IntersectionPoset(n * codim_c, codim_c, "partition", flats, down,
+                             member_data)
+
+
 def brute_force_linear_flats(forms, ncoords):
     """All flats by exhaustive subset intersection, keyed by canonical rref.
 

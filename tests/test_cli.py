@@ -200,12 +200,21 @@ def test_euler_oracle_alone_fails_on_a_tampered_stalk(tmp_path, monkeypatch,
                                                       capsys):
     monkeypatch.chdir(tmp_path)
     tamper_top_stalk(monkeypatch)
-    code = main(["verify", write_job(tmp_path, F_P1_4), "--mode", "bounds",
-                 "--format", "machine", "--no-cache"])
+    path = write_job(tmp_path, F_P1_4)
+    code = main(["verify", path, "--mode", "bounds", "--format", "machine",
+                 "--no-cache"])
     report = json.loads(capsys.readouterr().out)
     assert code == EXIT_MISMATCH
     assert failed_verdicts(report) == ["euler_oracle"]
     assert report["e2"]["euler"] == -2      # chi(F(P^1, 4)) = 0
+    # the failed verdict says what it compared, in both reports
+    assert {"check": "euler_oracle", "ok": False, "expected": 0,
+            "page": -2} in report["verdicts"]
+    assert main(["verify", path, "--mode", "bounds", "--no-cache"]) \
+        == EXIT_MISMATCH
+    human = capsys.readouterr().out
+    assert "verdicts: FAILED ['euler_oracle']\n" \
+           "  euler_oracle: expected 0, page -2\n" in human
 
 
 def test_extra_small_diagonal_copy_is_a_named_error(tmp_path, monkeypatch,
@@ -214,11 +223,24 @@ def test_extra_small_diagonal_copy_is_a_named_error(tmp_path, monkeypatch,
     # the three-point differential has coefficients for two
     monkeypatch.chdir(tmp_path)
     tamper_top_stalk(monkeypatch)
-    code = main(["verify", write_job(tmp_path, CONFIG_P1_3), "--no-cache"])
-    err = capsys.readouterr().err
-    assert code == EXIT_INPUT
-    assert err.startswith("error: cell (0, 2) has copy 2 of the small "
-                          "diagonal")
+    # through the command line the failed Euler verdict ends the run with
+    # its report before the differential is built
+    code = main(["verify", write_job(tmp_path, CONFIG_P1_3), "--no-cache",
+                 "--format", "machine"])
+    out, err = capsys.readouterr()
+    assert code == EXIT_MISMATCH and "error:" not in err
+    report = json.loads(out)
+    assert failed_verdicts(report) == ["euler_oracle"]
+    assert "e2" in report and "differential_ranks" not in report
+    # built on the tampered page directly, the differential names the cell
+    model = build_model(parse(CONFIG_P1_3))
+    dec = cli.decompose(model, tables=cli.stalk_tables(model))
+    page = spectral.assemble_e2(dec, model.strata(), model.ambient, model.c,
+                       bottom=model.poset.bottom)
+    with pytest.raises(spectral.MalformedCell,
+                       match=r"^cell \(0, 2\) has copy 2 of the small "
+                             r"diagonal"):
+        spectral.build_differential_config(model, page)
 
 
 def test_weight_purity_is_for_hyperplane_models_only(tmp_path, monkeypatch):

@@ -73,6 +73,22 @@ def test_configuration_stratum_dimensions():
             assert inc.target == m.ambient
 
 
+def test_configuration_model_builds_its_poset_once(monkeypatch):
+    # the partition lattice carries the diagonal codimension from the
+    # start, so no second poset is made to scale it
+    calls = []
+    real = IntersectionPoset.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(IntersectionPoset, "__init__", counting)
+    m = configuration_model(ProjProduct((1,)), 4)
+    assert len(calls) == 1
+    assert (m.poset.codim_c, m.poset.ambient_dim) == (1, 4)
+
+
 def test_os_oracle_boolean_central():
     p = IntersectionPoset.from_linear_forms(
         [([1, 0], 0), ([0, 1], 0)], 2, "central")
@@ -92,7 +108,7 @@ def test_os_oracle_coordinate_projective():
 
 
 def test_os_oracle_needs_rank_one():
-    p = IntersectionPoset.partition_lattice(3).scale_codims(2)
+    p = IntersectionPoset.partition_lattice(3, 2)
     with pytest.raises(NotRankOne):
         os_oracle(p)
 

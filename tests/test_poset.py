@@ -9,7 +9,7 @@ from arrange.poset import (DuplicateMember, EmptyInput, EmptyRestriction,
                            IntersectionPoset, InvalidForm, LastMember)
 from helpers import (brute_force_linear_flats, coordinate_forms,
                      random_central_forms, random_linear_systems,
-                     reference_linear_poset)
+                     reference_linear_poset, reference_partition_lattice)
 
 GENERIC3 = [([1, 0], 0), ([0, 1], 0), ([1, 1], 1)]
 CONCURRENT3 = [([1, 0], 0), ([0, 1], 0), ([1, 1], 0)]
@@ -195,6 +195,18 @@ def test_partition_lattice_bell_counts_and_top_mu():
         assert abs(p.mu(top.index)) == fact[n]
 
 
+@pytest.mark.parametrize("codim_c", [1, 2, 3])
+def test_partition_lattice_matches_pair_set_reference(codim_c):
+    # flats, order, members, member masks and mu of the member-mask build
+    # against the pair-set inclusion it replaced
+    for n in range(2, 8):
+        got = IntersectionPoset.partition_lattice(n, codim_c)
+        expected = reference_partition_lattice(n, codim_c)
+        assert got.to_dict() == expected.to_dict(), n
+        assert got._member_mask == expected._member_mask, n
+        assert got.mobius == expected.mobius, n
+
+
 def test_partition_mu_product_formula():
     # independent closed form: mu(bottom, pi) = prod (-1)^(|b|-1) (|b|-1)!
     import math
@@ -338,7 +350,7 @@ def test_admissible_hyperplanes():
 
 
 def test_admissible_partition_scaled():
-    p = IntersectionPoset.partition_lattice(3).scale_codims(2)
+    p = IntersectionPoset.partition_lattice(3, 2)
     assert p.codim_c == 2
     assert p.check_admissible().ok
 
@@ -434,8 +446,8 @@ def test_validate_accepts_every_built_order():
             except ArrangeError:
                 pass
     for n in range(2, 7):
-        lattice = IntersectionPoset.partition_lattice(n)
-        posets += [lattice, lattice.scale_codims(2)]
+        posets += [IntersectionPoset.partition_lattice(n),
+                   IntersectionPoset.partition_lattice(n, 2)]
     assert len(posets) >= 200
     assert {p.mode for p in posets} == {"affine", "central", "projective",
                                          "partition"}
@@ -454,7 +466,7 @@ def test_only_orders_from_outside_are_validated(monkeypatch):
              IntersectionPoset.from_linear_systems(
                  [[([1, 0, 0, 0], 0), ([0, 1, 0, 0], 0)],
                   [([0, 0, 1, 0], 0), ([0, 0, 0, 1], 0)]], 3, "projective"),
-             IntersectionPoset.partition_lattice(4).scale_codims(2)]
+             IntersectionPoset.partition_lattice(4, 2)]
     built += [p.deletion(0) for p in built] + [built[0].restriction(0)]
     with pytest.raises(ArrangeError, match="validated"):
         IntersectionPoset.from_abstract([("A", 1)], [], codim_c=1)
