@@ -13,9 +13,8 @@ the Orlik-Solomon count and purity.
 
 Exit codes: 0 ok, 2 verification mismatch or a feasibility search left
 undecided at its split budget (``spectral.FEASIBILITY_BUDGET``),
-3 infeasible target, 4 input error, including a model whose estimated flat
-count (Bell(points), or the number of subsets of at most codim-many forms)
-exceeds ``MAX_FLATS``.
+3 infeasible target, 4 input error, including a model whose poset build
+made more than ``poset.MAX_FLATS`` flats and stopped there.
 """
 
 from __future__ import annotations
@@ -26,11 +25,9 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 from pathlib import Path
 
 from .errors import ArrangeError, NotAdmissible
-from .linalg import RationalMatrix, echelon
 from .models import (abstract_model, check_mon, configuration_model,
                      euler_oracle, hyperplane_model, os_oracle)
 from .polys import IntPoly
@@ -51,10 +48,6 @@ EXIT_OK = 0
 EXIT_MISMATCH = 2
 EXIT_INFEASIBLE = 3
 EXIT_INPUT = 4
-
-# Largest flat count a job may ask for, estimated before any build: 9 points
-# give Bell(9) = 21,147 flats, 10 give 115,975.
-MAX_FLATS = 100_000
 
 
 class ParseError(ArrangeError):
@@ -89,49 +82,6 @@ def _ints_at_least(x, low):
     return isinstance(x, list) and all(_int_at_least(v, low) for v in x)
 
 
-def _bell(n):
-    """Bell(n), the number of set partitions of n points (Bell triangle)."""
-    row = [1]
-    for _ in range(n - 1):
-        nxt = [row[-1]]
-        for x in row:
-            nxt.append(nxt[-1] + x)
-        row = nxt
-    return row[-1]
-
-
-def _check_partition_size(points):
-    """Refuse a partition lattice of more than MAX_FLATS flats before it is
-    built.  Bell(n) >= 2^(n-1), so past 30 points that bound is shown."""
-    if points > 30:
-        estimate = f"Bell({points}) >= 2^{points - 1}"
-    else:
-        flats = _bell(points)
-        if flats <= MAX_FLATS:
-            return
-        estimate = f"Bell({points}) = {flats:,}"
-    raise SchemaError(f"configuration model with {points} points has "
-                      f"{estimate} flats, over the limit of {MAX_FLATS:,}")
-
-
-def _check_hyperplane_size(raw, mode):
-    """Refuse a hyperplane model that may have more than MAX_FLATS flats:
-    a flat of codimension k is cut out by k forms with independent covectors,
-    so with r the covector rank (at most the dimension of P^n in projective
-    mode) there are at most sum_{k <= r} C(m, k)."""
-    covs = [cov for cov, _ in _parse_forms(raw)]
-    if len({len(cov) for cov in covs}) > 1:
-        return  # the model build names the ragged form
-    r = echelon(RationalMatrix.from_rows(covs)).rank
-    m, r = len(covs), min(r, len(covs[0]) - 1) if mode == "projective" else r
-    flats = sum(comb(m, k) for k in range(r + 1))
-    if flats > MAX_FLATS:
-        raise SchemaError(
-            f"hyperplane model with {m} forms and codimension up to {r} has "
-            f"up to sum_(k<={r}) C({m}, k) = {flats:,} flats, over the limit "
-            f"of {MAX_FLATS:,}")
-
-
 def parse(document: dict, command: str = "run", overrides: dict | None = None) -> JobSpec:
     """Validate a job document and fill defaults."""
     if not isinstance(document, dict):
@@ -149,12 +99,12 @@ def parse(document: dict, command: str = "run", overrides: dict | None = None) -
                  "hyperplane model needs a nonempty 'forms' list")
         _require(model.get("mode", "projective") in ("affine", "central", "projective"),
                  "model.mode must be affine|central|projective")
-        if "c" in model:
-            _require(model["c"] == 1, "hyperplane models have c = 1")
+        c, members = model.get("c", 1), len(model["forms"])
+        _require(type(c) is int and c == 1,
+                 f"model.c must be 1 for hyperplane models, got {c!r}")
         ambient = model.get("ambient")
         _require(ambient is None or _int_at_least(ambient, 0),
                  f"model.ambient must be an integer >= 0, got {ambient!r}")
-        _check_hyperplane_size(model["forms"], model.get("mode", "projective"))
     elif kind == "configuration":
         factor = model.get("factor")
         _require(_ints_at_least(factor, 0) and factor,
@@ -163,13 +113,13 @@ def parse(document: dict, command: str = "run", overrides: dict | None = None) -
         points = model.get("points")
         _require(_int_at_least(points, 2),
                  "configuration model needs integer 'points' >= 2")
-        _check_partition_size(points)
-        if "c" in model:
-            _require(model["c"] == sum(model["factor"]),
-                     "configuration models have c = dim of the factor")
+        c, members = model.get("c", sum(factor)), points * (points - 1) // 2
+        _require(type(c) is int and c == sum(factor),
+                 f"model.c must be {sum(factor)}, the dimension of the "
+                 f"factor, got {c!r}")
     else:
-        _require(_int_at_least(model.get("c"), 1),
-                 "abstract model needs integer 'c' >= 1")
+        c = model.get("c")
+        _require(_int_at_least(c, 1), "abstract model needs integer 'c' >= 1")
         _require(_ints_at_least(model.get("ambient"), 0),
                  f"model.ambient must list Betti numbers >= 0, "
                  f"got {model.get('ambient')!r}")
@@ -192,6 +142,7 @@ def parse(document: dict, command: str = "run", overrides: dict | None = None) -
                      and all(isinstance(k, (str, int)) for k in pair),
                      f"model.poset.order[{i}] must be a pair of flat keys, "
                      f"got {pair!r}")
+        members = sum(fl["codim"] == c for fl in poset["flats"])
 
     options = document.get("options") or {}
     _require(isinstance(options, dict),
@@ -224,6 +175,12 @@ def parse(document: dict, command: str = "run", overrides: dict | None = None) -
     if ls is not None:
         _require(isinstance(ls, dict) and isinstance(ls.get("exponents"), list),
                  "local_system needs an 'exponents' list")
+        # check_mon reads one exponent per member, on c = 1 models only
+        _require(c == 1, f"local_system.exponents needs a model with c = 1, "
+                         f"got c = {c}")
+        _require(len(ls["exponents"]) == members,
+                 f"local_system.exponents has {len(ls['exponents'])} entries "
+                 f"for {members} members")
         try:
             local_system = [Fraction(str(e)) for e in ls["exponents"]]
         except (ValueError, ZeroDivisionError) as exc:

@@ -25,6 +25,11 @@ reduced row echelon form (``linalg.rref``, read off the same integer
 elimination) is computed once per member and once per flat, at the end,
 as its key.  This visits only actual flats instead of all 2^s index
 subsets.
+
+Every build is bounded: the closure and the partition enumeration stop with
+``TooManyFlats`` once they have made more than ``MAX_FLATS`` flats, so a
+model too large to handle costs at most that many flats before it is
+refused.
 """
 
 from __future__ import annotations
@@ -35,6 +40,10 @@ from functools import cached_property
 
 from .errors import ArrangeError
 from .linalg import RationalMatrix, primitive_rows, reduce_row, rref
+
+# Most flats one build may make before it stops with TooManyFlats: 9 points
+# give Bell(9) = 21,147 partitions and build, 10 give 115,975 and do not.
+MAX_FLATS = 100_000
 
 
 class DuplicateMember(ArrangeError):
@@ -55,6 +64,14 @@ class LastMember(ArrangeError):
 
 class EmptyRestriction(ArrangeError):
     pass
+
+
+class TooManyFlats(ArrangeError):
+    """A build made more than ``MAX_FLATS`` flats and stopped."""
+
+    def __init__(self, what):
+        super().__init__(f"{what} has more than {MAX_FLATS:,} flats, the "
+                         f"limit of one build (poset.MAX_FLATS)")
 
 
 @dataclass(frozen=True)
@@ -91,7 +108,8 @@ def _bits(mask):
 class IntersectionPoset:
     """Flats of an arrangement ordered by reverse inclusion of supports."""
 
-    def __init__(self, ambient_dim, codim_c, mode, flats, down, member_data):
+    def __init__(self, ambient_dim, codim_c, mode, flats, down, member_data,
+                 member_masks):
         self.ambient_dim = ambient_dim
         self.codim_c = codim_c
         self.mode = mode
@@ -103,7 +121,7 @@ class IntersectionPoset:
         self.bottom = bottoms[0]
         self.members = tuple(Member(label, display, atom)
                              for (label, display, atom) in member_data)
-        self._member_mask = self._compute_member_masks()
+        self._member_mask = list(member_masks)   # bit m: member m through i
         self.mobius = self._compute_mobius()
 
     # ----- construction ---------------------------------------------------
@@ -197,6 +215,9 @@ class IntersectionPoset:
                         new_frontier.append(len(masks))
                         masks.append(mask)
                         bases.append({**basis, **ech})
+                        if len(masks) > MAX_FLATS:
+                            raise TooManyFlats(f"{mode} linear arrangement "
+                                               f"of {nmembers} members")
             frontier = new_frontier
 
         flats = []
@@ -214,7 +235,7 @@ class IntersectionPoset:
             member_data.append((m, f"Z{m + 1}", atom))
 
         return cls(ambient_dim, codim_c, mode, flats,
-                   _containment_order(masks, nmembers), member_data)
+                   _containment_order(masks, nmembers), member_data, masks)
 
     @classmethod
     def partition_lattice(cls, n, codim_c=1):
@@ -229,9 +250,9 @@ class IntersectionPoset:
             raise EmptyInput("partition lattice needs n >= 2")
         if codim_c < 1:
             raise ArrangeError("diagonal codimension must be >= 1")
+        partitions = _set_partitions(n)
         pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
         pair_bit = {pair: 1 << m for m, pair in enumerate(pairs)}
-        partitions = _set_partitions(n)
         partitions.sort(key=lambda p: (n - len(p), p))
         flats = []
         masks = []
@@ -245,7 +266,7 @@ class IntersectionPoset:
         member_data = [(("pair", i, j), f"D{i}{j}", index_of[1 << m])
                        for m, (i, j) in enumerate(pairs)]
         return cls(n * codim_c, codim_c, "partition", flats,
-                   _containment_order(masks, len(pairs)), member_data)
+                   _containment_order(masks, len(pairs)), member_data, masks)
 
     @classmethod
     def from_abstract(cls, flat_specs, order_pairs, codim_c, ambient_dim=None):
@@ -301,21 +322,12 @@ class IntersectionPoset:
             if not any(down[f.index] >> atom & 1 for _, _, atom in member_data):
                 raise ArrangeError(
                     f"flat {f.display} lies on no member of codim {codim_c}")
-        poset = cls(ambient_dim, codim_c, "abstract", flats, down, member_data)
+        poset = cls(ambient_dim, codim_c, "abstract", flats, down, member_data,
+                    _member_masks(down, member_data))
         poset._validate()
         return poset
 
     # ----- invariants ------------------------------------------------------
-
-    def _compute_member_masks(self):
-        masks = []
-        for f in self.flats:
-            mask = 0
-            for m, mem in enumerate(self.members):
-                if self.down[f.index] >> mem.atom & 1:
-                    mask |= 1 << m
-            masks.append(mask)
-        return masks
 
     @cached_property
     def up(self):
@@ -460,7 +472,7 @@ class IntersectionPoset:
                        + (remap[a],) for a in atoms]
         return IntersectionPoset(
             self.ambient_dim - shift, self.codim_c, self.mode,
-            sub_flats, down, member_data)
+            sub_flats, down, member_data, _member_masks(down, member_data))
 
     def _whole(self, member_pos):
         """Every flat and member, and ``member_pos`` once checked."""
@@ -505,7 +517,7 @@ class IntersectionPoset:
         if any(not 0 <= atom < len(flats) for *_, atom in member_data):
             raise ArrangeError("stored member atom is out of range")
         poset = cls(data["ambient_dim"], data["codim_c"], data["mode"],
-                    flats, down, member_data)
+                    flats, down, member_data, _member_masks(down, member_data))
         poset._validate()
         return poset
 
@@ -533,24 +545,36 @@ def _containment_order(masks, nmembers):
     return down
 
 
+def _member_masks(down, member_data):
+    """Each flat's member mask read off an order: member m passes through
+    flat i when its atom lies below i."""
+    atoms = [atom for *_, atom in member_data]
+    return [sum(1 << m for m, atom in enumerate(atoms) if below >> atom & 1)
+            for below in down]
+
+
 def _set_partitions(n):
-    """All set partitions of {1..n} as sorted tuples of sorted tuples."""
-    out = []
+    """All set partitions of {1..n} as tuples of increasing blocks, ordered
+    by their least points.
 
-    def rec(k, blocks):
-        if k > n:
-            out.append(tuple(sorted(tuple(b) for b in blocks)))
-            return
-        for b in blocks:
-            b.append(k)
-            rec(k + 1, blocks)
-            b.pop()
-        blocks.append([k])
-        rec(k + 1, blocks)
-        blocks.pop()
-
-    rec(1, [])
-    return out
+    Partitions of {1..k} are grown from those of {1..k-1}, so each count on
+    the way is also a count of flats: a partition of {1..k} with singletons
+    k+1..n added is one of {1..n}.  The growth stops with ``TooManyFlats``
+    once it has made more than ``MAX_FLATS`` partitions of one size: at the
+    default budget that happens by size 10 (Bell(10) = 115,975), whatever n
+    is.
+    """
+    level = [()]
+    for k in range(1, n + 1):
+        grown = []
+        for blocks in level:
+            # k joins one of the blocks, or the empty block past the last
+            for i, block in enumerate(blocks + ((),)):
+                grown.append(blocks[:i] + (block + (k,),) + blocks[i + 1:])
+                if len(grown) > MAX_FLATS:
+                    raise TooManyFlats(f"partition lattice of {n} points")
+        level = grown
+    return level
 
 
 # JSON codecs for the heterogeneous keys/labels used above.

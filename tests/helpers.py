@@ -185,7 +185,8 @@ def reference_linear_poset(systems, ambient_dim, mode="affine", codim_c=None):
             raise DuplicateMember("nested or repeated members")
         member_data.append((m, f"Z{m + 1}", atom))
 
-    return IntersectionPoset(ambient_dim, codim_c, mode, flats, down, member_data)
+    return IntersectionPoset(ambient_dim, codim_c, mode, flats, down,
+                             member_data, containment)
 
 
 def reference_partition_lattice(n, codim_c=1):
@@ -225,8 +226,10 @@ def reference_partition_lattice(n, codim_c=1):
              if len(pairs) == 1}
     member_data = [(("pair", i, j), f"D{i}{j}", atoms[i, j])
                    for (i, j) in sorted(atoms)]
+    member_masks = [sum(1 << m for m, pair in enumerate(sorted(atoms))
+                        if pair in pairs) for pairs in pair_sets]
     return IntersectionPoset(n * codim_c, codim_c, "partition", flats, down,
-                             member_data)
+                             member_data, member_masks)
 
 
 def brute_force_linear_flats(forms, ncoords):

@@ -12,6 +12,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import arrange.cli as cli
+import arrange.poset as arrange_poset
 import arrange.spectral as spectral
 from arrange.cli import (EXIT_INFEASIBLE, EXIT_INPUT, EXIT_MISMATCH, EXIT_OK,
                          SchemaError, build_model, execute, main, parse,
@@ -467,35 +468,32 @@ def test_damaged_cached_poset_is_recomputed(tmp_path, monkeypatch, capsys,
     assert capsys.readouterr().out == fresh
 
 
-def test_configuration_size_guard_refuses_before_the_build(tmp_path,
-                                                           monkeypatch,
-                                                           capsys):
-    def no_build(*args, **kwargs):
-        raise AssertionError("partition lattice built")
-
+def refused_at_the_budget(tmp_path, monkeypatch, capsys, doc, what):
+    """Exit 4 through ``main``, with the budget named and no traceback."""
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(IntersectionPoset, "partition_lattice", no_build)
+    monkeypatch.setattr(arrange_poset, "MAX_FLATS", 1000)
+    assert main(["verify", write_job(tmp_path, doc)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err == (f"error: {what} has more than 1,000 flats, the limit of "
+                   f"one build (poset.MAX_FLATS)\n")
+
+
+def test_configuration_build_refused_at_the_flat_budget(tmp_path, monkeypatch,
+                                                        capsys):
+    # Bell(30) flats; the growth stops among the partitions of 8 points
     doc = json.loads(json.dumps(CONFIG_P1_3))
     doc["model"]["points"] = 30
-    assert main(["verify", write_job(tmp_path, doc)]) == EXIT_INPUT
-    err = capsys.readouterr().err
-    assert "Bell(30) = 846,749,014,511,809,332,450,147 flats" in err
-    doc["model"]["points"] = 9          # Bell(9) = 21,147 stays allowed
-    assert parse(doc).model["points"] == 9
+    refused_at_the_budget(tmp_path, monkeypatch, capsys, doc,
+                          "partition lattice of 30 points")
 
 
-def test_hyperplane_size_guard_refuses_before_the_build(tmp_path,
-                                                        monkeypatch, capsys):
-    def no_build(*args, **kwargs):
-        raise AssertionError("linear poset built")
-
-    monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(IntersectionPoset, "from_linear_systems", no_build)
-    doc = hyperplane_document(coordinate_forms(20))
-    assert main(["verify", write_job(tmp_path, doc)]) == EXIT_INPUT
-    err = capsys.readouterr().err
-    assert "sum_(k<=20) C(21, k) = 2,097,151 flats" in err
-    assert "Traceback" not in err
+def test_hyperplane_build_refused_at_the_flat_budget(tmp_path, monkeypatch,
+                                                     capsys):
+    # the 21 coordinate hyperplanes of P^20 have 2^21 - 1 flats
+    refused_at_the_budget(
+        tmp_path, monkeypatch, capsys,
+        hyperplane_document(coordinate_forms(20)),
+        "projective linear arrangement of 21 members")
 
 
 def braid_document(n):
@@ -507,12 +505,14 @@ def braid_document(n):
 
 
 def test_hyperplane_size_guard_passes_the_benchmark_sizes():
-    # flat bounds 2,047, 4,944, 82,160 and 299, all under MAX_FLATS: the
-    # braid forms have rank n - 1, one less than their length
+    # coordinate P^10, central braids A5 to A7 and 12 generic planes in P^3
+    # build within MAX_FLATS; A7 has 28 forms of rank 7 but 4,140 flats
     generic = random_generic_projective_forms(random.Random(7), 12, 3)
-    for doc in (hyperplane_document(coordinate_forms(10)), braid_document(6),
-                braid_document(7), hyperplane_document(generic)):
-        assert parse(doc).model is doc["model"]
+    for doc, flats in [(hyperplane_document(coordinate_forms(10)), 2047),
+                       (braid_document(6), 203), (braid_document(7), 877),
+                       (braid_document(8), 4140),
+                       (hyperplane_document(generic), 299)]:
+        assert len(build_model(parse(doc)).poset) == flats
 
 
 def test_main_full_run(tmp_path, monkeypatch, capsys):
@@ -645,9 +645,22 @@ def test_benchmark_tracer_runs(tmp_path, doc, spans, counter):
      lambda doc: doc.update(options={"target": [1.5]})),
     ("options.cache", CONFIG_P1_3,
      lambda doc: doc.update(options={"cache": "no"})),
+    ("model.c", BOOLEAN_P2, lambda doc: doc["model"].update(c=True)),
+    ("model.c", CONFIG_P1_3, lambda doc: doc["model"].update(c=True)),
+    ("local_system.exponents", BOOLEAN_P2,
+     lambda doc: doc.update(local_system={"exponents": ["1/2"]})),
+    ("local_system.exponents", CONFIG_P1_3,
+     lambda doc: doc.update(local_system={"exponents": ["1/2", "1/3"]})),
+    ("local_system.exponents", ABSTRACT_PAIR,
+     lambda doc: doc.update(local_system={"exponents": ["1/2"] * 3})),
+    ("local_system.exponents", CONFIG_P1_3,
+     lambda doc: (doc["model"].update(factor=[2]),
+                  doc.update(local_system={"exponents": ["1/2"] * 3}))),
 ], ids=["options_list", "factor_string", "factor_bool", "ambient_string",
         "betti_string", "codim_string", "order_single_key", "target_float",
-        "cache_string"])
+        "cache_string", "hyperplane_c_bool", "configuration_c_bool",
+        "exponents_for_forms", "exponents_for_pairs",
+        "exponents_for_codim_c_flats", "exponents_with_c_2"])
 def test_malformed_document_exits_4_without_traceback(tmp_path, field, base,
                                                       edit):
     doc = json.loads(json.dumps(base))

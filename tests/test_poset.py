@@ -207,6 +207,20 @@ def test_partition_lattice_matches_pair_set_reference(codim_c):
         assert got.mobius == expected.mobius, n
 
 
+@pytest.mark.parametrize("build, flats", [
+    (lambda: IntersectionPoset.from_linear_forms(coordinate_forms(10), 10,
+                                                 "projective"), 2047),
+    (lambda: IntersectionPoset.partition_lattice(6), 203),
+], ids=["coordinate_P10", "partitions_of_6"])
+def test_builds_stop_past_max_flats(monkeypatch, build, flats):
+    # a build at exactly MAX_FLATS flats is kept, one flat more is refused
+    monkeypatch.setattr(poset, "MAX_FLATS", flats)
+    assert len(build()) == flats
+    monkeypatch.setattr(poset, "MAX_FLATS", flats - 1)
+    with pytest.raises(poset.TooManyFlats, match=f"more than {flats - 1:,}"):
+        build()
+
+
 def test_partition_mu_product_formula():
     # independent closed form: mu(bottom, pi) = prod (-1)^(|b|-1) (|b|-1)!
     import math
