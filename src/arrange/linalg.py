@@ -18,6 +18,7 @@ rows with ``reduce_row``.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 from .errors import ArrangeError
@@ -276,18 +277,26 @@ def echelon(m: RationalMatrix) -> Echelon:
     """Fraction-free sparse elimination of ``m``.
 
     Rows are cleared of denominators first.  Each step takes the shortest
-    remaining row, pivots on its first nonzero column and clears that column
-    from every other remaining row with ``eliminate``, so entries stay
-    integers and rows stay primitive.
+    remaining row, the first in input order among equally short ones,
+    pivots on its first nonzero column and clears that column from every
+    other remaining row with ``eliminate``, so entries stay integers and
+    rows stay primitive.  The rows wait in a heap of (length, input
+    position, row); an entry whose row has since changed length or been
+    used is skipped when it comes up.
     """
     live = primitive_rows(m)
     by_col = {}
     for i, row in live.items():
         for j in row:
             by_col.setdefault(j, set()).add(i)
+    position = {i: p for p, i in enumerate(live)}
+    heap = [(len(row), position[i], i) for i, row in live.items()]
+    heapify(heap)
     pivots = {}
     while live:
-        i = min(live, key=lambda k: len(live[k]))
+        length, _, i = heappop(heap)
+        if i not in live or len(live[i]) != length:
+            continue
         row = live.pop(i)
         for j in row:
             by_col[j].discard(i)
@@ -304,6 +313,8 @@ def echelon(m: RationalMatrix) -> Echelon:
                     by_col.setdefault(j, set()).add(i2)
             if new:
                 live[i2] = new
+                if len(new) != len(old):
+                    heappush(heap, (len(new), position[i2], i2))
             else:
                 del live[i2]
     return Echelon(m.cols, pivots)

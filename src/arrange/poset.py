@@ -331,7 +331,8 @@ class IntersectionPoset:
 
     @cached_property
     def up(self):
-        """up[j] = bitmask of {i : j <= i}; built on first surgery."""
+        """up[j] = bitmask of {i : j <= i}; built on first use, by the
+        first surgery or by the pointwise check."""
         up = [0] * len(self.flats)
         for i, mask in enumerate(self.down):
             for j in _bits(mask):
@@ -433,16 +434,28 @@ class IntersectionPoset:
     def delete_member(self, flats, atoms, pos):
         """The local arrangement without its member at ``pos``: a flat
         survives iff no strictly shallower flat lies on all its other
-        members, i.e. it is still an intersection of the remaining ones."""
+        members, i.e. it is still an intersection of the remaining ones.
+
+        Write R_f for the remaining members below f.  When g < f, R_g is a
+        subset of R_f because ``down`` is transitive, so g lies on all of
+        R_f exactly when R_g = R_f.  The flats are therefore grouped by R_f
+        and f survives iff no other flat of its group lies below it.  This
+        needs only a transitive ``down``, not a lattice."""
         rest = atoms[:pos] + atoms[pos + 1:]
         rest_mask = sum(1 << a for a in rest)
-        kept = 0
+        down = self.down
+        groups = {}
         for f in _bits(flats):
-            shallower = flats & self.down[f] & ~(1 << f)
-            for a in _bits(rest_mask & self.down[f]):
-                shallower &= self.up[a]
-            if not shallower:
-                kept |= 1 << f
+            groups.setdefault(down[f] & rest_mask, []).append(f)
+        kept = 0
+        for group in groups.values():
+            if len(group) == 1:
+                kept |= 1 << group[0]
+                continue
+            mask = sum(1 << f for f in group)
+            for f in group:
+                if not down[f] & mask & ~(1 << f):
+                    kept |= 1 << f
         return kept, rest
 
     def restrict_to_member(self, flats, atoms, pos):

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ArrangeError, NotAdmissible
+from .poset import _bits
 
 _DEPTH_LIMIT = 200
 
@@ -166,24 +167,30 @@ def decompose(model, tables=None) -> SheafDecomposition:
 
 def verify_pointwise(model, dec: SheafDecomposition, tables=None) -> PointwiseReport:
     """At every flat and degree, the stalk dimension must equal the sum of
-    multiplicities of summands whose support closure contains the flat."""
+    multiplicities of summands whose support closure contains the flat.
+
+    Each summand adds its multiplicity at every flat of the up-set of its
+    support, so the sums cost one step per (summand, flat above it).  They
+    read only ``dec`` and the order, never the recursion or its memo, so the
+    raw recursion's dims are compared with an independent count."""
     if tables is None:
         tables = stalk_tables(model)
     poset = model.poset
-    by_degree = {}
+    sums = {k: [0] * len(poset.flats) for k in {s.degree for s in dec.summands}}
     for s in dec.summands:
-        by_degree.setdefault(s.degree, []).append(s)
+        acc = sums[s.degree]
+        for f in _bits(poset.up[s.support]):
+            acc[f] += s.multiplicity
     mismatches = []
     for f in poset.flats:
         table = tables[f.index]
-        degrees = set(table.dims) | set(by_degree)
+        degrees = set(table.dims) | set(sums)
         for k in sorted(degrees):
             lhs = table.dims.get(k, 0)
             if k == 0:
                 rhs = 1  # the implicit ambient constant sheaf
             else:
-                rhs = sum(s.multiplicity for s in by_degree.get(k, ())
-                          if poset.le(s.support, f.index))
+                rhs = sums[k][f.index] if k in sums else 0
             if lhs != rhs:
                 mismatches.append({
                     "flat": f.index, "degree": k,

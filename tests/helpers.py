@@ -9,12 +9,13 @@ from itertools import combinations
 from pathlib import Path
 
 import arrange
-from arrange.linalg import RationalMatrix
+from arrange.linalg import RationalMatrix, eliminate, primitive_rows
 from arrange.poset import (DuplicateMember, EmptyInput, Flat,
                            IntersectionPoset, InvalidForm, _bits)
 from arrange.projective import power_inclusion, pushforward
 from arrange.spectral import (ExplicitModeUnavailable, FeasibilityResult,
                               Infeasible, MalformedCell, NoGeometry)
+from arrange.stalks import PointwiseReport
 
 
 def dense(matrix):
@@ -49,6 +50,27 @@ def minor_rank(rows):
                 if det(list(rs), list(cs)):
                     return size
     return 0
+
+
+def reference_echelon_rows(m):
+    """``linalg.echelon``'s {pivot column: row}, picking each pivot row with
+    a scan of every remaining row (``min`` keeps the first of equally short
+    rows, in input order).  The oracle for the heap that replaced the scan."""
+    live = primitive_rows(m)
+    pivots = {}
+    while live:
+        i = min(live, key=lambda k: len(live[k]))
+        row = live.pop(i)
+        col = min(row)
+        pivots[col] = row
+        for i2 in list(live):
+            if col in live[i2]:
+                new = eliminate(live[i2], row, col)
+                if new:
+                    live[i2] = new
+                else:
+                    del live[i2]
+    return pivots
 
 
 def reference_rref(rows):
@@ -643,3 +665,42 @@ def reference_differential_config(model, page) -> dict:
                             entries.pop((row, col), None)
             diff[(p, q)] = RationalMatrix(tcell.dim, cell.dim, entries)
     return diff
+
+
+def reference_delete_member(poset, flats, atoms, pos):
+    """``IntersectionPoset.delete_member`` by its defining rule: a flat
+    survives iff no strictly shallower flat lies on all its other members,
+    tested flat by flat over the ``up`` masks of those members."""
+    rest = atoms[:pos] + atoms[pos + 1:]
+    rest_mask = sum(1 << a for a in rest)
+    kept = 0
+    for f in _bits(flats):
+        shallower = flats & poset.down[f] & ~(1 << f)
+        for a in _bits(rest_mask & poset.down[f]):
+            shallower &= poset.up[a]
+        if not shallower:
+            kept |= 1 << f
+    return kept, rest
+
+
+def reference_pointwise(model, dec, tables):
+    """``stalks.verify_pointwise`` summed summand by summand with
+    ``poset.le`` at every (flat, degree)."""
+    poset = model.poset
+    by_degree = {}
+    for s in dec.summands:
+        by_degree.setdefault(s.degree, []).append(s)
+    mismatches = []
+    for f in poset.flats:
+        table = tables[f.index]
+        for k in sorted(set(table.dims) | set(by_degree)):
+            lhs = table.dims.get(k, 0)
+            if k == 0:
+                rhs = 1
+            else:
+                rhs = sum(s.multiplicity for s in by_degree.get(k, ())
+                          if poset.le(s.support, f.index))
+            if lhs != rhs:
+                mismatches.append({"flat": f.index, "degree": k,
+                                   "stalk": lhs, "decomposition": rhs})
+    return PointwiseReport(not mismatches, mismatches)

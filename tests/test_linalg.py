@@ -6,7 +6,8 @@ import pytest
 from arrange.linalg import (CompositionNonzero, RationalMatrix, ShapeMismatch,
                             echelon, homology_dim, kernel_dim,
                             product_is_zero, rank, rref)
-from helpers import dense, minor_rank, reduce_against, reference_rref
+from helpers import (dense, minor_rank, reduce_against, reference_echelon_rows,
+                     reference_rref)
 
 
 def test_rank_identity():
@@ -274,6 +275,24 @@ def test_kernel_basis_equals_reduced_echelon_kernel():
             f = next(i for i, x in enumerate(ref) if x == 1 and i in vec)
             assert all(Fraction(vec.get(i, 0), vec[f]) == ref[i]
                        for i in range(m.cols))
+
+
+def test_echelon_pivots_match_min_scan():
+    # sparse rows of two or three entries tie on length at almost every
+    # pivot, and the entries are stored in shuffled row order, so the
+    # first-in-input-order tie break is exercised away from row index order
+    rng = random.Random(47)
+    for _ in range(60):
+        nrows, ncols = rng.randint(5, 40), rng.randint(4, 30)
+        entries = {}
+        for i in range(nrows):
+            for j in rng.sample(range(ncols), rng.randint(2, min(3, ncols))):
+                entries[(i, j)] = rng.choice([-3, -2, -1, 1, 2, 3])
+        keys = list(entries)
+        rng.shuffle(keys)
+        m = RationalMatrix(nrows, ncols, {k: entries[k] for k in keys})
+        assert list(echelon(m).rows.items()) == \
+            list(reference_echelon_rows(m).items())
 
 
 def test_product_is_zero_matches_product():

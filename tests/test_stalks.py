@@ -6,10 +6,14 @@ import pytest
 from arrange.errors import NotAdmissible
 from arrange.models import configuration_model, hyperplane_model
 from arrange.projective import ProjProduct
-from arrange.stalks import (decompose, stalk_dims, stalk_tables,
-                            verify_pointwise)
+from arrange.errors import ArrangeError
+from arrange.models import ArrangementModel, abstract_model
+from arrange.poset import IntersectionPoset
+from arrange.stalks import (InconsistentDecomposition, StalkTable, decompose,
+                            stalk_dims, stalk_tables, verify_pointwise)
 from helpers import (coordinate_forms, random_central_forms,
-                     random_generic_projective_forms)
+                     random_generic_projective_forms, random_linear_systems,
+                     reference_delete_member, reference_pointwise)
 
 
 def model_concurrent3(mode="central"):
@@ -266,20 +270,29 @@ def test_memo_sizes():
         assert len(m._stalk_memo) == size
 
 
+INCOHERENT = (
+    [{"key": "Z1", "codim": 1, "betti": [1]},
+     {"key": "Z2", "codim": 1, "betti": [1]},
+     {"key": "Z3", "codim": 1, "betti": [1]},
+     {"key": "T", "codim": 2, "betti": [1]},
+     {"key": "D", "codim": 3, "betti": [1]}],
+    [["Z1", "T"], ["Z2", "T"], ["T", "D"], ["Z3", "D"]])
+
+# T lies on Z2 alone, so it is not the join of its members; deleting Z1 at
+# D drops T, which a scan of only the flats above Z1 would miss
+NON_LATTICE = (
+    [{"key": "Z1", "codim": 1, "betti": [1]},
+     {"key": "Z2", "codim": 1, "betti": [1]},
+     {"key": "T", "codim": 2, "betti": [1]},
+     {"key": "D", "codim": 3, "betti": [1]}],
+    [["Z2", "T"], ["T", "D"], ["Z1", "D"]])
+
+
 def test_incoherent_abstract_poset_fails_pointwise():
     # a codim-3 flat on three members with only one pairwise flat below it:
     # no actual arrangement has this incidence, and the pointwise check
     # catches it (stalk 2 in degree 2 at D, multiplicity sum only 1)
-    from arrange.models import abstract_model
-    from arrange.stalks import InconsistentDecomposition
-    m = abstract_model(
-        1, [1],
-        [{"key": "Z1", "codim": 1, "betti": [1]},
-         {"key": "Z2", "codim": 1, "betti": [1]},
-         {"key": "Z3", "codim": 1, "betti": [1]},
-         {"key": "T", "codim": 2, "betti": [1]},
-         {"key": "D", "codim": 3, "betti": [1]}],
-        [["Z1", "T"], ["Z2", "T"], ["T", "D"], ["Z3", "D"]])
+    m = abstract_model(1, [1], *INCOHERENT)
     with pytest.raises(InconsistentDecomposition) as err:
         decompose(m)
     assert err.value.report.mismatches
@@ -293,3 +306,99 @@ def test_recursion_depth_guard(monkeypatch):
     m = model_concurrent3()
     with pytest.raises(RecursionDepthExceeded):
         stalk_dims(m, deepest(m))
+
+
+def _oracle_models():
+    """Models whose recursion states and pointwise checks are compared with
+    the reference formulas: seeded linear systems of every mode (admissible
+    or not), partition lattices up to 6 points, and the two abstract orders
+    above."""
+    rng = random.Random(53)
+    models = []
+    while len(models) < 120:
+        systems, ambient_dim, mode, _ = random_linear_systems(rng)
+        try:
+            poset = IntersectionPoset.from_linear_systems(
+                systems, ambient_dim, mode)
+        except ArrangeError:
+            continue
+        models.append(ArrangementModel(kind="abstract", poset=poset,
+                                       c=poset.codim_c, ambient=(1,)))
+    for n in range(2, 7):
+        models.append(configuration_model(ProjProduct((1,)), n))
+    models += [abstract_model(1, [1], *INCOHERENT),
+               abstract_model(1, [1], *NON_LATTICE)]
+    return models
+
+
+def test_delete_member_matches_reference_on_every_visited_state(monkeypatch):
+    import arrange.stalks as stalks_mod
+    states = []
+    real = IntersectionPoset.delete_member
+
+    def record(self, flats, atoms, pos):
+        states.append((self, flats, atoms))
+        return real(self, flats, atoms, pos)
+
+    monkeypatch.setattr(IntersectionPoset, "delete_member", record)
+    for m in _oracle_models():
+        for f in m.poset.flats:
+            stalks_mod._recurse(m, *m.poset.local_arrangement(f.index))
+    monkeypatch.undo()
+    assert len(states) > 1000
+    for poset, flats, atoms in states:
+        for pos in range(len(atoms)):
+            assert poset.delete_member(flats, atoms, pos) == \
+                reference_delete_member(poset, flats, atoms, pos)
+    trap = abstract_model(1, [1], *NON_LATTICE).poset
+    z1, t, d = (next(f.index for f in trap.flats if f.display == name)
+                for name in ("Z1", "T", "D"))
+    flats, atoms = trap.local_arrangement(d)
+    kept, _ = trap.delete_member(flats, atoms, atoms.index(z1))
+    assert not kept >> t & 1
+
+
+def _tampered(model, tables, degree):
+    """``tables`` with 1 added at ``degree`` of the deepest flat."""
+    deep = max(model.poset.flats, key=lambda f: f.codim).index
+    dims = dict(tables[deep].dims)
+    dims[degree] = dims.get(degree, 0) + 1
+    return {**tables, deep: StalkTable(deep, dims, model.c)}
+
+
+def test_pointwise_matches_reference_sum():
+    checked = 0
+    for m in _oracle_models():
+        if not m.poset.check_admissible().ok:
+            continue
+        tables = stalk_tables(m)
+        try:
+            dec = decompose(m, tables=tables)
+        except InconsistentDecomposition as err:
+            dec = err.dec
+        assert verify_pointwise(m, dec, tables=tables) == \
+            reference_pointwise(m, dec, tables)
+        checked += 1
+        top = max(max(t.dims) for t in tables.values())
+        for degree in (top, top + 2 * m.c - 1):
+            bad = _tampered(m, tables, degree)
+            report = verify_pointwise(m, dec, tables=bad)
+            assert not report.ok
+            assert report == reference_pointwise(m, dec, bad)
+    assert checked > 40
+
+
+def test_decompose_makes_no_order_queries(monkeypatch):
+    # the pointwise sums walk up-sets; a per-summand order query would
+    # bring back the (flats x summands) loop
+    m = hyperplane_model(coordinate_forms(6), mode="projective")
+    calls = []
+    real = IntersectionPoset.le
+
+    def counting(self, i, j):
+        calls.append((i, j))
+        return real(self, i, j)
+
+    monkeypatch.setattr(IntersectionPoset, "le", counting)
+    decompose(m)
+    assert calls == []
