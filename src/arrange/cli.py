@@ -1,10 +1,11 @@
-"""Command-line frontend: job parsing, orchestration, reports, caching.
+"""Command-line frontend: job parsing, orchestration, reports.
 
 Input documents are JSON with a versioned schema; rationals travel as
 "p/q" strings.  Machine reports are canonical JSON (sorted keys, no
 timestamps) so identical inputs produce byte-identical output, and every
 machine report embeds an abstract-model block that can be re-ingested to
-reproduce the same second page.
+reproduce the same second page.  Every run builds its own poset and stalk
+tables; nothing read from disk besides the job document enters a report.
 
 A verdict compares values made by independent code: stalks with the
 constant-sheaf split, a configuration page's Euler characteristic with
@@ -31,7 +32,6 @@ from .errors import ArrangeError, NotAdmissible
 from .models import (abstract_model, check_mon, configuration_model,
                      euler_oracle, hyperplane_model, os_oracle)
 from .polys import IntPoly
-from .poset import IntersectionPoset
 from .projective import ProjProduct
 # skew_row_homology is not called here and verify_pointwise runs inside
 # decompose; both stay in this namespace for callers that wrap them
@@ -39,8 +39,8 @@ from .projective import ProjProduct
 from .spectral import (Infeasible, assemble_e2,  # noqa: F401
                        build_differential_config, build_differential_ncd,
                        feasibility, run, skew_row_homology)
-from .stalks import (InconsistentDecomposition, StalkTable,  # noqa: F401
-                     decompose, stalk_tables, verify_pointwise)
+from .stalks import (InconsistentDecomposition, decompose,  # noqa: F401
+                     stalk_tables, verify_pointwise)
 
 SCHEMA_VERSION = 1
 
@@ -65,7 +65,6 @@ class JobSpec:
     mode: str | None = None        # explicit | feasibility | bounds | None=auto
     target: object = None          # IntPoly | "oracle" | None
     fmt: str = "human"
-    cache: bool = True
     local_system: list | None = None
 
 
@@ -147,6 +146,7 @@ def parse(document: dict, command: str = "run", overrides: dict | None = None) -
     options = document.get("options") or {}
     _require(isinstance(options, dict),
              f"options must be a JSON object, got {options!r}")
+    # accepted for old documents; it has no effect
     cache = options.get("cache", True)
     _require(isinstance(cache, bool),
              f"options.cache must be true or false, got {cache!r}")
@@ -187,8 +187,7 @@ def parse(document: dict, command: str = "run", overrides: dict | None = None) -
             raise SchemaError(f"bad exponent: {exc}") from None
 
     return JobSpec(command=command, model=model, mode=mode, target=target,
-                   fmt=fmt, cache=options.get("cache", True),
-                   local_system=local_system)
+                   fmt=fmt, local_system=local_system)
 
 
 def _parse_forms(raw):
@@ -208,19 +207,17 @@ def _parse_forms(raw):
     return forms
 
 
-def build_model(job: JobSpec, cached_poset=None):
+def build_model(job: JobSpec):
     model_section = job.model
     kind = model_section["kind"]
     if kind == "hyperplane":
         mode = model_section.get("mode", "projective")
         forms = _parse_forms(model_section["forms"])
         ambient = model_section.get("ambient")
-        model = hyperplane_model(forms, mode=mode, ambient_dim=ambient,
-                                 poset=cached_poset)
+        model = hyperplane_model(forms, mode=mode, ambient_dim=ambient)
     elif kind == "configuration":
         factor = ProjProduct(tuple(model_section["factor"]))
-        model = configuration_model(factor, model_section["points"],
-                                    poset=cached_poset)
+        model = configuration_model(factor, model_section["points"])
     else:
         model = abstract_model(
             model_section["c"], model_section["ambient"],
@@ -229,6 +226,7 @@ def build_model(job: JobSpec, cached_poset=None):
     return model
 
 
+# not used here; kept for benchmark/tracer.py, which rebinds load and store
 class ResultCache:
     """Content-addressed store for the poset and stalk tables of a model."""
 
@@ -308,18 +306,8 @@ def execute(job: JobSpec) -> tuple:
         verdicts.append({"check": name, "ok": bool(ok)})
         return ok
 
-    cache = ResultCache() if job.cache else None
-    cache_key = ResultCache.key(job.model) if cache else None
-    cached = cache.load(cache_key) if cache else None
-    cached_poset = None
-    if cached is not None:
-        try:
-            cached_poset = IntersectionPoset.from_dict(cached["poset"])
-        except (ArrangeError, KeyError, TypeError, ValueError):
-            cached_poset = None     # a damaged entry is a miss
-
     try:
-        model = build_model(job, cached_poset=cached_poset)
+        model = build_model(job)
     except NotAdmissible as exc:
         rep = exc.report
         report["admissible"] = {
@@ -364,20 +352,7 @@ def execute(job: JobSpec) -> tuple:
         return report, EXIT_OK
 
     # stalks, decomposition, pointwise verification
-    tables = None
-    if cached is not None and cached_poset is not None and "stalks" in cached:
-        try:
-            tables = {
-                item["flat"]: StalkTable(
-                    item["flat"],
-                    {int(k): v for k, v in item["dims"].items()}, model.c)
-                for item in cached["stalks"]}
-            if set(tables) != {f.index for f in poset.flats}:
-                tables = None
-        except (KeyError, TypeError, ValueError):
-            tables = None
-    if tables is None:
-        tables = stalk_tables(model)
+    tables = stalk_tables(model)
     report["stalks"] = _stalks_section(poset, tables)
     purity = _purity_check(model, tables)
     report["purity"] = purity
@@ -397,13 +372,6 @@ def execute(job: JobSpec) -> tuple:
     if not verdict("pointwise_decomposition", pw.ok):
         report["verdicts"] = verdicts
         return report, EXIT_MISMATCH
-
-    if cache:
-        cache.store(cache_key, {
-            "poset": poset.to_dict(),
-            "stalks": [{"flat": i,
-                        "dims": {str(k): v for k, v in t.dims.items()}}
-                       for i, t in sorted(tables.items())]})
 
     if job.command == "stalks":
         report["verdicts"] = verdicts
@@ -656,7 +624,8 @@ def _build_argparser():
         p.add_argument("--target",
                        help="Betti target: 'oracle' or comma-separated coefficients")
         p.add_argument("--format", choices=["human", "machine"], dest="fmt")
-        p.add_argument("--no-cache", action="store_true")
+        p.add_argument("--no-cache", action="store_true",
+                       help="accepted for old scripts; has no effect")
     return parser
 
 
@@ -679,8 +648,6 @@ def main(argv=None) -> int:
         overrides["target"] = args.target
     if args.fmt:
         overrides["format"] = args.fmt
-    if args.no_cache:
-        overrides["cache"] = False
     try:
         job = parse(document, command=args.command, overrides=overrides)
         report, code = execute(job)

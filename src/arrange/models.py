@@ -81,8 +81,7 @@ def _detect_ncd(poset):
                for f in poset.flats)
 
 
-def hyperplane_model(forms, mode="projective", ambient_dim=None,
-                     poset=None) -> ArrangementModel:
+def hyperplane_model(forms, mode="projective", ambient_dim=None) -> ArrangementModel:
     """Hypersurface arrangement given by linear forms (covector, constant).
 
     Projective mode works on P^n via the cone; flats get projective-subspace
@@ -90,21 +89,13 @@ def hyperplane_model(forms, mode="projective", ambient_dim=None,
     the explicit differential on.  Affine and central modes keep the same
     combinatorics but have no compact ambient space, so they stay in
     feasibility/bounds mode with point-like stratum cohomology.
-
-    ``poset`` may supply a previously built (cached) poset of the same
-    forms; it is sanity-checked, not reverified.
     """
     forms = [(list(cov), Fraction(const)) for cov, const in forms]
     if not forms:
         raise ArrangeError("no forms")
     if ambient_dim is None:
         ambient_dim = len(forms[0][0]) - (1 if mode == "projective" else 0)
-    if poset is not None and (poset.mode != mode
-                              or len(poset.members) != len(forms)
-                              or poset.ambient_dim != ambient_dim):
-        poset = None
-    if poset is None:
-        poset = IntersectionPoset.from_linear_forms(forms, ambient_dim, mode)
+    poset = IntersectionPoset.from_linear_forms(forms, ambient_dim, mode)
     ncd = _detect_ncd(poset)
     geometry = None
     abstract = None
@@ -125,7 +116,7 @@ def hyperplane_model(forms, mode="projective", ambient_dim=None,
         ncd=ncd, explicit=ncd and mode == "projective")
 
 
-def configuration_model(factor: ProjProduct, n: int, poset=None) -> ArrangementModel:
+def configuration_model(factor: ProjProduct, n: int) -> ArrangementModel:
     """Diagonal arrangement in factor^n; the complement is the space of n
     pairwise-distinct labelled points."""
     if n < 2:
@@ -133,11 +124,7 @@ def configuration_model(factor: ProjProduct, n: int, poset=None) -> ArrangementM
     c = factor.dim
     if c < 1:
         raise ArrangeError("factor must have positive dimension")
-    if poset is not None and (poset.mode != "partition" or poset.codim_c != c
-                              or len(poset.members) != n * (n - 1) // 2):
-        poset = None
-    if poset is None:
-        poset = IntersectionPoset.partition_lattice(n, c)
+    poset = IntersectionPoset.partition_lattice(n, c)
     ambient = ProjProduct(factor.factor_dims * n)
     geometry = {}
     for f in poset.flats:

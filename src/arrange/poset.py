@@ -351,8 +351,8 @@ class IntersectionPoset:
     def _validate(self):
         """Check that the order is a graded partial order with the bottom
         below every flat; each failure names the flats involved.  Only
-        ``from_abstract`` and ``from_dict`` call it: their orders come from
-        a document or a cache file."""
+        ``from_abstract`` and ``from_dict`` call it: their orders are read
+        from a document, not built."""
         n = len(self.flats)
         for i, f in enumerate(self.flats):
             if f.index != i:
@@ -505,6 +505,7 @@ class IntersectionPoset:
         return self._sub_poset(*self.restrict_to_member(*self._whole(member_pos)))
 
     # ----- serialization ----------------------------------------------------
+    # no path of the package calls these; the tests and benchmark/tracer.py do
 
     def to_dict(self):
         return {

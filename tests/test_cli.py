@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import os
@@ -62,7 +63,7 @@ def write_job(tmp_path, doc, name="job.json"):
 def test_parse_minimal_hyperplane():
     job = parse(BOOLEAN_P2)
     assert job.model["kind"] == "hyperplane"
-    assert job.mode is None and job.fmt == "human" and job.cache
+    assert job.mode is None and job.fmt == "human"
 
 
 def test_parse_configuration():
@@ -273,19 +274,23 @@ def test_execute_mon_report(tmp_path, monkeypatch):
     assert report["mon"]["ok"] is False
 
 
-def test_machine_report_deterministic(tmp_path, monkeypatch):
+def test_machine_report_deterministic(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    report1, _ = execute(parse(BOOLEAN_P2))           # cold cache
-    report2, _ = execute(parse(BOOLEAN_P2))           # warm cache
+    report1, _ = execute(parse(BOOLEAN_P2, command="verify"))
+    report2, _ = execute(parse(BOOLEAN_P2, command="verify"))
+    assert render_machine(report1) == render_machine(report2)
+    # --no-cache and options.cache are accepted and change no byte
     doc = json.loads(json.dumps(BOOLEAN_P2))
     doc["options"] = {"cache": False}
-    report3, _ = execute(parse(doc))                  # no cache
-    assert render_machine(report1) == render_machine(report2)
-    r1 = json.loads(render_machine(report1))
-    r3 = json.loads(render_machine(report3))
-    r1.pop("model"), r3.pop("model")
-    assert r1 == r3
-    assert (tmp_path / ".arrange-cache").exists()
+    outputs = []
+    for path, flags in [(write_job(tmp_path, BOOLEAN_P2), []),
+                        (write_job(tmp_path, BOOLEAN_P2), ["--no-cache"]),
+                        (write_job(tmp_path, doc, "off.json"), [])]:
+        assert main(["verify", path, "--format", "machine", *flags]) == EXIT_OK
+        outputs.append(capsys.readouterr())
+    assert outputs[0].out == render_machine(report1) + "\n"
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+    assert not (tmp_path / ".arrange-cache").exists()
 
 
 def test_round_trip_abstract_reproduces_page(tmp_path, monkeypatch):
@@ -335,24 +340,26 @@ def test_abstract_export_lists_exactly_the_covers(tmp_path, monkeypatch):
         assert again_below == below
 
 
-def test_cached_table_off_the_vanishing_degrees_fails_purity(tmp_path,
-                                                             monkeypatch):
+def test_stalk_table_off_the_vanishing_degrees_fails_purity(tmp_path,
+                                                            monkeypatch):
     monkeypatch.chdir(tmp_path)
     doc = {"schema_version": 1,
            "model": {"kind": "configuration", "factor": [2], "points": 2}}
     _, code = execute(parse(doc, command="stalks"))
     assert code == EXIT_OK
-    [path] = (tmp_path / ".arrange-cache").glob("*.json")
-    payload = json.loads(path.read_text())
-    assert "forms" not in payload["poset"]
-    assert all(set(item) == {"flat", "dims"} for item in payload["stalks"])
-    # c = 2: stalks may only live in degrees divisible by 2c - 1 = 3
-    payload["stalks"][0]["dims"]["2"] = 1
-    path.write_text(json.dumps(payload))
+    real = cli.stalk_tables
+
+    def tampered(model):
+        # c = 2: stalks may only live in degrees divisible by 2c - 1 = 3
+        tables = real(model)
+        tables[0].dims[2] = 1
+        return tables
+
+    monkeypatch.setattr(cli, "stalk_tables", tampered)
     report, code = execute(parse(doc, command="verify"))
     assert code == EXIT_MISMATCH
     assert {"check": "vanishing_and_purity", "ok": False} in report["verdicts"]
-    assert {"flat": payload["stalks"][0]["flat"], "degree": 2,
+    assert {"flat": 0, "degree": 2,
             "reason": "vanishing"} in report["purity"]["violations"]
 
 
@@ -443,29 +450,39 @@ def test_decided_search_adds_no_report_key(tmp_path, monkeypatch, capsys):
                             "unique"}
 
 
-def _set_down_bit_40(poset):
-    poset["down"][1] = str(int(poset["down"][1]) | 1 << 40)
-
-
-@pytest.mark.parametrize("damage", [
-    _set_down_bit_40,
-    lambda poset: poset["down"].__setitem__(1, "x"),
-    lambda poset: poset["members"][0].update(atom="1"),
-], ids=["down_bit_past_end", "down_not_a_number", "atom_string"])
-def test_damaged_cached_poset_is_recomputed(tmp_path, monkeypatch, capsys,
-                                            damage):
-    monkeypatch.chdir(tmp_path)
-    path = write_job(tmp_path, CONFIG_P1_3)
-    assert main(["stalks", path, "--format", "machine", "--no-cache"]) == EXIT_OK
-    fresh = capsys.readouterr().out
-    assert main(["stalks", path, "--format", "machine"]) == EXIT_OK
-    capsys.readouterr()
-    (entry,) = (tmp_path / ".arrange-cache").iterdir()
-    payload = json.loads(entry.read_text())
-    damage(payload["poset"])
-    entry.write_text(json.dumps(payload))
-    assert main(["stalks", path, "--format", "machine"]) == EXIT_OK
-    assert capsys.readouterr().out == fresh
+def test_tampered_cache_entry_changes_no_byte(tmp_path, monkeypatch, capsys):
+    """An old result-cache entry in the working directory, keyed as the
+    cache keyed it, is never read: with the top stalk of the deepest flat
+    raised by one it once turned this exit 0 into a failed verdict."""
+    empty, stale = tmp_path / "empty", tmp_path / "stale"
+    empty.mkdir(), stale.mkdir()
+    path = write_job(tmp_path, F_P1_4)
+    model = build_model(parse(F_P1_4))
+    tables = cli.stalk_tables(model)
+    deepest = max(model.poset.flats, key=lambda f: f.codim).index
+    tables[deepest].dims[max(tables[deepest].dims)] += 1
+    entry = json.dumps({
+        "poset": model.poset.to_dict(),
+        "stalks": [{"flat": i, "dims": {str(k): v for k, v in t.dims.items()}}
+                   for i, t in sorted(tables.items())]}, sort_keys=True)
+    key = hashlib.sha256(
+        json.dumps(F_P1_4["model"], sort_keys=True).encode()).hexdigest()
+    (stale / ".arrange-cache").mkdir()
+    (stale / ".arrange-cache" / f"{key}.json").write_text(entry)
+    for argv in (["stalks", path], ["stalks", path, "--format", "machine"],
+                 ["verify", path, "--target", "1,2,0,1,2"],
+                 ["verify", path, "--target", "1,2,0,1,2", "--format",
+                  "machine"]):
+        results = []
+        for cwd in (empty, stale):
+            monkeypatch.chdir(cwd)
+            results.append((main(argv), capsys.readouterr()))
+        assert results[0][0] == EXIT_OK
+        assert results[1] == results[0]
+    assert list(empty.iterdir()) == []
+    assert [p.name for p in (stale / ".arrange-cache").iterdir()] == \
+        [f"{key}.json"]
+    assert (stale / ".arrange-cache" / f"{key}.json").read_text() == entry
 
 
 def refused_at_the_budget(tmp_path, monkeypatch, capsys, doc, what):
