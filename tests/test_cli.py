@@ -450,6 +450,34 @@ def test_decided_search_adds_no_report_key(tmp_path, monkeypatch, capsys):
                             "unique"}
 
 
+def _set_down_bit_40(poset):
+    poset["down"][1] = str(int(poset["down"][1]) | 1 << 40)
+
+
+@pytest.mark.parametrize("damage", [
+    _set_down_bit_40,
+    lambda poset: poset["down"].__setitem__(1, "x"),
+    lambda poset: poset["members"][0].update(atom="1"),
+], ids=["down_bit_past_end", "down_not_a_number", "atom_string"])
+def test_damaged_cached_poset_is_recomputed(tmp_path, monkeypatch, capsys,
+                                            damage):
+    """A damaged poset left where the result cache kept its entries is
+    never read: every run recomputes the poset and prints the same bytes."""
+    monkeypatch.chdir(tmp_path)
+    path = write_job(tmp_path, CONFIG_P1_3)
+    assert main(["stalks", path, "--format", "machine", "--no-cache"]) == EXIT_OK
+    fresh = capsys.readouterr().out
+    poset = build_model(parse(CONFIG_P1_3)).poset.to_dict()
+    damage(poset)
+    key = hashlib.sha256(
+        json.dumps(CONFIG_P1_3["model"], sort_keys=True).encode()).hexdigest()
+    (tmp_path / ".arrange-cache").mkdir()
+    (tmp_path / ".arrange-cache" / f"{key}.json").write_text(
+        json.dumps({"poset": poset}))
+    assert main(["stalks", path, "--format", "machine"]) == EXIT_OK
+    assert capsys.readouterr().out == fresh
+
+
 def test_tampered_cache_entry_changes_no_byte(tmp_path, monkeypatch, capsys):
     """An old result-cache entry in the working directory, keyed as the
     cache keyed it, is never read: with the top stalk of the deepest flat
