@@ -14,8 +14,9 @@ the Orlik-Solomon count and purity.
 
 Exit codes: 0 ok, 2 verification mismatch or a feasibility search left
 undecided at its split budget (``spectral.FEASIBILITY_BUDGET``),
-3 infeasible target, 4 input error, including a model whose poset build
-made more than ``poset.MAX_FLATS`` flats and stopped there.
+3 infeasible target (in explicit mode, a target that the Betti numbers
+miss), 4 input error, including a model whose poset build made more than
+``poset.MAX_FLATS`` flats and stopped there.
 """
 
 from __future__ import annotations
@@ -405,6 +406,13 @@ def execute(job: JobSpec) -> tuple:
         oracle_poly = os_oracle(poset)
         report["oracle"] = {"poly": oracle_poly.to_list(),
                             "text": str(oracle_poly)}
+    target = job.target
+    if target == "oracle":
+        if oracle_poly is None:
+            raise SchemaError("'oracle' target needs a c = 1 hyperplane model")
+        target = oracle_poly
+    if mode == "bounds":
+        target = None
 
     exit_code = EXIT_OK
     if mode == "explicit":
@@ -431,14 +439,14 @@ def execute(job: JobSpec) -> tuple:
             # (Brieskorn 1973; Deligne, Theorie de Hodge II, 1971)
             verdict("weight_purity",
                     all(w == 2 * k for (k, w), _ in res.weights.items()))
+        if target is not None:
+            # a target the Betti numbers miss is infeasible, as in
+            # feasibility mode, unless another check failed as well
+            if not verdict("target", res.betti == target):
+                exit_code = EXIT_INFEASIBLE
+            verdicts[-1].update(expected=target.to_list(),
+                                betti=res.betti.to_list())
     else:
-        target = job.target
-        if target == "oracle":
-            if oracle_poly is None:
-                raise SchemaError("'oracle' target needs a c = 1 hyperplane model")
-            target = oracle_poly
-        if mode == "bounds":
-            target = None
         try:
             res = feasibility(page, target)
         except Infeasible as exc:
@@ -472,7 +480,7 @@ def execute(job: JobSpec) -> tuple:
 
     report["abstract_model"] = _abstract_export(model)
     report["verdicts"] = verdicts
-    if any(not v["ok"] for v in verdicts):
+    if any(not v["ok"] for v in verdicts if v["check"] != "target"):
         exit_code = EXIT_MISMATCH
     return report, exit_code
 
@@ -599,8 +607,10 @@ def render_human(report: dict) -> str:
         out.append("verdicts: " + ("all ok" if not bad else f"FAILED {bad}"))
         for v in report["verdicts"]:
             if "expected" in v:
-                out.append(f"  {v['check']}: expected {v['expected']}, "
-                           f"page {v['page']}")
+                values = ", ".join(f"{name} {v[name]}"
+                                   for name in ("expected", "page", "betti")
+                                   if name in v)
+                out.append(f"  {v['check']}: {values}")
     return "\n".join(out) + "\n"
 
 

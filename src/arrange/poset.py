@@ -98,7 +98,16 @@ class AdmissibilityReport:
 
 
 def _bits(mask):
-    """Indices of the set bits, increasing; costs one step per set bit."""
+    """Indices of the set bits, increasing; costs one step per set bit.
+    Each arithmetic step on a mask costs time in its width, so a wide mask
+    with many set bits is read from its binary digits instead."""
+    if mask.bit_length() > 1024 and mask.bit_count() > 64:
+        digits = bin(mask)[:1:-1]
+        i = digits.find("1")
+        while i >= 0:
+            yield i
+            i = digits.find("1", i + 1)
+        return
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -412,8 +421,37 @@ class IntersectionPoset:
     def proper_flats(self):
         return [f for f in self.flats if f.index != self.bottom]
 
-    def content_key(self, flats, atoms):
-        """Memo key of ``(flats, atoms)``: the flat mask and the atom mask."""
+    def position_masks(self, flats, atoms):
+        """The shape of the local arrangement ``(flats, atoms)``: for each
+        flat, the mask of the positions i with ``atoms[i]`` below it.  One
+        step per (atom, flat above it) incidence.  None on an abstract
+        poset: its order is declared, not built as the containment of
+        member masks, so its shape need not determine its order."""
+        if self.mode == "abstract":
+            return None
+        masks = dict.fromkeys(_bits(flats), 0)
+        for i, a in enumerate(atoms):
+            for f in _bits(self.up[a] & flats):
+                masks[f] |= 1 << i
+        return masks
+
+    def content_key(self, flats, atoms, masks=None):
+        """Memo key of the local arrangement ``(flats, atoms)``.
+
+        With its position masks ``masks`` (see ``position_masks``), the key
+        is its shape: the number of atoms and the set of masks.  In a built
+        poset the flats through a point are subspaces closed under
+        intersection, and so are those of every local arrangement the
+        recursion makes from them.  When no two flats share a mask, each
+        flat is then the intersection of the atoms below it, and the order
+        is the containment of the masks.  Two arrangements with one shape
+        are isomorphic, position i to position i, and have one stalk.
+        Without masks, or when two flats share one, the key is the flat
+        mask and the atom mask."""
+        if masks is not None:
+            shape = frozenset(masks.values())
+            if len(shape) == len(masks):
+                return len(atoms), shape
         return flats, sum(1 << a for a in atoms)
 
     def check_admissible(self):
@@ -430,6 +468,25 @@ class IntersectionPoset:
         """Flats below x and the members through x, in member order."""
         flats = self.down[x]
         return flats, tuple(m.atom for m in self.members if flats >> m.atom & 1)
+
+    def local_position_masks(self, x):
+        """``position_masks(*local_arrangement(x))``, read off the member
+        masks: member m is at the position of its bit among x's member bits.
+        One shift per run of consecutive bits in x's member mask, per flat."""
+        if self.mode == "abstract":
+            return None
+        flats = list(_bits(self.down[x]))
+        rows = [self._member_mask[f] for f in flats]
+        shape = [0] * len(flats)
+        rest, at = self._member_mask[x], 0
+        while rest:
+            low = (rest & -rest).bit_length() - 1
+            width = (rest >> low ^ (rest >> low) + 1).bit_length() - 1
+            ones = (1 << width) - 1
+            shape = [s | (r >> low & ones) << at for s, r in zip(shape, rows)]
+            rest &= ~(ones << low)
+            at += width
+        return dict(zip(flats, shape))
 
     def delete_member(self, flats, atoms, pos):
         """The local arrangement without its member at ``pos``: a flat

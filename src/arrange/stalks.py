@@ -6,8 +6,11 @@ deletion/restriction recursion: split off one member, recurse on the rest
 and on the traced arrangement inside the split member, and glue with a
 degree shift of 2c-1.  The recursion automatically concentrates output in
 degrees divisible by 2c-1, carrying weight 2c*l in degree (2c-1)*l.  It
-walks (flat mask, member atoms) pairs over the model's own poset, builds no
-sub-poset, and memoizes per model on the flat mask and the atom mask.
+walks (flat mask, member atoms) pairs over the model's own poset and builds
+no sub-poset.  It memoizes per model on each pair's shape (see
+``IntersectionPoset.content_key``), so isomorphic local arrangements share
+one entry; an abstract poset, or a pair in which two flats lie on the same
+atoms, is keyed by its flat mask and atom mask instead.
 
 Multiplicity of a stratum in the degree-(2c-1)l constant-sheaf summand is
 the stalk dimension at its generic point; the pointwise check compares the
@@ -90,14 +93,15 @@ def _require_admissible(model):
             report=report)
 
 
-def _recurse(model, flats, atoms, depth=0):
+def _recurse(model, flats, atoms, masks, depth=0):
     """Stalk dimensions of the local arrangement ``(flats, atoms)`` of the
-    model's poset (all members pass through the point), as degree -> dim."""
+    model's poset (all members pass through the point), as degree -> dim.
+    ``masks`` are its position masks, or None (see ``position_masks``)."""
     if depth > _DEPTH_LIMIT:
         raise RecursionDepthExceeded(
             "stalk recursion exceeded the depth guard; malformed poset?")
     poset, c = model.poset, model.c
-    key = poset.content_key(flats, atoms)
+    key = poset.content_key(flats, atoms, masks)
     hit = model._stalk_memo.get(key)
     if hit is not None:
         return hit
@@ -107,8 +111,14 @@ def _recurse(model, flats, atoms, depth=0):
     elif s == 1:
         dims = {0: 1, 2 * c - 1: 1}
     else:
-        deleted = _recurse(model, *poset.delete_member(flats, atoms, 0), depth + 1)
-        traced = _recurse(model, *poset.restrict_to_member(flats, atoms, 0), depth + 1)
+        kept, rest = poset.delete_member(flats, atoms, 0)
+        if masks is not None:
+            # the remaining atoms move down one position
+            masks = {f: m >> 1 for f, m in masks.items() if kept >> f & 1}
+        deleted = _recurse(model, kept, rest, masks, depth + 1)
+        kept, rest = poset.restrict_to_member(flats, atoms, 0)
+        traced = _recurse(model, kept, rest,
+                          poset.position_masks(kept, rest), depth + 1)
         top = max(2 * c - 1, max(deleted), max(traced) + 2 * c - 1)
         dims = {0: 1}
         for k in range(1, top + 1):
@@ -122,7 +132,9 @@ def _recurse(model, flats, atoms, depth=0):
 
 
 def _stalk_table(model, flat):
-    dims = _recurse(model, *model.poset.local_arrangement(flat))
+    poset = model.poset
+    dims = _recurse(model, *poset.local_arrangement(flat),
+                    poset.local_position_masks(flat))
     return StalkTable(flat, dict(dims), model.c)
 
 

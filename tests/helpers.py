@@ -383,6 +383,16 @@ def coordinate_forms(n):
             for i in range(n + 1)]
 
 
+def braid_forms(n):
+    """x_i - x_j for i < j on n coordinates: the braid arrangement."""
+    forms = []
+    for i, j in combinations(range(n), 2):
+        cov = [0] * n
+        cov[i], cov[j] = 1, -1
+        forms.append((cov, 0))
+    return forms
+
+
 def criterion_10_hyperplane_forms():
     """The forms of the projective hyperplane models of acceptance
     criterion 10: coordinate P^1..P^4 and 4, 5, 6 generic planes in P^3."""
@@ -704,3 +714,37 @@ def reference_pointwise(model, dec, tables):
                 mismatches.append({"flat": f.index, "degree": k,
                                    "stalk": lhs, "decomposition": rhs})
     return PointwiseReport(not mismatches, mismatches)
+
+
+def reference_stalk_dims(model):
+    """The stalk recursion memoized on the flat mask and the atom mask, as
+    before shapes keyed it: returns ({flat: dims}, memo).  Only states with
+    one flat mask and one atom set share an entry, so no two local
+    arrangements are ever identified by their shape."""
+    poset, c = model.poset, model.c
+    memo = {}
+
+    def recurse(flats, atoms):
+        key = flats, sum(1 << a for a in atoms)
+        if key in memo:
+            return memo[key]
+        if len(atoms) == 0:
+            dims = {0: 1}
+        elif len(atoms) == 1:
+            dims = {0: 1, 2 * c - 1: 1}
+        else:
+            deleted = recurse(*poset.delete_member(flats, atoms, 0))
+            traced = recurse(*poset.restrict_to_member(flats, atoms, 0))
+            dims = {0: 1}
+            for k in range(1, max(2 * c - 1, max(deleted),
+                                  max(traced) + 2 * c - 1) + 1):
+                v = ((k == 2 * c - 1) + deleted.get(k, 0)
+                     + traced.get(k + 1 - 2 * c, 0) * (k + 1 > 2 * c))
+                if v:
+                    dims[k] = v
+        memo[key] = dims
+        return dims
+
+    tables = {f.index: recurse(*poset.local_arrangement(f.index))
+              for f in poset.flats}
+    return tables, memo

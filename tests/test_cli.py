@@ -418,6 +418,34 @@ def test_infeasible_target_reports_failed_verdict(tmp_path, monkeypatch,
             json.loads(out)["verdicts"]
 
 
+@pytest.mark.parametrize("doc, target, code, betti", [
+    (CONFIG_P1_3, "1,0,0,2", EXIT_INFEASIBLE, [1, 0, 0, 1]),
+    (CONFIG_P1_3, "1,0,0,1", EXIT_OK, [1, 0, 0, 1]),
+    (hyperplane_document(coordinate_forms(3)), "1,1", EXIT_INFEASIBLE,
+     [1, 3, 3, 1]),
+    (hyperplane_document(coordinate_forms(3)), "1,3,3,1", EXIT_OK,
+     [1, 3, 3, 1]),
+], ids=["F(P1,3)_wrong", "F(P1,3)_right", "coordinate_P3_wrong",
+        "coordinate_P3_right"])
+def test_explicit_mode_compares_the_target(tmp_path, monkeypatch, capsys,
+                                           doc, target, code, betti):
+    monkeypatch.chdir(tmp_path)
+    path = write_job(tmp_path, doc)
+    assert main(["verify", path, "--target", target, "--format",
+                 "machine"]) == code
+    report = json.loads(capsys.readouterr().out)
+    assert report["mode"] == "explicit"
+    assert report["betti"] == betti
+    assert {"check": "target", "ok": code == EXIT_OK,
+            "expected": [int(x) for x in target.split(",")],
+            "betti": betti} in report["verdicts"]
+    assert main(["verify", path, "--target", target]) == code
+    out = capsys.readouterr().out
+    assert out.count("verdicts: all ok" if code == EXIT_OK
+                     else "verdicts: FAILED ['target']") == 1
+    assert f"  target: expected [{target.replace(',', ', ')}], betti " in out
+
+
 @pytest.mark.parametrize("fmt", ["human", "machine"])
 def test_search_over_budget_reports_undecided(tmp_path, monkeypatch, capsys,
                                               fmt):

@@ -1,5 +1,4 @@
 import random
-from itertools import combinations
 
 import pytest
 
@@ -7,7 +6,7 @@ import arrange.poset as poset
 from arrange.errors import ArrangeError
 from arrange.poset import (DuplicateMember, EmptyInput, EmptyRestriction,
                            IntersectionPoset, InvalidForm, LastMember)
-from helpers import (brute_force_linear_flats, coordinate_forms,
+from helpers import (braid_forms, brute_force_linear_flats, coordinate_forms,
                      random_central_forms, random_linear_systems,
                      reference_linear_poset, reference_partition_lattice)
 
@@ -129,18 +128,9 @@ def test_rejections_match_reference_closure(systems, ambient_dim, mode):
                   systems, ambient_dim, mode) is expected
 
 
-def _braid_forms(n):
-    forms = []
-    for i, j in combinations(range(n), 2):
-        cov = [0] * n
-        cov[i], cov[j] = 1, -1
-        forms.append((cov, 0))
-    return forms
-
-
 @pytest.mark.parametrize("forms, ambient_dim, mode, flats", [
     (coordinate_forms(6), 6, "projective", 127),
-    (_braid_forms(5), 5, "central", 52),
+    (braid_forms(5), 5, "central", 52),
 ], ids=["coordinate_P6", "braid_A4_central"])
 def test_one_rref_per_member_and_per_flat(monkeypatch, forms, ambient_dim,
                                           mode, flats):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import arrange.stalks as stalks_mod
 from arrange.errors import NotAdmissible
 from arrange.models import configuration_model, hyperplane_model
 from arrange.projective import ProjProduct
@@ -11,9 +12,10 @@ from arrange.models import ArrangementModel, abstract_model
 from arrange.poset import IntersectionPoset
 from arrange.stalks import (InconsistentDecomposition, StalkTable, decompose,
                             stalk_dims, stalk_tables, verify_pointwise)
-from helpers import (coordinate_forms, random_central_forms,
+from helpers import (braid_forms, coordinate_forms, random_central_forms,
                      random_generic_projective_forms, random_linear_systems,
-                     reference_delete_member, reference_pointwise)
+                     reference_delete_member, reference_pointwise,
+                     reference_stalk_dims)
 
 
 def model_concurrent3(mode="central"):
@@ -200,7 +202,6 @@ def test_memoization_shares_work():
 
 
 def test_admissibility_checked_once_per_call(monkeypatch):
-    import arrange.stalks as stalks_mod
     calls = []
     real = stalks_mod._require_admissible
 
@@ -231,15 +232,18 @@ def _partition_dims(blocks):
     return {j: d for j, d in enumerate(poly) if d}
 
 
-def test_recursion_builds_no_poset(monkeypatch):
+def _partition_twin(config):
+    """``config`` declared as an abstract model: its partition lattice read
+    back from the abstract block of its report."""
     from arrange.cli import _abstract_export
-    from arrange.models import abstract_model
-    from arrange.poset import IntersectionPoset
+    doc = _abstract_export(config)
+    return abstract_model(doc["c"], doc["ambient"], doc["poset"]["flats"],
+                          doc["poset"]["order"])
+
+
+def test_recursion_builds_no_poset(monkeypatch):
     config = configuration_model(ProjProduct((1,)), 4)
-    twin_doc = _abstract_export(config)
-    twin = abstract_model(twin_doc["c"], twin_doc["ambient"],
-                          twin_doc["poset"]["flats"],
-                          twin_doc["poset"]["order"])
+    twin = _partition_twin(config)
     crossing = [
         hyperplane_model(coordinate_forms(4), mode="projective"),
         hyperplane_model(random_generic_projective_forms(random.Random(7), 8),
@@ -263,11 +267,87 @@ def test_recursion_builds_no_poset(monkeypatch):
 
 
 def test_memo_sizes():
+    # one memo entry per local shape: the coordinate arrangement of P^6 has
+    # one (normal crossings of k members) per k; keyed by flat and atom
+    # masks, the same recursions keep 442 and 1,676 entries
     coordinate = hyperplane_model(coordinate_forms(6), mode="projective")
     config = configuration_model(ProjProduct((1,)), 6)
-    for m, size in ((coordinate, 442), (config, 1676)):
+    for m, size, by_masks in ((coordinate, 7, 442), (config, 71, 1676)):
         stalk_tables(m)
         assert len(m._stalk_memo) == size
+        assert len(reference_stalk_dims(m)[1]) == by_masks
+
+
+SHAPE_MODELS = {
+    "coordinate_P6": lambda: hyperplane_model(coordinate_forms(6),
+                                              mode="projective"),
+    "braid_A4_projective": lambda: hyperplane_model(braid_forms(5),
+                                                    mode="projective"),
+    "generic_8_planes_P3": lambda: hyperplane_model(
+        random_generic_projective_forms(random.Random(5), 8),
+        mode="projective"),
+    "F(P1,6)": lambda: configuration_model(ProjProduct((1,)), 6),
+    "F(P2,4)": lambda: configuration_model(ProjProduct((2,)), 4),
+    "F(P1xP1,3)": lambda: configuration_model(ProjProduct((1, 1)), 3),
+}
+
+
+@pytest.mark.parametrize("name", list(SHAPE_MODELS))
+def test_shape_key_matches_flat_and_atom_key(name):
+    m = SHAPE_MODELS[name]()
+    expected, _ = reference_stalk_dims(m)
+    assert {i: t.dims for i, t in stalk_tables(m).items()} == expected
+    assert len(m._stalk_memo) < len(reference_stalk_dims(m)[1])
+
+
+def test_shape_key_matches_on_random_linear_systems():
+    # every mode, hyperplanes and codimension-2 systems, admissible or not
+    for m in _oracle_models():
+        if m.poset.mode == "abstract":
+            continue
+        expected, _ = reference_stalk_dims(m)
+        got = {f.index: stalks_mod._stalk_table(m, f.index).dims
+               for f in m.poset.flats}
+        assert got == expected
+
+
+def test_shared_position_masks_fall_back_to_flat_and_atom_key():
+    # codimension-2 members a, b, c of R^4 with c through a & b: traced on
+    # a, the new atom a & c is the only one below a & b as well, so those
+    # two flats share a position mask and that state is keyed by its masks
+    a = [([1, 0, 0, 0], 0), ([0, 1, 0, 0], 0)]
+    b = [([0, 0, 1, 0], 0), ([0, 0, 0, 1], 0)]
+    c = [([1, 0, 0, 0], 0), ([0, 0, 1, 0], 0)]
+    poset = IntersectionPoset.from_linear_systems([a, b, c], 4, "central")
+    m = ArrangementModel(kind="abstract", poset=poset, c=2, ambient=(1,))
+    expected, memo = reference_stalk_dims(m)
+    got = {f.index: stalks_mod._stalk_table(m, f.index).dims
+           for f in poset.flats}
+    assert got == expected
+    fallback = [key for key in m._stalk_memo if isinstance(key[1], int)]
+    assert fallback and set(fallback) <= set(memo)
+
+
+def test_abstract_models_keep_flat_and_atom_key():
+    # a declared order need not be the containment of position masks, so
+    # an abstract model is never keyed by its shape
+    for m in (abstract_model(1, [1], *INCOHERENT),
+              abstract_model(1, [1], *NON_LATTICE),
+              _partition_twin(configuration_model(ProjProduct((1,)), 5))):
+        assert m.poset.local_position_masks(m.poset.bottom) is None
+        got = {f.index: stalks_mod._stalk_table(m, f.index).dims
+               for f in m.poset.flats}
+        expected, memo = reference_stalk_dims(m)
+        assert got == expected
+        assert m._stalk_memo == memo
+
+
+def test_local_position_masks_match_walk():
+    for build in SHAPE_MODELS.values():
+        poset = build().poset
+        for f in poset.flats:
+            assert poset.local_position_masks(f.index) == \
+                poset.position_masks(*poset.local_arrangement(f.index))
 
 
 INCOHERENT = (
@@ -300,7 +380,6 @@ def test_incoherent_abstract_poset_fails_pointwise():
 
 
 def test_recursion_depth_guard(monkeypatch):
-    import arrange.stalks as stalks_mod
     from arrange.stalks import RecursionDepthExceeded
     monkeypatch.setattr(stalks_mod, "_DEPTH_LIMIT", 0)
     m = model_concurrent3()
@@ -311,8 +390,9 @@ def test_recursion_depth_guard(monkeypatch):
 def _oracle_models():
     """Models whose recursion states and pointwise checks are compared with
     the reference formulas: seeded linear systems of every mode (admissible
-    or not), partition lattices up to 6 points, and the two abstract orders
-    above."""
+    or not), partition lattices up to 5 points, the shape models above, the
+    two abstract orders above and the 6-point partition lattice declared as
+    an abstract model, whose states are not merged by shape."""
     rng = random.Random(53)
     models = []
     while len(models) < 120:
@@ -324,15 +404,16 @@ def _oracle_models():
             continue
         models.append(ArrangementModel(kind="abstract", poset=poset,
                                        c=poset.codim_c, ambient=(1,)))
-    for n in range(2, 7):
+    for n in range(2, 6):
         models.append(configuration_model(ProjProduct((1,)), n))
+    models += [build() for build in SHAPE_MODELS.values()]
     models += [abstract_model(1, [1], *INCOHERENT),
-               abstract_model(1, [1], *NON_LATTICE)]
+               abstract_model(1, [1], *NON_LATTICE),
+               _partition_twin(configuration_model(ProjProduct((1,)), 6))]
     return models
 
 
 def test_delete_member_matches_reference_on_every_visited_state(monkeypatch):
-    import arrange.stalks as stalks_mod
     states = []
     real = IntersectionPoset.delete_member
 
@@ -343,7 +424,7 @@ def test_delete_member_matches_reference_on_every_visited_state(monkeypatch):
     monkeypatch.setattr(IntersectionPoset, "delete_member", record)
     for m in _oracle_models():
         for f in m.poset.flats:
-            stalks_mod._recurse(m, *m.poset.local_arrangement(f.index))
+            stalks_mod._stalk_table(m, f.index)
     monkeypatch.undo()
     assert len(states) > 1000
     for poset, flats, atoms in states:
