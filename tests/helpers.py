@@ -717,10 +717,10 @@ def reference_pointwise(model, dec, tables):
 
 
 def reference_stalk_dims(model):
-    """The stalk recursion memoized on the flat mask and the atom mask, as
-    before shapes keyed it: returns ({flat: dims}, memo).  Only states with
-    one flat mask and one atom set share an entry, so no two local
-    arrangements are ever identified by their shape."""
+    """The recursion of ``stalks._recurse`` memoized on the flat mask and
+    the atom mask alone: returns ({flat: dims}, memo).  Only states with one
+    flat mask and one atom set share an entry, so no two local arrangements
+    are identified by their shape."""
     poset, c = model.poset, model.c
     memo = {}
 

@@ -267,8 +267,8 @@ def test_recursion_builds_no_poset(monkeypatch):
 
 
 def test_memo_sizes():
-    # one memo entry per local shape: the coordinate arrangement of P^6 has
-    # one (normal crossings of k members) per k; keyed by flat and atom
+    # one memo entry per local shape: in the coordinate arrangement of P^6
+    # that is one per number of members, 0 to 6; keyed by flat and atom
     # masks, the same recursions keep 442 and 1,676 entries
     coordinate = hyperplane_model(coordinate_forms(6), mode="projective")
     config = configuration_model(ProjProduct((1,)), 6)
@@ -295,9 +295,9 @@ SHAPE_MODELS = {
 @pytest.mark.parametrize("name", list(SHAPE_MODELS))
 def test_shape_key_matches_flat_and_atom_key(name):
     m = SHAPE_MODELS[name]()
-    expected, _ = reference_stalk_dims(m)
+    expected, memo = reference_stalk_dims(m)
     assert {i: t.dims for i, t in stalk_tables(m).items()} == expected
-    assert len(m._stalk_memo) < len(reference_stalk_dims(m)[1])
+    assert len(m._stalk_memo) < len(memo)
 
 
 def test_shape_key_matches_on_random_linear_systems():
@@ -314,7 +314,8 @@ def test_shape_key_matches_on_random_linear_systems():
 def test_shared_position_masks_fall_back_to_flat_and_atom_key():
     # codimension-2 members a, b, c of R^4 with c through a & b: traced on
     # a, the new atom a & c is the only one below a & b as well, so those
-    # two flats share a position mask and that state is keyed by its masks
+    # two flats share a position mask and that state keeps the flat-mask
+    # and atom-mask key
     a = [([1, 0, 0, 0], 0), ([0, 1, 0, 0], 0)]
     b = [([0, 0, 1, 0], 0), ([0, 0, 0, 1], 0)]
     c = [([1, 0, 0, 0], 0), ([0, 0, 1, 0], 0)]
