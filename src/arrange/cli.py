@@ -442,10 +442,12 @@ def execute(job: JobSpec) -> tuple:
         if target is not None:
             # a target the Betti numbers miss is infeasible, as in
             # feasibility mode, unless another check failed as well
-            if not verdict("target", res.betti == target):
+            hit = res.betti == target
+            if not hit and all(v["ok"] for v in verdicts):
                 exit_code = EXIT_INFEASIBLE
-            verdicts[-1].update(expected=target.to_list(),
-                                betti=res.betti.to_list())
+            verdicts.append({"check": "target", "ok": hit,
+                             "expected": target.to_list(),
+                             "betti": res.betti.to_list()})
     else:
         try:
             res = feasibility(page, target)
@@ -480,7 +482,7 @@ def execute(job: JobSpec) -> tuple:
 
     report["abstract_model"] = _abstract_export(model)
     report["verdicts"] = verdicts
-    if any(not v["ok"] for v in verdicts if v["check"] != "target"):
+    if exit_code == EXIT_OK and any(not v["ok"] for v in verdicts):
         exit_code = EXIT_MISMATCH
     return report, exit_code
 

@@ -98,16 +98,7 @@ class AdmissibilityReport:
 
 
 def _bits(mask):
-    """Indices of the set bits, increasing; costs one step per set bit.
-    Each arithmetic step on a mask costs time in its width, so a wide mask
-    with many set bits is read from its binary digits instead."""
-    if mask.bit_length() > 1024 and mask.bit_count() > 64:
-        digits = bin(mask)[:1:-1]
-        i = digits.find("1")
-        while i >= 0:
-            yield i
-            i = digits.find("1", i + 1)
-        return
+    """Indices of the set bits, increasing; costs one step per set bit."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1

@@ -446,6 +446,19 @@ def test_explicit_mode_compares_the_target(tmp_path, monkeypatch, capsys,
     assert f"  target: expected [{target.replace(',', ', ')}], betti " in out
 
 
+def test_explicit_mode_oracle_target_needs_a_hyperplane_model(
+        tmp_path, monkeypatch, capsys):
+    # the target is read in explicit mode too, so an 'oracle' target on a
+    # model without an Orlik-Solomon oracle is an input error
+    monkeypatch.chdir(tmp_path)
+    path = write_job(tmp_path, CONFIG_P1_3)
+    assert main(["verify", path, "--target", "oracle", "--format",
+                 "machine"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "'oracle' target needs a c = 1 hyperplane model" in captured.err
+
+
 @pytest.mark.parametrize("fmt", ["human", "machine"])
 def test_search_over_budget_reports_undecided(tmp_path, monkeypatch, capsys,
                                               fmt):
