@@ -31,7 +31,6 @@ from .spectral import (ExplicitModeUnavailable, FeasibilityResult,
                        skew_row_homology)
 from .stalks import (InconsistentDecomposition, PointwiseReport,
                      RecursionDepthExceeded, SheafDecomposition, StalkTable,
-                     Summand, decompose, stalk_dims, stalk_tables,
-                     verify_pointwise)
+                     Summand, decompose, stalk_tables, verify_pointwise)
 
 __version__ = "0.1.0"

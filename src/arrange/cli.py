@@ -7,10 +7,16 @@ machine report embeds an abstract-model block that can be re-ingested to
 reproduce the same second page.  Every run builds its own poset and stalk
 tables; nothing read from disk besides the job document enters a report.
 
-A verdict compares values made by independent code: stalks with the
-constant-sheaf split, a configuration page's Euler characteristic with
-``models.euler_oracle``, and c = 1 hyperplane Betti numbers and weights with
-the Orlik-Solomon count and purity.
+A verdict compares values made by independent code, and each can fail:
+the flats' codimensions with the member codimension (``admissible``),
+stalks with the constant-sheaf split, a configuration page's Euler
+characteristic with ``models.euler_oracle``, and c = 1 hyperplane Betti
+numbers and weights with the Orlik-Solomon count and purity.  The report
+holds one verdict list from the start.  A failed ``admissible``,
+``pointwise_decomposition`` or ``euler_oracle`` verdict ends the run there,
+before the next stage builds on what it checked.  There is no vanishing
+verdict: the stalk recursion puts stalks only in degrees (2c-1)*l by its
+construction.
 
 Exit codes: 0 ok, 2 verification mismatch or a feasibility search left
 undecided at its split budget (``spectral.FEASIBILITY_BUDGET``),
@@ -29,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import ArrangeError, NotAdmissible
+from .errors import ArrangeError
 from .models import (abstract_model, check_mon, configuration_model,
                      euler_oracle, hyperplane_model, os_oracle)
 from .polys import IntPoly
@@ -266,16 +272,6 @@ def _stalks_section(poset, tables):
             for i in sorted(tables)]
 
 
-def _purity_check(model, tables):
-    """Stalks vanish outside the degrees (2c-1)*l; there the weight 2c*l
-    follows from the degree (``StalkTable.weights``)."""
-    c = model.c
-    violations = [{"flat": i, "degree": k, "reason": "vanishing"}
-                  for i, t in tables.items() for k, d in t.dims.items()
-                  if d and k % (2 * c - 1)]
-    return {"ok": not violations, "violations": violations}
-
-
 def _page_section(page):
     cells = [{"p": p, "q": q, "dim": cell.dim, "weight": cell.weight}
              for (p, q), cell in sorted(page.cells.items())]
@@ -299,25 +295,15 @@ def _abstract_export(model):
 
 def execute(job: JobSpec) -> tuple:
     """Run a job; returns (report dict, exit code)."""
-    report = {"schema_version": SCHEMA_VERSION, "command": job.command,
-              "model": job.model}
     verdicts = []
+    report = {"schema_version": SCHEMA_VERSION, "command": job.command,
+              "model": job.model, "verdicts": verdicts}
 
-    def verdict(name, ok):
-        verdicts.append({"check": name, "ok": bool(ok)})
+    def verdict(name, ok, **detail):
+        verdicts.append({"check": name, "ok": bool(ok), **detail})
         return ok
 
-    try:
-        model = build_model(job)
-    except NotAdmissible as exc:
-        rep = exc.report
-        report["admissible"] = {
-            "ok": False,
-            "violations": list(rep.violations) if rep else [],
-            "note": rep.note if rep else ""}
-        report["verdicts"] = [{"check": "admissible", "ok": False}]
-        return report, EXIT_MISMATCH
-
+    model = build_model(job)
     poset = model.poset
     report["poset"] = {
         "ambient_dim": poset.ambient_dim,
@@ -331,17 +317,14 @@ def execute(job: JobSpec) -> tuple:
                                if poset.member_mask(f.index) >> i & 1]}
                   for f in poset.flats],
     }
-    adm = model.check_admissible()
+    adm = poset.check_admissible()
     report["admissible"] = {"ok": adm.ok, "violations": adm.violations,
                             "note": adm.note}
-    verdict("admissible", adm.ok)
     if model.kind == "hyperplane":
         report["ncd"] = model.ncd
-    if not adm.ok:
-        report["verdicts"] = verdicts
+    if not verdict("admissible", adm.ok):
         return report, EXIT_MISMATCH
     if job.command == "lattice":
-        report["verdicts"] = verdicts
         return report, EXIT_OK
 
     if job.command == "oracle":
@@ -349,16 +332,11 @@ def execute(job: JobSpec) -> tuple:
             raise SchemaError("oracle command needs a hyperplane model")
         poly = os_oracle(poset)
         report["oracle"] = {"poly": poly.to_list(), "text": str(poly)}
-        report["verdicts"] = verdicts
         return report, EXIT_OK
 
     # stalks, decomposition, pointwise verification
     tables = stalk_tables(model)
     report["stalks"] = _stalks_section(poset, tables)
-    purity = _purity_check(model, tables)
-    report["purity"] = purity
-    verdict("vanishing_and_purity", purity["ok"])
-
     try:
         dec = decompose(model, tables=tables)
         pw = dec.pointwise
@@ -371,27 +349,22 @@ def execute(job: JobSpec) -> tuple:
         for s in dec.summands]
     report["pointwise"] = {"ok": pw.ok, "mismatches": pw.mismatches}
     if not verdict("pointwise_decomposition", pw.ok):
-        report["verdicts"] = verdicts
         return report, EXIT_MISMATCH
-
     if job.command == "stalks":
-        report["verdicts"] = verdicts
-        return report, EXIT_OK if all(v["ok"] for v in verdicts) else EXIT_MISMATCH
+        return report, EXIT_OK
 
     page = assemble_e2(dec, model.strata(), model.ambient, model.c,
                        bottom=poset.bottom)
     report["e2"] = _page_section(page)
     if model.kind == "configuration":
         # chi(F(X, n)) from the Fadell-Neuwirth fibration, read from the
-        # factor and the point count alone
+        # factor and the point count alone; a miss ends the run before a
+        # differential is built on the page
         expected, euler = euler_oracle(model.factor, model.n), page.euler()
-        if not verdict("euler_oracle", euler == expected):
-            verdicts[-1].update(expected=expected, page=euler)
-    # a failed verdict ends the run here, with its report, before a
-    # differential is built on a page that failed a check
-    if any(not v["ok"] for v in verdicts):
-        report["verdicts"] = verdicts
-        return report, EXIT_MISMATCH
+        if euler != expected:
+            verdict("euler_oracle", False, expected=expected, page=euler)
+            return report, EXIT_MISMATCH
+        verdict("euler_oracle", True)
 
     mode = job.mode
     if mode is None:
@@ -445,16 +418,14 @@ def execute(job: JobSpec) -> tuple:
             hit = res.betti == target
             if not hit and all(v["ok"] for v in verdicts):
                 exit_code = EXIT_INFEASIBLE
-            verdicts.append({"check": "target", "ok": hit,
-                             "expected": target.to_list(),
-                             "betti": res.betti.to_list()})
+            verdict("target", hit, expected=target.to_list(),
+                    betti=res.betti.to_list())
     else:
         try:
             res = feasibility(page, target)
         except Infeasible as exc:
             report["feasibility"] = {"feasible": False, "reason": str(exc)}
             verdict("feasibility", False)
-            report["verdicts"] = verdicts
             return report, EXIT_INFEASIBLE
         section = {
             "euler": res.euler,
@@ -481,7 +452,6 @@ def execute(job: JobSpec) -> tuple:
                          "conclusion": mon.conclusion}
 
     report["abstract_model"] = _abstract_export(model)
-    report["verdicts"] = verdicts
     if exit_code == EXIT_OK and any(not v["ok"] for v in verdicts):
         exit_code = EXIT_MISMATCH
     return report, exit_code
@@ -548,8 +518,6 @@ def render_human(report: dict) -> str:
             pieces = [f"{k}: {st['dims'][k]}, w{st['weights'][k]}"
                       for k in sorted(st["dims"], key=int)]
             out.append(f"  {st['display']} (codim {st['codim']}): " + "; ".join(pieces))
-    if "purity" in report:
-        out.append(f"vanishing/purity: {'ok' if report['purity']['ok'] else 'VIOLATED'}")
     if "decomposition" in report:
         out.append("constant-sheaf decomposition (level 0 implicit):")
         rows = [(d["display"], d["level"], d["degree"], d["multiplicity"], d["weight"])

@@ -6,14 +6,7 @@ class ArrangeError(Exception):
 
 
 class NotAdmissible(ArrangeError):
-    """A flat's codimension is not a multiple of the member codimension.
-
-    Carries the admissibility report so callers can render the certificate.
-    """
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
+    """A flat's codimension is not a multiple of the member codimension."""
 
 
 class NotRankOne(ArrangeError):

@@ -10,9 +10,9 @@ entries); ``reduce_row`` reduces one such row against an echelon basis.
 That gives the rank, the pivot columns and the kernel basis of a matrix.
 
 ``rref`` is a view of ``echelon``: the canonical Fraction form of a row
-space.  The poset layer calls it once per member, to find repeated members,
-and once per flat, to write the flat's key; its closure runs on integer
-rows with ``reduce_row``.
+space.  The poset layer calls it once per member, to find repeated members;
+its closure runs on integer rows with ``reduce_row``, and a flat's key is
+``Echelon.reduced`` of the echelon basis that the closure keeps.
 """
 
 from __future__ import annotations
@@ -346,6 +346,6 @@ def rref(rows):
 
     Returns (rows, pivot_columns) with zero rows dropped, every entry a
     Fraction.  The output is the canonical representative of the row space,
-    which is what the poset layer writes as a flat's key.
+    the form in which the poset layer compares members and keys flats.
     """
     return echelon(RationalMatrix.from_rows(rows)).reduced()

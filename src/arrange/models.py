@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
 
-from .errors import ArrangeError, NotAdmissible, NotRankOne
+from .errors import ArrangeError, NotRankOne
 from .polys import IntPoly
 from .poset import IntersectionPoset
 from .projective import ProjProduct, SpaceMap, power_inclusion
@@ -70,9 +70,6 @@ class ArrangementModel:
             images = tuple(sgeom.generator(i) for i in range(dgeom.nfactors))
             return SpaceMap(sgeom, dgeom, images)
         raise ArrangeError(f"no inclusion rule for kind {self.kind!r}")
-
-    def check_admissible(self):
-        return self.poset.check_admissible()
 
 
 def _detect_ncd(poset):
@@ -152,9 +149,11 @@ def abstract_model(c, ambient_betti, flats, order) -> ArrangementModel:
     """Model from declared combinatorics.
 
     ``flats`` is a list of dicts with keys ``key``, ``codim``, ``betti``;
-    ``order`` lists key pairs (shallower, deeper).  The admissibility check
-    runs on the declared codimensions; stratum cohomology is trusted, pure
-    of weight equal to degree.  No explicit differential is ever available.
+    ``order`` lists key pairs (shallower, deeper).  Admissibility is not
+    checked here: ``cli.execute`` reports it as a verdict and
+    ``stalks.stalk_tables`` refuses a model that fails it.  Stratum
+    cohomology is trusted, pure of weight equal to degree.  No explicit
+    differential is ever available.
     """
     if not ambient_betti:
         raise MissingBetti("ambient Betti numbers are required")
@@ -172,11 +171,6 @@ def abstract_model(c, ambient_betti, flats, order) -> ArrangementModel:
     key_to_index = {f.key[1]: f.index for f in poset.flats}
     for fl in flats:
         betti[key_to_index[str(fl["key"])]] = tuple(int(b) for b in fl["betti"])
-    report = poset.check_admissible()
-    if not report.ok:
-        raise NotAdmissible(
-            f"{len(report.violations)} flats violate the codimension pattern",
-            report=report)
     return ArrangementModel(
         kind="abstract", poset=poset, c=c, ambient=tuple(int(b) for b in ambient_betti),
         abstract_betti=betti, mode="abstract", explicit=False)

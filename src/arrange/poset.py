@@ -20,11 +20,11 @@ known flat with each member and deduplicate on the member mask, the set of
 members containing the result.  A linear flat is the intersection of the
 members that contain it, so that mask is its identity.  Each flat keeps an
 echelon basis of primitive integer rows, so rank, consistency and member
-containment are reductions with ``linalg.reduce_row``; the canonical
-reduced row echelon form (``linalg.rref``, read off the same integer
-elimination) is computed once per member and once per flat, at the end,
-as its key.  This visits only actual flats instead of all 2^s index
-subsets.
+containment are reductions with ``linalg.reduce_row``.  A member's
+canonical reduced row echelon form (``linalg.rref``) finds repeated
+members; a flat's key is the reduced form of the echelon basis it already
+has (``linalg.Echelon.reduced``), written once, at the end.  This visits
+only actual flats instead of all 2^s index subsets.
 
 Every build is bounded: the closure and the partition enumeration stop with
 ``TooManyFlats`` once they have made more than ``MAX_FLATS`` flats, so a
@@ -39,7 +39,8 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import ArrangeError
-from .linalg import RationalMatrix, primitive_rows, reduce_row, rref
+from .linalg import (Echelon, RationalMatrix, primitive_rows, reduce_row,
+                     rref)
 
 # Most flats one build may make before it stops with TooManyFlats: 9 points
 # give Bell(9) = 21,147 partitions and build, 10 give 115,975 and do not.
@@ -222,8 +223,7 @@ class IntersectionPoset:
 
         flats = []
         for idx, basis in enumerate(bases):
-            key, _ = rref([[row.get(j, 0) for j in range(ncoords + 1)]
-                           for row in basis.values()])
+            key, _ = Echelon(ncoords + 1, basis).reduced()
             flats.append(Flat(idx, len(key), ("lin", key),
                               f"F{idx}" if key else "ambient"))
 

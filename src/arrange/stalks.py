@@ -24,6 +24,10 @@ from dataclasses import dataclass, field
 from .errors import ArrangeError, NotAdmissible
 from .poset import _bits
 
+# Deepest nesting of restrictions in the stalk recursion.  A built poset
+# nests at most its rank, and a rank-r poset of flats has at least 2^r
+# flats, so ``poset.MAX_FLATS`` keeps that under 17; only an abstract
+# poset's declared order can get here.
 _DEPTH_LIMIT = 200
 
 
@@ -85,37 +89,35 @@ class PointwiseReport:
     mismatches: list = field(default_factory=list)
 
 
-def _require_admissible(model):
-    report = model.poset.check_admissible()
-    if not report.ok:
-        raise NotAdmissible(
-            f"{len(report.violations)} flats violate the codimension pattern",
-            report=report)
-
-
 def _recurse(model, flats, atoms, masks, depth=0):
     """Stalk dimensions of the local arrangement ``(flats, atoms)`` of the
     model's poset (all members pass through the point), as degree -> dim.
-    ``masks`` are its position masks, or None (see ``position_masks``)."""
+    ``masks`` are its position masks, or None (see ``position_masks``).
+
+    The deletions of member 0 are walked in a loop, down to a memo hit or
+    at most one atom, and then folded back up, gluing each state's deletion
+    with its restriction; only the restrictions nest, ``depth`` deep."""
     if depth > _DEPTH_LIMIT:
         raise RecursionDepthExceeded(
-            "stalk recursion exceeded the depth guard; malformed poset?")
-    poset, c = model.poset, model.c
-    key = poset.content_key(flats, atoms, masks)
-    hit = model._stalk_memo.get(key)
-    if hit is not None:
-        return hit
-    s = len(atoms)
-    if s == 0:
-        dims = {0: 1}
-    elif s == 1:
-        dims = {0: 1, 2 * c - 1: 1}
-    else:
-        kept, rest = poset.delete_member(flats, atoms, 0)
+            f"stalk restrictions nested more than {_DEPTH_LIMIT} deep, "
+            f"which only an abstract poset's declared order can do")
+    poset, c, memo = model.poset, model.c, model._stalk_memo
+    chain = []
+    while True:
+        key = poset.content_key(flats, atoms, masks)
+        dims = memo.get(key)
+        if dims is not None:
+            break
+        if len(atoms) <= 1:
+            dims = memo[key] = {0: 1, 2 * c - 1: 1} if atoms else {0: 1}
+            break
+        chain.append((key, flats, atoms))
+        flats, atoms = poset.delete_member(flats, atoms, 0)
         if masks is not None:
             # the remaining atoms move down one position
-            masks = {f: m >> 1 for f, m in masks.items() if kept >> f & 1}
-        deleted = _recurse(model, kept, rest, masks, depth + 1)
+            masks = {f: m >> 1 for f, m in masks.items() if flats >> f & 1}
+    for key, flats, atoms in reversed(chain):
+        deleted = dims
         kept, rest = poset.restrict_to_member(flats, atoms, 0)
         traced = _recurse(model, kept, rest,
                           poset.position_masks(kept, rest), depth + 1)
@@ -127,7 +129,7 @@ def _recurse(model, flats, atoms, masks, depth=0):
                 v += traced.get(k + 1 - 2 * c, 0)
             if v:
                 dims[k] = v
-    model._stalk_memo[key] = dims
+        memo[key] = dims
     return dims
 
 
@@ -138,26 +140,26 @@ def _stalk_table(model, flat):
     return StalkTable(flat, dict(dims), model.c)
 
 
-def stalk_dims(model, flat) -> StalkTable:
-    """Stalk table at a generic point of ``flat`` (poset index)."""
-    _require_admissible(model)
-    return _stalk_table(model, flat)
-
-
 def stalk_tables(model) -> dict:
-    """Stalk tables at every flat; admissibility is checked once."""
-    _require_admissible(model)
-    return {f.index: _stalk_table(model, f.index) for f in model.poset.flats}
+    """Stalk tables at every flat.  A model with a flat whose codimension is
+    not a multiple of c is refused with ``NotAdmissible``, naming them."""
+    poset = model.poset
+    bad = poset.check_admissible().violations
+    if bad:
+        names = ", ".join(f"{poset.flats[i].display} (codim "
+                          f"{poset.flats[i].codim})" for i in bad)
+        raise NotAdmissible(f"not admissible: the codimension of {names} "
+                            f"is not a multiple of c = {model.c}")
+    return {f.index: _stalk_table(model, f.index) for f in poset.flats}
 
 
 def decompose(model, tables=None) -> SheafDecomposition:
     """Constant-sheaf decomposition: one summand per flat with nonzero
     generic stalk in its own level degree.  Level 0 (the constant sheaf on
-    the ambient space) is left implicit."""
+    the ambient space) is left implicit.  Given ``tables``, it reads them
+    as they are; without, it makes them with ``stalk_tables``."""
     if tables is None:
         tables = stalk_tables(model)
-    else:
-        _require_admissible(model)
     c = model.c
     summands = []
     for f in model.poset.flats:
@@ -169,7 +171,7 @@ def decompose(model, tables=None) -> SheafDecomposition:
         if mult:
             summands.append(Summand(f.index, level, degree, mult, 2 * c * level))
     dec = SheafDecomposition(c, tuple(summands))
-    report = dec.pointwise = verify_pointwise(model, dec, tables=tables)
+    report = dec.pointwise = verify_pointwise(model, dec, tables)
     if not report.ok:
         raise InconsistentDecomposition(
             f"{len(report.mismatches)} stalk/multiplicity mismatches",
@@ -177,16 +179,15 @@ def decompose(model, tables=None) -> SheafDecomposition:
     return dec
 
 
-def verify_pointwise(model, dec: SheafDecomposition, tables=None) -> PointwiseReport:
+def verify_pointwise(model, dec: SheafDecomposition, tables) -> PointwiseReport:
     """At every flat and degree, the stalk dimension must equal the sum of
     multiplicities of summands whose support closure contains the flat.
 
     Each summand adds its multiplicity at every flat of the up-set of its
     support, so the sums cost one step per (summand, flat above it).  They
     read only ``dec`` and the order, never the recursion or its memo, so the
-    raw recursion's dims are compared with an independent count."""
-    if tables is None:
-        tables = stalk_tables(model)
+    raw recursion's dims in ``tables`` are compared with an independent
+    count."""
     poset = model.poset
     sums = {k: [0] * len(poset.flats) for k in {s.degree for s in dec.summands}}
     for s in dec.summands:

@@ -113,8 +113,9 @@ def test_criterion_5_vanishing_and_purity():
 
 def test_criterion_6_decomposition_consistency():
     for model in _models_for_criteria_1_to_4():
-        dec = decompose(model)
-        report = verify_pointwise(model, dec)
+        tables = stalk_tables(model)
+        dec = decompose(model, tables)
+        report = verify_pointwise(model, dec, tables)
         assert report.ok, report.mismatches
     _line(6, "pointwise constant-sheaf consistency on every model")
 

@@ -340,8 +340,8 @@ def test_abstract_export_lists_exactly_the_covers(tmp_path, monkeypatch):
         assert again_below == below
 
 
-def test_stalk_table_off_the_vanishing_degrees_fails_purity(tmp_path,
-                                                            monkeypatch):
+def test_stalk_table_off_the_vanishing_degrees_fails_pointwise(tmp_path,
+                                                               monkeypatch):
     monkeypatch.chdir(tmp_path)
     doc = {"schema_version": 1,
            "model": {"kind": "configuration", "factor": [2], "points": 2}}
@@ -358,9 +358,16 @@ def test_stalk_table_off_the_vanishing_degrees_fails_purity(tmp_path,
     monkeypatch.setattr(cli, "stalk_tables", tampered)
     report, code = execute(parse(doc, command="verify"))
     assert code == EXIT_MISMATCH
-    assert {"check": "vanishing_and_purity", "ok": False} in report["verdicts"]
-    assert {"flat": 0, "degree": 2,
-            "reason": "vanishing"} in report["purity"]["violations"]
+    # summands sit only in degrees 3 * level, so an entry off those degrees
+    # is a pointwise mismatch; there is no separate vanishing verdict
+    assert failed_verdicts(report) == ["pointwise_decomposition"]
+    assert {"flat": 0, "degree": 2, "stalk": 1,
+            "decomposition": 0} in report["pointwise"]["mismatches"]
+    for command in ("stalks", "verify"):
+        report, _ = execute(parse(doc, command=command))
+        assert "purity" not in report
+        assert "vanishing_and_purity" not in {
+            v["check"] for v in report["verdicts"]}
 
 
 def test_exit_code_inadmissible(tmp_path, monkeypatch):
@@ -374,6 +381,50 @@ def test_exit_code_inadmissible(tmp_path, monkeypatch):
     report, code = execute(parse(doc))
     assert code == EXIT_MISMATCH
     assert report["admissible"]["ok"] is False
+    for command in ("verify", "lattice"):
+        report, code = execute(parse(doc, command=command))
+        assert code == EXIT_MISMATCH
+        assert report["admissible"]["ok"] is False
+        assert report["verdicts"] == [{"check": "admissible", "ok": False}]
+        # the violation ids resolve in the poset section
+        flats = {f["id"]: f for f in report["poset"]["flats"]}
+        assert [flats[i]["display"] for i in
+                report["admissible"]["violations"]] == ["B"]
+        assert "stalks" not in report
+        assert "admissible: NO" in cli.render_human(report)
+
+
+def test_admissibility_is_decided_once_in_the_run(tmp_path, monkeypatch):
+    # one check for the verdict in execute, and the library guard in
+    # stalk_tables; decompose reads the tables it is given
+    monkeypatch.chdir(tmp_path)
+    calls = []
+    real = IntersectionPoset.check_admissible
+
+    def counting(self):
+        calls.append(1)
+        return real(self)
+
+    monkeypatch.setattr(IntersectionPoset, "check_admissible", counting)
+    for doc in (BOOLEAN_P2, CONFIG_P1_3, ABSTRACT_PAIR):
+        calls.clear()
+        _, code = execute(parse(doc, command="verify"))
+        assert code == EXIT_OK
+        assert len(calls) == 2
+
+
+def test_long_pencil_of_lines_verifies(tmp_path, monkeypatch):
+    # 300 lines through the origin of C^2: the stalk at the origin deletes
+    # 300 members in a row, past the 200-level guard on nested restrictions
+    monkeypatch.chdir(tmp_path)
+    doc = {"schema_version": 1,
+           "model": {"kind": "hyperplane", "mode": "central",
+                     "forms": [[1, k] for k in range(300)]}}
+    report, code = execute(parse(doc, command="verify",
+                                 overrides={"target": "oracle"}))
+    assert code == EXIT_OK
+    assert report["feasibility"]["target"] == [1, 300, 299]
+    assert report["feasibility"]["feasible"] is True
 
 
 def test_exit_code_pointwise_mismatch(tmp_path, monkeypatch):

@@ -11,7 +11,7 @@ from arrange.polys import IntPoly
 from arrange.poset import IntersectionPoset
 from arrange.projective import ProjProduct
 from arrange.spectral import assemble_e2
-from arrange.stalks import decompose
+from arrange.stalks import decompose, stalk_tables
 from helpers import random_central_forms, run_explicit
 
 BRAID3 = [([1, -1, 0], 0), ([0, 1, -1], 0), ([1, 0, -1], 0)]
@@ -257,12 +257,18 @@ def test_abstract_tangential_pair_accepted():
 
 
 def test_abstract_codim_violation_rejected():
+    # the model is built, so its report can show the poset; the stalk
+    # layer refuses it and names the flat
+    m = abstract_model(
+        2, [1],
+        [{"key": "A", "codim": 2, "betti": [1]},
+         {"key": "B", "codim": 3, "betti": [1]}],
+        [["A", "B"]])
+    assert m.poset.check_admissible().violations == [2]
+    with pytest.raises(NotAdmissible, match=r"B \(codim 3\)"):
+        stalk_tables(m)
     with pytest.raises(NotAdmissible):
-        abstract_model(
-            2, [1],
-            [{"key": "A", "codim": 2, "betti": [1]},
-             {"key": "B", "codim": 3, "betti": [1]}],
-            [["A", "B"]])
+        decompose(m)
 
 
 def test_abstract_missing_betti_rejected():

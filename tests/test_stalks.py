@@ -10,8 +10,9 @@ from arrange.projective import ProjProduct
 from arrange.errors import ArrangeError
 from arrange.models import ArrangementModel, abstract_model
 from arrange.poset import IntersectionPoset
-from arrange.stalks import (InconsistentDecomposition, StalkTable, decompose,
-                            stalk_dims, stalk_tables, verify_pointwise)
+from arrange.stalks import (InconsistentDecomposition, RecursionDepthExceeded,
+                            StalkTable, decompose, stalk_tables,
+                            verify_pointwise)
 from helpers import (braid_forms, coordinate_forms, random_central_forms,
                      random_generic_projective_forms, random_linear_systems,
                      reference_delete_member, reference_pointwise,
@@ -29,7 +30,7 @@ def deepest(model):
 
 def test_single_hypersurface_stalk():
     m = hyperplane_model([([1, 0], 0)], mode="central")
-    t = stalk_dims(m, deepest(m))
+    t = stalk_tables(m)[deepest(m)]
     assert t.dims == {0: 1, 1: 1}
     assert t.weights == {0: 0, 1: 2}
 
@@ -37,20 +38,20 @@ def test_single_hypersurface_stalk():
 def test_single_member_higher_codim_stalk():
     # c = 2 via the diagonal in P^2 x P^2: one member, degrees 0 and 2c-1 = 3
     m = configuration_model(ProjProduct((2,)), 2)
-    t = stalk_dims(m, deepest(m))
+    t = stalk_tables(m)[deepest(m)]
     assert t.dims == {0: 1, 3: 1}
     assert t.weights == {0: 0, 3: 4}
 
 
 def test_two_transverse_stalk():
     m = hyperplane_model([([1, 0], 0), ([0, 1], 0)], mode="central")
-    t = stalk_dims(m, deepest(m))
+    t = stalk_tables(m)[deepest(m)]
     assert t.dims == {0: 1, 1: 2, 2: 1}
 
 
 def test_three_concurrent_stalk():
     m = model_concurrent3()
-    t = stalk_dims(m, deepest(m))
+    t = stalk_tables(m)[deepest(m)]
     assert t.dims == {0: 1, 1: 3, 2: 2}
     top = m.poset.flats[deepest(m)]
     assert abs(m.poset.mu(top.index)) == 2
@@ -58,7 +59,7 @@ def test_three_concurrent_stalk():
 
 def test_bottom_stalk():
     m = model_concurrent3()
-    t = stalk_dims(m, m.poset.bottom)
+    t = stalk_tables(m)[m.poset.bottom]
     assert t.dims == {0: 1}
 
 
@@ -95,12 +96,13 @@ def test_decompose_configuration_p1_cubed():
 
 def test_pointwise_examples():
     m = model_concurrent3()
-    dec = decompose(m)
-    rep = verify_pointwise(m, dec)
-    assert rep.ok
+    tables = stalk_tables(m)
+    dec = decompose(m, tables)
+    rep = verify_pointwise(m, dec, tables)
+    assert rep.ok and rep == dec.pointwise
     # triple point in degree 2: recursion gives 2, decomposition multiplicity 2
     top = deepest(m)
-    assert stalk_dims(m, top).dims[2] == 2
+    assert stalk_tables(m)[top].dims[2] == 2
     assert sum(s.multiplicity for s in dec.summands
                if s.degree == 2 and m.poset.le(s.support, top)) == 2
 
@@ -109,9 +111,9 @@ def test_pointwise_generic_double_point():
     m = hyperplane_model(
         [([1, 0], 0), ([0, 1], 0), ([1, 1], 1)], mode="affine")
     dec = decompose(m)
-    assert verify_pointwise(m, dec).ok
+    assert verify_pointwise(m, dec, stalk_tables(m)).ok
     double = next(f.index for f in m.poset.flats if f.codim == 2)
-    assert stalk_dims(m, double).dims[1] == 2
+    assert stalk_tables(m)[double].dims[1] == 2
 
 
 def test_vanishing_and_purity_pattern():
@@ -154,8 +156,9 @@ def test_mobius_oracle_random_hyperplanes():
         forms = random_central_forms(rng, rng.randint(2, 6), ncoords)
         m = hyperplane_model(forms, mode="central")
         poset = m.poset
+        tables = stalk_tables(m)
         for f in poset.flats:
-            dims = stalk_dims(m, f.index).dims
+            dims = tables[f.index].dims
             for k in range(f.codim + 1):
                 oracle = sum(abs(poset.mu(j)) for j in range(len(poset))
                              if poset.le(j, f.index)
@@ -180,8 +183,8 @@ def test_partition_multiplicity_oracle():
 
 
 def test_not_admissible_raises():
-    from arrange.poset import IntersectionPoset
-    from arrange.models import ArrangementModel
+    # two coordinate planes of C^4 meeting in a line: codimension 3 is not
+    # a multiple of c = 2, and the refusal names that flat
     systems = [
         [([1, 0, 0, 0], 0), ([0, 1, 0, 0], 0)],
         [([1, 0, 0, 0], 0), ([0, 0, 1, 0], 0)],
@@ -189,8 +192,12 @@ def test_not_admissible_raises():
     poset = IntersectionPoset.from_linear_systems(systems, 4, "central")
     model = ArrangementModel(kind="abstract", poset=poset, c=2, ambient=(1,),
                              abstract_betti={f.index: (1,) for f in poset.flats})
-    with pytest.raises(NotAdmissible):
-        stalk_dims(model, 0)
+    line = next(f for f in poset.flats if f.codim == 3)
+    with pytest.raises(NotAdmissible,
+                       match=rf"{line.display} \(codim 3\) is not a "
+                             rf"multiple of c = 2"):
+        stalk_tables(model)
+    assert model._stalk_memo == {}
 
 
 def test_memoization_shares_work():
@@ -202,16 +209,20 @@ def test_memoization_shares_work():
 
 
 def test_admissibility_checked_once_per_call(monkeypatch):
+    # stalk_tables checks once; decompose reads the tables it is given as
+    # they are, and checks only through the stalk_tables call it makes
     calls = []
-    real = stalks_mod._require_admissible
+    real = IntersectionPoset.check_admissible
 
-    def counting(model):
+    def counting(self):
         calls.append(1)
-        return real(model)
+        return real(self)
 
-    monkeypatch.setattr(stalks_mod, "_require_admissible", counting)
+    monkeypatch.setattr(IntersectionPoset, "check_admissible", counting)
     m = configuration_model(ProjProduct((1,)), 5)
-    stalk_tables(m)
+    tables = stalk_tables(m)
+    assert len(calls) == 1
+    decompose(m, tables)
     assert len(calls) == 1
     decompose(m)
     assert len(calls) == 2
@@ -381,11 +392,24 @@ def test_incoherent_abstract_poset_fails_pointwise():
 
 
 def test_recursion_depth_guard(monkeypatch):
-    from arrange.stalks import RecursionDepthExceeded
+    # the guard bounds nested restrictions: at the triple point each
+    # deletion state restricts to a one-member arrangement, one level down
     monkeypatch.setattr(stalks_mod, "_DEPTH_LIMIT", 0)
     m = model_concurrent3()
-    with pytest.raises(RecursionDepthExceeded):
-        stalk_dims(m, deepest(m))
+    with pytest.raises(RecursionDepthExceeded, match="abstract"):
+        stalk_tables(m)
+
+
+def test_long_deletion_chain_stays_under_the_depth_guard(monkeypatch):
+    # 300 lines through the origin of C^2: the deletions at the origin make
+    # a chain of 300 states, walked in a loop, while restrictions nest one
+    # level deep; a guard of 1 still passes
+    monkeypatch.setattr(stalks_mod, "_DEPTH_LIMIT", 1)
+    m = hyperplane_model([([1, k], 0) for k in range(300)], mode="central")
+    tables = stalk_tables(m)
+    assert tables[deepest(m)].dims == {0: 1, 1: 300, 2: 299}
+    expected, _ = reference_stalk_dims(m)
+    assert {i: t.dims for i, t in tables.items()} == expected
 
 
 def _oracle_models():
