@@ -102,7 +102,7 @@ def test_pointwise_examples():
     assert rep.ok and rep == dec.pointwise
     # triple point in degree 2: recursion gives 2, decomposition multiplicity 2
     top = deepest(m)
-    assert stalk_tables(m)[top].dims[2] == 2
+    assert tables[top].dims[2] == 2
     assert sum(s.multiplicity for s in dec.summands
                if s.degree == 2 and m.poset.le(s.support, top)) == 2
 
@@ -110,10 +110,11 @@ def test_pointwise_examples():
 def test_pointwise_generic_double_point():
     m = hyperplane_model(
         [([1, 0], 0), ([0, 1], 0), ([1, 1], 1)], mode="affine")
-    dec = decompose(m)
-    assert verify_pointwise(m, dec, stalk_tables(m)).ok
+    tables = stalk_tables(m)
+    dec = decompose(m, tables)
+    assert verify_pointwise(m, dec, tables).ok
     double = next(f.index for f in m.poset.flats if f.codim == 2)
-    assert stalk_tables(m)[double].dims[1] == 2
+    assert tables[double].dims[1] == 2
 
 
 def test_vanishing_and_purity_pattern():
