@@ -28,11 +28,11 @@ miss), 4 input error, including a model whose poset build made more than
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
+import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 from .errors import ArrangeError
@@ -40,6 +40,7 @@ from .models import (abstract_model, check_mon, configuration_model,
                      euler_oracle, hyperplane_model, os_oracle)
 from .polys import IntPoly
 from .projective import ProjProduct
+from .records import Record
 # skew_row_homology is not called here and verify_pointwise runs inside
 # decompose; both stay in this namespace for callers that wrap them
 # (benchmark/tracer.py)
@@ -65,14 +66,17 @@ class SchemaError(ArrangeError):
     pass
 
 
-@dataclass
-class JobSpec:
-    command: str
-    model: dict
-    mode: str | None = None        # explicit | feasibility | bounds | None=auto
-    target: object = None          # IntPoly | "oracle" | None
-    fmt: str = "human"
-    local_system: list | None = None
+class JobSpec(Record):
+    __slots__ = ("command", "model", "mode", "target", "fmt", "local_system")
+
+    def __init__(self, command, model, mode=None, target=None, fmt="human",
+                 local_system=None):
+        self.command = command
+        self.model = model
+        self.mode = mode           # explicit | feasibility | bounds | None=auto
+        self.target = target       # IntPoly | "oracle" | None
+        self.fmt = fmt
+        self.local_system = local_system
 
 
 def _require(cond, message):
@@ -242,6 +246,8 @@ class ResultCache:
 
     @staticmethod
     def key(model_section):
+        # imported here: loading hashlib maps libcrypto into the process
+        import hashlib
         blob = json.dumps(model_section, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
 
@@ -460,8 +466,17 @@ def execute(job: JobSpec) -> tuple:
 # ----- rendering -------------------------------------------------------------
 
 
-def render_machine(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=1)
+# encoder pieces joined into one write; the whole report is never one string
+_WRITE_PIECES = 4096
+
+
+def render_machine(report: dict, out) -> None:
+    """Write the canonical report (sorted keys, indent 1) and a newline to
+    the text stream ``out``, a batch of encoder pieces at a time."""
+    pieces = json.JSONEncoder(sort_keys=True, indent=1).iterencode(report)
+    while batch := "".join(islice(pieces, _WRITE_PIECES)):
+        out.write(batch)
+    out.write("\n")
 
 
 def _table(rows, headers):
@@ -634,10 +649,18 @@ def main(argv=None) -> int:
     except ArrangeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    if job.fmt == "machine":
-        sys.stdout.write(render_machine(report) + "\n")
-    else:
-        sys.stdout.write(render_human(report))
+    try:
+        if job.fmt == "machine":
+            render_machine(report, sys.stdout)
+        else:
+            sys.stdout.write(render_human(report))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone: send what is still buffered to devnull, so
+        # the flush at exit does not fail again, and keep the job's code
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

@@ -11,7 +11,6 @@ combinatorics and Betti data and are confined to bounds mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
 
@@ -19,22 +18,29 @@ from .errors import ArrangeError, NotRankOne
 from .polys import IntPoly
 from .poset import IntersectionPoset
 from .projective import ProjProduct, SpaceMap, power_inclusion
+from .records import Record
 
 
-@dataclass
-class ArrangementModel:
-    kind: str
-    poset: IntersectionPoset
-    c: int
-    ambient: object                  # ProjProduct or Betti tuple
-    geometry: dict | None = None     # flat index -> (ProjProduct, SpaceMap)
-    abstract_betti: dict | None = None
-    mode: str | None = None
-    factor: ProjProduct | None = None
-    n: int | None = None
-    ncd: bool = False
-    explicit: bool = False
-    _stalk_memo: dict = field(default_factory=dict, repr=False)
+class ArrangementModel(Record):
+    __slots__ = ("kind", "poset", "c", "ambient", "geometry", "abstract_betti",
+                 "mode", "factor", "n", "ncd", "explicit", "_stalk_memo")
+    _hidden = ("_stalk_memo",)
+
+    def __init__(self, kind, poset, c, ambient, geometry=None,
+                 abstract_betti=None, mode=None, factor=None, n=None,
+                 ncd=False, explicit=False):
+        self.kind = kind
+        self.poset = poset
+        self.c = c
+        self.ambient = ambient               # ProjProduct or Betti tuple
+        self.geometry = geometry             # flat index -> (ProjProduct, SpaceMap)
+        self.abstract_betti = abstract_betti
+        self.mode = mode
+        self.factor = factor
+        self.n = n
+        self.ncd = ncd
+        self.explicit = explicit
+        self._stalk_memo = {}
 
     def ambient_betti(self):
         if isinstance(self.ambient, ProjProduct):
@@ -218,12 +224,14 @@ def _mobius_poly(poset):
     return IntPoly([coeffs.get(k, 0) for k in range(max(coeffs) + 1)])
 
 
-@dataclass
-class MonReport:
-    ok: bool
-    ok_flats: list
-    bad_flats: list
-    conclusion: list
+class MonReport(Record):
+    __slots__ = ("ok", "ok_flats", "bad_flats", "conclusion")
+
+    def __init__(self, ok, ok_flats, bad_flats, conclusion):
+        self.ok = ok
+        self.ok_flats = ok_flats
+        self.bad_flats = bad_flats
+        self.conclusion = conclusion
 
 
 def check_mon(model: ArrangementModel, exponents) -> MonReport:

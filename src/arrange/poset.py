@@ -34,13 +34,13 @@ refused.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from .errors import ArrangeError
 from .linalg import (Echelon, RationalMatrix, primitive_rows, reduce_row,
                      rref)
+from .records import Frozen, Record
 
 # Most flats one build may make before it stops with TooManyFlats: 9 points
 # give Bell(9) = 21,147 partitions and build, 10 give 115,975 and do not.
@@ -75,27 +75,35 @@ class TooManyFlats(ArrangeError):
                          f"limit of one build (poset.MAX_FLATS)")
 
 
-@dataclass(frozen=True)
-class Member:
+class Member(Frozen):
     """A member of the arrangement; ``atom`` is the flat index of its stratum."""
-    label: object
-    display: str
-    atom: int
+    __slots__ = ("label", "display", "atom")
+
+    def __init__(self, label, display, atom):
+        init = object.__setattr__
+        init(self, "label", label)
+        init(self, "display", display)
+        init(self, "atom", atom)
 
 
-@dataclass(frozen=True)
-class Flat:
-    index: int
-    codim: int
-    key: object
-    display: str
+class Flat(Frozen):
+    __slots__ = ("index", "codim", "key", "display")
+
+    def __init__(self, index, codim, key, display):
+        init = object.__setattr__
+        init(self, "index", index)
+        init(self, "codim", codim)
+        init(self, "key", key)
+        init(self, "display", display)
 
 
-@dataclass
-class AdmissibilityReport:
-    ok: bool
-    violations: list
-    note: str = ""
+class AdmissibilityReport(Record):
+    __slots__ = ("ok", "violations", "note")
+
+    def __init__(self, ok, violations, note=""):
+        self.ok = ok
+        self.violations = violations
+        self.note = note
 
 
 def _bits(mask):

@@ -11,10 +11,10 @@ rejected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ArrangeError
+from .records import Frozen
 
 
 class SpaceMismatch(ArrangeError):
@@ -42,19 +42,18 @@ def _monomials(dims, k):
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class ProjProduct:
+class ProjProduct(Frozen):
     """Product of complex projective spaces, one generator per factor."""
 
-    factor_dims: tuple
+    __slots__ = ("factor_dims",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "factor_dims",
-                           tuple(int(n) for n in self.factor_dims))
-        if not self.factor_dims:
+    def __init__(self, factor_dims):
+        factor_dims = tuple(int(n) for n in factor_dims)
+        if not factor_dims:
             raise ArrangeError("need at least one projective factor")
-        if any(n < 0 for n in self.factor_dims):
+        if any(n < 0 for n in factor_dims):
             raise ArrangeError("factor dimensions must be >= 0")
+        object.__setattr__(self, "factor_dims", factor_dims)
 
     @property
     def dim(self):
@@ -163,20 +162,21 @@ class CohClass:
         return " + ".join(parts)
 
 
-@dataclass(frozen=True)
-class SpaceMap:
+class SpaceMap(Frozen):
     """Algebraic map recorded by the pullbacks of the target's generators."""
 
-    source: ProjProduct
-    target: ProjProduct
-    generator_images: tuple
+    __slots__ = ("source", "target", "generator_images")
 
-    def __post_init__(self):
-        if len(self.generator_images) != self.target.nfactors:
+    def __init__(self, source, target, generator_images):
+        if len(generator_images) != target.nfactors:
             raise SpaceMismatch("need one generator image per target factor")
-        for img in self.generator_images:
-            if img.space != self.source or img.degree != 2:
+        for img in generator_images:
+            if img.space != source or img.degree != 2:
                 raise SpaceMismatch("generator images must be degree-2 source classes")
+        init = object.__setattr__
+        init(self, "source", source)
+        init(self, "target", target)
+        init(self, "generator_images", generator_images)
 
     @property
     def codim(self):

@@ -16,8 +16,6 @@ budget of splits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ArrangeError, NotRankOne
 # homology_dim is no longer called here; it stays in this namespace for
 # callers that wrap it (benchmark/tracer.py counts its calls)
@@ -26,6 +24,7 @@ from .linalg import (RationalMatrix, echelon, homology_dim,  # noqa: F401
 from .polys import IntPoly
 from .poset import _bits
 from .projective import ProjProduct, power_inclusion, pushforward
+from .records import Frozen, Record
 
 
 class MissingStratumData(ArrangeError):
@@ -60,13 +59,17 @@ class HomologyMismatch(ArrangeError):
     """A cell's homology labels disagree in number with its ranks."""
 
 
-@dataclass(frozen=True)
-class WeightedCell:
-    p: int
-    q: int
-    dim: int
-    weight: int
-    basis: tuple  # labels (flat index, monomial token, multiplicity index)
+class WeightedCell(Frozen):
+    __slots__ = ("p", "q", "dim", "weight", "basis")
+
+    def __init__(self, p, q, dim, weight, basis):
+        init = object.__setattr__
+        init(self, "p", p)
+        init(self, "q", q)
+        init(self, "dim", dim)
+        init(self, "weight", weight)
+        # labels (flat index, monomial token, multiplicity index)
+        init(self, "basis", basis)
 
 
 class SpectralPage:
@@ -195,24 +198,30 @@ class WeightTable:
         return sorted(self.table.items())
 
 
-@dataclass
-class RunResult:
-    einfty: SpectralPage
-    betti: IntPoly
-    weights: WeightTable
-    ranks: dict
-    euler: int
+class RunResult(Record):
+    __slots__ = ("einfty", "betti", "weights", "ranks", "euler")
+
+    def __init__(self, einfty, betti, weights, ranks, euler):
+        self.einfty = einfty       # SpectralPage
+        self.betti = betti         # IntPoly
+        self.weights = weights     # WeightTable
+        self.ranks = ranks
+        self.euler = euler
 
 
-@dataclass
-class FeasibilityResult:
-    euler: int
-    bounds: dict                 # k -> (lower, upper)
-    feasible: bool | None = None
-    unique: bool | None = None
-    ranks: dict | None = None
-    undecided: bool = False      # the search went over its split budget
-    splits: int = 0              # splits the rank search visited
+class FeasibilityResult(Record):
+    __slots__ = ("euler", "bounds", "feasible", "unique", "ranks",
+                 "undecided", "splits")
+
+    def __init__(self, euler, bounds, feasible=None, unique=None, ranks=None,
+                 undecided=False, splits=0):
+        self.euler = euler
+        self.bounds = bounds           # k -> (lower, upper)
+        self.feasible = feasible
+        self.unique = unique
+        self.ranks = ranks
+        self.undecided = undecided     # the search went over its split budget
+        self.splits = splits           # splits the rank search visited
 
 
 def _betti_of(data, p):

@@ -19,10 +19,9 @@ resulting sum of multiplicities against the raw recursion at every flat.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import ArrangeError, NotAdmissible
 from .poset import _bits
+from .records import Frozen, Record
 
 # Deepest nesting of restrictions in the stalk recursion.  A built poset
 # nests at most its rank, and a rank-r poset of flats has at least 2^r
@@ -49,13 +48,15 @@ class InconsistentDecomposition(ArrangeError):
         self.report = report
 
 
-@dataclass
-class StalkTable:
+class StalkTable(Record):
     """Stalk dimensions at a generic point of one flat, for member
     codimension c."""
-    flat: int
-    dims: dict
-    c: int
+    __slots__ = ("flat", "dims", "c")
+
+    def __init__(self, flat, dims, c):
+        self.flat = flat
+        self.dims = dims
+        self.c = c
 
     @property
     def weights(self):
@@ -63,30 +64,37 @@ class StalkTable:
         return {k: 2 * self.c * k // (2 * self.c - 1) for k in self.dims}
 
 
-@dataclass(frozen=True)
-class Summand:
+class Summand(Frozen):
     """One constant-sheaf summand: multiplicity copies of the constant sheaf
     on the closure of ``support``, sitting in degree (2c-1)*level."""
-    support: int
-    level: int
-    degree: int
-    multiplicity: int
-    weight: int
+    __slots__ = ("support", "level", "degree", "multiplicity", "weight")
+
+    def __init__(self, support, level, degree, multiplicity, weight):
+        init = object.__setattr__
+        init(self, "support", support)
+        init(self, "level", level)
+        init(self, "degree", degree)
+        init(self, "multiplicity", multiplicity)
+        init(self, "weight", weight)
 
 
-@dataclass
-class SheafDecomposition:
-    c: int
-    summands: tuple
-    # the pointwise check that ``decompose`` ran on this decomposition
-    pointwise: PointwiseReport | None = field(default=None, compare=False,
-                                              repr=False)
+class SheafDecomposition(Record):
+    __slots__ = ("c", "summands", "pointwise")
+    _hidden = ("pointwise",)
+
+    def __init__(self, c, summands, pointwise=None):
+        self.c = c
+        self.summands = summands
+        # the pointwise check that ``decompose`` ran on this decomposition
+        self.pointwise = pointwise
 
 
-@dataclass
-class PointwiseReport:
-    ok: bool
-    mismatches: list = field(default_factory=list)
+class PointwiseReport(Record):
+    __slots__ = ("ok", "mismatches")
+
+    def __init__(self, ok, mismatches=None):
+        self.ok = ok
+        self.mismatches = [] if mismatches is None else mismatches
 
 
 def _recurse(model, flats, atoms, masks, depth=0):

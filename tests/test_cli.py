@@ -5,6 +5,8 @@ import io
 import json
 import os
 import random
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -20,7 +22,7 @@ from arrange.cli import (EXIT_INFEASIBLE, EXIT_INPUT, EXIT_MISMATCH, EXIT_OK,
                          render_machine)
 from arrange.polys import IntPoly
 from arrange.poset import IntersectionPoset
-from helpers import (coordinate_forms, criterion_10_hyperplane_forms,
+from helpers import (child_env, coordinate_forms, criterion_10_hyperplane_forms,
                      random_generic_projective_forms, run_child)
 
 BOOLEAN_P2 = {
@@ -274,11 +276,18 @@ def test_execute_mon_report(tmp_path, monkeypatch):
     assert report["mon"]["ok"] is False
 
 
+def machine_text(report):
+    """The machine report as ``render_machine`` writes it."""
+    out = io.StringIO()
+    render_machine(report, out)
+    return out.getvalue()
+
+
 def test_machine_report_deterministic(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     report1, _ = execute(parse(BOOLEAN_P2, command="verify"))
     report2, _ = execute(parse(BOOLEAN_P2, command="verify"))
-    assert render_machine(report1) == render_machine(report2)
+    assert machine_text(report1) == machine_text(report2)
     # --no-cache and options.cache are accepted and change no byte
     doc = json.loads(json.dumps(BOOLEAN_P2))
     doc["options"] = {"cache": False}
@@ -288,9 +297,44 @@ def test_machine_report_deterministic(tmp_path, monkeypatch, capsys):
                         (write_job(tmp_path, doc, "off.json"), [])]:
         assert main(["verify", path, "--format", "machine", *flags]) == EXIT_OK
         outputs.append(capsys.readouterr())
-    assert outputs[0].out == render_machine(report1) + "\n"
+    assert outputs[0].out == machine_text(report1)
     assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
     assert not (tmp_path / ".arrange-cache").exists()
+
+
+def test_streamed_report_equals_json_dumps(tmp_path, monkeypatch):
+    # json.dumps of the whole report is the oracle for the streamed writes:
+    # coordinate P^6 spans several batches of encoder pieces, the Boolean
+    # arrangement fits in one
+    monkeypatch.chdir(tmp_path)
+    encoder = json.JSONEncoder(sort_keys=True, indent=1)
+    reports = [execute(parse(doc, command="verify"))[0]
+               for doc in (hyperplane_document(coordinate_forms(6)), BOOLEAN_P2)]
+    pieces = [sum(1 for _ in encoder.iterencode(r)) for r in reports]
+    assert pieces[0] > cli._WRITE_PIECES > pieces[1]
+    for report in reports:
+        assert machine_text(report) == json.dumps(report, sort_keys=True,
+                                                  indent=1) + "\n"
+
+
+def test_closed_stdout_pipe_keeps_the_exit_code(tmp_path, monkeypatch):
+    # the reader stops after 10 bytes of a report that overfills the pipe:
+    # the job still exits with its own code and writes nothing to stderr
+    monkeypatch.chdir(tmp_path)
+    doc = hyperplane_document(coordinate_forms(7))
+    assert len(machine_text(execute(parse(doc, command="verify"))[0])) > 3 * 2**16
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "arrange.cli", "verify", write_job(tmp_path, doc),
+         "--format", "machine"],
+        cwd=tmp_path, env=child_env(), stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE)
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == EXIT_OK
+    assert head == b'{\n "abstra'
+    assert err == b""
 
 
 def test_round_trip_abstract_reproduces_page(tmp_path, monkeypatch):

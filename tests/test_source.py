@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 import arrange
+from helpers import run_child
 
 SOURCES = sorted(Path(arrange.__file__).resolve().parent.glob("*.py"))
 
@@ -18,3 +19,18 @@ def test_package_has_no_assert_statements():
                   if isinstance(node, ast.Assert)]
     assert SOURCES
     assert found == []
+
+
+def test_cli_import_loads_no_dataclasses_or_hashlib(tmp_path):
+    # every `arrange` process imports arrange.cli: dataclasses pulls in
+    # inspect, ast and dis, loading hashlib maps libcrypto, and no run
+    # needs either
+    code = ("import sys\n"
+            "bare = set(sys.modules)\n"
+            "import arrange.cli\n"
+            "print(' '.join(sorted(set(sys.modules) - bare)))\n")
+    proc = run_child(tmp_path, "-c", code)
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "arrange.cli" in added
+    assert added.isdisjoint({"dataclasses", "inspect", "hashlib", "_hashlib"})
