@@ -2,7 +2,8 @@
 
 A model packages an intersection poset with the geometry needed by the
 page machinery: the common member codimension c, the ambient space, and
-(where available) explicit stratum geometries with their inclusions.
+(where available) explicit stratum geometries, whose inclusions into the
+ambient space are made only when a differential asks for them.
 Hyperplane models detect simple normal crossings, which is what licenses
 the explicit differential; configuration models are diagonal arrangements
 in a power of a projective product; abstract models carry user-declared
@@ -33,7 +34,7 @@ class ArrangementModel(Record):
         self.poset = poset
         self.c = c
         self.ambient = ambient               # ProjProduct or Betti tuple
-        self.geometry = geometry             # flat index -> (ProjProduct, SpaceMap)
+        self.geometry = geometry             # flat index -> ProjProduct
         self.abstract_betti = abstract_betti
         self.mode = mode
         self.factor = factor
@@ -49,7 +50,7 @@ class ArrangementModel(Record):
 
     def stratum_betti(self, flat):
         if self.geometry is not None and flat in self.geometry:
-            return self.geometry[flat][0].betti_list()
+            return self.geometry[flat].betti_list()
         if self.abstract_betti is not None and flat in self.abstract_betti:
             return tuple(self.abstract_betti[flat])
         raise ArrangeError(f"no cohomology data for flat {flat}")
@@ -59,7 +60,7 @@ class ArrangementModel(Record):
         out = {}
         for f in self.poset.flats:
             if self.geometry is not None and f.index in self.geometry:
-                out[f.index] = self.geometry[f.index][0]
+                out[f.index] = self.geometry[f.index]
             elif self.abstract_betti is not None and f.index in self.abstract_betti:
                 out[f.index] = tuple(self.abstract_betti[f.index])
         return out
@@ -68,14 +69,26 @@ class ArrangementModel(Record):
         """Inclusion map between the geometries of two nested flats."""
         if self.geometry is None:
             raise ArrangeError("model has no stratum geometry")
-        sgeom = self.geometry[src][0]
-        dgeom = self.geometry[dst][0]
+        sgeom = self.geometry[src]
+        dgeom = self.geometry[dst]
         if self.kind == "hyperplane":
             # projective subspaces: the hyperplane class restricts to the
             # hyperplane class, or to zero on a point
             images = tuple(sgeom.generator(i) for i in range(dgeom.nfactors))
             return SpaceMap(sgeom, dgeom, images)
         raise ArrangeError(f"no inclusion rule for kind {self.kind!r}")
+
+    def ambient_inclusion(self, flat):
+        """Inclusion of a flat's stratum into the ambient space, made on
+        each call: only an explicit differential reads it."""
+        if self.kind == "configuration":
+            # copy i of the ambient collapses to the block holding point i
+            block_of = {x: b for b, block in
+                        enumerate(self.poset.flats[flat].key[1]) for x in block}
+            return power_inclusion(self.factor,
+                                   [block_of[i] for i in range(1, self.n + 1)])
+        # the bottom flat's stratum is the ambient space
+        return self.inclusion(flat, self.poset.bottom)
 
 
 def _detect_ncd(poset):
@@ -88,8 +101,8 @@ def hyperplane_model(forms, mode="projective", ambient_dim=None) -> ArrangementM
     """Hypersurface arrangement given by linear forms (covector, constant).
 
     Projective mode works on P^n via the cone; flats get projective-subspace
-    geometries with their inclusions, and detecting normal crossings turns
-    the explicit differential on.  Affine and central modes keep the same
+    geometries, and detecting normal crossings turns the explicit
+    differential on.  Affine and central modes keep the same
     combinatorics but have no compact ambient space, so they stay in
     feasibility/bounds mode with point-like stratum cohomology.
     """
@@ -105,11 +118,7 @@ def hyperplane_model(forms, mode="projective", ambient_dim=None) -> ArrangementM
     if mode == "projective":
         n = ambient_dim
         ambient = ProjProduct((n,))
-        geometry = {}
-        for f in poset.flats:
-            geom = ProjProduct((n - f.codim,))
-            inc = SpaceMap(geom, ambient, (geom.generator(0),))
-            geometry[f.index] = (geom, inc)
+        geometry = {f.index: ProjProduct((n - f.codim,)) for f in poset.flats}
     else:
         ambient = (1,)
         abstract = {f.index: (1,) for f in poset.flats}
@@ -129,19 +138,16 @@ def configuration_model(factor: ProjProduct, n: int) -> ArrangementModel:
         raise ArrangeError("factor must have positive dimension")
     poset = IntersectionPoset.partition_lattice(n, c)
     ambient = ProjProduct(factor.factor_dims * n)
+    spaces = {}     # a stratum of k blocks is factor^k
     geometry = {}
     for f in poset.flats:
-        blocks = f.key[1]
-        block_of = {}
-        for b, block in enumerate(blocks):
-            for x in block:
-                block_of[x] = b
-        copy_to_block = [block_of[i] for i in range(1, n + 1)]
-        inc = power_inclusion(factor, copy_to_block)
-        geom = inc.source
+        k = len(f.key[1])
+        geom = spaces.get(k)
+        if geom is None:
+            geom = spaces[k] = ProjProduct(factor.factor_dims * k)
         if geom.dim != ambient.dim - f.codim:
             raise ArrangeError("stratum dimension bookkeeping broke")
-        geometry[f.index] = (geom, inc)
+        geometry[f.index] = geom
     return ArrangementModel(
         kind="configuration", poset=poset, c=c, ambient=ambient,
         geometry=geometry, factor=factor, n=n, explicit=n <= 3)

@@ -59,6 +59,53 @@ class HomologyMismatch(ArrangeError):
     """A cell's homology labels disagree in number with its ranks."""
 
 
+class _Labels:
+    """The basis labels (flat, token, copy) of one page cell, held as runs
+    (flat, tokens, multiplicity) until a label is first read.
+
+    The length comes from the runs.  Iteration, indexing, equality and
+    hashing read the label tuple, which is expanded once, in the order
+    "run, copy, token", and then replaces the runs.  Only an explicit
+    differential reads labels, so the implicit modes never expand them.
+    """
+
+    __slots__ = ("_runs", "_len", "_labels")
+
+    def __init__(self, runs):
+        self._runs = runs
+        self._len = sum(len(tokens) * mult for _, tokens, mult in runs)
+        self._labels = None
+
+    def _expanded(self):
+        labels = self._labels
+        if labels is None:
+            labels = self._labels = tuple(
+                (flat, token, m) for flat, tokens, mult in self._runs
+                for m in range(mult) for token in tokens)
+            self._runs = None
+        return labels
+
+    def __len__(self):
+        return self._len
+
+    def __iter__(self):
+        return iter(self._expanded())
+
+    def __getitem__(self, i):
+        return self._expanded()[i]
+
+    def __eq__(self, other):
+        if isinstance(other, _Labels):
+            other = other._expanded()
+        return self._expanded() == other
+
+    def __hash__(self):
+        return hash(self._expanded())
+
+    def __repr__(self):
+        return repr(self._expanded())
+
+
 class WeightedCell(Frozen):
     __slots__ = ("p", "q", "dim", "weight", "basis")
 
@@ -232,9 +279,8 @@ def _betti_of(data, p):
 
 def _tokens_of(data, p):
     if isinstance(data, ProjProduct):
-        return list(data.monomials(p // 2)) if p % 2 == 0 else []
-    b = _betti_of(data, p)
-    return [("deg", p, i) for i in range(b)]
+        return data.monomials(p // 2) if p % 2 == 0 else ()
+    return tuple(("deg", p, i) for i in range(_betti_of(data, p)))
 
 
 def _max_degree(data):
@@ -249,18 +295,16 @@ def assemble_e2(dec, strata, ambient, c, bottom=0) -> SpectralPage:
     ``strata`` maps each summand's support (flat index) to a ProjProduct or
     a Betti tuple; ``ambient`` describes the whole space (row q = 0).  Cells
     carry basis labels (support, monomial token, multiplicity copy) so a
-    differential can be filled in later.
+    differential can be filled in later; they are expanded from runs
+    (support, tokens, multiplicity) only when first read.
     """
     cells = {}
 
     def add_row(q, flat, data, multiplicity):
         for p in range(_max_degree(data) + 1):
             tokens = _tokens_of(data, p)
-            if not tokens:
-                continue
-            labels = cells.setdefault((p, q), [])
-            for m in range(multiplicity):
-                labels.extend((flat, tok, m) for tok in tokens)
+            if tokens:
+                cells.setdefault((p, q), []).append((flat, tokens, multiplicity))
 
     add_row(0, bottom, ambient, 1)
     for s in sorted(dec.summands, key=lambda s: (s.level, s.support)):
@@ -270,10 +314,11 @@ def assemble_e2(dec, strata, ambient, c, bottom=0) -> SpectralPage:
         add_row((2 * c - 1) * s.level, s.support, data, s.multiplicity)
 
     out = {}
-    for (p, q), labels in cells.items():
+    for (p, q), runs in cells.items():
         level = q // (2 * c - 1)
+        labels = _Labels(runs)
         out[(p, q)] = WeightedCell(p, q, len(labels), p + 2 * c * level,
-                                   tuple(labels))
+                                   labels)
     return SpectralPage(c, 2 * c, out)
 
 
@@ -319,16 +364,16 @@ def build_differential_ncd(model, page) -> dict:
     Requires simple normal crossings: each flat lies on exactly codim many
     members, so dropping one member from a flat's set names a unique
     shallower flat.  The sign is (-1)^(position of the dropped member in
-    the sorted member tuple).  The inclusion of one stratum into another
-    depends only on their two spaces (``ArrangementModel.inclusion``), so
-    each image is pushed forward once per (source space, target space,
-    monomial).
+    the sorted member tuple).  A stratum's space and the inclusion of one
+    stratum into another (``ArrangementModel.inclusion``) depend only on
+    the flats' codimensions, so each image is pushed forward once per
+    (source codimension, target codimension, monomial).
     """
     if model.kind != "hyperplane" or not model.ncd or model.geometry is None:
         raise NoGeometry("explicit blocks need a normal-crossing hyperplane "
                          "model with stratum geometry")
     poset = model.poset
-    geometry = model.geometry
+    codim = [f.codim for f in poset.flats]
     mask_to_flat = {poset.member_mask(f.index): f.index for f in poset.flats}
 
     def images(push, cell, label):
@@ -338,7 +383,7 @@ def build_differential_ncd(model, page) -> dict:
         for j, mpos in enumerate(_bits(mask)):
             gi = mask_to_flat[mask & ~(1 << mpos)]
             sign = -1 if j % 2 else 1
-            image = push((geometry[fi][0], geometry[gi][0]),
+            image = push((codim[fi], codim[gi]),
                          lambda: model.inclusion(fi, gi), token)
             out.extend(((gi, exp, 0), sign * val) for exp, val in image.items())
         return out
@@ -379,7 +424,7 @@ def build_differential_config(model, page) -> dict:
     def images(push, cell, label):
         fi, token, mult = label
         if cell[1] == q1:
-            image = push(fi, lambda: model.geometry[fi][1], token)
+            image = push(fi, lambda: model.ambient_inclusion(fi), token)
             return [((poset.bottom, exp, 0), val) for exp, val in image.items()]
         if fi != small:
             raise MalformedCell(

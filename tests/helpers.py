@@ -549,6 +549,44 @@ def enumerate_feasibility(page, target=None):
                              unique=len(solutions) == 1, ranks=solutions[0])
 
 
+def reference_basis_labels(dec, strata, ambient, c, bottom=0):
+    """Oracle for the basis labels of ``spectral.assemble_e2``: the eager
+    loop that wrote one (flat, token, copy) tuple per page dimension, kept
+    apart from the lazily expanded runs that replaced it.
+
+    The ambient row comes first, then the summands sorted by (level,
+    support); each adds its copies ``for m in range(multiplicity)`` and,
+    inside a copy, its tokens in degree order.  Returns {(p, q): labels};
+    a ProjProduct's tokens are its monomials, a Betti tuple's are
+    ("deg", p, i).
+    """
+    def tokens(data, p):
+        if isinstance(data, tuple):
+            return [("deg", p, i)
+                    for i in range(data[p] if p < len(data) else 0)]
+        return list(data.monomials(p // 2)) if p % 2 == 0 else []
+
+    def degrees(data):
+        return range(len(data) if isinstance(data, tuple) else 2 * data.dim + 1)
+
+    labels = {}
+
+    def add_row(q, flat, data, multiplicity):
+        for p in degrees(data):
+            toks = tokens(data, p)
+            if not toks:
+                continue
+            cell = labels.setdefault((p, q), [])
+            for m in range(multiplicity):
+                cell.extend((flat, tok, m) for tok in toks)
+
+    add_row(0, bottom, ambient, 1)
+    for s in sorted(dec.summands, key=lambda s: (s.level, s.support)):
+        add_row((2 * c - 1) * s.level, s.support, strata[s.support],
+                s.multiplicity)
+    return {key: tuple(cell) for key, cell in labels.items()}
+
+
 def _reference_positions(cell):
     return {label: i for i, label in enumerate(cell.basis)}
 
@@ -586,7 +624,7 @@ def reference_differential_ncd(model, page) -> dict:
                 gi = mask_to_flat[mask & ~(1 << mpos)]
                 sign = -1 if j % 2 else 1
                 inc = model.inclusion(fi, gi)
-                image = pushforward(inc, model.geometry[fi][0].monomial_class(token))
+                image = pushforward(inc, model.geometry[fi].monomial_class(token))
                 for exp, val in image.coeffs.items():
                     row = tpos[(gi, exp, 0)]
                     s = entries.get((row, col), Fraction(0)) + sign * val
@@ -634,8 +672,8 @@ def reference_differential_config(model, page) -> dict:
         tpos = _reference_positions(tcell)
         entries = {}
         for col, (fi, token, _) in enumerate(cell.basis):
-            geom, inc = model.geometry[fi]
-            image = pushforward(inc, geom.monomial_class(token))
+            inc = model.ambient_inclusion(fi)
+            image = pushforward(inc, model.geometry[fi].monomial_class(token))
             for exp, val in image.coeffs.items():
                 row = tpos[(poset.bottom, exp, 0)]
                 entries[(row, col)] = entries.get((row, col), Fraction(0)) + val

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import arrange.models as models
 from arrange.errors import NotAdmissible, NotRankOne
 from arrange.models import (MissingBetti, abstract_model, check_mon,
                             configuration_model, euler_oracle,
@@ -32,7 +33,11 @@ def test_coordinate_model_is_ncd():
             flats = [f for f in m.poset.flats if f.codim == k]
             assert len(flats) == comb(n + 1, k)
             for f in flats:
-                assert m.geometry[f.index][0] == ProjProduct((n - k,))
+                assert m.geometry[f.index] == ProjProduct((n - k,))
+        for f in m.poset.flats:
+            inc = m.ambient_inclusion(f.index)
+            assert inc.source == m.geometry[f.index]
+            assert inc.target == m.ambient
 
 
 def test_braid_triple_not_ncd():
@@ -68,9 +73,27 @@ def test_configuration_stratum_dimensions():
         m = configuration_model(ProjProduct(dims), n)
         ambient_dim = m.ambient.dim
         for f in m.poset.flats:
-            geom, inc = m.geometry[f.index]
+            geom, inc = m.geometry[f.index], m.ambient_inclusion(f.index)
             assert geom.dim == ambient_dim - f.codim
+            assert inc.source == geom
             assert inc.target == m.ambient
+
+
+def test_configuration_model_makes_no_inclusion(monkeypatch):
+    # a stratum's inclusion is made by ambient_inclusion, on demand
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    real = models.power_inclusion
+    monkeypatch.setattr(models, "power_inclusion", counting)
+    m = configuration_model(ProjProduct((1,)), 5)
+    assert len(m.geometry) == len(m.poset) == 52
+    assert calls == []
+    m.ambient_inclusion(m.poset.bottom)
+    assert len(calls) == 1
 
 
 def test_configuration_model_builds_its_poset_once(monkeypatch):

@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+import arrange.cli as cli
 import arrange.linalg as linalg
 import arrange.spectral as spectral
 from arrange.linalg import RationalMatrix
-from arrange.models import configuration_model, hyperplane_model, os_oracle
+from arrange.models import (abstract_model, configuration_model,
+                            hyperplane_model, os_oracle)
 from arrange.polys import IntPoly
 from arrange.projective import ProjProduct
 from arrange.spectral import (ExplicitModeUnavailable, HomologyMismatch,
@@ -22,7 +24,7 @@ from arrange.stalks import decompose
 from helpers import (child_env, coordinate_forms, criterion_10_models, dense,
                      enumerate_feasibility, explicit_page,
                      random_generic_projective_forms,
-                     reference_differential_config,
+                     reference_basis_labels, reference_differential_config,
                      reference_differential_ncd, reference_rref,
                      run_explicit)
 
@@ -513,6 +515,17 @@ def test_cell_with_wrong_basis_count_raises():
         SpectralPage(1, 2, {(2, 1): WeightedCell(2, 1, 2, 4, (("a", 0, 0),))})
 
 
+@pytest.mark.parametrize("runs, count", [
+    ([("a", ((0,),), 1)], 1),
+    ([("a", ((0,), (1,)), 1), ("b", ((1,),), 2)], 4)], ids=["short", "long"])
+def test_lazy_cell_with_wrong_basis_count_raises(runs, count):
+    # the count comes from the runs, which the check leaves unexpanded
+    basis = spectral._Labels(runs)
+    with pytest.raises(MalformedCell, match=rf"\(2, 1\) has dim 2 but {count} "):
+        SpectralPage(1, 2, {(2, 1): WeightedCell(2, 1, 2, 4, basis)})
+    assert basis._labels is None
+
+
 def test_cell_check_runs_under_optimisation():
     code = ("from arrange.spectral import SpectralPage, WeightedCell\n"
             "SpectralPage(1, 2, {(0, 0): WeightedCell(0, 0, 3, 0, ())})\n")
@@ -520,6 +533,49 @@ def test_cell_check_runs_under_optimisation():
                           capture_output=True, text=True, env=child_env())
     assert proc.returncode != 0
     assert "MalformedCell: cell (0, 0) has dim 3" in proc.stderr
+
+
+def abstract_f_p1_4():
+    """F(P^1, 4) declared as an abstract model: its partition poset with
+    the Betti numbers of its strata."""
+    export = cli._abstract_export(configuration_model(ProjProduct((1,)), 4))
+    return abstract_model(export["c"], export["ambient"],
+                          export["poset"]["flats"], export["poset"]["order"])
+
+
+LABEL_MODELS = {
+    "coordinate_P3": lambda: hyperplane_model(coordinate_forms(3),
+                                              mode="projective"),
+    "generic_9_planes_P3": lambda: hyperplane_model(
+        random_generic_projective_forms(random.Random(9), 9, 3),
+        mode="projective"),
+    "F_P1_3": lambda: configuration_model(ProjProduct((1,)), 3),
+    "F_P2_3": lambda: configuration_model(ProjProduct((2,)), 3),
+    "F_P1xP1_3": lambda: configuration_model(ProjProduct((1, 1)), 3),
+    "abstract_F_P1_4": abstract_f_p1_4,
+}
+
+
+@pytest.mark.parametrize("name", sorted(LABEL_MODELS))
+def test_lazy_labels_match_the_eager_loop(name):
+    model = LABEL_MODELS[name]()
+    dec = decompose(model)
+    page = assemble_e2(dec, model.strata(), model.ambient, model.c,
+                       bottom=model.poset.bottom)
+    expected = reference_basis_labels(dec, model.strata(), model.ambient,
+                                      model.c, bottom=model.poset.bottom)
+    assert page.cells.keys() == expected.keys()
+    for key, labels in expected.items():
+        cell = page.cells[key]
+        # the length is read from the runs, before any label is
+        assert len(cell.basis) == cell.dim == len(labels)
+        assert cell.basis._labels is None
+        eager = WeightedCell(*key, cell.dim, cell.weight, labels)
+        assert cell == eager and eager == cell, key
+        assert hash(cell) == hash(eager), key
+        assert cell.basis._runs is None
+        assert tuple(cell.basis) == labels
+        assert [cell.basis[i] for i in range(cell.dim)] == list(labels)
 
 
 def test_config_label_off_the_small_diagonal_raises():
