@@ -21,8 +21,9 @@ construction.
 Exit codes: 0 ok, 2 verification mismatch or a feasibility search left
 undecided at its split budget (``spectral.FEASIBILITY_BUDGET``),
 3 infeasible target (in explicit mode, a target that the Betti numbers
-miss), 4 input error, including a model whose poset build made more than
-``poset.MAX_FLATS`` flats and stopped there.
+miss), 4 input error, including a document that declares more than
+``poset.MAX_FLATS`` cohomology classes and a model whose poset build made
+more than that many flats and stopped there.
 """
 
 from __future__ import annotations
@@ -32,13 +33,14 @@ import json
 import os
 import sys
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice, repeat
 from pathlib import Path
 
 from .errors import ArrangeError
 from .models import (abstract_model, check_mon, configuration_model,
                      euler_oracle, hyperplane_model, os_oracle)
 from .polys import IntPoly
+from .poset import MAX_FLATS
 from .projective import ProjProduct
 from .records import Record
 # skew_row_homology is not called here and verify_pointwise runs inside
@@ -104,6 +106,8 @@ def parse(document: dict, command: str = "run", overrides: dict | None = None) -
     kind = model.get("kind")
     _require(kind in ("hyperplane", "configuration", "abstract"),
              f"model.kind must be hyperplane|configuration|abstract, got {kind!r}")
+    fields, classes = None, 0   # declared cohomology classes; a poset build
+                                # bounds a hyperplane model's instead
     if kind == "hyperplane":
         _require(isinstance(model.get("forms"), list) and model["forms"],
                  "hyperplane model needs a nonempty 'forms' list")
@@ -127,6 +131,13 @@ def parse(document: dict, command: str = "run", overrides: dict | None = None) -
         _require(type(c) is int and c == sum(factor),
                  f"model.c must be {sum(factor)}, the dimension of the "
                  f"factor, got {c!r}")
+        # (prod (d_i + 1))^points, counted until it passes the budget; a
+        # copy with some d_i > 0 at least doubles it, so 17 copies suffice
+        fields, classes = "model.factor and model.points", 1
+        copies = min(points, MAX_FLATS.bit_length())
+        for d in chain.from_iterable(repeat(factor, copies)):
+            if (classes := classes * (d + 1)) > MAX_FLATS:
+                break
     else:
         c = model.get("c")
         _require(_int_at_least(c, 1), "abstract model needs integer 'c' >= 1")
@@ -153,6 +164,12 @@ def parse(document: dict, command: str = "run", overrides: dict | None = None) -
                      f"model.poset.order[{i}] must be a pair of flat keys, "
                      f"got {pair!r}")
         members = sum(fl["codim"] == c for fl in poset["flats"])
+        fields = "model.ambient and model.poset.flats[].betti"
+        classes = sum(model["ambient"]) + sum(sum(fl["betti"])
+                                              for fl in poset["flats"])
+    _require(classes <= MAX_FLATS,
+             f"{fields} declare more than {MAX_FLATS:,} cohomology classes, "
+             f"the limit of one job (poset.MAX_FLATS)")
 
     options = document.get("options") or {}
     _require(isinstance(options, dict),
@@ -295,7 +312,7 @@ def _abstract_export(model):
     order = [[f"F{i}", f"F{j}"] for i, j in poset.covers()
              if i != poset.bottom]
     return {"kind": "abstract", "c": model.c,
-            "ambient": list(model.ambient_betti()),
+            "ambient": list(model.stratum_betti(poset.bottom)),
             "poset": {"flats": flats, "order": order}}
 
 
@@ -359,8 +376,7 @@ def execute(job: JobSpec) -> tuple:
     if job.command == "stalks":
         return report, EXIT_OK
 
-    page = assemble_e2(dec, model.strata(), model.ambient, model.c,
-                       bottom=poset.bottom)
+    page = assemble_e2(model, dec)
     report["e2"] = _page_section(page)
     if model.kind == "configuration":
         # chi(F(X, n)) from the Fadell-Neuwirth fibration, read from the

@@ -1,13 +1,15 @@
 """Concrete arrangement models and their independent oracles.
 
-A model packages an intersection poset with the geometry needed by the
-page machinery: the common member codimension c, the ambient space, and
-(where available) explicit stratum geometries, whose inclusions into the
-ambient space are made only when a differential asks for them.
-Hyperplane models detect simple normal crossings, which is what licenses
-the explicit differential; configuration models are diagonal arrangements
-in a power of a projective product; abstract models carry user-declared
-combinatorics and Betti data and are confined to bounds mode.
+A model packages an intersection poset with the cohomology the page
+machinery reads: the common member codimension c and one ``strata`` map
+from every flat to its stratum, a ``ProjProduct`` where the geometry is
+known and a Betti tuple otherwise.  The bottom flat's stratum is the
+ambient space.  Inclusions of strata are made only when a differential
+asks for them.  Hyperplane models detect simple normal crossings, which
+is what licenses the explicit differential; configuration models are
+diagonal arrangements in a power of a projective product; abstract
+models carry user-declared combinatorics and Betti data and are confined
+to bounds mode.
 """
 
 from __future__ import annotations
@@ -23,54 +25,31 @@ from .records import Record
 
 
 class ArrangementModel(Record):
-    __slots__ = ("kind", "poset", "c", "ambient", "geometry", "abstract_betti",
-                 "mode", "factor", "n", "ncd", "explicit", "_stalk_memo")
+    __slots__ = ("kind", "poset", "c", "strata", "factor", "n", "ncd",
+                 "explicit", "_stalk_memo")
     _hidden = ("_stalk_memo",)
 
-    def __init__(self, kind, poset, c, ambient, geometry=None,
-                 abstract_betti=None, mode=None, factor=None, n=None,
+    def __init__(self, kind, poset, c, strata, factor=None, n=None,
                  ncd=False, explicit=False):
         self.kind = kind
         self.poset = poset
         self.c = c
-        self.ambient = ambient               # ProjProduct or Betti tuple
-        self.geometry = geometry             # flat index -> ProjProduct
-        self.abstract_betti = abstract_betti
-        self.mode = mode
+        # flat index -> ProjProduct or Betti tuple; strata[poset.bottom]
+        # is the ambient space
+        self.strata = strata
         self.factor = factor
         self.n = n
         self.ncd = ncd
         self.explicit = explicit
         self._stalk_memo = {}
 
-    def ambient_betti(self):
-        if isinstance(self.ambient, ProjProduct):
-            return self.ambient.betti_list()
-        return tuple(self.ambient)
-
     def stratum_betti(self, flat):
-        if self.geometry is not None and flat in self.geometry:
-            return self.geometry[flat].betti_list()
-        if self.abstract_betti is not None and flat in self.abstract_betti:
-            return tuple(self.abstract_betti[flat])
-        raise ArrangeError(f"no cohomology data for flat {flat}")
-
-    def strata(self):
-        """Per-flat cohomology carriers, as consumed by page assembly."""
-        out = {}
-        for f in self.poset.flats:
-            if self.geometry is not None and f.index in self.geometry:
-                out[f.index] = self.geometry[f.index]
-            elif self.abstract_betti is not None and f.index in self.abstract_betti:
-                out[f.index] = tuple(self.abstract_betti[f.index])
-        return out
+        data = self.strata[flat]
+        return data.betti_list() if isinstance(data, ProjProduct) else data
 
     def inclusion(self, src, dst):
         """Inclusion map between the geometries of two nested flats."""
-        if self.geometry is None:
-            raise ArrangeError("model has no stratum geometry")
-        sgeom = self.geometry[src]
-        dgeom = self.geometry[dst]
+        sgeom, dgeom = self.strata[src], self.strata[dst]
         if self.kind == "hyperplane":
             # projective subspaces: the hyperplane class restricts to the
             # hyperplane class, or to zero on a point
@@ -113,18 +92,13 @@ def hyperplane_model(forms, mode="projective", ambient_dim=None) -> ArrangementM
         ambient_dim = len(forms[0][0]) - (1 if mode == "projective" else 0)
     poset = IntersectionPoset.from_linear_forms(forms, ambient_dim, mode)
     ncd = _detect_ncd(poset)
-    geometry = None
-    abstract = None
     if mode == "projective":
-        n = ambient_dim
-        ambient = ProjProduct((n,))
-        geometry = {f.index: ProjProduct((n - f.codim,)) for f in poset.flats}
+        strata = {f.index: ProjProduct((ambient_dim - f.codim,))
+                  for f in poset.flats}
     else:
-        ambient = (1,)
-        abstract = {f.index: (1,) for f in poset.flats}
+        strata = {f.index: (1,) for f in poset.flats}
     return ArrangementModel(
-        kind="hyperplane", poset=poset, c=1, ambient=ambient,
-        geometry=geometry, abstract_betti=abstract, mode=mode,
+        kind="hyperplane", poset=poset, c=1, strata=strata,
         ncd=ncd, explicit=ncd and mode == "projective")
 
 
@@ -137,20 +111,12 @@ def configuration_model(factor: ProjProduct, n: int) -> ArrangementModel:
     if c < 1:
         raise ArrangeError("factor must have positive dimension")
     poset = IntersectionPoset.partition_lattice(n, c)
-    ambient = ProjProduct(factor.factor_dims * n)
-    spaces = {}     # a stratum of k blocks is factor^k
-    geometry = {}
-    for f in poset.flats:
-        k = len(f.key[1])
-        geom = spaces.get(k)
-        if geom is None:
-            geom = spaces[k] = ProjProduct(factor.factor_dims * k)
-        if geom.dim != ambient.dim - f.codim:
-            raise ArrangeError("stratum dimension bookkeeping broke")
-        geometry[f.index] = geom
+    # a stratum of k blocks is factor^k; the bottom flat has n blocks
+    spaces = {k: ProjProduct(factor.factor_dims * k) for k in range(1, n + 1)}
+    strata = {f.index: spaces[len(f.key[1])] for f in poset.flats}
     return ArrangementModel(
-        kind="configuration", poset=poset, c=c, ambient=ambient,
-        geometry=geometry, factor=factor, n=n, explicit=n <= 3)
+        kind="configuration", poset=poset, c=c, strata=strata,
+        factor=factor, n=n, explicit=n <= 3)
 
 
 class MissingBetti(ArrangeError):
@@ -170,7 +136,6 @@ def abstract_model(c, ambient_betti, flats, order) -> ArrangementModel:
     if not ambient_betti:
         raise MissingBetti("ambient Betti numbers are required")
     specs = []
-    betti = {}
     for fl in flats:
         if "key" not in fl or "codim" not in fl:
             raise ArrangeError("abstract flats need 'key' and 'codim'")
@@ -181,11 +146,10 @@ def abstract_model(c, ambient_betti, flats, order) -> ArrangementModel:
         specs.append((fl["key"], int(fl["codim"])))
     poset = IntersectionPoset.from_abstract(specs, order, codim_c=c)
     key_to_index = {f.key[1]: f.index for f in poset.flats}
+    strata = {poset.bottom: tuple(int(b) for b in ambient_betti)}
     for fl in flats:
-        betti[key_to_index[str(fl["key"])]] = tuple(int(b) for b in fl["betti"])
-    return ArrangementModel(
-        kind="abstract", poset=poset, c=c, ambient=tuple(int(b) for b in ambient_betti),
-        abstract_betti=betti, mode="abstract", explicit=False)
+        strata[key_to_index[str(fl["key"])]] = tuple(int(b) for b in fl["betti"])
+    return ArrangementModel(kind="abstract", poset=poset, c=c, strata=strata)
 
 
 def os_oracle(poset: IntersectionPoset) -> IntPoly:

@@ -107,12 +107,11 @@ class _Labels:
 
 
 class WeightedCell(Frozen):
-    __slots__ = ("p", "q", "dim", "weight", "basis")
+    """One cell of a page; its position is its key in ``SpectralPage.cells``."""
+    __slots__ = ("dim", "weight", "basis")
 
-    def __init__(self, p, q, dim, weight, basis):
+    def __init__(self, dim, weight, basis):
         init = object.__setattr__
-        init(self, "p", p)
-        init(self, "q", q)
         init(self, "dim", dim)
         init(self, "weight", weight)
         # labels (flat index, monomial token, multiplicity index)
@@ -271,16 +270,11 @@ class FeasibilityResult(Record):
         self.splits = splits           # splits the rank search visited
 
 
-def _betti_of(data, p):
-    if isinstance(data, ProjProduct):
-        return data.betti(p)
-    return data[p] if 0 <= p < len(data) else 0
-
-
 def _tokens_of(data, p):
+    """Basis tokens of a stratum in degree 0 <= p <= _max_degree(data)."""
     if isinstance(data, ProjProduct):
         return data.monomials(p // 2) if p % 2 == 0 else ()
-    return tuple(("deg", p, i) for i in range(_betti_of(data, p)))
+    return tuple(("deg", p, i) for i in range(data[p]))
 
 
 def _max_degree(data):
@@ -289,36 +283,34 @@ def _max_degree(data):
     return len(data) - 1
 
 
-def assemble_e2(dec, strata, ambient, c, bottom=0) -> SpectralPage:
-    """Build the page from the decomposition and per-stratum cohomology.
+def assemble_e2(model, dec) -> SpectralPage:
+    """Build the page from the decomposition and the model's strata.
 
-    ``strata`` maps each summand's support (flat index) to a ProjProduct or
-    a Betti tuple; ``ambient`` describes the whole space (row q = 0).  Cells
-    carry basis labels (support, monomial token, multiplicity copy) so a
-    differential can be filled in later; they are expanded from runs
+    Row q = 0 is the cohomology of the ambient space, the stratum of the
+    bottom flat; each summand adds a row from the stratum of its support.
+    Cells carry basis labels (support, monomial token, multiplicity copy)
+    so a differential can be filled in later; they are expanded from runs
     (support, tokens, multiplicity) only when first read.
     """
+    c = model.c
+    rows = [(0, model.poset.bottom, 1)] + [
+        ((2 * c - 1) * s.level, s.support, s.multiplicity)
+        for s in sorted(dec.summands, key=lambda s: (s.level, s.support))]
     cells = {}
-
-    def add_row(q, flat, data, multiplicity):
+    for q, flat, multiplicity in rows:
+        data = model.strata.get(flat)
+        if data is None:
+            raise MissingStratumData(f"no cohomology data for flat {flat}")
         for p in range(_max_degree(data) + 1):
             tokens = _tokens_of(data, p)
             if tokens:
                 cells.setdefault((p, q), []).append((flat, tokens, multiplicity))
 
-    add_row(0, bottom, ambient, 1)
-    for s in sorted(dec.summands, key=lambda s: (s.level, s.support)):
-        data = strata.get(s.support)
-        if data is None:
-            raise MissingStratumData(f"no cohomology data for flat {s.support}")
-        add_row((2 * c - 1) * s.level, s.support, data, s.multiplicity)
-
     out = {}
     for (p, q), runs in cells.items():
         level = q // (2 * c - 1)
         labels = _Labels(runs)
-        out[(p, q)] = WeightedCell(p, q, len(labels), p + 2 * c * level,
-                                   labels)
+        out[(p, q)] = WeightedCell(len(labels), p + 2 * c * level, labels)
     return SpectralPage(c, 2 * c, out)
 
 
@@ -369,7 +361,7 @@ def build_differential_ncd(model, page) -> dict:
     the flats' codimensions, so each image is pushed forward once per
     (source codimension, target codimension, monomial).
     """
-    if model.kind != "hyperplane" or not model.ncd or model.geometry is None:
+    if model.kind != "hyperplane" or not model.explicit:
         raise NoGeometry("explicit blocks need a normal-crossing hyperplane "
                          "model with stratum geometry")
     poset = model.poset
@@ -487,7 +479,7 @@ def run(page: SpectralPage) -> RunResult:
                 raise HomologyMismatch(
                     f"cell ({p}, {q}): {len(labels)} homology labels for "
                     f"homology of dimension {h}")
-            einf_cells[(p, q)] = WeightedCell(p, q, h, cell.weight, labels)
+            einf_cells[(p, q)] = WeightedCell(h, cell.weight, labels)
     einfty = SpectralPage(c, 2 * c + 1, einf_cells)
     maxk = max((p + q for (p, q) in einf_cells), default=0)
     betti = IntPoly([sum(cell.dim for (p, q), cell in einf_cells.items()
@@ -645,8 +637,6 @@ def feasibility(page: SpectralPage, target: IntPoly | None = None) -> Feasibilit
         lo = max(0, cell.dim - max_in - max_out)
         pair = bounds.get(k, (0, upper[k]))
         bounds[k] = (pair[0] + lo, upper[k])
-    for k in upper:
-        bounds.setdefault(k, (0, upper[k]))
     if target is None:
         return FeasibilityResult(euler, bounds)
 

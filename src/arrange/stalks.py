@@ -51,10 +51,9 @@ class InconsistentDecomposition(ArrangeError):
 class StalkTable(Record):
     """Stalk dimensions at a generic point of one flat, for member
     codimension c."""
-    __slots__ = ("flat", "dims", "c")
+    __slots__ = ("dims", "c")
 
-    def __init__(self, flat, dims, c):
-        self.flat = flat
+    def __init__(self, dims, c):
         self.dims = dims
         self.c = c
 
@@ -79,11 +78,10 @@ class Summand(Frozen):
 
 
 class SheafDecomposition(Record):
-    __slots__ = ("c", "summands", "pointwise")
+    __slots__ = ("summands", "pointwise")
     _hidden = ("pointwise",)
 
-    def __init__(self, c, summands, pointwise=None):
-        self.c = c
+    def __init__(self, summands, pointwise=None):
         self.summands = summands
         # the pointwise check that ``decompose`` ran on this decomposition
         self.pointwise = pointwise
@@ -145,7 +143,7 @@ def _stalk_table(model, flat):
     poset = model.poset
     dims = _recurse(model, *poset.local_arrangement(flat),
                     poset.local_position_masks(flat))
-    return StalkTable(flat, dict(dims), model.c)
+    return StalkTable(dict(dims), model.c)
 
 
 def stalk_tables(model) -> dict:
@@ -178,7 +176,7 @@ def decompose(model, tables=None) -> SheafDecomposition:
         mult = tables[f.index].dims.get(degree, 0)
         if mult:
             summands.append(Summand(f.index, level, degree, mult, 2 * c * level))
-    dec = SheafDecomposition(c, tuple(summands))
+    dec = SheafDecomposition(tuple(summands))
     report = dec.pointwise = verify_pointwise(model, dec, tables)
     if not report.ok:
         raise InconsistentDecomposition(

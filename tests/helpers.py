@@ -433,8 +433,7 @@ def explicit_page(model):
     from arrange import (assemble_e2, build_differential_config,
                          build_differential_ncd, decompose)
     dec = decompose(model)
-    page = assemble_e2(dec, model.strata(), model.ambient, model.c,
-                       bottom=model.poset.bottom)
+    page = assemble_e2(model, dec)
     if model.kind == "hyperplane":
         diff = build_differential_ncd(model, page)
     else:
@@ -549,16 +548,16 @@ def enumerate_feasibility(page, target=None):
                              unique=len(solutions) == 1, ranks=solutions[0])
 
 
-def reference_basis_labels(dec, strata, ambient, c, bottom=0):
+def reference_basis_labels(model, dec):
     """Oracle for the basis labels of ``spectral.assemble_e2``: the eager
     loop that wrote one (flat, token, copy) tuple per page dimension, kept
     apart from the lazily expanded runs that replaced it.
 
-    The ambient row comes first, then the summands sorted by (level,
-    support); each adds its copies ``for m in range(multiplicity)`` and,
-    inside a copy, its tokens in degree order.  Returns {(p, q): labels};
-    a ProjProduct's tokens are its monomials, a Betti tuple's are
-    ("deg", p, i).
+    The ambient row (the bottom flat's stratum) comes first, then the
+    summands sorted by (level, support); each adds its copies ``for m in
+    range(multiplicity)`` and, inside a copy, its tokens in degree order.
+    Returns {(p, q): labels}; a ProjProduct's tokens are its monomials, a
+    Betti tuple's are ("deg", p, i).
     """
     def tokens(data, p):
         if isinstance(data, tuple):
@@ -580,7 +579,8 @@ def reference_basis_labels(dec, strata, ambient, c, bottom=0):
             for m in range(multiplicity):
                 cell.extend((flat, tok, m) for tok in toks)
 
-    add_row(0, bottom, ambient, 1)
+    strata, c, bottom = model.strata, model.c, model.poset.bottom
+    add_row(0, bottom, strata[bottom], 1)
     for s in sorted(dec.summands, key=lambda s: (s.level, s.support)):
         add_row((2 * c - 1) * s.level, s.support, strata[s.support],
                 s.multiplicity)
@@ -603,7 +603,8 @@ def reference_differential_ncd(model, page) -> dict:
     shallower flat.  The sign is (-1)^(position of the dropped member in
     the sorted member tuple).
     """
-    if model.kind != "hyperplane" or not model.ncd or model.geometry is None:
+    if (model.kind != "hyperplane" or not model.ncd
+            or model.poset.mode != "projective"):
         raise NoGeometry("explicit blocks need a normal-crossing hyperplane "
                          "model with stratum geometry")
     poset = model.poset
@@ -624,7 +625,7 @@ def reference_differential_ncd(model, page) -> dict:
                 gi = mask_to_flat[mask & ~(1 << mpos)]
                 sign = -1 if j % 2 else 1
                 inc = model.inclusion(fi, gi)
-                image = pushforward(inc, model.geometry[fi].monomial_class(token))
+                image = pushforward(inc, model.strata[fi].monomial_class(token))
                 for exp, val in image.coeffs.items():
                     row = tpos[(gi, exp, 0)]
                     s = entries.get((row, col), Fraction(0)) + sign * val
@@ -673,7 +674,7 @@ def reference_differential_config(model, page) -> dict:
         entries = {}
         for col, (fi, token, _) in enumerate(cell.basis):
             inc = model.ambient_inclusion(fi)
-            image = pushforward(inc, model.geometry[fi].monomial_class(token))
+            image = pushforward(inc, model.strata[fi].monomial_class(token))
             for exp, val in image.coeffs.items():
                 row = tpos[(poset.bottom, exp, 0)]
                 entries[(row, col)] = entries.get((row, col), Fraction(0)) + val

@@ -77,8 +77,7 @@ def test_criterion_3_nongeneric_feasibility():
         model = hyperplane_model(forms, mode="central")
         oracle = os_oracle(model.poset)
         dec = decompose(model)
-        page = assemble_e2(dec, model.strata(), model.ambient, model.c,
-                           bottom=model.poset.bottom)
+        page = assemble_e2(model, dec)
         res = feasibility(page, oracle)
         assert res.feasible, f"case {i} infeasible"
         assert res.euler == oracle.evaluate(-1), f"case {i} euler"

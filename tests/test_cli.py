@@ -20,8 +20,10 @@ import arrange.spectral as spectral
 from arrange.cli import (EXIT_INFEASIBLE, EXIT_INPUT, EXIT_MISMATCH, EXIT_OK,
                          SchemaError, build_model, execute, main, parse,
                          render_machine)
+from arrange.models import configuration_model
 from arrange.polys import IntPoly
 from arrange.poset import IntersectionPoset
+from arrange.projective import ProjProduct
 from helpers import (child_env, coordinate_forms, criterion_10_hyperplane_forms,
                      random_generic_projective_forms, run_child)
 
@@ -239,8 +241,7 @@ def test_extra_small_diagonal_copy_is_a_named_error(tmp_path, monkeypatch,
     # built on the tampered page directly, the differential names the cell
     model = build_model(parse(CONFIG_P1_3))
     dec = cli.decompose(model, tables=cli.stalk_tables(model))
-    page = spectral.assemble_e2(dec, model.strata(), model.ambient, model.c,
-                       bottom=model.poset.bottom)
+    page = spectral.assemble_e2(model, dec)
     with pytest.raises(spectral.MalformedCell,
                        match=r"^cell \(0, 2\) has copy 2 of the small "
                              r"diagonal"):
@@ -661,11 +662,12 @@ def refused_at_the_budget(tmp_path, monkeypatch, capsys, doc, what):
 
 def test_configuration_build_refused_at_the_flat_budget(tmp_path, monkeypatch,
                                                         capsys):
-    # Bell(30) flats; the growth stops among the partitions of 8 points
+    # Bell(8) = 4,140 flats; the growth stops among the partitions of 8
+    # points.  F(P^1, 8) declares 2^8 classes, so parse lets it through.
     doc = json.loads(json.dumps(CONFIG_P1_3))
-    doc["model"]["points"] = 30
+    doc["model"]["points"] = 8
     refused_at_the_budget(tmp_path, monkeypatch, capsys, doc,
-                          "partition lattice of 30 points")
+                          "partition lattice of 8 points")
 
 
 def test_hyperplane_build_refused_at_the_flat_budget(tmp_path, monkeypatch,
@@ -675,6 +677,60 @@ def test_hyperplane_build_refused_at_the_flat_budget(tmp_path, monkeypatch,
         tmp_path, monkeypatch, capsys,
         hyperplane_document(coordinate_forms(20)),
         "projective linear arrangement of 21 members")
+
+
+def configuration_document(factor, points):
+    return {"schema_version": 1,
+            "model": {"kind": "configuration", "factor": factor,
+                      "points": points}}
+
+
+def oversized_abstract():
+    doc = json.loads(json.dumps(ABSTRACT_PAIR))
+    doc["model"]["ambient"] = [1, 0, 1000000]
+    return doc
+
+
+@pytest.mark.parametrize("doc, fields", [
+    (configuration_document([1] * 20, 2), "model.factor and model.points"),
+    (configuration_document([60], 3), "model.factor and model.points"),
+    (configuration_document([1], 30), "model.factor and model.points"),
+    (oversized_abstract(), "model.ambient and model.poset.flats[].betti")],
+    ids=["P1_power_20_two_points", "P60_three_points", "F_P1_30",
+         "abstract_ambient"])
+def test_oversized_document_refused_before_any_build(doc, fields, tmp_path,
+                                                     monkeypatch, capsys):
+    # 2^40, 61^3, 2^30 and 1,000,002 declared classes: parse refuses each
+    # before a model builder runs
+    def refuse(*args, **kwargs):
+        raise AssertionError("a model builder ran")
+
+    for builder in ("hyperplane_model", "configuration_model",
+                    "abstract_model"):
+        monkeypatch.setattr(cli, builder, refuse)
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", write_job(tmp_path, doc)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {fields} declare more than 100,000 "
+                            f"cohomology classes, the limit of one job "
+                            f"(poset.MAX_FLATS)\n")
+
+
+def test_class_budget_admits_abstract_f_p1_8_and_stops_one_past_it():
+    # F(P^1, 8) declared as an abstract model: the sum over its 4,140 set
+    # partitions of 2^blocks
+    model = cli._abstract_export(configuration_model(ProjProduct((1,)), 8))
+    doc = {"schema_version": 1, "model": model}
+    declared = sum(model["ambient"]) + sum(sum(fl["betti"])
+                                           for fl in model["poset"]["flats"])
+    assert declared == 89_918
+    parse(doc)
+    model["ambient"][0] += arrange_poset.MAX_FLATS - declared
+    parse(doc)
+    model["ambient"][0] += 1
+    with pytest.raises(SchemaError, match=r"more than 100,000 cohomology"):
+        parse(doc)
 
 
 def braid_document(n):

@@ -33,11 +33,38 @@ def test_coordinate_model_is_ncd():
             flats = [f for f in m.poset.flats if f.codim == k]
             assert len(flats) == comb(n + 1, k)
             for f in flats:
-                assert m.geometry[f.index] == ProjProduct((n - k,))
+                assert m.strata[f.index] == ProjProduct((n - k,))
         for f in m.poset.flats:
             inc = m.ambient_inclusion(f.index)
-            assert inc.source == m.geometry[f.index]
-            assert inc.target == m.ambient
+            assert inc.source == m.strata[f.index]
+            assert inc.target == ProjProduct((n,))
+
+
+@pytest.mark.parametrize("mode, ambient", [
+    ("projective", ProjProduct((2,))), ("affine", (1,)), ("central", (1,))])
+def test_hyperplane_strata_cover_the_flats(mode, ambient):
+    forms = [([1, 0, 0], 0), ([0, 1, 0], 0), ([1, 1, 0], 0), ([0, 0, 1], 0)]
+    m = hyperplane_model(forms, mode=mode)
+    assert m.strata.keys() == {f.index for f in m.poset.flats}
+    assert m.strata[m.poset.bottom] == ambient
+
+
+def test_configuration_strata_cover_the_flats():
+    for dims, n in (((1,), 4), ((2,), 3), ((1, 1), 3)):
+        m = configuration_model(ProjProduct(dims), n)
+        assert m.strata.keys() == {f.index for f in m.poset.flats}
+        assert m.strata[m.poset.bottom] == ProjProduct(dims * n)
+
+
+def test_abstract_strata_cover_the_flats():
+    flats = [{"key": "A", "codim": 1, "betti": [1, 0, 1]},
+             {"key": "B", "codim": 1, "betti": [1, 0, 1]},
+             {"key": "AB", "codim": 2, "betti": [1]}]
+    m = abstract_model(1, [1, 0, 2, 0, 1], flats, [["A", "AB"], ["B", "AB"]])
+    assert m.strata.keys() == {f.index for f in m.poset.flats}
+    assert m.strata[m.poset.bottom] == (1, 0, 2, 0, 1)
+    by_key = {f.key[1]: m.strata[f.index] for f in m.poset.proper_flats()}
+    assert by_key == {"A": (1, 0, 1), "B": (1, 0, 1), "AB": (1,)}
 
 
 def test_braid_triple_not_ncd():
@@ -71,12 +98,12 @@ def test_configuration_model_shape():
 def test_configuration_stratum_dimensions():
     for dims, n in (((1,), 3), ((2,), 2), ((1, 1), 2)):
         m = configuration_model(ProjProduct(dims), n)
-        ambient_dim = m.ambient.dim
+        ambient = ProjProduct(dims * n)
         for f in m.poset.flats:
-            geom, inc = m.geometry[f.index], m.ambient_inclusion(f.index)
-            assert geom.dim == ambient_dim - f.codim
+            geom, inc = m.strata[f.index], m.ambient_inclusion(f.index)
+            assert geom.dim == ambient.dim - f.codim
             assert inc.source == geom
-            assert inc.target == m.ambient
+            assert inc.target == ambient
 
 
 def test_configuration_model_makes_no_inclusion(monkeypatch):
@@ -90,7 +117,7 @@ def test_configuration_model_makes_no_inclusion(monkeypatch):
     real = models.power_inclusion
     monkeypatch.setattr(models, "power_inclusion", counting)
     m = configuration_model(ProjProduct((1,)), 5)
-    assert len(m.geometry) == len(m.poset) == 52
+    assert len(m.strata) == len(m.poset) == 52
     assert calls == []
     m.ambient_inclusion(m.poset.bottom)
     assert len(calls) == 1
@@ -203,8 +230,7 @@ def test_euler_oracle_matches_the_page():
     for dims, n in [((1,), 2), ((1,), 3), ((1,), 4), ((1,), 5), ((2,), 3),
                     ((2,), 4), ((1, 1), 3), ((1, 1), 4)]:
         m = configuration_model(ProjProduct(dims), n)
-        page = assemble_e2(decompose(m), m.strata(), m.ambient, m.c,
-                           bottom=m.poset.bottom)
+        page = assemble_e2(m, decompose(m))
         assert page.euler() == euler_oracle(m.factor, n), (dims, n)
 
 
@@ -302,7 +328,7 @@ def test_abstract_missing_betti_rejected():
 def test_abstract_reentry_matches_geometric_page():
     m = hyperplane_model(BRAID3, mode="projective")
     dec = decompose(m)
-    page = assemble_e2(dec, m.strata(), m.ambient, m.c, bottom=m.poset.bottom)
+    page = assemble_e2(m, dec)
 
     poset = m.poset
     flats = []
@@ -318,10 +344,8 @@ def test_abstract_reentry_matches_geometric_page():
                 continue
             if poset.le(f.index, g.index):
                 order.append([f"F{f.index}", f"F{g.index}"])
-    m2 = abstract_model(1, list(m.ambient_betti()), flats, order)
-    dec2 = decompose(m2)
-    page2 = assemble_e2(dec2, m2.strata(), m2.ambient, m2.c,
-                        bottom=m2.poset.bottom)
+    m2 = abstract_model(1, list(m.stratum_betti(poset.bottom)), flats, order)
+    page2 = assemble_e2(m2, decompose(m2))
     a = {k: (c.dim, c.weight) for k, c in page.cells.items()}
     b = {k: (c.dim, c.weight) for k, c in page2.cells.items()}
     assert a == b

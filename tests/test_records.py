@@ -27,9 +27,9 @@ FROZEN = [
      Flat(3, 2, ("lin", (0, 2)), "F3")),
     (ProjProduct((1, 2)), ProjProduct([1, "2"]), ProjProduct((2, 1))),
     (space_map(1, 2), space_map(1, 2), space_map(1, 2, scale=2)),
-    (WeightedCell(2, 1, 1, 4, ((0, (1,), 0),)),
-     WeightedCell(2, 1, 1, 4, ((0, (1,), 0),)),
-     WeightedCell(2, 1, 1, 3, ((0, (1,), 0),))),
+    (WeightedCell(1, 4, ((0, (1,), 0),)),
+     WeightedCell(1, 4, ((0, (1,), 0),)),
+     WeightedCell(1, 3, ((0, (1,), 0),))),
     (Summand(4, 1, 1, 2, 2), Summand(4, 1, 1, 2, 2), Summand(4, 1, 1, 3, 2)),
 ]
 
@@ -41,10 +41,10 @@ POSET = IntersectionPoset.from_linear_forms([([1, 0], 0), ([0, 1], 0)], 1,
 
 def mutable_records():
     return [
-        JobSpec("run", {}), ArrangementModel("abstract", POSET, 1, (1,)),
+        JobSpec("run", {}), ArrangementModel("abstract", POSET, 1, {0: (1,)}),
         MonReport(True, [], [], []), AdmissibilityReport(True, []),
         RunResult(None, None, None, {}, 0), FeasibilityResult(0, {}),
-        StalkTable(0, {0: 1}, 1), SheafDecomposition(1, ()),
+        StalkTable({0: 1}, 1), SheafDecomposition(()),
         PointwiseReport(True)]
 
 
@@ -107,9 +107,9 @@ def test_mutable_records_compare_by_fields():
 
 def test_sheaf_decomposition_equality_ignores_the_pointwise_report():
     summands = (Summand(1, 1, 1, 1, 2),)
-    checked = SheafDecomposition(1, summands, pointwise=PointwiseReport(True))
-    assert checked == SheafDecomposition(1, summands)
-    assert checked != SheafDecomposition(1, ())
+    checked = SheafDecomposition(summands, pointwise=PointwiseReport(True))
+    assert checked == SheafDecomposition(summands)
+    assert checked != SheafDecomposition(())
     assert "pointwise" not in repr(checked)
 
 

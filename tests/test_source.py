@@ -34,3 +34,23 @@ def test_cli_import_loads_no_dataclasses_or_hashlib(tmp_path):
     added = set(proc.stdout.split())
     assert "arrange.cli" in added
     assert added.isdisjoint({"dataclasses", "inspect", "hashlib", "_hashlib"})
+
+
+def test_every_slot_is_read_in_the_package():
+    # a record field that no code reads copies a fact that has a home
+    # elsewhere; a read is an attribute load anywhere in the package
+    slots, loads = {}, set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loads.add(node.attr)
+            elif isinstance(node, ast.ClassDef):
+                for stmt in node.body:
+                    if (isinstance(stmt, ast.Assign)
+                            and any(isinstance(t, ast.Name) and t.id == "__slots__"
+                                    for t in stmt.targets)):
+                        for name in ast.literal_eval(stmt.value):
+                            slots[f"{path.stem}.{node.name}.{name}"] = name
+    assert len(slots) > 40
+    assert sorted(k for k, name in slots.items() if name not in loads) == []

@@ -34,8 +34,7 @@ TWO_POINTS_P1 = [([1, 0], 0), ([0, 1], 0)]
 
 def assemble(model):
     dec = decompose(model)
-    return assemble_e2(dec, model.strata(), model.ambient, model.c,
-                       bottom=model.poset.bottom)
+    return assemble_e2(model, dec)
 
 
 def cell_dims(page):
@@ -72,10 +71,15 @@ def test_assemble_configuration_p2_pair():
 
 
 def test_assemble_missing_stratum_data():
+    # one entry dropped from the strata: a summand's support, then the
+    # bottom flat, whose stratum gives the ambient row
     m = hyperplane_model(BOOLEAN_P2, mode="projective")
     dec = decompose(m)
-    with pytest.raises(MissingStratumData):
-        assemble_e2(dec, {}, m.ambient, m.c, bottom=m.poset.bottom)
+    strata = m.strata
+    for flat in (dec.summands[-1].support, m.poset.bottom):
+        m.strata = {f: data for f, data in strata.items() if f != flat}
+        with pytest.raises(MissingStratumData, match=rf"flat {flat}$"):
+            assemble_e2(m, dec)
 
 
 def test_two_points_in_p1():
@@ -165,9 +169,9 @@ def test_run_zero_differential_keeps_page():
 
 def test_d_squared_checked():
     cells = {
-        (0, 2): WeightedCell(0, 2, 1, 4, (("a", 0, 0),)),
-        (2, 1): WeightedCell(2, 1, 1, 4, (("b", 0, 0),)),
-        (4, 0): WeightedCell(4, 0, 1, 4, (("c", 0, 0),)),
+        (0, 2): WeightedCell(1, 4, (("a", 0, 0),)),
+        (2, 1): WeightedCell(1, 4, (("b", 0, 0),)),
+        (4, 0): WeightedCell(1, 4, (("c", 0, 0),)),
     }
     bad = {
         (0, 2): RationalMatrix.from_rows([[1]]),
@@ -180,8 +184,8 @@ def test_d_squared_checked():
 
 def test_weight_violation_checked():
     cells = {
-        (0, 1): WeightedCell(0, 1, 1, 2, (("a", 0, 0),)),
-        (2, 0): WeightedCell(2, 0, 1, 3, (("b", 0, 0),)),  # wrong weight
+        (0, 1): WeightedCell(1, 2, (("a", 0, 0),)),
+        (2, 0): WeightedCell(1, 3, (("b", 0, 0),)),  # wrong weight
     }
     diff = {(0, 1): RationalMatrix.from_rows([[1]])}
     page = SpectralPage(1, 2, cells, differential=diff)
@@ -274,7 +278,7 @@ def random_small_page(rng):
         for level in range(rng.randint(1, 4)):
             if rng.random() < 0.7:
                 q, dim = (2 * c - 1) * level, rng.randint(1, 6)
-                cells[(p, q)] = WeightedCell(p, q, dim, p + 2 * c * level,
+                cells[(p, q)] = WeightedCell(dim, p + 2 * c * level,
                                              tuple(range(dim)))
     return SpectralPage(c, 2 * c, cells)
 
@@ -380,7 +384,7 @@ def test_feasibility_over_budget_is_undecided_never_infeasible(monkeypatch):
 
 def test_row_vanishing_pattern_enforced():
     with pytest.raises(Exception):
-        SpectralPage(2, 4, {(0, 1): WeightedCell(0, 1, 1, 0, (("x", 0, 0),))})
+        SpectralPage(2, 4, {(0, 1): WeightedCell(1, 0, (("x", 0, 0),))})
 
 
 def test_basis_labels_carry_provenance():
@@ -489,8 +493,7 @@ def random_complex_page(rng):
     d2 = [[sum(y[i][b] * u_inv[r + b][j] for b in range(s)) for j in range(n)]
           for i in range(n3)]
     dims = {(0, 2): n1, (2, 1): n, (4, 0): n3}
-    cells = {key: WeightedCell(*key, dim, 4,
-                               tuple((key, i, 0) for i in range(dim)))
+    cells = {key: WeightedCell(dim, 4, tuple((key, i, 0) for i in range(dim)))
              for key, dim in dims.items()}
     diff = {(0, 2): RationalMatrix.from_rows(d1),
             (2, 1): RationalMatrix.from_rows(d2)}
@@ -512,7 +515,7 @@ def test_labels_match_fraction_reference_on_criterion_10_models():
 
 def test_cell_with_wrong_basis_count_raises():
     with pytest.raises(MalformedCell, match=r"\(2, 1\)"):
-        SpectralPage(1, 2, {(2, 1): WeightedCell(2, 1, 2, 4, (("a", 0, 0),))})
+        SpectralPage(1, 2, {(2, 1): WeightedCell(2, 4, (("a", 0, 0),))})
 
 
 @pytest.mark.parametrize("runs, count", [
@@ -522,13 +525,13 @@ def test_lazy_cell_with_wrong_basis_count_raises(runs, count):
     # the count comes from the runs, which the check leaves unexpanded
     basis = spectral._Labels(runs)
     with pytest.raises(MalformedCell, match=rf"\(2, 1\) has dim 2 but {count} "):
-        SpectralPage(1, 2, {(2, 1): WeightedCell(2, 1, 2, 4, basis)})
+        SpectralPage(1, 2, {(2, 1): WeightedCell(2, 4, basis)})
     assert basis._labels is None
 
 
 def test_cell_check_runs_under_optimisation():
     code = ("from arrange.spectral import SpectralPage, WeightedCell\n"
-            "SpectralPage(1, 2, {(0, 0): WeightedCell(0, 0, 3, 0, ())})\n")
+            "SpectralPage(1, 2, {(0, 0): WeightedCell(3, 0, ())})\n")
     proc = subprocess.run([sys.executable, "-O", "-c", code],
                           capture_output=True, text=True, env=child_env())
     assert proc.returncode != 0
@@ -560,17 +563,15 @@ LABEL_MODELS = {
 def test_lazy_labels_match_the_eager_loop(name):
     model = LABEL_MODELS[name]()
     dec = decompose(model)
-    page = assemble_e2(dec, model.strata(), model.ambient, model.c,
-                       bottom=model.poset.bottom)
-    expected = reference_basis_labels(dec, model.strata(), model.ambient,
-                                      model.c, bottom=model.poset.bottom)
+    page = assemble_e2(model, dec)
+    expected = reference_basis_labels(model, dec)
     assert page.cells.keys() == expected.keys()
     for key, labels in expected.items():
         cell = page.cells[key]
         # the length is read from the runs, before any label is
         assert len(cell.basis) == cell.dim == len(labels)
         assert cell.basis._labels is None
-        eager = WeightedCell(*key, cell.dim, cell.weight, labels)
+        eager = WeightedCell(cell.dim, cell.weight, labels)
         assert cell == eager and eager == cell, key
         assert hash(cell) == hash(eager), key
         assert cell.basis._runs is None
@@ -584,7 +585,7 @@ def test_config_label_off_the_small_diagonal_raises():
     key = next(k for k in page.cells if k[1] == 2)
     cell = page.cells[key]
     cells = dict(page.cells)
-    cells[key] = WeightedCell(*key, cell.dim, cell.weight,
+    cells[key] = WeightedCell(cell.dim, cell.weight,
                               tuple((m.poset.bottom, tok, mult)
                                     for _, tok, mult in cell.basis))
     bad = SpectralPage(page.c, page.r, cells)

@@ -191,8 +191,8 @@ def test_not_admissible_raises():
         [([1, 0, 0, 0], 0), ([0, 0, 1, 0], 0)],
     ]
     poset = IntersectionPoset.from_linear_systems(systems, 4, "central")
-    model = ArrangementModel(kind="abstract", poset=poset, c=2, ambient=(1,),
-                             abstract_betti={f.index: (1,) for f in poset.flats})
+    model = ArrangementModel(kind="abstract", poset=poset, c=2,
+                             strata={f.index: (1,) for f in poset.flats})
     line = next(f for f in poset.flats if f.codim == 3)
     with pytest.raises(NotAdmissible,
                        match=rf"{line.display} \(codim 3\) is not a "
@@ -332,7 +332,7 @@ def test_shared_position_masks_fall_back_to_flat_and_atom_key():
     b = [([0, 0, 1, 0], 0), ([0, 0, 0, 1], 0)]
     c = [([1, 0, 0, 0], 0), ([0, 0, 1, 0], 0)]
     poset = IntersectionPoset.from_linear_systems([a, b, c], 4, "central")
-    m = ArrangementModel(kind="abstract", poset=poset, c=2, ambient=(1,))
+    m = ArrangementModel(kind="abstract", poset=poset, c=2, strata={})
     expected, memo = reference_stalk_dims(m)
     got = {f.index: stalks_mod._stalk_table(m, f.index).dims
            for f in poset.flats}
@@ -429,7 +429,7 @@ def _oracle_models():
         except ArrangeError:
             continue
         models.append(ArrangementModel(kind="abstract", poset=poset,
-                                       c=poset.codim_c, ambient=(1,)))
+                                       c=poset.codim_c, strata={}))
     for n in range(2, 6):
         models.append(configuration_model(ProjProduct((1,)), n))
     models += [build() for build in SHAPE_MODELS.values()]
@@ -470,7 +470,7 @@ def _tampered(model, tables, degree):
     deep = max(model.poset.flats, key=lambda f: f.codim).index
     dims = dict(tables[deep].dims)
     dims[degree] = dims.get(degree, 0) + 1
-    return {**tables, deep: StalkTable(deep, dims, model.c)}
+    return {**tables, deep: StalkTable(dims, model.c)}
 
 
 def test_pointwise_matches_reference_sum():
