@@ -30,17 +30,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
-from itertools import chain, islice, repeat
+from itertools import islice
 from pathlib import Path
 
+from . import poset as _poset
 from .errors import ArrangeError
 from .models import (abstract_model, check_mon, configuration_model,
                      euler_oracle, hyperplane_model, os_oracle)
 from .polys import IntPoly
-from .poset import MAX_FLATS
 from .projective import ProjProduct
 from .records import Record
 # skew_row_homology is not called here and verify_pointwise runs inside
@@ -131,13 +132,11 @@ def parse(document: dict, command: str = "run", overrides: dict | None = None) -
         _require(type(c) is int and c == sum(factor),
                  f"model.c must be {sum(factor)}, the dimension of the "
                  f"factor, got {c!r}")
-        # (prod (d_i + 1))^points, counted until it passes the budget; a
-        # copy with some d_i > 0 at least doubles it, so 17 copies suffice
-        fields, classes = "model.factor and model.points", 1
-        copies = min(points, MAX_FLATS.bit_length())
-        for d in chain.from_iterable(repeat(factor, copies)):
-            if (classes := classes * (d + 1)) > MAX_FLATS:
-                break
+        # (prod (d_i + 1))^points; a base of 2 or more passes the budget by
+        # the power MAX_FLATS.bit_length(), so the power stops there
+        fields = "model.factor and model.points"
+        classes = math.prod(d + 1 for d in factor) ** min(
+            points, _poset.MAX_FLATS.bit_length())
     else:
         c = model.get("c")
         _require(_int_at_least(c, 1), "abstract model needs integer 'c' >= 1")
@@ -167,8 +166,9 @@ def parse(document: dict, command: str = "run", overrides: dict | None = None) -
         fields = "model.ambient and model.poset.flats[].betti"
         classes = sum(model["ambient"]) + sum(sum(fl["betti"])
                                               for fl in poset["flats"])
-    _require(classes <= MAX_FLATS,
-             f"{fields} declare more than {MAX_FLATS:,} cohomology classes, "
+    budget = _poset.MAX_FLATS
+    _require(classes <= budget,
+             f"{fields} declare more than {budget:,} cohomology classes, "
              f"the limit of one job (poset.MAX_FLATS)")
 
     options = document.get("options") or {}

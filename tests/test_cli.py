@@ -650,24 +650,25 @@ def test_tampered_cache_entry_changes_no_byte(tmp_path, monkeypatch, capsys):
     assert (stale / ".arrange-cache" / f"{key}.json").read_text() == entry
 
 
-def refused_at_the_budget(tmp_path, monkeypatch, capsys, doc, what):
+def refused_at_the_budget(tmp_path, monkeypatch, capsys, doc, what,
+                          budget=1000):
     """Exit 4 through ``main``, with the budget named and no traceback."""
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(arrange_poset, "MAX_FLATS", 1000)
+    monkeypatch.setattr(arrange_poset, "MAX_FLATS", budget)
     assert main(["verify", write_job(tmp_path, doc)]) == EXIT_INPUT
     err = capsys.readouterr().err
-    assert err == (f"error: {what} has more than 1,000 flats, the limit of "
-                   f"one build (poset.MAX_FLATS)\n")
+    assert err == (f"error: {what} has more than {budget:,} flats, the limit "
+                   f"of one build (poset.MAX_FLATS)\n")
 
 
 def test_configuration_build_refused_at_the_flat_budget(tmp_path, monkeypatch,
                                                         capsys):
-    # Bell(8) = 4,140 flats; the growth stops among the partitions of 8
-    # points.  F(P^1, 8) declares 2^8 classes, so parse lets it through.
-    doc = json.loads(json.dumps(CONFIG_P1_3))
-    doc["model"]["points"] = 8
-    refused_at_the_budget(tmp_path, monkeypatch, capsys, doc,
-                          "partition lattice of 8 points")
+    # F(P^1, 16) declares 2^16 classes, so parse lets it through at the
+    # default budget; it has Bell(16) ~ 1e10 flats, and the growth stops
+    # among the partitions of 10 points (Bell(10) = 115,975)
+    refused_at_the_budget(tmp_path, monkeypatch, capsys,
+                          configuration_document([1], 16),
+                          "partition lattice of 16 points", budget=100_000)
 
 
 def test_hyperplane_build_refused_at_the_flat_budget(tmp_path, monkeypatch,
@@ -717,7 +718,8 @@ def test_oversized_document_refused_before_any_build(doc, fields, tmp_path,
                             f"(poset.MAX_FLATS)\n")
 
 
-def test_class_budget_admits_abstract_f_p1_8_and_stops_one_past_it():
+def test_class_budget_admits_abstract_f_p1_8_and_stops_one_past_it(
+        monkeypatch):
     # F(P^1, 8) declared as an abstract model: the sum over its 4,140 set
     # partitions of 2^blocks
     model = cli._abstract_export(configuration_model(ProjProduct((1,)), 8))
@@ -731,6 +733,9 @@ def test_class_budget_admits_abstract_f_p1_8_and_stops_one_past_it():
     model["ambient"][0] += 1
     with pytest.raises(SchemaError, match=r"more than 100,000 cohomology"):
         parse(doc)
+    # parse reads the budget from poset when it runs
+    monkeypatch.setattr(arrange_poset, "MAX_FLATS", 200_000)
+    parse(doc)
 
 
 def braid_document(n):
