@@ -2,10 +2,11 @@
 
 Input documents are JSON with a versioned schema; rationals travel as
 "p/q" strings.  Machine reports are canonical JSON (sorted keys, no
-timestamps) so identical inputs produce byte-identical output, and every
-machine report embeds an abstract-model block that can be re-ingested to
-reproduce the same second page.  Every run builds its own poset and stalk
-tables; nothing read from disk besides the job document enters a report.
+whitespace, no timestamps) so identical inputs produce byte-identical
+output, and every machine report embeds an abstract-model block that can
+be re-ingested to reproduce the same second page.  Every run builds its
+own poset and stalk tables; nothing read from disk besides the job
+document enters a report.
 
 A verdict compares values made by independent code, and each can fail:
 the flats' codimensions with the member codimension (``admissible``),
@@ -34,7 +35,6 @@ import math
 import os
 import sys
 from fractions import Fraction
-from itertools import islice
 from pathlib import Path
 
 from . import poset as _poset
@@ -287,12 +287,22 @@ class ResultCache:
 
 
 def _stalks_section(poset, tables):
-    return [{"flat": i,
-             "display": poset.flats[i].display,
-             "codim": poset.flats[i].codim,
-             "dims": {str(k): v for k, v in sorted(tables[i].dims.items())},
-             "weights": {str(k): v for k, v in sorted(tables[i].weights.items())}}
-            for i in sorted(tables)]
+    # flats with one stalk share one dims/weights pair
+    shared = {}
+    section = []
+    for i in sorted(tables):
+        table = tables[i]
+        stalk = tuple(sorted(table.dims.items()))
+        pair = shared.get(stalk)
+        if pair is None:
+            pair = shared[stalk] = (
+                {str(k): v for k, v in stalk},
+                {str(k): v for k, v in sorted(table.weights.items())})
+        flat = poset.flats[i]
+        section.append({"flat": i, "display": flat.display,
+                        "codim": flat.codim, "dims": pair[0],
+                        "weights": pair[1]})
+    return section
 
 
 def _page_section(page):
@@ -306,10 +316,11 @@ def _abstract_export(model):
     abstract model reproducing the same page.  The order lists the cover
     pairs only; ``from_abstract`` takes their transitive closure."""
     poset = model.poset
-    flats = [{"key": f"F{f.index}", "codim": f.codim,
+    name = [f"F{f.index}" for f in poset.flats]   # one string per flat
+    flats = [{"key": name[f.index], "codim": f.codim,
               "betti": list(model.stratum_betti(f.index))}
              for f in poset.proper_flats()]
-    order = [[f"F{i}", f"F{j}"] for i, j in poset.covers()
+    order = [[name[i], name[j]] for i, j in poset.covers()
              if i != poset.bottom]
     return {"kind": "abstract", "c": model.c,
             "ambient": list(model.stratum_betti(poset.bottom)),
@@ -482,17 +493,37 @@ def execute(job: JobSpec) -> tuple:
 # ----- rendering -------------------------------------------------------------
 
 
-# encoder pieces joined into one write; the whole report is never one string
-_WRITE_PIECES = 4096
+# the C encoder: ``indent`` or ``iterencode`` would select the pure-Python one
+_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+# one encoder call holds every chunk it makes until it returns, so longer
+# lists are encoded this many items at a time
+_BATCH = 512
 
 
 def render_machine(report: dict, out) -> None:
-    """Write the canonical report (sorted keys, indent 1) and a newline to
-    the text stream ``out``, a batch of encoder pieces at a time."""
-    pieces = json.JSONEncoder(sort_keys=True, indent=1).iterencode(report)
-    while batch := "".join(islice(pieces, _WRITE_PIECES)):
-        out.write(batch)
+    """Write the canonical report (sorted keys, no whitespace) and a newline
+    to the text stream ``out``: dicts key by key, a list longer than
+    ``_BATCH`` items in slices, anything else in one encoder call."""
+    _write_json(report, out.write)
     out.write("\n")
+
+
+def _write_json(value, write):
+    if isinstance(value, dict):
+        sep = "{"
+        for key in sorted(value):
+            write(f"{sep}{_ENCODE(key)}:")
+            _write_json(value[key], write)
+            sep = ","
+        write("}" if value else "{}")
+    elif isinstance(value, (list, tuple)) and len(value) > _BATCH:
+        sep = "["
+        for start in range(0, len(value), _BATCH):
+            write(sep + _ENCODE(value[start:start + _BATCH])[1:-1])
+            sep = ","
+        write("]")
+    else:
+        write(_ENCODE(value))
 
 
 def _table(rows, headers):

@@ -26,8 +26,7 @@ from .records import Record
 
 class ArrangementModel(Record):
     __slots__ = ("kind", "poset", "c", "strata", "factor", "n", "ncd",
-                 "explicit", "_stalk_memo")
-    _hidden = ("_stalk_memo",)
+                 "explicit")
 
     def __init__(self, kind, poset, c, strata, factor=None, n=None,
                  ncd=False, explicit=False):
@@ -41,7 +40,6 @@ class ArrangementModel(Record):
         self.n = n
         self.ncd = ncd
         self.explicit = explicit
-        self._stalk_memo = {}
 
     def stratum_betti(self, flat):
         data = self.strata[flat]

@@ -438,9 +438,9 @@ class IntersectionPoset:
         """Memo key of the local arrangement ``(flats, atoms)``.
 
         With its position masks ``masks`` (see ``position_masks``), the key
-        is its shape: the number of atoms and the set of masks.  In a built
-        poset the flats through a point are subspaces closed under
-        intersection, and so are those of every local arrangement the
+        is its shape: the number of atoms and the sorted tuple of masks.
+        In a built poset the flats through a point are subspaces closed
+        under intersection, and so are those of every local arrangement the
         recursion makes from them.  When no two flats share a mask, each
         flat is then the intersection of the atoms below it, and the order
         is the containment of the masks.  Two arrangements with one shape
@@ -448,9 +448,9 @@ class IntersectionPoset:
         Without masks, or when two flats share one, the key is the flat
         mask and the atom mask."""
         if masks is not None:
-            shape = frozenset(masks.values())
+            shape = sorted(set(masks.values()))
             if len(shape) == len(masks):
-                return len(atoms), shape
+                return len(atoms), tuple(shape)
         return flats, sum(1 << a for a in atoms)
 
     def check_admissible(self):

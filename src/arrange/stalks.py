@@ -7,10 +7,11 @@ and on the traced arrangement inside the split member, and glue with a
 degree shift of 2c-1.  The recursion automatically concentrates output in
 degrees divisible by 2c-1, carrying weight 2c*l in degree (2c-1)*l.  It
 walks (flat mask, member atoms) pairs over the model's own poset and builds
-no sub-poset.  It memoizes per model on each pair's shape (see
-``IntersectionPoset.content_key``), so isomorphic local arrangements share
-one entry; an abstract poset, or a pair in which two flats lie on the same
-atoms, is keyed by its flat mask and atom mask instead.
+no sub-poset.  Each ``stalk_tables`` call keeps one memo, keyed by each
+pair's shape (see ``IntersectionPoset.content_key``), so isomorphic local
+arrangements share one entry; an abstract poset, or a pair in which two
+flats lie on the same atoms, is keyed by its flat mask and atom mask
+instead.  The memo is dropped when the call returns.
 
 Multiplicity of a stratum in the degree-(2c-1)l constant-sheaf summand is
 the stalk dimension at its generic point; the pointwise check compares the
@@ -95,10 +96,11 @@ class PointwiseReport(Record):
         self.mismatches = [] if mismatches is None else mismatches
 
 
-def _recurse(model, flats, atoms, masks, depth=0):
+def _recurse(model, memo, flats, atoms, masks, depth=0):
     """Stalk dimensions of the local arrangement ``(flats, atoms)`` of the
     model's poset (all members pass through the point), as degree -> dim.
-    ``masks`` are its position masks, or None (see ``position_masks``).
+    ``masks`` are its position masks, or None (see ``position_masks``);
+    ``memo`` maps ``content_key`` keys to the dims found so far.
 
     The deletions of member 0 are walked in a loop, down to a memo hit or
     at most one atom, and then folded back up, gluing each state's deletion
@@ -107,7 +109,7 @@ def _recurse(model, flats, atoms, masks, depth=0):
         raise RecursionDepthExceeded(
             f"stalk restrictions nested more than {_DEPTH_LIMIT} deep, "
             f"which only an abstract poset's declared order can do")
-    poset, c, memo = model.poset, model.c, model._stalk_memo
+    poset, c = model.poset, model.c
     chain = []
     while True:
         key = poset.content_key(flats, atoms, masks)
@@ -125,7 +127,7 @@ def _recurse(model, flats, atoms, masks, depth=0):
     for key, flats, atoms in reversed(chain):
         deleted = dims
         kept, rest = poset.restrict_to_member(flats, atoms, 0)
-        traced = _recurse(model, kept, rest,
+        traced = _recurse(model, memo, kept, rest,
                           poset.position_masks(kept, rest), depth + 1)
         top = max(2 * c - 1, max(deleted), max(traced) + 2 * c - 1)
         dims = {0: 1}
@@ -139,9 +141,9 @@ def _recurse(model, flats, atoms, masks, depth=0):
     return dims
 
 
-def _stalk_table(model, flat):
+def _stalk_table(model, flat, memo):
     poset = model.poset
-    dims = _recurse(model, *poset.local_arrangement(flat),
+    dims = _recurse(model, memo, *poset.local_arrangement(flat),
                     poset.local_position_masks(flat))
     return StalkTable(dict(dims), model.c)
 
@@ -156,7 +158,8 @@ def stalk_tables(model) -> dict:
                           f"{poset.flats[i].codim})" for i in bad)
         raise NotAdmissible(f"not admissible: the codimension of {names} "
                             f"is not a multiple of c = {model.c}")
-    return {f.index: _stalk_table(model, f.index) for f in poset.flats}
+    memo = {}
+    return {f.index: _stalk_table(model, f.index, memo) for f in poset.flats}
 
 
 def decompose(model, tables=None) -> SheafDecomposition:

@@ -303,26 +303,82 @@ def test_machine_report_deterministic(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / ".arrange-cache").exists()
 
 
+def compact_dumps(value):
+    return json.dumps(value, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def longest_list(value):
+    """The length of the longest list or tuple anywhere in ``value``."""
+    if isinstance(value, dict):
+        return max(map(longest_list, value.values()), default=0)
+    if isinstance(value, (list, tuple)):
+        return max([len(value), *map(longest_list, value)])
+    return 0
+
+
+F_P1_6 = {"schema_version": 1,
+          "model": {"kind": "configuration", "factor": [1], "points": 6}}
+
+
 def test_streamed_report_equals_json_dumps(tmp_path, monkeypatch):
-    # json.dumps of the whole report is the oracle for the streamed writes:
-    # coordinate P^6 spans several batches of encoder pieces, the Boolean
-    # arrangement fits in one
+    # compact json.dumps of the whole report is the oracle for the batched
+    # writes: F(P^1,6)'s 841 cover pairs are written in two slices, the
+    # Boolean arrangement's report has no list longer than one batch
     monkeypatch.chdir(tmp_path)
-    encoder = json.JSONEncoder(sort_keys=True, indent=1)
     reports = [execute(parse(doc, command="verify"))[0]
-               for doc in (hyperplane_document(coordinate_forms(6)), BOOLEAN_P2)]
-    pieces = [sum(1 for _ in encoder.iterencode(r)) for r in reports]
-    assert pieces[0] > cli._WRITE_PIECES > pieces[1]
-    for report in reports:
-        assert machine_text(report) == json.dumps(report, sort_keys=True,
-                                                  indent=1) + "\n"
+               for doc in (F_P1_6, BOOLEAN_P2)]
+    assert len(reports[0]["abstract_model"]["poset"]["order"]) > cli._BATCH
+    assert longest_list(reports[1]) <= cli._BATCH
+    # and the edges of the walk: empty containers, a list of exactly one
+    # batch, one item past it, tuples, dicts inside sliced lists, lists
+    # of lists, escapes and non-ASCII text
+    n = cli._BATCH
+    edges = {"": {}, "a": [], "b": list(range(n)), "c": list(range(n + 1)),
+             "d": tuple(range(2 * n + 3)), "e": [{"z": i, "y": [i, {}]}
+                                              for i in range(n + 2)],
+             "f": {"\u00e9\n\"": [[i] * 2 for i in range(3 * n)]},
+             "g": [None, True, False, -1, "x"], "h": {"k": {"l": [[]]}}}
+    for value in (*reports, edges):
+        assert machine_text(value) == compact_dumps(value)
+
+
+def test_no_encoder_call_gets_a_list_longer_than_a_batch(tmp_path,
+                                                         monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    report = execute(parse(F_P1_6, command="verify"))[0]
+    longest = []
+    real = cli._ENCODE
+
+    def encode(value):
+        longest.append(longest_list(value))
+        return real(value)
+
+    monkeypatch.setattr(cli, "_ENCODE", encode)
+    assert machine_text(report) == compact_dumps(report)
+    # the first slice of the cover pairs is one full batch
+    assert max(longest) == cli._BATCH
+
+
+def test_report_sections_share_values(tmp_path, monkeypatch):
+    # flats with one stalk share its dims and weights dicts, and the
+    # exported order reuses the flats' key strings
+    monkeypatch.chdir(tmp_path)
+    report = execute(parse(F_P1_6, command="verify"))[0]
+    stalks = report["stalks"]
+    distinct = {json.dumps(st["dims"], sort_keys=True) for st in stalks}
+    assert len(distinct) < len(stalks)
+    assert len({id(st["dims"]) for st in stalks}) == len(distinct)
+    assert len({id(st["weights"]) for st in stalks}) == len(distinct)
+    export = report["abstract_model"]["poset"]
+    keys = {id(fl["key"]) for fl in export["flats"]}
+    assert {id(k) for pair in export["order"] for k in pair} <= keys
 
 
 def test_closed_stdout_pipe_keeps_the_exit_code(tmp_path, monkeypatch):
     # the reader stops after 10 bytes of a report that overfills the pipe:
     # the job still exits with its own code and writes nothing to stderr
     monkeypatch.chdir(tmp_path)
-    doc = hyperplane_document(coordinate_forms(7))
+    doc = hyperplane_document(coordinate_forms(8))
     assert len(machine_text(execute(parse(doc, command="verify"))[0])) > 3 * 2**16
     proc = subprocess.Popen(
         [sys.executable, "-m", "arrange.cli", "verify", write_job(tmp_path, doc),
@@ -334,7 +390,7 @@ def test_closed_stdout_pipe_keeps_the_exit_code(tmp_path, monkeypatch):
     err = proc.stderr.read()
     proc.stderr.close()
     assert proc.wait(timeout=120) == EXIT_OK
-    assert head == b'{\n "abstra'
+    assert head == b'{"abstract'
     assert err == b""
 
 
@@ -571,7 +627,7 @@ def test_search_over_budget_reports_undecided(tmp_path, monkeypatch, capsys,
         assert out.rstrip().endswith("FAILED ['feasibility']")
     else:
         report = json.loads(out)
-        assert '"feasible": null' in out
+        assert '"feasible":null' in out
         assert report["feasibility"]["undecided"] is True
         assert report["feasibility"]["splits"] == 3
         assert {"check": "feasibility", "ok": False} in report["verdicts"]

@@ -8,6 +8,7 @@ from arrange.models import ArrangementModel, MonReport
 from arrange.poset import AdmissibilityReport, Flat, IntersectionPoset, Member
 from arrange.projective import ProjProduct, SpaceMap
 from arrange.spectral import FeasibilityResult, RunResult, WeightedCell
+import arrange.stalks as stalks_mod
 from arrange.stalks import (PointwiseReport, SheafDecomposition, StalkTable,
                             Summand)
 from helpers import run_child
@@ -118,12 +119,22 @@ def test_defaults_are_fresh_per_instance():
     assert a.mismatches == [] and a.mismatches is not b.mismatches
     a.mismatches.append(1)
     assert b.mismatches == []
-    m1, m2 = mutable_records()[1], mutable_records()[1]
-    assert m1._stalk_memo == {} and m1._stalk_memo is not m2._stalk_memo
+
+
+def test_stalk_memo_lives_in_the_callers_dict():
+    # the model keeps no memo: _stalk_table fills the dict it is given,
+    # and the model compares and shows as before
+    model = mutable_records()[1]
+    memo = {}
+    table = stalks_mod._stalk_table(model, POSET.bottom, memo)
+    assert table == StalkTable({0: 1}, 1)
+    assert list(memo.values()) == [{0: 1}]
+    assert model == mutable_records()[1]
+    assert repr(model) == repr(mutable_records()[1])
+    assert "memo" not in " ".join(ArrangementModel.__slots__)
 
 
 def test_repr_names_the_fields():
     assert repr(Summand(4, 1, 1, 2, 2)) == (
         "Summand(support=4, level=1, degree=1, multiplicity=2, weight=2)")
     assert repr(ProjProduct((1,))) == "ProjProduct(factor_dims=(1,))"
-    assert "_stalk_memo" not in repr(mutable_records()[1])

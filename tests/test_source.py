@@ -54,3 +54,20 @@ def test_every_slot_is_read_in_the_package():
                             slots[f"{path.stem}.{node.name}.{name}"] = name
     assert len(slots) > 40
     assert sorted(k for k, name in slots.items() if name not in loads) == []
+
+
+def test_json_stays_on_the_c_encoder():
+    # json.dumps or JSONEncoder with indent=, and iterencode unless it is
+    # called one-shot, run the pure-Python encoder, several times slower
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "iterencode":
+                found.append(f"{path.name}:{node.lineno} iterencode")
+            elif (isinstance(node, ast.Call)
+                  and getattr(node.func, "attr", getattr(node.func, "id", None))
+                  in ("dump", "dumps", "JSONEncoder")
+                  and any(k.arg == "indent" for k in node.keywords)):
+                found.append(f"{path.name}:{node.lineno} indent=")
+    assert found == []

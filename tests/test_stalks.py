@@ -183,7 +183,7 @@ def test_partition_multiplicity_oracle():
             assert mult.get(f.index, 0) == expected
 
 
-def test_not_admissible_raises():
+def test_not_admissible_raises(monkeypatch):
     # two coordinate planes of C^4 meeting in a line: codimension 3 is not
     # a multiple of c = 2, and the refusal names that flat
     systems = [
@@ -194,19 +194,33 @@ def test_not_admissible_raises():
     model = ArrangementModel(kind="abstract", poset=poset, c=2,
                              strata={f.index: (1,) for f in poset.flats})
     line = next(f for f in poset.flats if f.codim == 3)
+
+    def refuse(*args):
+        raise AssertionError("the stalk recursion ran before the refusal")
+
+    monkeypatch.setattr(stalks_mod, "_stalk_table", refuse)
     with pytest.raises(NotAdmissible,
                        match=rf"{line.display} \(codim 3\) is not a "
                              rf"multiple of c = 2"):
         stalk_tables(model)
-    assert model._stalk_memo == {}
+
+
+def memo_of(model):
+    """The memo of one ``stalk_tables`` call on ``model``, read back from
+    the dict that ``_stalk_table`` fills, and the tables it gives."""
+    memo = {}
+    tables = {f.index: stalks_mod._stalk_table(model, f.index, memo)
+              for f in model.poset.flats}
+    return memo, tables
 
 
 def test_memoization_shares_work():
     m = hyperplane_model(
         [([1, 0, 0], 0), ([0, 1, 0], 0), ([0, 0, 1], 0), ([1, 1, 1], 0)],
         mode="central")
-    stalk_tables(m)
-    assert len(m._stalk_memo) > 0
+    memo, tables = memo_of(m)
+    assert 0 < len(memo)
+    assert tables == stalk_tables(m)
 
 
 def test_admissibility_checked_once_per_call(monkeypatch):
@@ -285,8 +299,7 @@ def test_memo_sizes():
     coordinate = hyperplane_model(coordinate_forms(6), mode="projective")
     config = configuration_model(ProjProduct((1,)), 6)
     for m, size, by_masks in ((coordinate, 7, 442), (config, 71, 1676)):
-        stalk_tables(m)
-        assert len(m._stalk_memo) == size
+        assert len(memo_of(m)[0]) == size
         assert len(reference_stalk_dims(m)[1]) == by_masks
 
 
@@ -309,7 +322,7 @@ def test_shape_key_matches_flat_and_atom_key(name):
     m = SHAPE_MODELS[name]()
     expected, memo = reference_stalk_dims(m)
     assert {i: t.dims for i, t in stalk_tables(m).items()} == expected
-    assert len(m._stalk_memo) < len(memo)
+    assert len(memo_of(m)[0]) < len(memo)
 
 
 def test_shape_key_matches_on_random_linear_systems():
@@ -318,8 +331,7 @@ def test_shape_key_matches_on_random_linear_systems():
         if m.poset.mode == "abstract":
             continue
         expected, _ = reference_stalk_dims(m)
-        got = {f.index: stalks_mod._stalk_table(m, f.index).dims
-               for f in m.poset.flats}
+        got = {i: t.dims for i, t in memo_of(m)[1].items()}
         assert got == expected
 
 
@@ -334,10 +346,9 @@ def test_shared_position_masks_fall_back_to_flat_and_atom_key():
     poset = IntersectionPoset.from_linear_systems([a, b, c], 4, "central")
     m = ArrangementModel(kind="abstract", poset=poset, c=2, strata={})
     expected, memo = reference_stalk_dims(m)
-    got = {f.index: stalks_mod._stalk_table(m, f.index).dims
-           for f in poset.flats}
-    assert got == expected
-    fallback = [key for key in m._stalk_memo if isinstance(key[1], int)]
+    ours, tables = memo_of(m)
+    assert {i: t.dims for i, t in tables.items()} == expected
+    fallback = [key for key in ours if isinstance(key[1], int)]
     assert fallback and set(fallback) <= set(memo)
 
 
@@ -348,11 +359,10 @@ def test_abstract_models_keep_flat_and_atom_key():
               abstract_model(1, [1], *NON_LATTICE),
               _partition_twin(configuration_model(ProjProduct((1,)), 5))):
         assert m.poset.local_position_masks(m.poset.bottom) is None
-        got = {f.index: stalks_mod._stalk_table(m, f.index).dims
-               for f in m.poset.flats}
+        ours, tables = memo_of(m)
         expected, memo = reference_stalk_dims(m)
-        assert got == expected
-        assert m._stalk_memo == memo
+        assert {i: t.dims for i, t in tables.items()} == expected
+        assert ours == memo
 
 
 def test_local_position_masks_match_walk():
@@ -449,8 +459,7 @@ def test_delete_member_matches_reference_on_every_visited_state(monkeypatch):
 
     monkeypatch.setattr(IntersectionPoset, "delete_member", record)
     for m in _oracle_models():
-        for f in m.poset.flats:
-            stalks_mod._stalk_table(m, f.index)
+        memo_of(m)
     monkeypatch.undo()
     assert len(states) > 1000
     for poset, flats, atoms in states:
