@@ -8,6 +8,15 @@ be re-ingested to reproduce the same second page.  Every run builds its
 own poset and stalk tables; nothing read from disk besides the job
 document enters a report.
 
+Outside that block, the ``poset`` section is the one place that holds a
+flat's display and codimension (``flats[i]``) and a member's display
+(``members``); a flat lists its members by index.  A ``stalks`` entry is
+``{"flat", "dims"}`` and a ``decomposition`` entry is ``{"support",
+"level", "multiplicity"}``.  Degrees and weights are not written: with
+c = ``poset.codim_c``, a summand sits in degree (2c-1)*level and a stalk
+in degree k has weight 2ck // (2c-1) (``stalks.level_degree`` and
+``stalks.stalk_weight``), which ``render_human`` applies.
+
 A verdict compares values made by independent code, and each can fail:
 the flats' codimensions with the member codimension (``admissible``),
 stalks with the constant-sheaf split, a configuration page's Euler
@@ -51,7 +60,8 @@ from .spectral import (Infeasible, assemble_e2,  # noqa: F401
                        build_differential_config, build_differential_ncd,
                        feasibility, run, skew_row_homology)
 from .stalks import (InconsistentDecomposition, decompose,  # noqa: F401
-                     stalk_tables, verify_pointwise)
+                     level_degree, stalk_tables, stalk_weight,
+                     verify_pointwise)
 
 SCHEMA_VERSION = 1
 
@@ -93,6 +103,10 @@ def _int_at_least(x, low):
 
 def _ints_at_least(x, low):
     return isinstance(x, list) and all(_int_at_least(v, low) for v in x)
+
+
+def _is_key(x):
+    return type(x) in (str, int)  # an abstract flat key, not a boolean
 
 
 def parse(document: dict, command: str = "run", overrides: dict | None = None) -> JobSpec:
@@ -146,10 +160,15 @@ def parse(document: dict, command: str = "run", overrides: dict | None = None) -
         poset = model.get("poset")
         _require(isinstance(poset, dict) and isinstance(poset.get("flats"), list),
                  "abstract model needs 'poset' with a 'flats' list")
+        first = {}   # key read as text -> index of the flat that has it
         for i, fl in enumerate(poset["flats"]):
             where = f"model.poset.flats[{i}]"
-            _require(isinstance(fl, dict) and isinstance(fl.get("key"), (str, int)),
+            _require(isinstance(fl, dict) and _is_key(fl.get("key")),
                      f"{where} needs a string or integer 'key'")
+            # a flat's display and canonical key are its key read as text
+            j = first.setdefault(str(fl["key"]), i)
+            _require(j == i, f"{where}.key {fl['key']!r} reads as the same "
+                             f"text as model.poset.flats[{j}].key")
             _require(_int_at_least(fl.get("codim"), 1),
                      f"{where}.codim must be an integer >= 1, got {fl.get('codim')!r}")
             _require(_ints_at_least(fl.get("betti"), 0) and fl["betti"],
@@ -159,7 +178,7 @@ def parse(document: dict, command: str = "run", overrides: dict | None = None) -
         _require(isinstance(order, list), "model.poset.order must be a list")
         for i, pair in enumerate(order):
             _require(isinstance(pair, list) and len(pair) == 2
-                     and all(isinstance(k, (str, int)) for k in pair),
+                     and all(_is_key(k) for k in pair),
                      f"model.poset.order[{i}] must be a pair of flat keys, "
                      f"got {pair!r}")
         members = sum(fl["codim"] == c for fl in poset["flats"])
@@ -286,22 +305,16 @@ class ResultCache:
             pass  # caching is best-effort
 
 
-def _stalks_section(poset, tables):
-    # flats with one stalk share one dims/weights pair
+def _stalks_section(tables):
+    # flats with one stalk share one dims dict
     shared = {}
     section = []
     for i in sorted(tables):
-        table = tables[i]
-        stalk = tuple(sorted(table.dims.items()))
-        pair = shared.get(stalk)
-        if pair is None:
-            pair = shared[stalk] = (
-                {str(k): v for k, v in stalk},
-                {str(k): v for k, v in sorted(table.weights.items())})
-        flat = poset.flats[i]
-        section.append({"flat": i, "display": flat.display,
-                        "codim": flat.codim, "dims": pair[0],
-                        "weights": pair[1]})
+        stalk = tuple(sorted(tables[i].dims.items()))
+        dims = shared.get(stalk)
+        if dims is None:
+            dims = shared[stalk] = {str(k): v for k, v in stalk}
+        section.append({"flat": i, "dims": dims})
     return section
 
 
@@ -345,10 +358,10 @@ def execute(job: JobSpec) -> tuple:
         "mode": poset.mode,
         "flat_count": len(poset),
         "member_count": len(poset.members),
+        "members": [m.display for m in poset.members],
         "flats": [{"id": f.index, "display": f.display, "codim": f.codim,
                    "mu": poset.mu(f.index),
-                   "members": [m.display for i, m in enumerate(poset.members)
-                               if poset.member_mask(f.index) >> i & 1]}
+                   "members": list(_poset._bits(poset.member_mask(f.index)))}
                   for f in poset.flats],
     }
     adm = poset.check_admissible()
@@ -370,17 +383,15 @@ def execute(job: JobSpec) -> tuple:
 
     # stalks, decomposition, pointwise verification
     tables = stalk_tables(model)
-    report["stalks"] = _stalks_section(poset, tables)
+    report["stalks"] = _stalks_section(tables)
     try:
         dec = decompose(model, tables=tables)
         pw = dec.pointwise
     except InconsistentDecomposition as exc:
         dec, pw = exc.dec, exc.report
     report["decomposition"] = [
-        {"support": s.support, "display": poset.flats[s.support].display,
-         "level": s.level, "degree": s.degree,
-         "multiplicity": s.multiplicity, "weight": s.weight}
-        for s in dec.summands]
+        {"support": s.support, "level": s.level,
+         "multiplicity": s.multiplicity} for s in dec.summands]
     report["pointwise"] = {"ok": pw.ok, "mismatches": pw.mismatches}
     if not verdict("pointwise_decomposition", pw.ok):
         return report, EXIT_MISMATCH
@@ -560,11 +571,13 @@ def render_human(report: dict) -> str:
     out = [f"arrange {report['command']}"]
     if "poset" in report:
         ps = report["poset"]
+        c, flats = ps["codim_c"], ps["flats"]   # flats[i]["id"] == i
         out.append(f"poset: {ps['flat_count']} flats, {ps['member_count']} members, "
                    f"mode={ps['mode']}, ambient dim {ps['ambient_dim']}, "
-                   f"c={ps['codim_c']}")
+                   f"c={c}")
         rows = [(f["id"], f["display"], f["codim"], f["mu"],
-                 ",".join(f["members"])) for f in ps["flats"]]
+                 ",".join(ps["members"][i] for i in f["members"]))
+                for f in ps["flats"]]
         out.extend("  " + ln for ln in _table(rows, ["id", "flat", "codim", "mu", "members"]))
     if "admissible" in report:
         adm = report["admissible"]
@@ -577,13 +590,18 @@ def render_human(report: dict) -> str:
     if "stalks" in report:
         out.append("stalk tables (degree: dim, weight):")
         for st in report["stalks"]:
-            pieces = [f"{k}: {st['dims'][k]}, w{st['weights'][k]}"
+            pieces = [f"{k}: {st['dims'][k]}, w{stalk_weight(c, int(k))}"
                       for k in sorted(st["dims"], key=int)]
-            out.append(f"  {st['display']} (codim {st['codim']}): " + "; ".join(pieces))
+            flat = flats[st["flat"]]
+            out.append(f"  {flat['display']} (codim {flat['codim']}): "
+                       + "; ".join(pieces))
     if "decomposition" in report:
         out.append("constant-sheaf decomposition (level 0 implicit):")
-        rows = [(d["display"], d["level"], d["degree"], d["multiplicity"], d["weight"])
-                for d in report["decomposition"]]
+        rows = []
+        for d in report["decomposition"]:
+            degree = level_degree(c, d["level"])
+            rows.append((flats[d["support"]]["display"], d["level"], degree,
+                         d["multiplicity"], stalk_weight(c, degree)))
         out.extend("  " + ln for ln in _table(rows, ["support", "level", "degree", "mult", "weight"]))
     if "pointwise" in report:
         pw = report["pointwise"]

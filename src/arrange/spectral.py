@@ -25,6 +25,7 @@ from .polys import IntPoly
 from .poset import _bits
 from .projective import ProjProduct, power_inclusion, pushforward
 from .records import Frozen, Record
+from .stalks import stalk_weight
 
 
 class MissingStratumData(ArrangeError):
@@ -294,7 +295,7 @@ def assemble_e2(model, dec) -> SpectralPage:
     """
     c = model.c
     rows = [(0, model.poset.bottom, 1)] + [
-        ((2 * c - 1) * s.level, s.support, s.multiplicity)
+        (s.degree, s.support, s.multiplicity)
         for s in sorted(dec.summands, key=lambda s: (s.level, s.support))]
     cells = {}
     for q, flat, multiplicity in rows:
@@ -308,9 +309,8 @@ def assemble_e2(model, dec) -> SpectralPage:
 
     out = {}
     for (p, q), runs in cells.items():
-        level = q // (2 * c - 1)
         labels = _Labels(runs)
-        out[(p, q)] = WeightedCell(len(labels), p + 2 * c * level, labels)
+        out[(p, q)] = WeightedCell(len(labels), p + stalk_weight(c, q), labels)
     return SpectralPage(c, 2 * c, out)
 
 

@@ -60,8 +60,19 @@ class StalkTable(Record):
 
     @property
     def weights(self):
-        """Weight 2c*l in degree (2c-1)*l, derived from the degree."""
-        return {k: 2 * self.c * k // (2 * self.c - 1) for k in self.dims}
+        """Degree -> weight, by ``stalk_weight``."""
+        return {k: stalk_weight(self.c, k) for k in self.dims}
+
+
+def level_degree(c, level):
+    """Degree (2c-1)*level of the level-``level`` stalks and summands."""
+    return (2 * c - 1) * level
+
+
+def stalk_weight(c, degree):
+    """Weight 2c*l of a stalk in degree (2c-1)*l: the recursion puts stalks
+    in no other degree, so the weight follows from the degree alone."""
+    return 2 * c * degree // (2 * c - 1)
 
 
 class Summand(Frozen):
@@ -175,10 +186,11 @@ def decompose(model, tables=None) -> SheafDecomposition:
         if f.index == model.poset.bottom:
             continue
         level = f.codim // c
-        degree = (2 * c - 1) * level
+        degree = level_degree(c, level)
         mult = tables[f.index].dims.get(degree, 0)
         if mult:
-            summands.append(Summand(f.index, level, degree, mult, 2 * c * level))
+            summands.append(Summand(f.index, level, degree, mult,
+                                    stalk_weight(c, degree)))
     dec = SheafDecomposition(tuple(summands))
     report = dec.pointwise = verify_pointwise(model, dec, tables)
     if not report.ok:

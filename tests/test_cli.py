@@ -24,6 +24,7 @@ from arrange.models import configuration_model
 from arrange.polys import IntPoly
 from arrange.poset import IntersectionPoset
 from arrange.projective import ProjProduct
+from arrange.stalks import decompose, stalk_tables
 from helpers import (child_env, coordinate_forms, criterion_10_hyperplane_forms,
                      random_generic_projective_forms, run_child)
 
@@ -91,6 +92,48 @@ def test_parse_rejects_bad_version():
 def test_parse_rejects_bad_kind():
     with pytest.raises(SchemaError):
         parse({"schema_version": 1, "model": {"kind": "nope"}})
+
+
+def abstract_pair_with(edit):
+    doc = copy.deepcopy(ABSTRACT_PAIR)
+    edit(doc["model"]["poset"])
+    return doc
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda poset: poset["flats"][1].update(key=True),
+     "model.poset.flats[1] needs a string or integer 'key'"),
+    (lambda poset: poset["order"][1].__setitem__(0, False),
+     "model.poset.order[1] must be a pair of flat keys, got [False, 'T']"),
+    (lambda poset: (poset["flats"][0].update(key=1),
+                    poset["flats"][2].update(key="1")),
+     "model.poset.flats[2].key '1' reads as the same text as "
+     "model.poset.flats[0].key"),
+    (lambda poset: poset["flats"][1].update(key="Z1"),
+     "model.poset.flats[1].key 'Z1' reads as the same text as "
+     "model.poset.flats[0].key")],
+    ids=["boolean_key", "boolean_order_entry", "int_and_text_key",
+         "repeated_key"])
+def test_parse_refuses_abstract_keys_by_field(edit, message, tmp_path,
+                                              monkeypatch, capsys):
+    # a boolean is an int to isinstance, and a flat is named by its key
+    # read as text, so both are refused where the document is read
+    monkeypatch.chdir(tmp_path)
+    doc = abstract_pair_with(edit)
+    assert main(["verify", write_job(tmp_path, doc)]) == EXIT_INPUT
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_parse_keeps_integer_keys(tmp_path, monkeypatch):
+    # integer keys that read as distinct text still run, named as text
+    monkeypatch.chdir(tmp_path)
+    doc = abstract_pair_with(lambda poset: (
+        poset["flats"][0].update(key=1), poset["flats"][1].update(key=2),
+        poset.update(order=[[1, "T"], [2, "T"]])))
+    report, code = execute(parse(doc))
+    assert code == EXIT_OK
+    assert [f["display"] for f in report["poset"]["flats"]] == \
+        ["ambient", "1", "2", "T"]
 
 
 def test_parse_target_forms():
@@ -360,25 +403,194 @@ def test_no_encoder_call_gets_a_list_longer_than_a_batch(tmp_path,
 
 
 def test_report_sections_share_values(tmp_path, monkeypatch):
-    # flats with one stalk share its dims and weights dicts, and the
-    # exported order reuses the flats' key strings
+    # flats with one stalk share one dims dict, and the exported order
+    # reuses the flats' key strings
     monkeypatch.chdir(tmp_path)
     report = execute(parse(F_P1_6, command="verify"))[0]
     stalks = report["stalks"]
+    assert all(set(st) == {"flat", "dims"} for st in stalks)
     distinct = {json.dumps(st["dims"], sort_keys=True) for st in stalks}
     assert len(distinct) < len(stalks)
     assert len({id(st["dims"]) for st in stalks}) == len(distinct)
-    assert len({id(st["weights"]) for st in stalks}) == len(distinct)
     export = report["abstract_model"]["poset"]
     keys = {id(fl["key"]) for fl in export["flats"]}
     assert {id(k) for pair in export["order"] for k in pair} <= keys
+
+
+def string_counts(value, counts):
+    if isinstance(value, dict):
+        for v in value.values():
+            string_counts(v, counts)
+    elif isinstance(value, list):
+        for v in value:
+            string_counts(v, counts)
+    elif isinstance(value, str):
+        counts[value] = counts.get(value, 0) + 1
+    return counts
+
+
+def test_each_display_appears_once_in_a_machine_report(tmp_path,
+                                                       monkeypatch):
+    # the poset section is the one home of flat and member displays: other
+    # sections name a flat by its id and a member by its index
+    monkeypatch.chdir(tmp_path)
+    for doc in (F_P1_6, BOOLEAN_P2, CONFIG_P1_3):
+        job = parse(doc, command="verify")
+        poset = build_model(job).poset
+        report = json.loads(machine_text(execute(job)[0]))
+        assert set(report["decomposition"][0]) == {
+            "support", "level", "multiplicity"}
+        del report["abstract_model"]
+        counts = string_counts(report, {})
+        displays = [f.display for f in poset.flats]
+        members = [m.display for m in poset.members]
+        assert {counts.get(d) for d in displays + members} == {1}
+        assert report["poset"]["members"] == members
+        for f in report["poset"]["flats"]:
+            assert f["members"] == [i for i in range(len(members))
+                                    if poset.member_mask(f["id"]) >> i & 1]
+
+
+def test_human_weights_are_the_stalk_tables_weights(tmp_path, monkeypatch):
+    # the human report derives each weight from the degree and c; read
+    # back, they are the tables' weights and the summands' degrees and
+    # weights, made apart from any report
+    monkeypatch.chdir(tmp_path)
+    for doc in (CONFIG_P1_3, BOOLEAN_P2, configuration_document([2], 3),
+                configuration_document([1, 1], 2)):
+        job = parse(doc, command="verify")
+        model = build_model(job)
+        display = {f.display: f.index for f in model.poset.flats}
+        lines = cli.render_human(execute(job)[0]).splitlines()
+        start = lines.index("stalk tables (degree: dim, weight):")
+        end = lines.index("constant-sheaf decomposition (level 0 implicit):")
+        weights = {}
+        for line in lines[start + 1:end]:
+            name, rest = line.strip().split(" (codim ")
+            weights[display[name]] = {
+                int(k): int(w.split(", w")[1])
+                for k, w in (piece.split(": ", 1)
+                             for piece in rest.split("): ")[1].split("; "))}
+        tables = stalk_tables(model)
+        assert weights == {i: t.weights for i, t in tables.items()}
+        stop = lines.index("pointwise check: ok")
+        rows = [line.split() for line in lines[end + 2:stop]]
+        assert [(display[r[0]], *map(int, r[1:])) for r in rows] == [
+            (s.support, s.level, s.degree, s.multiplicity, s.weight)
+            for s in decompose(model, tables).summands]
+
+
+# the human `verify` reports of F(P^1,3) and coordinate P^2
+F_P1_3_VERIFY = (
+    "arrange verify\n"
+    "poset: 5 flats, 3 members, mode=partition, ambient dim 3, c=1\n"
+    "  id  flat   codim  mu  members    \n"
+    "  0   1|2|3  0      1              \n"
+    "  1   1|23   1      -1  D23        \n"
+    "  2   12|3   1      -1  D12        \n"
+    "  3   13|2   1      -1  D13        \n"
+    "  4   123    2      2   D12,D13,D23\n"
+    "admissible: yes\n"
+    "stalk tables (degree: dim, weight):\n"
+    "  1|2|3 (codim 0): 0: 1, w0\n"
+    "  1|23 (codim 1): 0: 1, w0; 1: 1, w2\n"
+    "  12|3 (codim 1): 0: 1, w0; 1: 1, w2\n"
+    "  13|2 (codim 1): 0: 1, w0; 1: 1, w2\n"
+    "  123 (codim 2): 0: 1, w0; 1: 3, w2; 2: 2, w4\n"
+    "constant-sheaf decomposition (level 0 implicit):\n"
+    "  support  level  degree  mult  weight\n"
+    "  1|23     1      1       1     2     \n"
+    "  12|3     1      1       1     2     \n"
+    "  13|2     1      1       1     2     \n"
+    "  123      2      2       2     4     \n"
+    "pointwise check: ok\n"
+    "second page (entries dim(w=weight), euler = 0):\n"
+    "q=2  2(w4)  .    2(w6)  .    .      .    .\n"
+    "q=1  3(w2)  .    6(w4)  .    3(w6)  .    .\n"
+    "q=0  1(w0)  .    3(w2)  .    3(w4)  .    1(w6)\n"
+    "     p=0    p=1  p=2    p=3  p=4    p=5  p=6\n"
+    "mode: explicit\n"
+    "differential ranks: (0,1)->3, (0,2)->2, (2,1)->3, (2,2)->2, (4,1)->1\n"
+    "limit page (entries dim(w=weight), euler = 0):\n"
+    "q=1  .      .    1(w4)\n"
+    "q=0  1(w0)  .    .\n"
+    "     p=0    p=1  p=2\n"
+    "betti: 1 + t^3   euler: 0\n"
+    "weight-graded pieces:\n"
+    "  k  weight  dim\n"
+    "  0  0       1  \n"
+    "  3  4       1  \n"
+    "verdicts: all ok\n"
+)
+
+COORDINATE_P2_VERIFY = (
+    "arrange verify\n"
+    "poset: 7 flats, 3 members, mode=projective, ambient dim 2, c=1\n"
+    "  id  flat     codim  mu  members\n"
+    "  0   ambient  0      1          \n"
+    "  1   F1       1      -1  Z1     \n"
+    "  2   F2       1      -1  Z2     \n"
+    "  3   F3       1      -1  Z3     \n"
+    "  4   F4       2      1   Z1,Z2  \n"
+    "  5   F5       2      1   Z1,Z3  \n"
+    "  6   F6       2      1   Z2,Z3  \n"
+    "admissible: yes\n"
+    "normal crossings: yes\n"
+    "stalk tables (degree: dim, weight):\n"
+    "  ambient (codim 0): 0: 1, w0\n"
+    "  F1 (codim 1): 0: 1, w0; 1: 1, w2\n"
+    "  F2 (codim 1): 0: 1, w0; 1: 1, w2\n"
+    "  F3 (codim 1): 0: 1, w0; 1: 1, w2\n"
+    "  F4 (codim 2): 0: 1, w0; 1: 2, w2; 2: 1, w4\n"
+    "  F5 (codim 2): 0: 1, w0; 1: 2, w2; 2: 1, w4\n"
+    "  F6 (codim 2): 0: 1, w0; 1: 2, w2; 2: 1, w4\n"
+    "constant-sheaf decomposition (level 0 implicit):\n"
+    "  support  level  degree  mult  weight\n"
+    "  F1       1      1       1     2     \n"
+    "  F2       1      1       1     2     \n"
+    "  F3       1      1       1     2     \n"
+    "  F4       2      2       1     4     \n"
+    "  F5       2      2       1     4     \n"
+    "  F6       2      2       1     4     \n"
+    "pointwise check: ok\n"
+    "second page (entries dim(w=weight), euler = 0):\n"
+    "q=2  3(w4)  .    .      .    .\n"
+    "q=1  3(w2)  .    3(w4)  .    .\n"
+    "q=0  1(w0)  .    1(w2)  .    1(w4)\n"
+    "     p=0    p=1  p=2    p=3  p=4\n"
+    "mode: explicit\n"
+    "differential ranks: (0,1)->1, (0,2)->2, (2,1)->1\n"
+    "limit page (entries dim(w=weight), euler = 0):\n"
+    "q=2  1(w4)\n"
+    "q=1  2(w2)\n"
+    "q=0  1(w0)\n"
+    "     p=0\n"
+    "betti: 1 + 2t + t^2   euler: 0\n"
+    "weight-graded pieces:\n"
+    "  k  weight  dim\n"
+    "  0  0       1  \n"
+    "  1  2       2  \n"
+    "  2  4       1  \n"
+    "oracle: 1 + 2t + t^2   MATCH\n"
+    "verdicts: all ok\n"
+)
+
+
+def test_human_verify_report_is_pinned(tmp_path, monkeypatch):
+    # literal texts, trailing table padding included
+    monkeypatch.chdir(tmp_path)
+    for doc, text in ((CONFIG_P1_3, F_P1_3_VERIFY),
+                      (BOOLEAN_P2, COORDINATE_P2_VERIFY)):
+        report, code = execute(parse(doc, command="verify"))
+        assert code == EXIT_OK
+        assert cli.render_human(report) == text
 
 
 def test_closed_stdout_pipe_keeps_the_exit_code(tmp_path, monkeypatch):
     # the reader stops after 10 bytes of a report that overfills the pipe:
     # the job still exits with its own code and writes nothing to stderr
     monkeypatch.chdir(tmp_path)
-    doc = hyperplane_document(coordinate_forms(8))
+    doc = hyperplane_document(coordinate_forms(9))
     assert len(machine_text(execute(parse(doc, command="verify"))[0])) > 3 * 2**16
     proc = subprocess.Popen(
         [sys.executable, "-m", "arrange.cli", "verify", write_job(tmp_path, doc),
