@@ -3,9 +3,10 @@
 Builds intersection posets of admissible arrangements of smooth
 subvarieties, computes boundary stalks of the derived pushforward by
 deletion/restriction, decomposes them into constant sheaves, assembles the
-weighted second page, applies the single differential where an explicit
-construction exists, and extracts weight-graded Betti numbers, with
-independent combinatorial oracles for cross-checking.
+weighted second page, applies the single differential of the
+Orlik-Solomon model on projective hyperplane and configuration models, and
+extracts weight-graded Betti numbers, with independent combinatorial
+oracles for cross-checking.
 """
 
 from .errors import ArrangeError, NotAdmissible, NotRankOne
@@ -22,13 +23,11 @@ from .projective import (CohClass, DegreeMismatch, NegativeCodim, ProjProduct,
                          SpaceMap, SpaceMismatch, compose, cup, identity_map,
                          poincare_pair, power_inclusion, pullback,
                          pushforward)
-from .spectral import (ExplicitModeUnavailable, FeasibilityResult,
-                       HomologyMismatch, Infeasible, MalformedCell,
-                       MissingStratumData, NoGeometry, NotComposable,
+from .spectral import (FeasibilityResult, HomologyMismatch, Infeasible,
+                       MalformedCell, MissingStratumData, NotComposable,
                        RunResult, SpectralPage, WeightTable, WeightViolation,
-                       WeightedCell, assemble_e2, build_differential_config,
-                       build_differential_ncd, feasibility, run,
-                       skew_row_homology)
+                       WeightedCell, assemble_e2, build_differential,
+                       feasibility, run, skew_row_homology)
 from .stalks import (InconsistentDecomposition, PointwiseReport,
                      RecursionDepthExceeded, SheafDecomposition, StalkTable,
                      Summand, decompose, stalk_tables, verify_pointwise)

@@ -5,11 +5,11 @@ machinery reads: the common member codimension c and one ``strata`` map
 from every flat to its stratum, a ``ProjProduct`` where the geometry is
 known and a Betti tuple otherwise.  The bottom flat's stratum is the
 ambient space.  Inclusions of strata are made only when a differential
-asks for them.  Hyperplane models detect simple normal crossings, which
-is what licenses the explicit differential; configuration models are
-diagonal arrangements in a power of a projective product; abstract
-models carry user-declared combinatorics and Betti data and are confined
-to bounds mode.
+asks for them.  Projective hyperplane models and configuration models,
+diagonal arrangements in a power of a projective product, have the
+geometry that ``spectral.build_differential`` needs; ``explicit`` says
+whether a run uses it by default.  Abstract models carry user-declared
+combinatorics and Betti data and are confined to bounds mode.
 """
 
 from __future__ import annotations
@@ -45,27 +45,34 @@ class ArrangementModel(Record):
         data = self.strata[flat]
         return data.betti_list() if isinstance(data, ProjProduct) else data
 
-    def inclusion(self, src, dst):
-        """Inclusion map between the geometries of two nested flats."""
-        sgeom, dgeom = self.strata[src], self.strata[dst]
+    def inclusion_key(self, src, dst):
+        """A value that names the inclusion of flat ``src``'s stratum into
+        that of ``dst``, a flat below it: the codimension pair for a
+        hyperplane model, the copy-to-block tuple for a configuration
+        model, where block i of ``dst`` goes to the block of ``src`` that
+        holds its first point."""
         if self.kind == "hyperplane":
-            # projective subspaces: the hyperplane class restricts to the
-            # hyperplane class, or to zero on a point
-            images = tuple(sgeom.generator(i) for i in range(dgeom.nfactors))
-            return SpaceMap(sgeom, dgeom, images)
+            flats = self.poset.flats
+            return flats[src].codim, flats[dst].codim
+        if self.kind == "configuration":
+            block_of = {x: b for b, block in
+                        enumerate(self.poset.flats[src].key[1]) for x in block}
+            return tuple(block_of[block[0]]
+                         for block in self.poset.flats[dst].key[1])
         raise ArrangeError(f"no inclusion rule for kind {self.kind!r}")
 
-    def ambient_inclusion(self, flat):
-        """Inclusion of a flat's stratum into the ambient space, made on
-        each call: only an explicit differential reads it."""
+    def inclusion(self, src, dst):
+        """Inclusion of flat ``src``'s stratum into that of ``dst``, a flat
+        below it, made on each call: only an explicit differential reads
+        it.  ``inclusion(flat, poset.bottom)`` goes into the ambient space."""
+        key = self.inclusion_key(src, dst)
         if self.kind == "configuration":
-            # copy i of the ambient collapses to the block holding point i
-            block_of = {x: b for b, block in
-                        enumerate(self.poset.flats[flat].key[1]) for x in block}
-            return power_inclusion(self.factor,
-                                   [block_of[i] for i in range(1, self.n + 1)])
-        # the bottom flat's stratum is the ambient space
-        return self.inclusion(flat, self.poset.bottom)
+            return power_inclusion(self.factor, key)
+        # projective subspaces: the hyperplane class restricts to the
+        # hyperplane class, or to zero on a point
+        sgeom, dgeom = self.strata[src], self.strata[dst]
+        images = tuple(sgeom.generator(i) for i in range(dgeom.nfactors))
+        return SpaceMap(sgeom, dgeom, images)
 
 
 def _detect_ncd(poset):
@@ -78,10 +85,12 @@ def hyperplane_model(forms, mode="projective", ambient_dim=None) -> ArrangementM
     """Hypersurface arrangement given by linear forms (covector, constant).
 
     Projective mode works on P^n via the cone; flats get projective-subspace
-    geometries, and detecting normal crossings turns the explicit
-    differential on.  Affine and central modes keep the same
-    combinatorics but have no compact ambient space, so they stay in
-    feasibility/bounds mode with point-like stratum cohomology.
+    geometries.  A projective model runs explicitly by default when it has
+    simple normal crossings (``ncd``); the other projective models keep
+    feasibility mode until the page-size policy widens it.  Affine and
+    central modes keep the same combinatorics but have no compact ambient
+    space, so they stay in feasibility/bounds mode with point-like stratum
+    cohomology.
     """
     forms = [(list(cov), Fraction(const)) for cov, const in forms]
     if not forms:
@@ -112,6 +121,8 @@ def configuration_model(factor: ProjProduct, n: int) -> ArrangementModel:
     # a stratum of k blocks is factor^k; the bottom flat has n blocks
     spaces = {k: ProjProduct(factor.factor_dims * k) for k in range(1, n + 1)}
     strata = {f.index: spaces[len(f.key[1])] for f in poset.flats}
+    # explicit by default up to three points: a cost cap, not a limit of
+    # the differential, until a page-size constant replaces it
     return ArrangementModel(
         kind="configuration", poset=poset, c=c, strata=strata,
         factor=factor, n=n, explicit=n <= 3)

@@ -7,8 +7,8 @@ that weight.  Running the page therefore means: check d^2 = 0 and weight
 compatibility, take homology cell by cell, and read Betti numbers off the
 antidiagonals and weight-graded pieces off the rows.
 
-When no explicit differential is available the page still pins the Euler
-characteristic and per-degree bounds; with a target polynomial the
+Without the differential (feasibility and bounds modes) the page still
+pins the Euler characteristic and per-degree bounds; with a target polynomial the
 admissible differential ranks form short chains along skew-rows, searched
 exactly by a memoized depth-first search that stops undecided past a
 budget of splits.
@@ -23,20 +23,12 @@ from .linalg import (RationalMatrix, echelon, homology_dim,  # noqa: F401
                      primitive_rows, product_is_zero, reduce_row)
 from .polys import IntPoly
 from .poset import _bits
-from .projective import ProjProduct, power_inclusion, pushforward
+from .projective import ProjProduct, pushforward
 from .records import Frozen, Record
 from .stalks import stalk_weight
 
 
 class MissingStratumData(ArrangeError):
-    pass
-
-
-class NoGeometry(ArrangeError):
-    pass
-
-
-class ExplicitModeUnavailable(ArrangeError):
     pass
 
 
@@ -314,124 +306,101 @@ def assemble_e2(model, dec) -> SpectralPage:
     return SpectralPage(c, 2 * c, out)
 
 
-def _build_blocks(page, rows, images):
-    """The blocks of the differential leaving the cells in ``rows``.
+def _nbc_bases(poset):
+    """Each flat's no-broken-circuit (nbc) sets, and where each set sits.
 
-    ``images(push, cell, label)`` says where one basis label of the cell at
-    ``cell`` goes, as (target label, integer coefficient) pairs, and the
-    pairs are summed into one block per cell whose target cell exists.
-    ``push(map_key, inclusion, monomial)`` is the coefficient dict of the
-    pushforward of a monomial class along ``inclusion()``, made once per
-    (map_key, monomial) in this build; ``map_key`` must name the map, not
-    only its two spaces.
+    Returns (nbc, where): ``nbc[g]`` is the sorted tuple of flat g's nbc
+    sets, each an increasing tuple of member positions, and ``where[s]`` is
+    (the flat that s spans, the position of s in its tuple).  The least
+    member m through g lies in every nbc set that spans g, and the rest of
+    the set is an nbc set of a lower cover of g not on m (Bjorner 1992), so
+    the sets are made shallowest flat first.  The lower covers of g are the
+    flats below it one member codimension shallower.
     """
-    table = {}
+    c, bottom = poset.codim_c, poset.bottom
+    codim = [f.codim for f in poset.flats]
+    at_codim = {}   # codimension -> mask of the flats that have it
+    for g, k in enumerate(codim):
+        at_codim[k] = at_codim.get(k, 0) | 1 << g
+    nbc = {bottom: ((),)}
+    where = {(): (bottom, 0)}
+    for g in sorted(range(len(codim)), key=codim.__getitem__):
+        if g == bottom:
+            continue
+        mask = poset.member_mask(g)
+        m = (mask & -mask).bit_length() - 1
+        covers = (poset.down[g] & at_codim[codim[g] - c]
+                  & ~poset.up[poset.members[m].atom])
+        sets = nbc[g] = tuple(sorted((m, *t) for h in _bits(covers)
+                                     for t in nbc[h]))
+        where.update((s, (g, i)) for i, s in enumerate(sets))
+    return nbc, where
 
-    def push(map_key, inclusion, monomial):
-        image = table.get((map_key, monomial))
-        if image is None:
-            f = inclusion()
-            image = table[(map_key, monomial)] = pushforward(
-                f, f.source.monomial_class(monomial)).coeffs
-        return image
+
+def build_differential(model, page) -> dict:
+    """The d2 of a projective hyperplane or configuration model: the Gysin
+    alternating sum of the Orlik-Solomon model (Orlik-Solomon 1980;
+    Totaro 1996).
+
+    Copy i of flat g on the page is g's i-th nbc set S, and
+    d(x (x) e_S) = sum_j (-1)^j i_*(x) (x) e_(S minus s_j), with i the
+    inclusion of g's stratum into that of the flat S minus s_j spans.  A
+    flat whose copies in a cell are not its nbc sets raises
+    ``MalformedCell``.  Each image is pushed forward once per
+    (``ArrangementModel.inclusion_key``, monomial).
+    """
+    if not all(isinstance(s, ProjProduct) for s in model.strata.values()):
+        raise ArrangeError("the differential needs every stratum's geometry "
+                           "(a projective hyperplane or configuration model)")
+    nbc, where = _nbc_bases(model.poset)
+    for key, cell in page.cells.items():
+        copies = {}
+        for g, _, copy in cell.basis:
+            copies[g] = max(copies.get(g, 0), copy + 1)
+        for g, count in copies.items():
+            if count != len(nbc[g]):
+                raise MalformedCell(
+                    f"cell {key} has {count} copies of flat {g}, which has "
+                    f"{len(nbc[g])} nbc sets")
+    faces = {}    # (flat, copy) -> [(sign, flat below, its copy, map key)]
+    pushed = {}   # (map key, monomial) -> coefficients of the image
+
+    def images(g, token, copy):
+        face = faces.get((g, copy))
+        if face is None:
+            s = nbc[g][copy]
+            face = faces[(g, copy)] = []
+            for j in range(len(s)):
+                h, at = where[s[:j] + s[j + 1:]]
+                face.append((-1 if j % 2 else 1, h, at,
+                             model.inclusion_key(g, h)))
+        for sign, h, at, key in face:
+            image = pushed.get((key, token))
+            if image is None:
+                f = model.inclusion(g, h)
+                image = pushed[(key, token)] = pushforward(
+                    f, f.source.monomial_class(token)).coeffs
+            for exp, val in image.items():
+                yield (h, exp, at), sign * val
 
     diff = {}
     for (p, q), cell in sorted(page.cells.items()):
-        tcell = page.cells.get(page.target_of(p, q))
-        if q not in rows or tcell is None:
+        tkey = page.target_of(p, q)
+        tcell = page.cells.get(tkey)
+        if tcell is None:
             continue
         tpos = {label: i for i, label in enumerate(tcell.basis)}
         entries = {}
         for col, label in enumerate(cell.basis):
-            for tlabel, coef in images(push, (p, q), label):
-                at = (tpos[tlabel], col)
-                entries[at] = entries.get(at, 0) + coef
+            for tlabel, coef in images(*label):
+                row = tpos.get(tlabel)
+                if row is None:
+                    raise MalformedCell(
+                        f"cell {tkey} has no basis label {tlabel}, the "
+                        f"image of {label} in cell {(p, q)}")
+                entries[(row, col)] = entries.get((row, col), 0) + coef
         diff[(p, q)] = RationalMatrix(tcell.dim, cell.dim, entries)
     return diff
-
-
-def build_differential_ncd(model, page) -> dict:
-    """Alternating sum of one-step pushforwards between incident strata.
-
-    Requires simple normal crossings: each flat lies on exactly codim many
-    members, so dropping one member from a flat's set names a unique
-    shallower flat.  The sign is (-1)^(position of the dropped member in
-    the sorted member tuple).  A stratum's space and the inclusion of one
-    stratum into another (``ArrangementModel.inclusion``) depend only on
-    the flats' codimensions, so each image is pushed forward once per
-    (source codimension, target codimension, monomial).
-    """
-    if model.kind != "hyperplane" or not model.explicit:
-        raise NoGeometry("explicit blocks need a normal-crossing hyperplane "
-                         "model with stratum geometry")
-    poset = model.poset
-    codim = [f.codim for f in poset.flats]
-    mask_to_flat = {poset.member_mask(f.index): f.index for f in poset.flats}
-
-    def images(push, cell, label):
-        fi, token, _ = label
-        mask = poset.member_mask(fi)
-        out = []
-        for j, mpos in enumerate(_bits(mask)):
-            gi = mask_to_flat[mask & ~(1 << mpos)]
-            sign = -1 if j % 2 else 1
-            image = push((codim[fi], codim[gi]),
-                         lambda: model.inclusion(fi, gi), token)
-            out.extend(((gi, exp, 0), sign * val) for exp, val in image.items())
-        return out
-
-    return _build_blocks(page, {q for (_, q) in page.cells if q >= 1}, images)
-
-
-# Multiplicity-space coefficients for the three-point diagonal arrangement:
-# columns index the two copies supported on the small diagonal, rows the
-# pair diagonals in sorted order.  Columns sum to zero, which together with
-# pushforward functoriality forces d^2 = 0; the rank-2 column space is the
-# full sum-zero plane, so homology does not depend on the choice of basis.
-_TRIPLE_MULT = ((-1, -1), (1, 0), (0, 1))
-
-
-def build_differential_config(model, page) -> dict:
-    """Explicit blocks for configuration models of up to three points.
-
-    Level 1 goes to level 0 by the pushforward along each pair diagonal,
-    once per (flat, monomial), since each flat has its own inclusion.
-    Level 2 goes to level 1 by the pushforward along the diagonal
-    Y -> Y^2, once per monomial, spread over the pair diagonals by
-    ``_TRIPLE_MULT``.
-    """
-    if model.kind != "configuration":
-        raise NoGeometry("not a configuration model")
-    n = model.n
-    if n > 3:
-        raise ExplicitModeUnavailable(
-            f"explicit differential implemented for n <= 3, got n = {n}")
-    poset = model.poset
-    q1 = 2 * model.c - 1
-    pair_flats = sorted(f.index for f in poset.flats if f.codim == model.c)
-    small = next((f.index for f in poset.flats if f.codim == 2 * model.c),
-                 None)
-    delta = power_inclusion(model.factor, [0, 0])   # Y -> Y^2 diagonal
-
-    def images(push, cell, label):
-        fi, token, mult = label
-        if cell[1] == q1:
-            image = push(fi, lambda: model.ambient_inclusion(fi), token)
-            return [((poset.bottom, exp, 0), val) for exp, val in image.items()]
-        if fi != small:
-            raise MalformedCell(
-                f"cell {cell} has a basis label on flat {fi}, "
-                f"not on the small diagonal {small}")
-        if mult >= len(_TRIPLE_MULT[0]):
-            raise MalformedCell(
-                f"cell {cell} has copy {mult} of the small diagonal {small}; "
-                f"three points give it {len(_TRIPLE_MULT[0])}")
-        image = push(None, lambda: delta, token)
-        return [((pf, exp, 0), coefs[mult] * val)
-                for pf, coefs in zip(pair_flats, _TRIPLE_MULT)
-                for exp, val in image.items()]
-
-    return _build_blocks(page, (q1, 2 * q1) if n == 3 else (q1,), images)
 
 
 def _homology_labels(cell, image, kernel):

@@ -78,15 +78,14 @@ def stalk_weight(c, degree):
 class Summand(Frozen):
     """One constant-sheaf summand: multiplicity copies of the constant sheaf
     on the closure of ``support``, sitting in degree (2c-1)*level."""
-    __slots__ = ("support", "level", "degree", "multiplicity", "weight")
+    __slots__ = ("support", "level", "degree", "multiplicity")
 
-    def __init__(self, support, level, degree, multiplicity, weight):
+    def __init__(self, support, level, degree, multiplicity):
         init = object.__setattr__
         init(self, "support", support)
         init(self, "level", level)
         init(self, "degree", degree)
         init(self, "multiplicity", multiplicity)
-        init(self, "weight", weight)
 
 
 class SheafDecomposition(Record):
@@ -189,8 +188,7 @@ def decompose(model, tables=None) -> SheafDecomposition:
         degree = level_degree(c, level)
         mult = tables[f.index].dims.get(degree, 0)
         if mult:
-            summands.append(Summand(f.index, level, degree, mult,
-                                    stalk_weight(c, degree)))
+            summands.append(Summand(f.index, level, degree, mult))
     dec = SheafDecomposition(tuple(summands))
     report = dec.pointwise = verify_pointwise(model, dec, tables)
     if not report.ok:

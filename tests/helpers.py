@@ -9,12 +9,12 @@ from itertools import combinations
 from pathlib import Path
 
 import arrange
+from arrange.errors import ArrangeError
 from arrange.linalg import RationalMatrix, eliminate, primitive_rows
 from arrange.poset import (DuplicateMember, EmptyInput, Flat,
                            IntersectionPoset, InvalidForm, _bits)
 from arrange.projective import power_inclusion, pushforward
-from arrange.spectral import (ExplicitModeUnavailable, FeasibilityResult,
-                              Infeasible, MalformedCell, NoGeometry)
+from arrange.spectral import FeasibilityResult, Infeasible, MalformedCell
 from arrange.stalks import PointwiseReport
 
 
@@ -429,16 +429,11 @@ def run_child(cwd, *args):
 
 
 def explicit_page(model):
-    """Assemble and differentiate an explicit-mode model."""
-    from arrange import (assemble_e2, build_differential_config,
-                         build_differential_ncd, decompose)
-    dec = decompose(model)
-    page = assemble_e2(model, dec)
-    if model.kind == "hyperplane":
-        diff = build_differential_ncd(model, page)
-    else:
-        diff = build_differential_config(model, page)
-    return page.with_differential(diff)
+    """Assemble and differentiate a projective hyperplane or configuration
+    model."""
+    from arrange import assemble_e2, build_differential, decompose
+    page = assemble_e2(model, decompose(model))
+    return page.with_differential(build_differential(model, page))
 
 
 def run_explicit(model):
@@ -592,9 +587,9 @@ def _reference_positions(cell):
 
 
 def reference_differential_ncd(model, page) -> dict:
-    """Oracle for ``spectral.build_differential_ncd``: the builder that the
-    shared block builder replaced, kept apart from it.  It pushes one
-    monomial forward per basis label and dropped member.
+    """Oracle for ``spectral.build_differential`` on normal crossings: the
+    normal-crossing builder that the nbc builder replaced, kept apart from
+    it.  It pushes one monomial forward per basis label and dropped member.
 
     Alternating sum of one-step pushforwards between incident strata.
 
@@ -605,8 +600,8 @@ def reference_differential_ncd(model, page) -> dict:
     """
     if (model.kind != "hyperplane" or not model.ncd
             or model.poset.mode != "projective"):
-        raise NoGeometry("explicit blocks need a normal-crossing hyperplane "
-                         "model with stratum geometry")
+        raise ArrangeError("explicit blocks need a normal-crossing "
+                           "hyperplane model with stratum geometry")
     poset = model.poset
     mask_to_flat = {poset.member_mask(f.index): f.index for f in poset.flats}
     diff = {}
@@ -646,15 +641,15 @@ _REFERENCE_TRIPLE_MULT = ((-1, -1), (1, 0), (0, 1))
 
 
 def reference_differential_config(model, page) -> dict:
-    """Oracle for ``spectral.build_differential_config``: the builder that
-    the shared block builder replaced, kept apart from it.
-
-    Explicit blocks for configuration models of up to three points."""
+    """Oracle for ``spectral.build_differential`` on configuration models of
+    up to three points: the three-point builder that the nbc builder
+    replaced, kept apart from it.  Its level-2 copies are combinations of
+    the pair diagonals in flat-index order (``_REFERENCE_TRIPLE_MULT``)."""
     if model.kind != "configuration":
-        raise NoGeometry("not a configuration model")
+        raise ArrangeError("not a configuration model")
     n = model.n
     if n > 3:
-        raise ExplicitModeUnavailable(
+        raise ArrangeError(
             f"explicit differential implemented for n <= 3, got n = {n}")
     c = model.c
     poset = model.poset
@@ -673,7 +668,11 @@ def reference_differential_config(model, page) -> dict:
         tpos = _reference_positions(tcell)
         entries = {}
         for col, (fi, token, _) in enumerate(cell.basis):
-            inc = model.ambient_inclusion(fi)
+            # copy i of the ambient collapses to the block holding point i
+            block_of = {x: b for b, block in
+                        enumerate(poset.flats[fi].key[1]) for x in block}
+            inc = power_inclusion(model.factor,
+                                  [block_of[i] for i in range(1, n + 1)])
             image = pushforward(inc, model.strata[fi].monomial_class(token))
             for exp, val in image.coeffs.items():
                 row = tpos[(poset.bottom, exp, 0)]

@@ -24,8 +24,9 @@ from arrange.models import configuration_model
 from arrange.polys import IntPoly
 from arrange.poset import IntersectionPoset
 from arrange.projective import ProjProduct
-from arrange.stalks import decompose, stalk_tables
-from helpers import (child_env, coordinate_forms, criterion_10_hyperplane_forms,
+from arrange.stalks import decompose, stalk_tables, stalk_weight
+from helpers import (braid_forms, child_env, coordinate_forms,
+                     criterion_10_hyperplane_forms,
                      random_generic_projective_forms, run_child)
 
 BOOLEAN_P2 = {
@@ -111,9 +112,16 @@ def abstract_pair_with(edit):
      "model.poset.flats[0].key"),
     (lambda poset: poset["flats"][1].update(key="Z1"),
      "model.poset.flats[1].key 'Z1' reads as the same text as "
-     "model.poset.flats[0].key")],
+     "model.poset.flats[0].key"),
+    (lambda poset: poset["flats"][1].update(key="bottom"),
+     "model.poset.flats[1].key 'bottom' is reserved for the ambient space"),
+    (lambda poset: poset["order"][1].__setitem__(0, "Z3"),
+     "model.poset.order[1] names 'Z3', which is no model.poset.flats[].key"),
+    (lambda poset: poset["order"][0].__setitem__(1, 2),
+     "model.poset.order[0] names 2, which is no model.poset.flats[].key")],
     ids=["boolean_key", "boolean_order_entry", "int_and_text_key",
-         "repeated_key"])
+         "repeated_key", "bottom_key", "undeclared_order_key",
+         "undeclared_integer_order_key"])
 def test_parse_refuses_abstract_keys_by_field(edit, message, tmp_path,
                                               monkeypatch, capsys):
     # a boolean is an int to isinstance, and a flat is named by its key
@@ -229,17 +237,17 @@ def test_euler_oracle_is_for_configuration_models_only():
     assert "euler_oracle" not in {v["check"] for v in report["verdicts"]}
 
 
-def tamper_top_stalk(monkeypatch):
-    """Make ``cli.stalk_tables`` add 1 to the top stalk dimension of the
-    deepest flat.  The pointwise check reads its multiplicities from the
-    same tables, so it still passes."""
+def tamper_top_stalk(monkeypatch, by=1):
+    """Make ``cli.stalk_tables`` add ``by`` to the top stalk dimension of
+    the deepest flat.  The pointwise check reads its multiplicities from
+    the same tables, so it still passes."""
     real = cli.stalk_tables
 
     def tampered(model):
         tables = real(model)
         deepest = max(model.poset.flats, key=lambda f: f.codim).index
         dims = tables[deepest].dims
-        dims[max(dims)] += 1
+        dims[max(dims)] += by
         return tables
 
     monkeypatch.setattr(cli, "stalk_tables", tampered)
@@ -266,10 +274,26 @@ def test_euler_oracle_alone_fails_on_a_tampered_stalk(tmp_path, monkeypatch,
            "  euler_oracle: expected 0, page -2\n" in human
 
 
+@pytest.mark.parametrize("by, copies", [(1, 3), (-1, 1)],
+                         ids=["extra", "missing"])
+def test_small_diagonal_copies_are_its_nbc_sets(by, copies, monkeypatch):
+    # the tampered F(P^1, 3) table gives the small diagonal three copies,
+    # or one; the matroid gives it two nbc sets, (D12, D13) and (D12, D23)
+    tamper_top_stalk(monkeypatch, by)
+    model = build_model(parse(CONFIG_P1_3))
+    small = max(model.poset.flats, key=lambda f: f.codim).index
+    page = spectral.assemble_e2(
+        model, cli.decompose(model, tables=cli.stalk_tables(model)))
+    with pytest.raises(spectral.MalformedCell,
+                       match=rf"^cell \(0, 2\) has {copies} copies of flat "
+                             rf"{small}, which has 2 nbc sets$"):
+        spectral.build_differential(model, page)
+
+
 def test_extra_small_diagonal_copy_is_a_named_error(tmp_path, monkeypatch,
                                                     capsys):
     # the tampered F(P^1, 3) table gives the small diagonal three copies;
-    # the three-point differential has coefficients for two
+    # it has two nbc sets
     monkeypatch.chdir(tmp_path)
     tamper_top_stalk(monkeypatch)
     # through the command line the failed Euler verdict ends the run with
@@ -286,9 +310,9 @@ def test_extra_small_diagonal_copy_is_a_named_error(tmp_path, monkeypatch,
     dec = cli.decompose(model, tables=cli.stalk_tables(model))
     page = spectral.assemble_e2(model, dec)
     with pytest.raises(spectral.MalformedCell,
-                       match=r"^cell \(0, 2\) has copy 2 of the small "
-                             r"diagonal"):
-        spectral.build_differential_config(model, page)
+                       match=r"^cell \(0, 2\) has 3 copies of flat \d+, "
+                             r"which has 2 nbc sets$"):
+        spectral.build_differential(model, page)
 
 
 def test_weight_purity_is_for_hyperplane_models_only(tmp_path, monkeypatch):
@@ -476,7 +500,8 @@ def test_human_weights_are_the_stalk_tables_weights(tmp_path, monkeypatch):
         stop = lines.index("pointwise check: ok")
         rows = [line.split() for line in lines[end + 2:stop]]
         assert [(display[r[0]], *map(int, r[1:])) for r in rows] == [
-            (s.support, s.level, s.degree, s.multiplicity, s.weight)
+            (s.support, s.level, s.degree, s.multiplicity,
+             stalk_weight(model.c, s.degree))
             for s in decompose(model, tables).summands]
 
 
@@ -1124,9 +1149,13 @@ def test_main_bad_file(tmp_path, monkeypatch, capsys):
 
 
 def test_main_explicit_unavailable_is_input_error(tmp_path, monkeypatch):
+    # the builder covers F(P^1, 4) and projective braid P^3; the mode
+    # policy (model.explicit) keeps them out of explicit mode
     monkeypatch.chdir(tmp_path)
-    path = write_job(tmp_path, ABSTRACT_PAIR)
-    assert main(["run", path, "--mode", "explicit"]) == EXIT_INPUT
+    for doc in (ABSTRACT_PAIR, F_P1_4, hyperplane_document(braid_forms(4))):
+        path = write_job(tmp_path, doc)
+        for command in ("run", "verify"):
+            assert main([command, path, "--mode", "explicit"]) == EXIT_INPUT
 
 
 def run_job(tmp_path, doc):

@@ -35,7 +35,7 @@ def test_coordinate_model_is_ncd():
             for f in flats:
                 assert m.strata[f.index] == ProjProduct((n - k,))
         for f in m.poset.flats:
-            inc = m.ambient_inclusion(f.index)
+            inc = m.inclusion(f.index, m.poset.bottom)
             assert inc.source == m.strata[f.index]
             assert inc.target == ProjProduct((n,))
 
@@ -100,14 +100,14 @@ def test_configuration_stratum_dimensions():
         m = configuration_model(ProjProduct(dims), n)
         ambient = ProjProduct(dims * n)
         for f in m.poset.flats:
-            geom, inc = m.strata[f.index], m.ambient_inclusion(f.index)
+            geom, inc = m.strata[f.index], m.inclusion(f.index, m.poset.bottom)
             assert geom.dim == ambient.dim - f.codim
             assert inc.source == geom
             assert inc.target == ambient
 
 
 def test_configuration_model_makes_no_inclusion(monkeypatch):
-    # a stratum's inclusion is made by ambient_inclusion, on demand
+    # a stratum's inclusion is made by inclusion, on demand
     calls = []
 
     def counting(*args):
@@ -119,7 +119,7 @@ def test_configuration_model_makes_no_inclusion(monkeypatch):
     m = configuration_model(ProjProduct((1,)), 5)
     assert len(m.strata) == len(m.poset) == 52
     assert calls == []
-    m.ambient_inclusion(m.poset.bottom)
+    m.inclusion(m.poset.bottom, m.poset.bottom)
     assert len(calls) == 1
 
 

@@ -31,7 +31,7 @@ FROZEN = [
     (WeightedCell(1, 4, ((0, (1,), 0),)),
      WeightedCell(1, 4, ((0, (1,), 0),)),
      WeightedCell(1, 3, ((0, (1,), 0),))),
-    (Summand(4, 1, 1, 2, 2), Summand(4, 1, 1, 2, 2), Summand(4, 1, 1, 3, 2)),
+    (Summand(4, 1, 1, 2), Summand(4, 1, 1, 2), Summand(4, 1, 1, 3)),
 ]
 
 
@@ -107,7 +107,7 @@ def test_mutable_records_compare_by_fields():
 
 
 def test_sheaf_decomposition_equality_ignores_the_pointwise_report():
-    summands = (Summand(1, 1, 1, 1, 2),)
+    summands = (Summand(1, 1, 1, 1),)
     checked = SheafDecomposition(summands, pointwise=PointwiseReport(True))
     assert checked == SheafDecomposition(summands)
     assert checked != SheafDecomposition(())
@@ -135,6 +135,6 @@ def test_stalk_memo_lives_in_the_callers_dict():
 
 
 def test_repr_names_the_fields():
-    assert repr(Summand(4, 1, 1, 2, 2)) == (
-        "Summand(support=4, level=1, degree=1, multiplicity=2, weight=2)")
+    assert repr(Summand(4, 1, 1, 2)) == (
+        "Summand(support=4, level=1, degree=1, multiplicity=2)")
     assert repr(ProjProduct((1,))) == "ProjProduct(factor_dims=(1,))"

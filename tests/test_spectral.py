@@ -8,21 +8,21 @@ import pytest
 import arrange.cli as cli
 import arrange.linalg as linalg
 import arrange.spectral as spectral
+from arrange.errors import ArrangeError
 from arrange.linalg import RationalMatrix
 from arrange.models import (abstract_model, configuration_model,
                             hyperplane_model, os_oracle)
 from arrange.polys import IntPoly
 from arrange.projective import ProjProduct
-from arrange.spectral import (ExplicitModeUnavailable, HomologyMismatch,
-                              Infeasible, MalformedCell, MissingStratumData,
-                              NotComposable, SpectralPage, WeightViolation,
-                              WeightedCell, assemble_e2,
-                              build_differential_config,
-                              build_differential_ncd, feasibility, run,
+from arrange.spectral import (HomologyMismatch, Infeasible, MalformedCell,
+                              MissingStratumData, NotComposable, SpectralPage,
+                              WeightViolation, WeightedCell, assemble_e2,
+                              build_differential, feasibility, run,
                               skew_row_homology)
 from arrange.stalks import decompose
-from helpers import (child_env, coordinate_forms, criterion_10_models, dense,
-                     enumerate_feasibility, explicit_page,
+from helpers import (braid_forms, child_env, coordinate_forms,
+                     criterion_10_models, dense, enumerate_feasibility,
+                     explicit_page,
                      random_generic_projective_forms,
                      reference_basis_labels, reference_differential_config,
                      reference_differential_ncd, reference_rref,
@@ -150,11 +150,38 @@ def test_configuration_three_points_product_base():
     assert res2.betti.coeff(0) == 1
 
 
-def test_explicit_mode_unavailable_for_four_points():
-    m = configuration_model(ProjProduct((1,)), 4)
-    page = assemble(m)
-    with pytest.raises(ExplicitModeUnavailable):
-        build_differential_config(m, page)
+def config_p1_weights(n):
+    """The weight-graded Betti numbers of F(P^1, n) = PGL_2 x M_{0,n} as
+    {(degree, weight): dim}: the coefficients of (1 + t^3 u^4) times
+    (1 + j t u^2) for 2 <= j <= n - 2 (Arnold 1969)."""
+    poly = {(0, 0): 1, (3, 4): 1}
+    for j in range(2, n - 1):
+        grown = {}
+        for (k, w), dim in poly.items():
+            grown[(k, w)] = grown.get((k, w), 0) + dim
+            grown[(k + 1, w + 2)] = grown.get((k + 1, w + 2), 0) + j * dim
+        poly = grown
+    return poly
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_points_on_p1_give_the_closed_form(n):
+    _, res = run_explicit(configuration_model(ProjProduct((1,)), n))
+    expected = config_p1_weights(n)
+    assert dict(res.weights.items()) == expected
+    betti = [sum(d for (k, _), d in expected.items() if k == degree)
+             for degree in range(n + 1)]
+    assert res.betti == IntPoly(betti)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_braid_models_give_the_oracle_and_pure_weights(n):
+    # braid arrangements in P^(n-1) are not normal crossings
+    model = hyperplane_model(braid_forms(n), mode="projective")
+    assert not model.ncd
+    _, res = run_explicit(model)
+    assert res.betti == os_oracle(model.poset)
+    assert all(w == 2 * k for (k, w), _ in res.weights.items())
 
 
 def test_run_zero_differential_keeps_page():
@@ -590,7 +617,33 @@ def test_config_label_off_the_small_diagonal_raises():
                                     for _, tok, mult in cell.basis))
     bad = SpectralPage(page.c, page.r, cells)
     with pytest.raises(MalformedCell, match=rf"cell \({key[0]}, 2\)"):
-        build_differential_config(m, bad)
+        build_differential(m, bad)
+
+
+@pytest.mark.parametrize("mode", ["central", "affine"])
+def test_differential_needs_stratum_geometry(mode):
+    # point-like strata have no Gysin maps, so no blocks; an empty
+    # differential would pass the page off as the limit page
+    m = hyperplane_model(BOOLEAN_P2, mode=mode)
+    with pytest.raises(ArrangeError, match="stratum's geometry"):
+        build_differential(m, assemble(m))
+
+
+def test_flat_with_no_copies_on_the_page_raises():
+    # drop one pair diagonal from level 1: the faces of the small
+    # diagonal's nbc sets land on labels that the page does not have
+    m = configuration_model(ProjProduct((1,)), 3)
+    page = assemble(m)
+    pair = next(f.index for f in m.poset.flats if f.codim == 1)
+    cells = dict(page.cells)
+    for key, cell in page.cells.items():
+        if key[1] == 1:
+            labels = tuple(label for label in cell.basis if label[0] != pair)
+            cells[key] = WeightedCell(len(labels), cell.weight, labels)
+    bad = SpectralPage(page.c, page.r, cells)
+    with pytest.raises(MalformedCell,
+                       match=rf"^cell \(2, 1\) has no basis label \({pair}, "):
+        build_differential(m, bad)
 
 
 def test_labels_disagreeing_with_ranks_raise(monkeypatch):
@@ -602,11 +655,36 @@ def test_labels_disagreeing_with_ranks_raise(monkeypatch):
         run(page)
 
 
-def builders(model):
-    """The block builder and its reference oracle for one model."""
+# nbc lists the small diagonal's two copies in member order, (D12, D13)
+# and (D12, D23); the reference combines the pair diagonals in flat-index
+# order, D23, D12, D13.  Copy j of the builder is sum_i T[i][j] copy i of
+# the reference.
+SMALL_DIAGONAL_T = ((-1, -1), (1, 0))
+
+
+def with_copies_changed(block, basis, change):
+    """``block`` times (change (x) identity) on the copies of its columns:
+    column (flat, token, j) becomes sum_i change[i][j] column (flat, token,
+    i)."""
+    column = {label: i for i, label in enumerate(basis)}
+    entries = {}
+    for (row, col), value in block.entries.items():
+        flat, token, i = basis[col]
+        for j, coef in enumerate(change[i]):
+            at = (row, column[(flat, token, j)])
+            entries[at] = entries.get(at, 0) + coef * value
+    return RationalMatrix(block.rows, block.cols, entries)
+
+
+def reference_blocks(model, page):
+    """The reference oracle's blocks, on the builder's copies."""
     if model.kind == "hyperplane":
-        return build_differential_ncd, reference_differential_ncd
-    return build_differential_config, reference_differential_config
+        return reference_differential_ncd(model, page)
+    blocks = reference_differential_config(model, page)
+    level_2 = 2 * (2 * model.c - 1)
+    return {key: with_copies_changed(block, page.cells[key].basis,
+                                     SMALL_DIAGONAL_T)
+            if key[1] == level_2 else block for key, block in blocks.items()}
 
 
 ORACLE_MODELS = {
@@ -622,8 +700,8 @@ ORACLE_MODELS = {
 
 def assert_blocks_match_reference(model):
     page = assemble(model)
-    build, reference = builders(model)
-    blocks, expected = build(model, page), reference(model, page)
+    blocks, expected = build_differential(model, page), reference_blocks(
+        model, page)
     assert blocks.keys() == expected.keys()
     for key, block in expected.items():
         assert blocks[key] == block, key
@@ -655,6 +733,6 @@ def test_one_pushforward_per_map_and_monomial(model, calls, monkeypatch):
 
     real = spectral.pushforward
     monkeypatch.setattr(spectral, "pushforward", counting)
-    builders(model)[0](model, page)
+    build_differential(model, page)
     assert len(set(inputs)) == len(inputs) == calls
 

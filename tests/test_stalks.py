@@ -68,7 +68,8 @@ def test_decompose_single_hypersurface():
     dec = decompose(m)
     assert len(dec.summands) == 1
     s = dec.summands[0]
-    assert (s.level, s.degree, s.multiplicity, s.weight) == (1, 1, 1, 2)
+    assert (s.level, s.degree, s.multiplicity) == (1, 1, 1)
+    assert stalks_mod.stalk_weight(m.c, s.degree) == 2
 
 
 def test_decompose_boolean_p2():
