@@ -23,9 +23,9 @@ from .projective import (CohClass, DegreeMismatch, NegativeCodim, ProjProduct,
                          SpaceMap, SpaceMismatch, compose, cup, identity_map,
                          poincare_pair, power_inclusion, pullback,
                          pushforward)
-from .spectral import (FeasibilityResult, HomologyMismatch, Infeasible,
-                       MalformedCell, MissingStratumData, NotComposable,
-                       RunResult, SpectralPage, WeightTable, WeightViolation,
+from .spectral import (FeasibilityResult, Infeasible, MalformedCell,
+                       MissingStratumData, NotComposable, RunResult,
+                       SpectralPage, WeightTable, WeightViolation,
                        WeightedCell, assemble_e2, build_differential,
                        feasibility, run, skew_row_homology)
 from .stalks import (InconsistentDecomposition, PointwiseReport,

@@ -329,10 +329,13 @@ def _stalks_section(tables):
     return section
 
 
-def _page_section(page):
-    cells = [{"p": p, "q": q, "dim": cell.dim, "weight": cell.weight}
-             for (p, q), cell in sorted(page.cells.items())]
-    return {"cells": cells, "euler": page.euler()}
+def _page_section(page, dims):
+    """The cells of ``dims`` ((p, q) -> nonzero dim), with the weights of
+    the page's cells at those places, and their Euler characteristic."""
+    cells = [{"p": p, "q": q, "dim": d, "weight": page.cells[(p, q)].weight}
+             for (p, q), d in sorted(dims.items())]
+    return {"cells": cells,
+            "euler": sum((-1) ** (p + q) * d for (p, q), d in dims.items())}
 
 
 def _abstract_export(model):
@@ -410,7 +413,8 @@ def execute(job: JobSpec) -> tuple:
         return report, EXIT_OK
 
     page = assemble_e2(model, dec)
-    report["e2"] = _page_section(page)
+    report["e2"] = _page_section(
+        page, {key: cell.dim for key, cell in page.cells.items()})
     if model.kind == "configuration":
         # chi(F(X, n)) from the Fadell-Neuwirth fibration, read from the
         # factor and the point count alone; a miss ends the run before a
@@ -449,7 +453,7 @@ def execute(job: JobSpec) -> tuple:
         res = run(page)
         report["differential_ranks"] = [
             {"p": p, "q": q, "rank": r} for (p, q), r in sorted(res.ranks.items())]
-        report["einfty"] = _page_section(res.einfty)
+        report["einfty"] = _page_section(page, res.homology)
         report["betti"] = res.betti.to_list()
         report["betti_text"] = str(res.betti)
         report["euler"] = res.euler

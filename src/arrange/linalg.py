@@ -202,12 +202,12 @@ class Echelon:
     column f, with 1 at f and 0 at the other free columns.
     """
 
-    __slots__ = ("cols", "rows", "_kernel", "_reduced")
+    __slots__ = ("cols", "rows", "_reduced")
 
     def __init__(self, cols, rows):
         self.cols = cols
         self.rows = rows
-        self._kernel = self._reduced = None
+        self._reduced = None
 
     @property
     def rank(self):
@@ -236,41 +236,20 @@ class Echelon:
             self._reduced = tuple(rows), pivots
         return self._reduced
 
-    def _kernel_terms(self):
-        """(free column, [(pivot column, entry at the free column, pivot
-        entry)]) in increasing column order, from the fully reduced rows."""
-        if self._kernel is None:
-            full = self._fully_reduced()
-            terms = {}
-            for c, row in full.items():
-                for j, v in row.items():
-                    if j != c:
-                        terms.setdefault(j, []).append((c, v, row[c]))
-            self._kernel = [(f, terms.get(f, [])) for f in range(self.cols)
-                             if f not in full]
-        return self._kernel
-
-    def kernel_vectors(self):
-        """The kernel basis as primitive integer vectors (dicts index -> int)."""
-        out = []
-        for f, terms in self._kernel_terms():
-            scale = lcm(*(a for _, _, a in terms)) if terms else 1
-            vec = {f: scale}
-            for c, v, a in terms:
-                vec[c] = -v * scale // a
-            out.append(_primitive(vec))
-        return out
-
     def kernel_basis(self):
-        """The kernel basis as tuples of Fractions (one entry per column)."""
-        basis = []
-        for f, terms in self._kernel_terms():
-            vec = [Fraction(0)] * self.cols
+        """The kernel basis as tuples of Fractions (one entry per column),
+        from the fully reduced rows, which off their pivots are nonzero
+        only at free columns."""
+        full = self._fully_reduced()
+        basis = {f: [Fraction(0)] * self.cols
+                 for f in range(self.cols) if f not in full}
+        for f, vec in basis.items():
             vec[f] = Fraction(1)
-            for c, v, a in terms:
-                vec[c] = Fraction(-v, a)
-            basis.append(tuple(vec))
-        return basis
+        for c, row in full.items():
+            for j, v in row.items():
+                if j != c:
+                    basis[j][c] = Fraction(-v, row[c])
+        return [tuple(vec) for vec in basis.values()]
 
 
 def echelon(m: RationalMatrix) -> Echelon:

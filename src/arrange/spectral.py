@@ -3,9 +3,13 @@
 The page of a c-codimensional model has nonzero rows only at q = (2c-1)*l;
 the cell at (p, q) is pure of weight p + 2c*l, and the only differential
 that can be nonzero is the one of bidegree (2c, 1-2c), which preserves
-that weight.  Running the page therefore means: check d^2 = 0 and weight
-compatibility, take homology cell by cell, and read Betti numbers off the
-antidiagonals and weight-graded pieces off the rows.
+that weight.  By purity the sequence degenerates after it, so the limit
+page is the homology of that one differential, and only its dimensions
+and weights are read.  Running the page therefore means: check d^2 = 0
+and weight compatibility, take each block's rank from one factorisation,
+and read each cell's homology dimension, the Betti numbers off the
+antidiagonals and the weight-graded pieces off the rows.  No basis of the
+limit page is picked.
 
 Without the differential (feasibility and bounds modes) the page still
 pins the Euler characteristic and per-degree bounds; with a target polynomial the
@@ -20,7 +24,7 @@ from .errors import ArrangeError, NotRankOne
 # homology_dim is no longer called here; it stays in this namespace for
 # callers that wrap it (benchmark/tracer.py counts its calls)
 from .linalg import (RationalMatrix, echelon, homology_dim,  # noqa: F401
-                     primitive_rows, product_is_zero, reduce_row)
+                     product_is_zero)
 from .polys import IntPoly
 from .poset import _bits
 from .projective import ProjProduct, pushforward
@@ -46,10 +50,6 @@ class Infeasible(ArrangeError):
 
 class MalformedCell(ArrangeError):
     """A cell's basis labels disagree with its dimension or its support."""
-
-
-class HomologyMismatch(ArrangeError):
-    """A cell's homology labels disagree in number with its ranks."""
 
 
 class _Labels:
@@ -112,16 +112,16 @@ class WeightedCell(Frozen):
 
 
 class SpectralPage:
-    """Bigraded table of weighted cells with at most one differential.
+    """The second page: a bigraded table of weighted cells with at most
+    one differential, d_2c.
 
     The page keeps its own copy of the caller's block table and makes the
     factorisation of each block (``factor``) and the d^2 check
     (``check_differential``) once; the blocks must not change afterwards.
     """
 
-    def __init__(self, c, r, cells, differential=None):
+    def __init__(self, c, cells, differential=None):
         self.c = c
-        self.r = r
         self.cells = dict(cells)
         self.differential = None if differential is None else dict(differential)
         self._factors = {}
@@ -153,7 +153,7 @@ class SpectralPage:
                    for (p, q), cell in self.cells.items())
 
     def with_differential(self, diff):
-        return SpectralPage(self.c, self.r, self.cells, differential=diff)
+        return SpectralPage(self.c, self.cells, differential=diff)
 
     def block(self, p, q):
         """Differential matrix leaving (p, q), zero-filled to the right shape."""
@@ -205,8 +205,7 @@ class SpectralPage:
         self._checked = True
 
     def __repr__(self):
-        return (f"SpectralPage(r={self.r}, c={self.c}, "
-                f"cells={len(self.cells)}, "
+        return (f"SpectralPage(c={self.c}, cells={len(self.cells)}, "
                 f"differential={'yes' if self.differential else 'no'})")
 
 
@@ -238,10 +237,10 @@ class WeightTable:
 
 
 class RunResult(Record):
-    __slots__ = ("einfty", "betti", "weights", "ranks", "euler")
+    __slots__ = ("homology", "betti", "weights", "ranks", "euler")
 
-    def __init__(self, einfty, betti, weights, ranks, euler):
-        self.einfty = einfty       # SpectralPage
+    def __init__(self, homology, betti, weights, ranks, euler):
+        self.homology = homology   # (p, q) -> nonzero homology dimension
         self.betti = betti         # IntPoly
         self.weights = weights     # WeightTable
         self.ranks = ranks
@@ -303,7 +302,7 @@ def assemble_e2(model, dec) -> SpectralPage:
     for (p, q), runs in cells.items():
         labels = _Labels(runs)
         out[(p, q)] = WeightedCell(len(labels), p + stalk_weight(c, q), labels)
-    return SpectralPage(c, 2 * c, out)
+    return SpectralPage(c, out)
 
 
 def _nbc_bases(poset):
@@ -403,60 +402,26 @@ def build_differential(model, page) -> dict:
     return diff
 
 
-def _homology_labels(cell, image, kernel):
-    """Pick basis labels for the homology of one cell.
-
-    ``image`` spans the image of the incoming block and ``kernel`` is the
-    kernel basis of the outgoing one, both as integer vectors.  They are
-    inserted in that order into an echelon basis, each reduced against it
-    with ``reduce_row``; a kernel vector that adds a first nonzero
-    coordinate contributes the label there.  The first nonzero coordinates
-    of an echelon basis depend only on its span, so the labels depend only
-    on the spans of the vectors inserted.
-    """
-    lead = {}
-    for vec in image:
-        if vec := reduce_row(vec, lead):
-            lead[min(vec)] = vec
-    labels = []
-    for vec in kernel:
-        if vec := reduce_row(vec, lead):
-            lead[min(vec)] = vec
-            labels.append(cell.basis[min(vec)])
-    return tuple(labels)
-
-
 def run(page: SpectralPage) -> RunResult:
-    """Take homology at the single differential and read off the limits."""
+    """Take homology at the single differential and read off the limits:
+    each block's rank and each cell's homology dimension, from the blocks'
+    factors."""
     if page.differential is None:
         raise NotComposable("run needs an explicit differential")
     page.check_differential()
-    c = page.c
-    einf_cells = {}
-    ranks = {}
-    for (p, q), cell in page.cells.items():
-        d_out = page.factor(p, q)
-        if d_out.rank:
-            ranks[(p, q)] = d_out.rank
-        h = page.homology(p, q)
-        if h:
-            src = page.source_of(p, q)
-            image = (primitive_rows(page.block(*src).transpose()).values()
-                     if src in page.cells else ())
-            labels = _homology_labels(cell, image, d_out.kernel_vectors())
-            if len(labels) != h:
-                raise HomologyMismatch(
-                    f"cell ({p}, {q}): {len(labels)} homology labels for "
-                    f"homology of dimension {h}")
-            einf_cells[(p, q)] = WeightedCell(h, cell.weight, labels)
-    einfty = SpectralPage(c, 2 * c + 1, einf_cells)
-    maxk = max((p + q for (p, q) in einf_cells), default=0)
-    betti = IntPoly([sum(cell.dim for (p, q), cell in einf_cells.items()
-                         if p + q == k) for k in range(maxk + 1)])
+    homology, ranks = {}, {}
+    for p, q in page.cells:
+        if r := page.factor(p, q).rank:
+            ranks[(p, q)] = r
+        if h := page.homology(p, q):
+            homology[(p, q)] = h
+    maxk = max((p + q for (p, q) in homology), default=0)
+    betti = IntPoly([sum(h for (p, q), h in homology.items() if p + q == k)
+                     for k in range(maxk + 1)])
     weights = WeightTable()
-    for (p, q), cell in einf_cells.items():
-        weights.add(p + q, cell.weight, cell.dim)
-    return RunResult(einfty, betti, weights, ranks, page.euler())
+    for (p, q), h in homology.items():
+        weights.add(p + q, page.cells[(p, q)].weight, h)
+    return RunResult(homology, betti, weights, ranks, page.euler())
 
 
 def skew_row_homology(page: SpectralPage, k: int, ell: int) -> int:

@@ -50,18 +50,12 @@ class InconsistentDecomposition(ArrangeError):
 
 
 class StalkTable(Record):
-    """Stalk dimensions at a generic point of one flat, for member
-    codimension c."""
-    __slots__ = ("dims", "c")
+    """Stalk dimensions at a generic point of one flat, degree -> dim; the
+    weight of each degree is ``stalk_weight``'s."""
+    __slots__ = ("dims",)
 
-    def __init__(self, dims, c):
+    def __init__(self, dims):
         self.dims = dims
-        self.c = c
-
-    @property
-    def weights(self):
-        """Degree -> weight, by ``stalk_weight``."""
-        return {k: stalk_weight(self.c, k) for k in self.dims}
 
 
 def level_degree(c, level):
@@ -155,7 +149,7 @@ def _stalk_table(model, flat, memo):
     poset = model.poset
     dims = _recurse(model, memo, *poset.local_arrangement(flat),
                     poset.local_position_masks(flat))
-    return StalkTable(dict(dims), model.c)
+    return StalkTable(dict(dims))
 
 
 def stalk_tables(model) -> dict:

@@ -24,7 +24,7 @@ from arrange.models import configuration_model
 from arrange.polys import IntPoly
 from arrange.poset import IntersectionPoset
 from arrange.projective import ProjProduct
-from arrange.stalks import decompose, stalk_tables, stalk_weight
+from arrange.stalks import decompose, stalk_tables
 from helpers import (braid_forms, child_env, coordinate_forms,
                      criterion_10_hyperplane_forms,
                      random_generic_projective_forms, run_child)
@@ -476,32 +476,41 @@ def test_each_display_appears_once_in_a_machine_report(tmp_path,
 
 
 def test_human_weights_are_the_stalk_tables_weights(tmp_path, monkeypatch):
-    # the human report derives each weight from the degree and c; read
-    # back, they are the tables' weights and the summands' degrees and
-    # weights, made apart from any report
+    # every weight the human report prints follows the closed rule, written
+    # out here: degree (2c-1)*l has weight 2c*l, with l the level of a stalk
+    # degree or a summand's level column; the degrees, dims and summands
+    # read back are the ones the stalk tables and the split make
     monkeypatch.chdir(tmp_path)
-    for doc in (CONFIG_P1_3, BOOLEAN_P2, configuration_document([2], 3),
-                configuration_document([1, 1], 2)):
+    for doc, c in ((CONFIG_P1_3, 1), (BOOLEAN_P2, 1),
+                   (configuration_document([2], 3), 2),
+                   (configuration_document([1, 1], 2), 2)):
         job = parse(doc, command="verify")
         model = build_model(job)
+        assert model.c == c
         display = {f.display: f.index for f in model.poset.flats}
         lines = cli.render_human(execute(job)[0]).splitlines()
         start = lines.index("stalk tables (degree: dim, weight):")
         end = lines.index("constant-sheaf decomposition (level 0 implicit):")
-        weights = {}
+        dims = {}
         for line in lines[start + 1:end]:
             name, rest = line.strip().split(" (codim ")
-            weights[display[name]] = {
-                int(k): int(w.split(", w")[1])
-                for k, w in (piece.split(": ", 1)
-                             for piece in rest.split("): ")[1].split("; "))}
+            dims[display[name]] = {}
+            for piece in rest.split("): ")[1].split("; "):
+                k, dim_w = piece.split(": ")
+                dim, w = dim_w.split(", w")
+                level, off = divmod(int(k), 2 * c - 1)
+                assert off == 0 and int(w) == 2 * c * level, line
+                dims[display[name]][int(k)] = int(dim)
         tables = stalk_tables(model)
-        assert weights == {i: t.weights for i, t in tables.items()}
+        assert dims == {i: t.dims for i, t in tables.items()}
         stop = lines.index("pointwise check: ok")
-        rows = [line.split() for line in lines[end + 2:stop]]
-        assert [(display[r[0]], *map(int, r[1:])) for r in rows] == [
-            (s.support, s.level, s.degree, s.multiplicity,
-             stalk_weight(model.c, s.degree))
+        rows = [(display[name], *map(int, rest)) for name, *rest in
+                (line.split() for line in lines[end + 2:stop])]
+        assert rows
+        for _, level, degree, _, weight in rows:
+            assert degree == (2 * c - 1) * level and weight == 2 * c * level
+        assert [(flat, level, mult) for flat, level, _, mult, _ in rows] == [
+            (s.support, s.level, s.multiplicity)
             for s in decompose(model, tables).summands]
 
 

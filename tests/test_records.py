@@ -45,7 +45,7 @@ def mutable_records():
         JobSpec("run", {}), ArrangementModel("abstract", POSET, 1, {0: (1,)}),
         MonReport(True, [], [], []), AdmissibilityReport(True, []),
         RunResult(None, None, None, {}, 0), FeasibilityResult(0, {}),
-        StalkTable({0: 1}, 1), SheafDecomposition(()),
+        StalkTable({0: 1}), SheafDecomposition(()),
         PointwiseReport(True)]
 
 
@@ -127,7 +127,7 @@ def test_stalk_memo_lives_in_the_callers_dict():
     model = mutable_records()[1]
     memo = {}
     table = stalks_mod._stalk_table(model, POSET.bottom, memo)
-    assert table == StalkTable({0: 1}, 1)
+    assert table == StalkTable({0: 1})
     assert list(memo.values()) == [{0: 1}]
     assert model == mutable_records()[1]
     assert repr(model) == repr(mutable_records()[1])
