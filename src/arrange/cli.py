@@ -8,9 +8,10 @@ be re-ingested to reproduce the same second page.  Every run builds its
 own poset and stalk tables; nothing read from disk besides the job
 document enters a report.
 
-Outside that block, the ``poset`` section is the one place that holds a
-flat's display and codimension (``flats[i]``) and a member's display
-(``members``); a flat lists its members by index.  A ``stalks`` entry is
+That block names each flat by its id, as every other section does.  The
+``poset`` section is the one place that holds a flat's display and
+codimension (``flats[i]``) and a member's display (``members``); a flat
+lists its members by index.  A ``stalks`` entry is
 ``{"flat", "dims"}`` and a ``decomposition`` entry is ``{"support",
 "level", "multiplicity"}``.  Degrees and weights are not written: with
 c = ``poset.codim_c``, a summand sits in degree (2c-1)*level and a stalk
@@ -239,10 +240,24 @@ def parse(document: dict, command: str = "run", overrides: dict | None = None) -
         _require(len(ls["exponents"]) == members,
                  f"local_system.exponents has {len(ls['exponents'])} entries "
                  f"for {members} members")
+        # H_1 of a configuration space or of a declared complement is not
+        # free on the members, and its relations are not derived here
+        _require(kind == "hyperplane",
+                 f"local_system.exponents cannot be checked on {kind} "
+                 f"models: which exponents define a local system there is "
+                 f"not derived, so none is accepted")
         try:
             local_system = [Fraction(str(e)) for e in ls["exponents"]]
         except (ValueError, ZeroDivisionError) as exc:
             raise SchemaError(f"bad exponent: {exc}") from None
+        # off m hyperplanes in P^n, H_1(U; Z) = Z^m / (1, ..., 1): the loops
+        # around all the members multiply to one
+        total = sum(local_system)
+        _require(model.get("mode", "projective") != "projective"
+                 or total.denominator == 1,
+                 f"local_system.exponents sum to {total}, not an integer, so "
+                 f"they define no local system on the complement of "
+                 f"projective hyperplanes")
 
     return JobSpec(command=command, model=model, mode=mode, target=target,
                    fmt=fmt, local_system=local_system)
@@ -340,15 +355,19 @@ def _page_section(page, dims):
 
 def _abstract_export(model):
     """Self-contained combinatorial description, re-ingestible as an
-    abstract model reproducing the same page.  The order lists the cover
-    pairs only; ``from_abstract`` takes their transitive closure."""
+    abstract model reproducing the same page.  A flat's key is its id, and
+    the ids survive the round trip: the bottom is first in every built
+    poset, as it is in ``from_abstract``.  The order lists the cover pairs
+    only, upper flat by upper flat; ``from_abstract`` takes their
+    transitive closure."""
     poset = model.poset
-    name = [f"F{f.index}" for f in poset.flats]   # one string per flat
-    flats = [{"key": name[f.index], "codim": f.codim,
+    ids = [f.index for f in poset.flats]   # one int object per flat
+    flats = [{"key": f.index, "codim": f.codim,
               "betti": list(model.stratum_betti(f.index))}
              for f in poset.proper_flats()]
-    order = [[name[i], name[j]] for i, j in poset.covers()
-             if i != poset.bottom]
+    shallow = ~(1 << poset.bottom)
+    order = [[ids[i], ids[j]] for j in ids
+             for i in _poset._bits(poset.lower_covers(j) & shallow)]
     return {"kind": "abstract", "c": model.c,
             "ambient": list(model.stratum_betti(poset.bottom)),
             "poset": {"flats": flats, "order": order}}

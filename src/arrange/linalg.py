@@ -130,11 +130,15 @@ def _primitive(row):
     return row
 
 
-def primitive_rows(m):
+def primitive_rows(m, columns=False):
     """Each nonzero row of ``m`` as a dict column -> int, cleared of
-    denominators and divided by the gcd of its entries; keyed by row."""
+    denominators and divided by the gcd of its entries; keyed by row.
+    With ``columns``, the same for each nonzero column of ``m``: the
+    primitive rows of its transpose."""
     rows = {}
     for (i, j), v in m.entries.items():
+        if columns:
+            i, j = j, i
         rows.setdefault(i, {})[j] = v
     out = {}
     for i, row in rows.items():
@@ -151,11 +155,18 @@ def product_is_zero(a, b):
     if a.cols != b.rows:
         raise ShapeMismatch(
             f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
+    return primitive_product_is_zero(primitive_rows(a),
+                                     primitive_rows(b, columns=True))
+
+
+def primitive_product_is_zero(rows, columns):
+    """Whether a * b == 0, given ``primitive_rows(a)`` and
+    ``primitive_rows(b, columns=True)`` for matrices of matching shape."""
     by_mid = {}
-    for j, col in primitive_rows(b.transpose()).items():
+    for j, col in columns.items():
         for k, v in col.items():
             by_mid.setdefault(k, []).append((j, v))
-    for row in primitive_rows(a).values():
+    for row in rows.values():
         acc = {}
         for k, x in row.items():
             for j, v in by_mid.get(k, ()):
@@ -252,18 +263,20 @@ class Echelon:
         return [tuple(vec) for vec in basis.values()]
 
 
-def echelon(m: RationalMatrix) -> Echelon:
+def echelon(m: RationalMatrix, rows=None) -> Echelon:
     """Fraction-free sparse elimination of ``m``.
 
-    Rows are cleared of denominators first.  Each step takes the shortest
-    remaining row, the first in input order among equally short ones,
-    pivots on its first nonzero column and clears that column from every
-    other remaining row with ``eliminate``, so entries stay integers and
-    rows stay primitive.  The rows wait in a heap of (length, input
+    Rows are cleared of denominators first, unless the caller passes
+    ``rows``, the ``primitive_rows(m)`` it has already made; the
+    elimination takes that dict over and empties it.  Each step takes the
+    shortest remaining row, the first in input order among equally short
+    ones, pivots on its first nonzero column and clears that column from
+    every other remaining row with ``eliminate``, so entries stay integers
+    and rows stay primitive.  The rows wait in a heap of (length, input
     position, row); an entry whose row has since changed length or been
     used is skipped when it comes up.
     """
-    live = primitive_rows(m)
+    live = primitive_rows(m) if rows is None else rows
     by_col = {}
     for i, row in live.items():
         for j in row:

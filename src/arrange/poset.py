@@ -405,17 +405,33 @@ class IntersectionPoset:
     def mu(self, i):
         return self.mobius[i]
 
-    def covers(self):
-        """Sorted pairs (i, j) with j covering i: i below j and no flat
-        strictly between."""
-        pairs = []
-        for j in range(len(self.flats)):
-            below = self.down[j] & ~(1 << j)
-            between = 0
-            for k in _bits(below):
-                between |= self.down[k] & ~(1 << k)
-            pairs.extend((i, j) for i in _bits(below & ~between))
-        return sorted(pairs)
+    @cached_property
+    def _layers(self):
+        """(codimension, mask of the flats that have it), deepest first."""
+        layers = {}
+        for f in self.flats:
+            layers[f.codim] = layers.get(f.codim, 0) | 1 << f.index
+        return sorted(layers.items(), reverse=True)
+
+    def lower_covers(self, j):
+        """Mask of the flats that j covers: below j, none strictly between.
+
+        The flats below j are taken one codimension layer at a time,
+        deepest first.  What is left of a layer lies below no deeper flat
+        below j, so it is a cover, and the flats below it are not.  On a
+        graded build the first layer holds every cover and the walk ends
+        there; on an abstract poset a cover may sit several codimensions
+        shallower."""
+        rest = self.down[j] & ~(1 << j)
+        codim, covers = self.flats[j].codim, 0
+        for k, layer in self._layers:
+            if not rest:
+                break
+            if k < codim and (found := rest & layer):
+                covers |= found
+                for i in _bits(found):
+                    rest &= ~self.down[i]
+        return covers
 
     def proper_flats(self):
         return [f for f in self.flats if f.index != self.bottom]

@@ -24,7 +24,7 @@ from .errors import ArrangeError, NotRankOne
 # homology_dim is no longer called here; it stays in this namespace for
 # callers that wrap it (benchmark/tracer.py counts its calls)
 from .linalg import (RationalMatrix, echelon, homology_dim,  # noqa: F401
-                     product_is_zero)
+                     primitive_product_is_zero, primitive_rows)
 from .polys import IntPoly
 from .poset import _bits
 from .projective import ProjProduct, pushforward
@@ -118,6 +118,9 @@ class SpectralPage:
     The page keeps its own copy of the caller's block table and makes the
     factorisation of each block (``factor``) and the d^2 check
     (``check_differential``) once; the blocks must not change afterwards.
+    Both read a block as primitive integer rows, made once per page: the
+    d^2 check makes those of each block it multiplies from the left, and
+    ``factor`` takes them over.
     """
 
     def __init__(self, c, cells, differential=None):
@@ -125,6 +128,7 @@ class SpectralPage:
         self.cells = dict(cells)
         self.differential = None if differential is None else dict(differential)
         self._factors = {}
+        self._rows = {}     # (p, q) -> primitive rows not yet factored
         self._checked = False
         for (p, q), cell in self.cells.items():
             if q % (2 * c - 1):
@@ -168,7 +172,8 @@ class SpectralPage:
         """Echelon form of the block leaving (p, q), made once per page."""
         ech = self._factors.get((p, q))
         if ech is None:
-            ech = self._factors[(p, q)] = echelon(self.block(p, q))
+            ech = self._factors[(p, q)] = echelon(
+                self.block(p, q), self._rows.pop((p, q), None))
         return ech
 
     def homology(self, p, q):
@@ -199,8 +204,16 @@ class SpectralPage:
                 raise WeightViolation(
                     f"nonzero block {(p, q)} -> {self.target_of(p, q)} joins "
                     f"weights {src.weight} and {tgt.weight}")
-            nxt = self.differential.get(self.target_of(p, q))
-            if nxt is not None and not product_is_zero(nxt, m):
+        for (p, q), m in self.differential.items():
+            tkey = self.target_of(p, q)
+            nxt = self.differential.get(tkey)
+            if nxt is None or m.is_zero() or nxt.is_zero():
+                continue
+            rows = self._rows.get(tkey)
+            if rows is None:
+                rows = self._rows[tkey] = primitive_rows(nxt)
+            if not primitive_product_is_zero(
+                    rows, primitive_rows(m, columns=True)):
                 raise NotComposable(f"d^2 != 0 at {(p, q)}")
         self._checked = True
 
@@ -313,23 +326,17 @@ def _nbc_bases(poset):
     (the flat that s spans, the position of s in its tuple).  The least
     member m through g lies in every nbc set that spans g, and the rest of
     the set is an nbc set of a lower cover of g not on m (Bjorner 1992), so
-    the sets are made shallowest flat first.  The lower covers of g are the
-    flats below it one member codimension shallower.
+    the sets are made shallowest flat first.
     """
-    c, bottom = poset.codim_c, poset.bottom
-    codim = [f.codim for f in poset.flats]
-    at_codim = {}   # codimension -> mask of the flats that have it
-    for g, k in enumerate(codim):
-        at_codim[k] = at_codim.get(k, 0) | 1 << g
+    bottom = poset.bottom
     nbc = {bottom: ((),)}
     where = {(): (bottom, 0)}
-    for g in sorted(range(len(codim)), key=codim.__getitem__):
+    for g in sorted(range(len(poset)), key=lambda g: poset.flats[g].codim):
         if g == bottom:
             continue
         mask = poset.member_mask(g)
         m = (mask & -mask).bit_length() - 1
-        covers = (poset.down[g] & at_codim[codim[g] - c]
-                  & ~poset.up[poset.members[m].atom])
+        covers = poset.lower_covers(g) & ~poset.up[poset.members[m].atom]
         sets = nbc[g] = tuple(sorted((m, *t) for h in _bits(covers)
                                      for t in nbc[h]))
         where.update((s, (g, i)) for i, s in enumerate(sets))

@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -335,13 +336,33 @@ def test_execute_abstract_is_bounds_only(tmp_path, monkeypatch):
 def test_execute_mon_report(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     doc = json.loads(json.dumps(BOOLEAN_P2))
-    doc["local_system"] = {"exponents": ["1/5", "1/5", "1/5"]}
+    doc["local_system"] = {"exponents": ["1/5", "1/5", "3/5"]}
     report, code = execute(parse(doc))
     assert code == EXIT_OK
     assert report["mon"]["ok"] is True
     doc["local_system"] = {"exponents": ["1/2", "1/2", "0"]}
     report, _ = execute(parse(doc))
     assert report["mon"]["ok"] is False
+
+
+def test_local_system_exists_only_where_h1_allows(tmp_path, monkeypatch):
+    # three coordinate lines in P^2: U = (C^*)^2 and H_1(U) = Z^3 / (1, 1, 1),
+    # so the exponents must sum to an integer; central and affine models
+    # have free H_1 and no such condition.  Configuration and abstract
+    # models are refused outright (test_malformed_document_exits_4_...)
+    monkeypatch.chdir(tmp_path)
+    doc = json.loads(json.dumps(BOOLEAN_P2))
+    doc["local_system"] = {"exponents": ["1/5", "1/5", "1/5"]}
+    with pytest.raises(SchemaError, match=r"local_system\.exponents sum to "
+                                          r"3/5, not an integer"):
+        parse(doc)
+    doc["local_system"] = {"exponents": ["1/5", "1/5", "8/5"]}
+    assert parse(doc).local_system == [Fraction(1, 5), Fraction(1, 5),
+                                       Fraction(8, 5)]
+    doc["model"]["mode"] = "central"
+    doc["local_system"] = {"exponents": ["1/5", "1/5", "1/5"]}
+    report, code = execute(parse(doc))
+    assert code == EXIT_OK and report["mon"]["ok"] is True
 
 
 def machine_text(report):
@@ -464,7 +485,6 @@ def test_each_display_appears_once_in_a_machine_report(tmp_path,
         report = json.loads(machine_text(execute(job)[0]))
         assert set(report["decomposition"][0]) == {
             "support", "level", "multiplicity"}
-        del report["abstract_model"]
         counts = string_counts(report, {})
         displays = [f.display for f in poset.flats]
         members = [m.display for m in poset.members]
@@ -646,7 +666,13 @@ def test_round_trip_abstract_reproduces_page(tmp_path, monkeypatch):
                 {"schema_version": 1,
                  "model": {"kind": "configuration", "factor": [2],
                            "points": 2}}):
-        report, _ = execute(parse(doc))
+        job = parse(doc)
+        poset = build_model(job).poset
+        report, _ = execute(job)
+        # the block names each flat by its poset id, and nothing else
+        exported = report["abstract_model"]["poset"]
+        assert [fl["key"] for fl in exported["flats"]] == [
+            f.index for f in poset.proper_flats()]
         doc2 = {"schema_version": 1, "model": report["abstract_model"]}
         report2, code2 = execute(parse(doc2))
         assert code2 == EXIT_OK
@@ -667,8 +693,7 @@ def test_abstract_export_lists_exactly_the_covers(tmp_path, monkeypatch):
         poset = build_model(job).poset
         report, _ = execute(job)
         exported = report["abstract_model"]["poset"]
-        index = {fl["key"]: int(fl["key"][1:]) for fl in exported["flats"]}
-        pairs = {(index[a], index[b]) for a, b in exported["order"]}
+        pairs = {(a, b) for a, b in exported["order"]}
         proper = [f.index for f in poset.proper_flats()]
         below = {(i, j) for i in proper for j in proper
                  if i != j and poset.le(i, j)}
@@ -680,8 +705,8 @@ def test_abstract_export_lists_exactly_the_covers(tmp_path, monkeypatch):
         again = IntersectionPoset.from_abstract(
             [(fl["key"], fl["codim"]) for fl in exported["flats"]],
             exported["order"], codim_c=poset.codim_c)
-        key_of = {f.index: f.key[1] for f in again.flats if f.index}
-        again_below = {(index[key_of[i]], index[key_of[j]])
+        key_of = {f.index: int(f.key[1]) for f in again.flats if f.index}
+        again_below = {(key_of[i], key_of[j])
                        for i in key_of for j in key_of
                        if i != j and again.le(i, j)}
         assert again_below == below
@@ -1240,11 +1265,19 @@ def test_benchmark_tracer_runs(tmp_path, doc, spans, counter):
     ("local_system.exponents", CONFIG_P1_3,
      lambda doc: (doc["model"].update(factor=[2]),
                   doc.update(local_system={"exponents": ["1/2"] * 3}))),
+    ("local_system.exponents", BOOLEAN_P2,
+     lambda doc: doc.update(local_system={"exponents": ["1/5"] * 3})),
+    ("local_system.exponents", CONFIG_P1_3,
+     lambda doc: doc.update(local_system={"exponents": ["1/3"] * 3})),
+    ("local_system.exponents", ABSTRACT_PAIR,
+     lambda doc: doc.update(local_system={"exponents": ["1/2"] * 2})),
 ], ids=["options_list", "factor_string", "factor_bool", "ambient_string",
         "betti_string", "codim_string", "order_single_key", "target_float",
         "cache_string", "hyperplane_c_bool", "configuration_c_bool",
         "exponents_for_forms", "exponents_for_pairs",
-        "exponents_for_codim_c_flats", "exponents_with_c_2"])
+        "exponents_for_codim_c_flats", "exponents_with_c_2",
+        "exponents_sum_not_integer", "exponents_on_configuration",
+        "exponents_on_abstract"])
 def test_malformed_document_exits_4_without_traceback(tmp_path, field, base,
                                                       edit):
     doc = json.loads(json.dumps(base))

@@ -413,20 +413,47 @@ def test_from_dict_rejects_indices_out_of_range(edit):
 
 
 def test_covers_are_the_cover_relation():
+    # lower_covers against the brute-force cover relation: built posets,
+    # linear ones with members of codimension 2 among them, and abstract
+    # ones whose covers skip codimensions
     rng = random.Random(61)
     posets = [IntersectionPoset.partition_lattice(4),
-              IntersectionPoset.from_linear_forms(CONCURRENT3, 2, "central")]
+              IntersectionPoset.partition_lattice(4, codim_c=2),
+              IntersectionPoset.from_linear_forms(CONCURRENT3, 2, "central"),
+              IntersectionPoset.from_linear_forms(coordinate_forms(3), 3,
+                                                  "projective")]
     posets += [IntersectionPoset.from_linear_forms(
         random_central_forms(rng, rng.randint(3, 6), 4), 4, "central")
         for _ in range(3)]
+    while len(posets) < 12:
+        systems, ambient_dim, mode, _ = random_linear_systems(rng)
+        try:
+            posets.append(IntersectionPoset.from_linear_systems(
+                systems, ambient_dim, mode))
+        except ArrangeError:
+            pass
+    # D covers T two codimensions deeper, and B three deeper
+    posets.append(IntersectionPoset.from_abstract(
+        [("A", 1), ("B", 1), ("T", 2), ("D", 4)],
+        [("A", "T"), ("T", "D"), ("B", "D")], codim_c=1))
+    posets.append(IntersectionPoset.from_abstract(
+        [("A", 1), ("B", 1), ("C", 1), ("T", 3), ("D", 5)],
+        [("A", "T"), ("B", "T"), ("T", "D"), ("C", "D"), ("A", "D")],
+        codim_c=1))
+    skips = 0
     for p in posets:
         n = len(p)
         below = {(i, j) for i in range(n) for j in range(n)
                  if i != j and p.le(i, j)}
-        expected = sorted((i, j) for i, j in below
-                          if not any((i, k) in below and (k, j) in below
-                                     for k in range(n)))
-        assert p.covers() == expected
+        for j in range(n):
+            expected = {i for i in range(n) if (i, j) in below
+                        and not any((i, k) in below and (k, j) in below
+                                    for k in range(n))}
+            assert set(poset._bits(p.lower_covers(j))) == expected
+            if p.mode == "abstract":
+                skips += sum(p.flats[j].codim - p.flats[i].codim > 1
+                             for i in expected)
+    assert skips == 6
 
 
 def test_abstract_build_and_order_closure():

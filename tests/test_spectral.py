@@ -438,9 +438,9 @@ def test_each_nonzero_block_factorised_once(model, monkeypatch):
     page = explicit_page(model)
     factored = []
 
-    def counting(m):
+    def counting(m, *rows):
         factored.append(m)
-        return real(m)
+        return real(m, *rows)
 
     real = linalg.echelon
     monkeypatch.setattr(linalg, "echelon", counting)
@@ -453,6 +453,34 @@ def test_each_nonzero_block_factorised_once(model, monkeypatch):
         sorted(map(id, nonzero))
     assert all(h == res.weights.get(k, k + ell)
                for (k, ell), h in sweep.items())
+
+
+def test_run_clears_each_block_of_denominators_once(monkeypatch):
+    # coordinate P^8: 45 cells, 36 blocks, 28 of them followed by another
+    # nonzero block.  Each cell's block is made primitive row by row once,
+    # shared by its factor and the d^2 check that multiplies it from the
+    # left, and each of the 28 once column by column: 45 + 28 calls, where
+    # making both forms again for every product took 101
+    model = hyperplane_model(coordinate_forms(8), mode="projective")
+    page = explicit_page(model)
+    calls = []
+
+    def counting(m, columns=False):
+        calls.append((id(m), columns))
+        return real(m, columns)
+
+    real = linalg.primitive_rows
+    monkeypatch.setattr(linalg, "primitive_rows", counting)
+    monkeypatch.setattr(spectral, "primitive_rows", counting)
+    res = run(page)
+    assert res.betti == IntPoly([1, 8, 28, 56, 70, 56, 28, 8, 1])
+    assert len(page.cells) == 45 and len(page.differential) == 36
+    assert len(calls) == 73
+    assert sum(columns for _, columns in calls) == 28
+    # the 9 cells with no block get a zero block made on the spot
+    blocks = {id(m) for m in page.differential.values()}
+    on_blocks = [call for call in calls if call[0] in blocks]
+    assert len(on_blocks) == len(set(on_blocks)) == 73 - 9
 
 
 def reference_rank(m):

@@ -284,11 +284,11 @@ def test_recursion_builds_no_poset(monkeypatch):
     for m in crossing:
         for i, t in stalk_tables(m).items():
             assert t.dims == _normal_crossing_dims(m.poset.flats[i].codim)
-    expected = {f"F{f.index}": _partition_dims(f.key[1])
+    expected = {str(f.index): _partition_dims(f.key[1])
                 for f in config.poset.proper_flats()}
     for i, t in stalk_tables(config).items():
         if i != config.poset.bottom:
-            assert t.dims == expected[f"F{i}"]
+            assert t.dims == expected[str(i)]
     for i, t in stalk_tables(twin).items():
         if i != twin.poset.bottom:
             assert t.dims == expected[twin.poset.flats[i].display]
