@@ -10,13 +10,18 @@ document enters a report.
 
 That block names each flat by its id, as every other section does.  The
 ``poset`` section is the one place that holds a flat's display and
-codimension (``flats[i]``) and a member's display (``members``); a flat
-lists its members by index.  A ``stalks`` entry is
-``{"flat", "dims"}`` and a ``decomposition`` entry is ``{"support",
-"level", "multiplicity"}``.  Degrees and weights are not written: with
-c = ``poset.codim_c``, a summand sits in degree (2c-1)*level and a stalk
-in degree k has weight 2ck // (2c-1) (``stalks.level_degree`` and
-``stalks.stalk_weight``), which ``render_human`` applies.
+codimension and a member's display (``members``); a flat lists its
+members by index.  The per-flat sections are columns indexed by flat id:
+``poset.flats`` is ``{"codim", "display", "members", "mu"}``, each a list
+whose entry i belongs to flat i, and ``stalks[i]`` is flat i's stalk as
+a list by level.  ``decomposition`` is ``{"support", "level",
+"multiplicity"}``, three lists with one entry per summand.  Degrees and
+weights are not written: with c = ``poset.codim_c``, ``stalks[i][l]`` and
+a summand of level l sit in degree (2c-1)*l, and a stalk in degree k has
+weight 2ck // (2c-1) (``stalks.level_degree`` and
+``stalks.stalk_weight``), which ``render_human`` applies.  ``stalks`` is
+written once the pointwise verdict has passed; a failed one lists each
+stalk that the split misses, one off those degrees too.
 
 A verdict compares values made by independent code, and each can fail:
 the flats' codimensions with the member codimension (``admissible``),
@@ -331,16 +336,28 @@ class ResultCache:
             pass  # caching is best-effort
 
 
-def _stalks_section(tables):
-    # flats with one stalk share one dims dict
+def _stalks_section(poset, tables):
+    """Flat i's stalk at index i, as a list whose entry l is the dimension
+    in degree (2c-1)*l; flats with one stalk share one list.  A degree
+    off that grid has no place in the list, so it is refused, not
+    dropped."""
+    step = level_degree(poset.codim_c, 1)
     shared = {}
     section = []
-    for i in sorted(tables):
-        stalk = tuple(sorted(tables[i].dims.items()))
-        dims = shared.get(stalk)
-        if dims is None:
-            dims = shared[stalk] = {str(k): v for k, v in stalk}
-        section.append({"flat": i, "dims": dims})
+    for f in poset.flats:
+        stalk = tuple(sorted(tables[f.index].dims.items()))
+        levels = shared.get(stalk)
+        if levels is None:
+            levels = [0] * (stalk[-1][0] // step + 1)
+            for k, v in stalk:
+                level, off = divmod(k, step)
+                if off:
+                    raise ArrangeError(
+                        f"stalk of flat {f.display} has dimension {v} in "
+                        f"degree {k}, not a multiple of 2c-1 = {step}")
+                levels[level] = v
+            shared[stalk] = levels
+        section.append(levels)
     return section
 
 
@@ -362,14 +379,22 @@ def _abstract_export(model):
     transitive closure."""
     poset = model.poset
     ids = [f.index for f in poset.flats]   # one int object per flat
-    flats = [{"key": f.index, "codim": f.codim,
-              "betti": list(model.stratum_betti(f.index))}
+    betti = {}   # stratum -> its one Betti list, shared by its flats
+
+    def betti_of(i):
+        stratum = model.strata[i]
+        got = betti.get(stratum)
+        if got is None:
+            got = betti[stratum] = list(model.stratum_betti(i))
+        return got
+
+    flats = [{"key": f.index, "codim": f.codim, "betti": betti_of(f.index)}
              for f in poset.proper_flats()]
     shallow = ~(1 << poset.bottom)
     order = [[ids[i], ids[j]] for j in ids
              for i in _poset._bits(poset.lower_covers(j) & shallow)]
     return {"kind": "abstract", "c": model.c,
-            "ambient": list(model.stratum_betti(poset.bottom)),
+            "ambient": betti_of(poset.bottom),
             "poset": {"flats": flats, "order": order}}
 
 
@@ -392,10 +417,13 @@ def execute(job: JobSpec) -> tuple:
         "flat_count": len(poset),
         "member_count": len(poset.members),
         "members": [m.display for m in poset.members],
-        "flats": [{"id": f.index, "display": f.display, "codim": f.codim,
-                   "mu": poset.mu(f.index),
-                   "members": list(_poset._bits(poset.member_mask(f.index)))}
-                  for f in poset.flats],
+        # columns: entry i of each list belongs to flat i
+        "flats": {
+            "codim": [f.codim for f in poset.flats],
+            "display": [f.display for f in poset.flats],
+            "members": [list(_poset._bits(poset.member_mask(f.index)))
+                        for f in poset.flats],
+            "mu": [poset.mu(f.index) for f in poset.flats]},
     }
     adm = poset.check_admissible()
     report["admissible"] = {"ok": adm.ok, "violations": adm.violations,
@@ -414,24 +442,31 @@ def execute(job: JobSpec) -> tuple:
         report["oracle"] = {"poly": poly.to_list(), "text": str(poly)}
         return report, EXIT_OK
 
-    # stalks, decomposition, pointwise verification
+    # stalks, decomposition, pointwise verification; from here on each
+    # stage's state is dropped once its section is written, so none of it
+    # is held while the abstract-model block is made
     tables = stalk_tables(model)
-    report["stalks"] = _stalks_section(tables)
     try:
         dec = decompose(model, tables=tables)
         pw = dec.pointwise
     except InconsistentDecomposition as exc:
         dec, pw = exc.dec, exc.report
-    report["decomposition"] = [
-        {"support": s.support, "level": s.level,
-         "multiplicity": s.multiplicity} for s in dec.summands]
+    report["decomposition"] = {
+        "support": [s.support for s in dec.summands],
+        "level": [s.level for s in dec.summands],
+        "multiplicity": [s.multiplicity for s in dec.summands]}
     report["pointwise"] = {"ok": pw.ok, "mismatches": pw.mismatches}
     if not verdict("pointwise_decomposition", pw.ok):
+        # the mismatches name each stalk that the split misses, one off the
+        # (2c-1)*l degrees as well, which has no place in a stalks column
         return report, EXIT_MISMATCH
+    report["stalks"] = _stalks_section(poset, tables)
+    del tables, pw
     if job.command == "stalks":
         return report, EXIT_OK
 
     page = assemble_e2(model, dec)
+    del dec
     report["e2"] = _page_section(
         page, {key: cell.dim for key, cell in page.cells.items()})
     if model.kind == "configuration":
@@ -519,6 +554,7 @@ def execute(job: JobSpec) -> tuple:
                                     for (p, q), r in sorted(res.ranks.items())]
             verdict("feasibility", bool(res.feasible))
         report["feasibility"] = section
+    del page, res
 
     if job.local_system is not None:
         mon = check_mon(model, job.local_system)
@@ -602,13 +638,14 @@ def render_human(report: dict) -> str:
     out = [f"arrange {report['command']}"]
     if "poset" in report:
         ps = report["poset"]
-        c, flats = ps["codim_c"], ps["flats"]   # flats[i]["id"] == i
+        c, flats = ps["codim_c"], ps["flats"]   # columns by flat id
+        display, codim = flats["display"], flats["codim"]
         out.append(f"poset: {ps['flat_count']} flats, {ps['member_count']} members, "
                    f"mode={ps['mode']}, ambient dim {ps['ambient_dim']}, "
                    f"c={c}")
-        rows = [(f["id"], f["display"], f["codim"], f["mu"],
-                 ",".join(ps["members"][i] for i in f["members"]))
-                for f in ps["flats"]]
+        rows = [(i, name, k, mu, ",".join(ps["members"][m] for m in members))
+                for i, (name, k, mu, members) in enumerate(zip(
+                    display, codim, flats["mu"], flats["members"]))]
         out.extend("  " + ln for ln in _table(rows, ["id", "flat", "codim", "mu", "members"]))
     if "admissible" in report:
         adm = report["admissible"]
@@ -620,19 +657,21 @@ def render_human(report: dict) -> str:
         out.append(f"normal crossings: {'yes' if report['ncd'] else 'no'}")
     if "stalks" in report:
         out.append("stalk tables (degree: dim, weight):")
-        for st in report["stalks"]:
-            pieces = [f"{k}: {st['dims'][k]}, w{stalk_weight(c, int(k))}"
-                      for k in sorted(st["dims"], key=int)]
-            flat = flats[st["flat"]]
-            out.append(f"  {flat['display']} (codim {flat['codim']}): "
+        for i, levels in enumerate(report["stalks"]):
+            degrees = [(level_degree(c, l), d)
+                       for l, d in enumerate(levels) if d]
+            pieces = [f"{k}: {d}, w{stalk_weight(c, k)}" for k, d in degrees]
+            out.append(f"  {display[i]} (codim {codim[i]}): "
                        + "; ".join(pieces))
     if "decomposition" in report:
         out.append("constant-sheaf decomposition (level 0 implicit):")
+        dec = report["decomposition"]
         rows = []
-        for d in report["decomposition"]:
-            degree = level_degree(c, d["level"])
-            rows.append((flats[d["support"]]["display"], d["level"], degree,
-                         d["multiplicity"], stalk_weight(c, degree)))
+        for i, level, mult in zip(dec["support"], dec["level"],
+                                  dec["multiplicity"]):
+            degree = level_degree(c, level)
+            rows.append((display[i], level, degree, mult,
+                         stalk_weight(c, degree)))
         out.extend("  " + ln for ln in _table(rows, ["support", "level", "degree", "mult", "weight"]))
     if "pointwise" in report:
         pw = report["pointwise"]

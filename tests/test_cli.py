@@ -5,6 +5,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -25,7 +26,8 @@ from arrange.models import configuration_model
 from arrange.polys import IntPoly
 from arrange.poset import IntersectionPoset
 from arrange.projective import ProjProduct
-from arrange.stalks import decompose, stalk_tables
+from arrange.errors import ArrangeError
+from arrange.stalks import StalkTable, decompose, stalk_tables
 from helpers import (braid_forms, child_env, coordinate_forms,
                      criterion_10_hyperplane_forms,
                      random_generic_projective_forms, run_child)
@@ -141,8 +143,7 @@ def test_parse_keeps_integer_keys(tmp_path, monkeypatch):
         poset.update(order=[[1, "T"], [2, "T"]])))
     report, code = execute(parse(doc))
     assert code == EXIT_OK
-    assert [f["display"] for f in report["poset"]["flats"]] == \
-        ["ambient", "1", "2", "T"]
+    assert report["poset"]["flats"]["display"] == ["ambient", "1", "2", "T"]
 
 
 def test_parse_target_forms():
@@ -448,18 +449,66 @@ def test_no_encoder_call_gets_a_list_longer_than_a_batch(tmp_path,
 
 
 def test_report_sections_share_values(tmp_path, monkeypatch):
-    # flats with one stalk share one dims dict, and the exported order
-    # reuses the flats' key strings
+    # flats with equal stalks share one list, and the exported order
+    # reuses the flats' key objects
     monkeypatch.chdir(tmp_path)
     report = execute(parse(F_P1_6, command="verify"))[0]
     stalks = report["stalks"]
-    assert all(set(st) == {"flat", "dims"} for st in stalks)
-    distinct = {json.dumps(st["dims"], sort_keys=True) for st in stalks}
+    assert all(isinstance(levels, list) for levels in stalks)
+    distinct = {json.dumps(levels) for levels in stalks}
     assert len(distinct) < len(stalks)
-    assert len({id(st["dims"]) for st in stalks}) == len(distinct)
+    assert len({id(levels) for levels in stalks}) == len(distinct)
     export = report["abstract_model"]["poset"]
     keys = {id(fl["key"]) for fl in export["flats"]}
     assert {id(k) for pair in export["order"] for k in pair} <= keys
+
+
+CONFIG_P2_3 = {"schema_version": 1,
+               "model": {"kind": "configuration", "factor": [2], "points": 3}}
+
+
+@pytest.mark.parametrize("doc", [BOOLEAN_P2, F_P1_6, CONFIG_P2_3],
+                         ids=["boolean_P2", "F(P1,6)", "F(P2,3)"])
+def test_per_flat_sections_are_columns_by_flat_id(doc, tmp_path,
+                                                  monkeypatch):
+    # entry i of every poset.flats column and of stalks is flat i; a stalk
+    # list holds degree (2c-1)*l at index l; the decomposition columns are
+    # the summands in order
+    monkeypatch.chdir(tmp_path)
+    job = parse(doc, command="verify")
+    model = build_model(job)
+    report = json.loads(machine_text(execute(job)[0]))
+    ps = report["poset"]
+    assert set(ps["flats"]) == {"codim", "display", "members", "mu"}
+    assert {len(col) for col in ps["flats"].values()} == {ps["flat_count"]}
+    assert ps["flats"]["codim"] == [f.codim for f in model.poset.flats]
+    step = 2 * model.c - 1
+    tables = stalk_tables(model)
+    assert len(report["stalks"]) == ps["flat_count"]
+    for i, levels in enumerate(report["stalks"]):
+        dims = tables[i].dims
+        assert all(k % step == 0 for k in dims)
+        assert levels == [dims.get(step * l, 0)
+                          for l in range(max(dims) // step + 1)]
+    columns = report["decomposition"]
+    assert list(zip(columns["support"], columns["level"],
+                    columns["multiplicity"])) == [
+        (s.support, s.level, s.multiplicity)
+        for s in decompose(model).summands]
+
+
+def test_stalk_off_the_level_degrees_is_refused_by_name():
+    # c = 2: a stalk in degree 2 lies between levels 0 and 1, so no index
+    # of its list holds it
+    poset = build_model(parse(CONFIG_P2_3)).poset
+    tables = {f.index: StalkTable({0: 1, 3: 1}) for f in poset.flats}
+    cli._stalks_section(poset, tables)
+    odd = poset.flats[2]
+    tables[odd.index] = StalkTable({0: 1, 2: 1})
+    message = (f"stalk of flat {odd.display} has dimension 1 in degree 2, "
+               f"not a multiple of 2c-1 = 3")
+    with pytest.raises(ArrangeError, match=f"^{re.escape(message)}$"):
+        cli._stalks_section(poset, tables)
 
 
 def string_counts(value, counts):
@@ -483,16 +532,17 @@ def test_each_display_appears_once_in_a_machine_report(tmp_path,
         job = parse(doc, command="verify")
         poset = build_model(job).poset
         report = json.loads(machine_text(execute(job)[0]))
-        assert set(report["decomposition"][0]) == {
+        assert set(report["decomposition"]) == {
             "support", "level", "multiplicity"}
         counts = string_counts(report, {})
         displays = [f.display for f in poset.flats]
         members = [m.display for m in poset.members]
         assert {counts.get(d) for d in displays + members} == {1}
         assert report["poset"]["members"] == members
-        for f in report["poset"]["flats"]:
-            assert f["members"] == [i for i in range(len(members))
-                                    if poset.member_mask(f["id"]) >> i & 1]
+        assert report["poset"]["flats"]["display"] == displays
+        assert report["poset"]["flats"]["members"] == [
+            [i for i in range(len(members)) if poset.member_mask(f) >> i & 1]
+            for f in range(len(displays))]
 
 
 def test_human_weights_are_the_stalk_tables_weights(tmp_path, monkeypatch):
@@ -644,7 +694,7 @@ def test_closed_stdout_pipe_keeps_the_exit_code(tmp_path, monkeypatch):
     # the reader stops after 10 bytes of a report that overfills the pipe:
     # the job still exits with its own code and writes nothing to stderr
     monkeypatch.chdir(tmp_path)
-    doc = hyperplane_document(coordinate_forms(9))
+    doc = hyperplane_document(coordinate_forms(10))
     assert len(machine_text(execute(parse(doc, command="verify"))[0])) > 3 * 2**16
     proc = subprocess.Popen(
         [sys.executable, "-m", "arrange.cli", "verify", write_job(tmp_path, doc),
@@ -735,6 +785,8 @@ def test_stalk_table_off_the_vanishing_degrees_fails_pointwise(tmp_path,
     assert failed_verdicts(report) == ["pointwise_decomposition"]
     assert {"flat": 0, "degree": 2, "stalk": 1,
             "decomposition": 0} in report["pointwise"]["mismatches"]
+    # the run ends before the stalks section, which has no column for it
+    assert "stalks" not in report
     for command in ("stalks", "verify"):
         report, _ = execute(parse(doc, command=command))
         assert "purity" not in report
@@ -759,8 +811,8 @@ def test_exit_code_inadmissible(tmp_path, monkeypatch):
         assert report["admissible"]["ok"] is False
         assert report["verdicts"] == [{"check": "admissible", "ok": False}]
         # the violation ids resolve in the poset section
-        flats = {f["id"]: f for f in report["poset"]["flats"]}
-        assert [flats[i]["display"] for i in
+        display = report["poset"]["flats"]["display"]
+        assert [display[i] for i in
                 report["admissible"]["violations"]] == ["B"]
         assert "stalks" not in report
         assert "admissible: NO" in cli.render_human(report)
