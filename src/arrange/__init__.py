@@ -11,7 +11,7 @@ oracles for cross-checking.
 
 from .errors import ArrangeError, NotAdmissible, NotRankOne
 from .linalg import (CompositionNonzero, RationalMatrix, ShapeMismatch,
-                     homology_dim, kernel_dim, rank)
+                     homology_dim)
 from .models import (ArrangementModel, MissingBetti, MonReport,
                      abstract_model, check_mon, configuration_model,
                      hyperplane_model, os_oracle)
@@ -20,9 +20,7 @@ from .poset import (AdmissibilityReport, DuplicateMember, EmptyInput,
                     EmptyRestriction, Flat, IntersectionPoset, LastMember,
                     Member)
 from .projective import (CohClass, DegreeMismatch, NegativeCodim, ProjProduct,
-                         SpaceMap, SpaceMismatch, compose, cup, identity_map,
-                         poincare_pair, power_inclusion, pullback,
-                         pushforward)
+                         SpaceMap, SpaceMismatch, power_inclusion, pushforward)
 from .spectral import (FeasibilityResult, Infeasible, MalformedCell,
                        MissingStratumData, NotComposable, RunResult,
                        SpectralPage, WeightTable, WeightViolation,

@@ -144,11 +144,14 @@ def parse(document: dict, command: str = "run", overrides: dict | None = None) -
         ambient = model.get("ambient")
         _require(ambient is None or _int_at_least(ambient, 0),
                  f"model.ambient must be an integer >= 0, got {ambient!r}")
+        _parse_forms(model)
     elif kind == "configuration":
         factor = model.get("factor")
         _require(_ints_at_least(factor, 0) and factor,
                  f"model.factor must be a nonempty list of integers >= 0 "
                  f"(projective factor dims), got {factor!r}")
+        _require(sum(factor) >= 1,
+                 f"model.factor must have positive dimension, got {factor!r}")
         points = model.get("points")
         _require(_int_at_least(points, 2),
                  "configuration model needs integer 'points' >= 2")
@@ -268,20 +271,39 @@ def parse(document: dict, command: str = "run", overrides: dict | None = None) -
                    fmt=fmt, local_system=local_system)
 
 
-def _parse_forms(raw):
+def _parse_forms(model):
+    """A hyperplane model's forms as (covector, constant) Fraction pairs; a
+    malformed form raises ``SchemaError`` naming its field.  Every covector
+    has the length of the first, or ``model.ambient`` (+1 if projective)."""
+    mode, ambient = model.get("mode", "projective"), model.get("ambient")
+    width = None if ambient is None else ambient + (mode == "projective")
     forms = []
-    for i, entry in enumerate(raw):
+    for i, entry in enumerate(model["forms"]):
         if isinstance(entry, dict):
-            cov = entry.get("covector")
-            const = entry.get("constant", "0")
+            where = f"model.forms[{i}].covector"
+            cov, const = entry.get("covector"), entry.get("constant", "0")
         else:
-            cov, const = entry, "0"
-        if not isinstance(cov, list) or not cov:
-            raise SchemaError(f"form {i}: covector must be a nonempty list")
+            where, cov, const = f"model.forms[{i}]", entry, "0"
+        _require(isinstance(cov, list) and cov,
+                 f"{where} must be a nonempty list, got {cov!r}")
         try:
-            forms.append(([Fraction(str(x)) for x in cov], Fraction(str(const))))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SchemaError(f"form {i}: {exc}") from None
+            row = [Fraction(str(x)) for x in cov]
+        except (ValueError, ZeroDivisionError):
+            raise SchemaError(f"{where} must list rational numbers, "
+                              f"got {cov!r}") from None
+        try:
+            const = Fraction(str(const))
+        except (ValueError, ZeroDivisionError):
+            raise SchemaError(f"model.forms[{i}].constant must be a rational "
+                              f"number, got {const!r}") from None
+        _require(any(row), f"{where} is zero, so it defines no hyperplane")
+        if width is None:
+            width = len(row)
+        _require(len(row) == width,
+                 f"{where} has {len(row)} entries; " + (
+                     f"model.forms[0] has {width}" if ambient is None else
+                     f"model.ambient {ambient} in {mode} mode needs {width}"))
+        forms.append((row, const))
     return forms
 
 
@@ -290,7 +312,7 @@ def build_model(job: JobSpec):
     kind = model_section["kind"]
     if kind == "hyperplane":
         mode = model_section.get("mode", "projective")
-        forms = _parse_forms(model_section["forms"])
+        forms = _parse_forms(model_section)
         ambient = model_section.get("ambient")
         model = hyperplane_model(forms, mode=mode, ambient_dim=ambient)
     elif kind == "configuration":

@@ -111,9 +111,6 @@ class RationalMatrix:
     def rank(self):
         return echelon(self).rank
 
-    def kernel_dim(self):
-        return self.cols - self.rank()
-
     def kernel_basis(self):
         """Basis of the right kernel, as tuples of Fractions (one per column)."""
         return echelon(self).kernel_basis()
@@ -310,14 +307,6 @@ def echelon(m: RationalMatrix, rows=None) -> Echelon:
             else:
                 del live[i2]
     return Echelon(m.cols, pivots)
-
-
-def rank(m: RationalMatrix) -> int:
-    return m.rank()
-
-
-def kernel_dim(m: RationalMatrix) -> int:
-    return m.kernel_dim()
 
 
 def homology_dim(d_in: RationalMatrix, d_out: RationalMatrix) -> int:

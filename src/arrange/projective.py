@@ -1,12 +1,13 @@
 """Cohomology rings of products of projective spaces.
 
 A class is an integer linear combination of monomials h1^a1...hm^am with
-each exponent bounded by the factor dimension; every class, pairing and
-pushforward on a product of projective spaces is integral.  In this basis
-the Poincare pairing is the anti-diagonal permutation matrix, so the
-duality-defined pushforward is a direct coefficient transcription rather
-than a linear solve.  Everything is graded: mixed-degree classes are
-rejected.
+each exponent bounded by the factor dimension.  Every map between such
+products that the package makes pulls each target generator back to one
+source generator, or to zero: a coordinate or diagonal inclusion.  Its
+Gysin map is then exponent arithmetic: f_*(x^a) is the sum of the target
+monomials m with m_t = top_t on every target factor t pulled back to zero
+and sum_{t -> s} (top_t - m_t) = top_s - a_s on every source factor s.
+Everything is graded: mixed-degree classes are rejected.
 """
 
 from __future__ import annotations
@@ -133,22 +134,6 @@ class CohClass:
         return (isinstance(other, CohClass) and self.space == other.space
                 and self.degree == other.degree and self.coeffs == other.coeffs)
 
-    def __add__(self, other):
-        if self.space != other.space or self.degree != other.degree:
-            raise SpaceMismatch("can only add classes of equal space and degree")
-        out = dict(self.coeffs)
-        for exp, c in other.coeffs.items():
-            s = out.get(exp, 0) + c
-            if s:
-                out[exp] = s
-            else:
-                out.pop(exp, None)
-        return CohClass(self.space, self.degree, out)
-
-    def scale(self, factor):
-        return CohClass(self.space, self.degree,
-                        {e: c * factor for e, c in self.coeffs.items()})
-
     def __repr__(self):
         if not self.coeffs:
             return "0"
@@ -183,68 +168,11 @@ class SpaceMap(Frozen):
         return self.target.dim - self.source.dim
 
 
-def cup(a: CohClass, b: CohClass) -> CohClass:
-    """Product with truncation above the factor dimensions."""
-    if a.space != b.space:
-        raise SpaceMismatch("cup product needs classes on the same space")
-    box = a.space.factor_dims
-    out = {}
-    for e1, c1 in a.coeffs.items():
-        for e2, c2 in b.coeffs.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
-            if any(x > n for x, n in zip(e, box)):
-                continue
-            s = out.get(e, 0) + c1 * c2
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-    return CohClass(a.space, a.degree + b.degree, out)
-
-
-def _power(a: CohClass, k: int) -> CohClass:
-    acc = a.space.one()
-    for _ in range(k):
-        acc = cup(acc, a)
-    return acc
-
-
-def pullback(f: SpaceMap, a: CohClass) -> CohClass:
-    """Ring pullback: substitute generator images and expand."""
-    if a.space != f.target:
-        raise SpaceMismatch("class does not live on the map's target")
-    out = f.source.zero(a.degree)
-    for exp, c in a.coeffs.items():
-        term = f.source.one()
-        for j, e in enumerate(exp):
-            if e:
-                term = cup(term, _power(f.generator_images[j], e))
-        out = out + term.scale(c)
-    return out
-
-
-def poincare_pair(a: CohClass, b: CohClass) -> int:
-    """Coefficient of the top monomial in a.b (the Poincare pairing)."""
-    if a.space != b.space:
-        raise SpaceMismatch("pairing needs classes on the same space")
-    if a.degree + b.degree != 2 * a.space.dim:
-        raise DegreeMismatch(
-            f"degrees {a.degree}+{b.degree} != 2*dim = {2 * a.space.dim}")
-    top = a.space.top()
-    total = 0
-    for e1, c1 in a.coeffs.items():
-        e2 = tuple(t - x for t, x in zip(top, e1))
-        c2 = b.coeffs.get(e2)
-        if c2:
-            total += c1 * c2
-    return total
-
-
 def pushforward(f: SpaceMap, a: CohClass) -> CohClass:
-    """Wrong-way map defined by duality: <f_* a, b> = <a, f^* b>.
+    """Gysin map of ``f`` by exponent arithmetic (see the module docstring).
 
-    In the monomial basis the pairing is the anti-diagonal permutation, so
-    each target coefficient is a single pairing evaluation.
+    ``f`` must pull each target generator back to one source generator or
+    to zero; any other map raises ``ArrangeError``.
     """
     if a.space != f.source:
         raise SpaceMismatch("class does not live on the map's source")
@@ -252,28 +180,28 @@ def pushforward(f: SpaceMap, a: CohClass) -> CohClass:
         raise NegativeCodim(
             f"pushforward needs codim >= 0, got {f.codim} "
             f"({f.source} into {f.target})")
+    hit = []   # (target factor, the source factor its generator pulls to)
+    for t, img in enumerate(f.generator_images):
+        if list(img.coeffs.values()) == [1]:   # one degree-2 monomial
+            hit.append((t, next(iter(img.coeffs)).index(1)))
+        elif img.coeffs:
+            raise ArrangeError(
+                f"pushforward needs each target generator to pull back to "
+                f"one source generator or to zero; h{t + 1} pulls back to "
+                f"{img!r}")
+    top, source_top = f.target.top(), f.source.top()
     deg_out = a.degree + 2 * f.codim
-    target = f.target
     out = {}
-    top = target.top()
-    for mono in target.monomials(deg_out // 2):
-        dual = tuple(t - m for t, m in zip(top, mono))
-        val = poincare_pair(a, pullback(f, target.monomial_class(dual)))
-        if val:
-            out[mono] = val
-    return CohClass(target, deg_out, out)
-
-
-def compose(g: SpaceMap, f: SpaceMap) -> SpaceMap:
-    """Composite g o f recorded on generators."""
-    if f.target != g.source:
-        raise SpaceMismatch("maps not composable")
-    images = tuple(pullback(f, img) for img in g.generator_images)
-    return SpaceMap(f.source, g.target, images)
-
-
-def identity_map(s: ProjProduct) -> SpaceMap:
-    return SpaceMap(s, s, s.generators())
+    # m_t = top_t on a factor pulled back to zero needs no test: with the
+    # degree of m fixed, the sums over the source factors force it
+    for m in f.target.monomials(deg_out // 2):
+        exp = list(source_top)
+        for t, s in hit:
+            exp[s] -= top[t] - m[t]
+        c = a.coeffs.get(tuple(exp))
+        if c:
+            out[m] = c
+    return CohClass(f.target, deg_out, out)
 
 
 def power_inclusion(base: ProjProduct, copy_to_block) -> SpaceMap:

@@ -149,9 +149,6 @@ class SpectralPage:
     def source_of(self, p, q):
         return (p - 2 * self.c, q + 2 * self.c - 1)
 
-    def antidiagonals(self):
-        return sorted({p + q for (p, q) in self.cells})
-
     def euler(self):
         return sum((-1) ** (p + q) * cell.dim
                    for (p, q), cell in self.cells.items())

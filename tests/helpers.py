@@ -13,7 +13,9 @@ from arrange.errors import ArrangeError
 from arrange.linalg import RationalMatrix, eliminate, primitive_rows
 from arrange.poset import (DuplicateMember, EmptyInput, Flat,
                            IntersectionPoset, InvalidForm, _bits)
-from arrange.projective import power_inclusion, pushforward
+from arrange.projective import (CohClass, DegreeMismatch, NegativeCodim,
+                                ProjProduct, SpaceMap, SpaceMismatch,
+                                power_inclusion)
 from arrange.spectral import FeasibilityResult, Infeasible, MalformedCell
 from arrange.stalks import PointwiseReport
 
@@ -582,6 +584,95 @@ def reference_basis_labels(model, dec):
     return {key: tuple(cell) for key, cell in labels.items()}
 
 
+# The cohomology ring of a product of projective spaces, and the Gysin map
+# defined by Poincare duality: the algebra that ``projective.pushforward``'s
+# exponent rule replaced, kept as its oracle.
+
+def reference_add(a, b):
+    """Sum of two classes of equal space and degree."""
+    if a.space != b.space or a.degree != b.degree:
+        raise SpaceMismatch("can only add classes of equal space and degree")
+    out = dict(a.coeffs)
+    for exp, c in b.coeffs.items():
+        out[exp] = out.get(exp, 0) + c
+    return CohClass(a.space, a.degree, out)
+
+
+def reference_cup(a, b):
+    """Product with truncation above the factor dimensions."""
+    if a.space != b.space:
+        raise SpaceMismatch("cup product needs classes on the same space")
+    box = a.space.factor_dims
+    out = {}
+    for e1, c1 in a.coeffs.items():
+        for e2, c2 in b.coeffs.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            if all(x <= n for x, n in zip(e, box)):
+                out[e] = out.get(e, 0) + c1 * c2
+    return CohClass(a.space, a.degree + b.degree, out)
+
+
+def reference_pullback(f, a):
+    """Ring pullback: substitute the generator images and expand."""
+    if a.space != f.target:
+        raise SpaceMismatch("class does not live on the map's target")
+    out = f.source.zero(a.degree)
+    for exp, c in a.coeffs.items():
+        term = CohClass(f.source, 0, {(0,) * f.source.nfactors: c})
+        for img, e in zip(f.generator_images, exp):
+            for _ in range(e):
+                term = reference_cup(term, img)
+        out = reference_add(out, term)
+    return out
+
+
+def reference_pair(a, b):
+    """Poincare pairing: the coefficient of the top monomial in a.b."""
+    if a.space != b.space:
+        raise SpaceMismatch("pairing needs classes on the same space")
+    if a.degree + b.degree != 2 * a.space.dim:
+        raise DegreeMismatch(
+            f"degrees {a.degree}+{b.degree} != 2*dim = {2 * a.space.dim}")
+    return reference_cup(a, b).coeffs.get(a.space.top(), 0)
+
+
+def reference_pushforward(f, a):
+    """Gysin map defined by duality, <f_* a, b> = <a, f^* b>: each target
+    coefficient pairs ``a`` with the pullback of the dual monomial."""
+    if a.space != f.source:
+        raise SpaceMismatch("class does not live on the map's source")
+    if f.codim < 0:
+        raise NegativeCodim(f"pushforward needs codim >= 0, got {f.codim}")
+    target = f.target
+    degree = a.degree + 2 * f.codim
+    top = target.top()
+    out = {}
+    for mono in target.monomials(degree // 2):
+        dual = tuple(t - m for t, m in zip(top, mono))
+        out[mono] = reference_pair(
+            a, reference_pullback(f, target.monomial_class(dual)))
+    return CohClass(target, degree, out)
+
+
+def reference_compose(g, f):
+    """The composite g o f, recorded on generators."""
+    if f.target != g.source:
+        raise SpaceMismatch("maps not composable")
+    return SpaceMap(f.source, g.target, tuple(
+        reference_pullback(f, img) for img in g.generator_images))
+
+
+def reference_identity(space):
+    return SpaceMap(space, space, space.generators())
+
+
+def space_map(a, b, scale=1):
+    """The inclusion P^a -> P^b, its hyperplane class times ``scale``."""
+    source = ProjProduct((a,))
+    return SpaceMap(source, ProjProduct((b,)),
+                    (CohClass(source, 2, {(1,): scale}),))
+
+
 def _reference_positions(cell):
     return {label: i for i, label in enumerate(cell.basis)}
 
@@ -620,7 +711,8 @@ def reference_differential_ncd(model, page) -> dict:
                 gi = mask_to_flat[mask & ~(1 << mpos)]
                 sign = -1 if j % 2 else 1
                 inc = model.inclusion(fi, gi)
-                image = pushforward(inc, model.strata[fi].monomial_class(token))
+                image = reference_pushforward(
+                    inc, model.strata[fi].monomial_class(token))
                 for exp, val in image.coeffs.items():
                     row = tpos[(gi, exp, 0)]
                     s = entries.get((row, col), Fraction(0)) + sign * val
@@ -673,7 +765,8 @@ def reference_differential_config(model, page) -> dict:
                         enumerate(poset.flats[fi].key[1]) for x in block}
             inc = power_inclusion(model.factor,
                                   [block_of[i] for i in range(1, n + 1)])
-            image = pushforward(inc, model.strata[fi].monomial_class(token))
+            image = reference_pushforward(
+                inc, model.strata[fi].monomial_class(token))
             for exp, val in image.coeffs.items():
                 row = tpos[(poset.bottom, exp, 0)]
                 entries[(row, col)] = entries.get((row, col), Fraction(0)) + val
@@ -699,7 +792,7 @@ def reference_differential_config(model, page) -> dict:
                     raise MalformedCell(
                         f"cell ({p}, {q}) has a basis label on flat {fi}, "
                         f"not on the small diagonal {small}")
-                image = pushforward(delta, factor.monomial_class(token))
+                image = reference_pushforward(delta, factor.monomial_class(token))
                 for pf in pair_flats:
                     coef = coeffs[pf][mult]
                     if not coef:

@@ -1294,6 +1294,16 @@ def test_benchmark_tracer_runs(tmp_path, doc, spans, counter):
      lambda doc: doc["model"].update(factor=["a"])),
     ("model.factor", CONFIG_P1_3,
      lambda doc: doc["model"].update(factor=[True])),
+    ("model.factor", CONFIG_P1_3,
+     lambda doc: doc["model"].update(factor=[0])),
+    ("model.forms[0].covector", BOOLEAN_P2,
+     lambda doc: doc["model"]["forms"][0].update(covector=["1/0", "0", "1"])),
+    ("model.forms[0].covector", BOOLEAN_P2,
+     lambda doc: doc["model"]["forms"][0].update(covector=["0", "0", "0"])),
+    ("model.forms[1].covector", BOOLEAN_P2,
+     lambda doc: doc["model"]["forms"][1].update(covector=["0", "1"])),
+    ("model.forms[0].covector", BOOLEAN_P2,
+     lambda doc: doc["model"].update(ambient=3)),
     ("model.ambient", BOOLEAN_P2,
      lambda doc: doc["model"].update(ambient="1")),
     ("model.poset.flats[0].betti", ABSTRACT_PAIR,
@@ -1323,7 +1333,9 @@ def test_benchmark_tracer_runs(tmp_path, doc, spans, counter):
      lambda doc: doc.update(local_system={"exponents": ["1/3"] * 3})),
     ("local_system.exponents", ABSTRACT_PAIR,
      lambda doc: doc.update(local_system={"exponents": ["1/2"] * 2})),
-], ids=["options_list", "factor_string", "factor_bool", "ambient_string",
+], ids=["options_list", "factor_string", "factor_bool", "factor_point",
+        "covector_zero_denominator", "covector_zero", "covector_short",
+        "covector_off_ambient", "ambient_string",
         "betti_string", "codim_string", "order_single_key", "target_float",
         "cache_string", "hyperplane_c_bool", "configuration_c_bool",
         "exponents_for_forms", "exponents_for_pairs",

@@ -4,35 +4,37 @@ from fractions import Fraction
 import pytest
 
 from arrange.linalg import (CompositionNonzero, RationalMatrix, ShapeMismatch,
-                            echelon, homology_dim, kernel_dim,
-                            product_is_zero, rank, rref)
+                            echelon, homology_dim, product_is_zero, rref)
 from helpers import (dense, minor_rank, reduce_against, reference_echelon_rows,
                      reference_rref)
 
 
 def test_rank_identity():
-    assert rank(RationalMatrix.identity(3)) == 3
+    assert RationalMatrix.identity(3).rank() == 3
 
 
 def test_rank_zero_matrix():
-    assert rank(RationalMatrix.zeros(2, 2)) == 0
+    assert RationalMatrix.zeros(2, 2).rank() == 0
 
 
 def test_rank_proportional_rows():
-    assert rank(RationalMatrix.from_rows([[1, 2], [2, 4]])) == 1
+    assert RationalMatrix.from_rows([[1, 2], [2, 4]]).rank() == 1
 
 
 def test_kernel_identity():
-    assert kernel_dim(RationalMatrix.identity(3)) == 0
+    m = RationalMatrix.identity(3)
+    assert m.cols - m.rank() == 0
 
 
 def test_kernel_zero():
-    assert kernel_dim(RationalMatrix.zeros(2, 3)) == 3
+    m = RationalMatrix.zeros(2, 3)
+    assert m.cols - m.rank() == 3
 
 
 def test_kernel_two_by_three():
     # x + y = 0, y + z = 0 leaves the line (1, -1, 1)
-    assert kernel_dim(RationalMatrix.from_rows([[1, 1, 0], [0, 1, 1]])) == 1
+    m = RationalMatrix.from_rows([[1, 1, 0], [0, 1, 1]])
+    assert m.cols - m.rank() == 1
 
 
 def test_homology_zero_differentials():
@@ -101,7 +103,7 @@ def test_kernel_plus_rank_is_cols():
     rng = random.Random(13)
     for _ in range(40):
         m = _random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
-        assert m.rank() + m.kernel_dim() == m.cols
+        assert minor_rank(dense(m)) + len(m.kernel_basis()) == m.cols
 
 
 def test_kernel_basis_in_kernel():
@@ -109,7 +111,7 @@ def test_kernel_basis_in_kernel():
     for _ in range(25):
         m = _random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
         basis = m.kernel_basis()
-        assert len(basis) == m.kernel_dim()
+        assert len(basis) == m.cols - m.rank()
         for vec in basis:
             col = RationalMatrix(m.cols, 1, {(i, 0): v for i, v in enumerate(vec)})
             assert (m * col).is_zero()

@@ -11,13 +11,7 @@ from arrange.spectral import FeasibilityResult, RunResult, WeightedCell
 import arrange.stalks as stalks_mod
 from arrange.stalks import (PointwiseReport, SheafDecomposition, StalkTable,
                             Summand)
-from helpers import run_child
-
-
-def space_map(a, b, scale=1):
-    """The inclusion P^a -> P^b, its hyperplane class times ``scale``."""
-    source = ProjProduct((a,))
-    return SpaceMap(source, ProjProduct((b,)), (source.generator(0).scale(scale),))
+from helpers import run_child, space_map
 
 
 # per frozen class: two records built apart with equal fields, and a third

@@ -71,3 +71,22 @@ def test_json_stays_on_the_c_encoder():
                   and any(k.arg == "indent" for k in node.keywords)):
                 found.append(f"{path.name}:{node.lineno} indent=")
     assert found == []
+
+
+def test_helpers_take_no_gysin_algebra_from_the_package():
+    # the oracles in helpers.py check projective.pushforward; the duality
+    # algebra they use is their own, so none of it comes from arrange
+    helpers = Path(__file__).resolve().parent / "helpers.py"
+    tree = ast.parse(helpers.read_text(), filename=str(helpers))
+    banned = {"pushforward", "pullback", "cup", "poincare_pair"}
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.ImportFrom)
+                and (node.module or "").split(".")[0] == "arrange"):
+            found += [alias.name for alias in node.names
+                      if alias.name in banned]
+        elif (isinstance(node, ast.Attribute) and node.attr in banned
+              and isinstance(node.value, ast.Name)
+              and node.value.id in ("arrange", "projective", "spectral")):
+            found.append(f"{node.value.id}.{node.attr}")
+    assert found == []
