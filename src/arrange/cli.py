@@ -90,12 +90,14 @@ class SchemaError(ArrangeError):
 
 
 class JobSpec(Record):
-    __slots__ = ("command", "model", "mode", "target", "fmt", "local_system")
+    __slots__ = ("command", "model", "forms", "mode", "target", "fmt",
+                 "local_system")
 
     def __init__(self, command, model, mode=None, target=None, fmt="human",
-                 local_system=None):
+                 local_system=None, forms=None):
         self.command = command
         self.model = model
+        self.forms = forms         # a hyperplane model's parsed forms
         self.mode = mode           # explicit | feasibility | bounds | None=auto
         self.target = target       # IntPoly | "oracle" | None
         self.fmt = fmt
@@ -133,6 +135,7 @@ def parse(document: dict, command: str = "run", overrides: dict | None = None) -
              f"model.kind must be hyperplane|configuration|abstract, got {kind!r}")
     fields, classes = None, 0   # declared cohomology classes; a poset build
                                 # bounds a hyperplane model's instead
+    forms = None
     if kind == "hyperplane":
         _require(isinstance(model.get("forms"), list) and model["forms"],
                  "hyperplane model needs a nonempty 'forms' list")
@@ -144,7 +147,7 @@ def parse(document: dict, command: str = "run", overrides: dict | None = None) -
         ambient = model.get("ambient")
         _require(ambient is None or _int_at_least(ambient, 0),
                  f"model.ambient must be an integer >= 0, got {ambient!r}")
-        _parse_forms(model)
+        forms = _parse_forms(model)
     elif kind == "configuration":
         factor = model.get("factor")
         _require(_ints_at_least(factor, 0) and factor,
@@ -268,7 +271,7 @@ def parse(document: dict, command: str = "run", overrides: dict | None = None) -
                  f"projective hyperplanes")
 
     return JobSpec(command=command, model=model, mode=mode, target=target,
-                   fmt=fmt, local_system=local_system)
+                   fmt=fmt, local_system=local_system, forms=forms)
 
 
 def _parse_forms(model):
@@ -312,9 +315,8 @@ def build_model(job: JobSpec):
     kind = model_section["kind"]
     if kind == "hyperplane":
         mode = model_section.get("mode", "projective")
-        forms = _parse_forms(model_section)
         ambient = model_section.get("ambient")
-        model = hyperplane_model(forms, mode=mode, ambient_dim=ambient)
+        model = hyperplane_model(job.forms, mode=mode, ambient_dim=ambient)
     elif kind == "configuration":
         factor = ProjProduct(tuple(model_section["factor"]))
         model = configuration_model(factor, model_section["points"])

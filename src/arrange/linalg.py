@@ -3,16 +3,19 @@
 Ranks and homology dimensions are discrete invariants: a single rounded
 pivot would corrupt every Betti number downstream, so nothing here is
 approximate.  Matrix entries are exact, ``int`` or ``Fraction``, stored
-sparsely (no zero entries).  The one elimination runs on integers:
-``echelon`` clears each row of its denominators, then combines rows
-fraction-free and keeps each one primitive (divided by the gcd of its
-entries); ``reduce_row`` reduces one such row against an echelon basis.
-That gives the rank, the pivot columns and the kernel basis of a matrix.
+sparsely by row (a dict row -> dict column -> nonzero value).  The one
+elimination runs on integers: ``echelon`` clears each row of its
+denominators, reusing a row that is already a primitive integer row
+(divided by the gcd of its entries), then combines rows fraction-free
+into new primitive rows and never changes a row it was given;
+``reduce_row`` reduces one such row against an echelon basis.  That
+gives the rank, the pivot columns and the kernel basis of a matrix.
 
 ``rref`` is a view of ``echelon``: the canonical Fraction form of a row
 space.  The poset layer calls it once per member, to find repeated members;
 its closure runs on integer rows with ``reduce_row``, and a flat's key is
-``Echelon.reduced`` of the echelon basis that the closure keeps.
+``Echelon.reduced`` of the echelon basis that the closure keeps, with
+equal rows and entries shared among the flats.
 """
 
 from __future__ import annotations
@@ -33,16 +36,18 @@ class CompositionNonzero(ArrangeError):
 
 
 class RationalMatrix:
-    """Sparse matrix over Q; only nonzero entries are stored."""
+    """Sparse matrix over Q, stored by row: ``by_row`` maps the index of
+    each nonzero row to that row, a dict column -> nonzero value."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "by_row")
 
     def __init__(self, rows, cols, entries=None):
+        """``entries`` maps (row, column) to a value; zeros are dropped."""
         if rows < 0 or cols < 0:
             raise ShapeMismatch(f"negative shape {rows}x{cols}")
         self.rows = rows
         self.cols = cols
-        self.entries = {}
+        self.by_row = {}
         if entries:
             for (i, j), v in entries.items():
                 if not (0 <= i < rows and 0 <= j < cols):
@@ -50,7 +55,14 @@ class RationalMatrix:
                 if not isinstance(v, (int, Fraction)):
                     v = Fraction(v)
                 if v:
-                    self.entries[(i, j)] = v
+                    self.by_row.setdefault(i, {})[j] = v
+
+    @classmethod
+    def of_rows(cls, rows, cols, by_row):
+        """The matrix stored in ``by_row`` itself, which it must fit."""
+        m = cls(rows, cols)
+        m.by_row = by_row
+        return m
 
     @classmethod
     def from_rows(cls, data):
@@ -69,24 +81,20 @@ class RationalMatrix:
     def identity(cls, n):
         return cls(n, n, {(i, i): 1 for i in range(n)})
 
-    def get(self, i, j):
-        return self.entries.get((i, j), Fraction(0))
-
     def is_zero(self):
-        return not self.entries
+        return not self.by_row
 
     def __eq__(self, other):
         return (isinstance(other, RationalMatrix)
                 and self.rows == other.rows and self.cols == other.cols
-                and self.entries == other.entries)
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, frozenset(self.entries.items())))
+                and self.by_row == other.by_row)
 
     def transpose(self):
-        return RationalMatrix(
-            self.cols, self.rows,
-            {(j, i): v for (i, j), v in self.entries.items()})
+        out = {}
+        for i, row in self.by_row.items():
+            for j, v in row.items():
+                out.setdefault(j, {})[i] = v
+        return RationalMatrix.of_rows(self.cols, self.rows, out)
 
     def __mul__(self, other):
         if not isinstance(other, RationalMatrix):
@@ -94,19 +102,15 @@ class RationalMatrix:
         if self.cols != other.rows:
             raise ShapeMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        by_row = {}
-        for (k, j), v in other.entries.items():
-            by_row.setdefault(k, []).append((j, v))
         out = {}
-        for (i, k), a in self.entries.items():
-            for j, b in by_row.get(k, ()):
-                key = (i, j)
-                s = out.get(key, 0) + a * b
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return RationalMatrix(self.rows, other.cols, out)
+        for i, row in self.by_row.items():
+            acc = {}
+            for k, a in row.items():
+                for j, b in other.by_row.get(k, {}).items():
+                    acc[j] = acc.get(j, 0) + a * b
+            if acc := {j: v for j, v in acc.items() if v}:
+                out[i] = acc
+        return RationalMatrix.of_rows(self.rows, other.cols, out)
 
     def rank(self):
         return echelon(self).rank
@@ -116,7 +120,8 @@ class RationalMatrix:
         return echelon(self).kernel_basis()
 
     def __repr__(self):
-        return f"RationalMatrix({self.rows}x{self.cols}, nnz={len(self.entries)})"
+        nnz = sum(map(len, self.by_row.values()))
+        return f"RationalMatrix({self.rows}x{self.cols}, nnz={nnz})"
 
 
 def _primitive(row):
@@ -127,43 +132,33 @@ def _primitive(row):
     return row
 
 
-def primitive_rows(m, columns=False):
+def primitive_rows(m):
     """Each nonzero row of ``m`` as a dict column -> int, cleared of
-    denominators and divided by the gcd of its entries; keyed by row.
-    With ``columns``, the same for each nonzero column of ``m``: the
-    primitive rows of its transpose."""
-    rows = {}
-    for (i, j), v in m.entries.items():
-        if columns:
-            i, j = j, i
-        rows.setdefault(i, {})[j] = v
+    denominators and divided by the gcd of its entries; keyed by row.  A
+    row of ``m`` that is already such an integer row is reused, not
+    copied, so no caller may change a row it gets."""
     out = {}
-    for i, row in rows.items():
-        den = lcm(*(v.denominator for v in row.values()))
-        out[i] = _primitive({j: v.numerator * (den // v.denominator)
-                             for j, v in row.items()})
+    for i, row in m.by_row.items():
+        if any(type(v) is not int for v in row.values()):
+            den = lcm(*(v.denominator for v in row.values()))
+            row = {j: v.numerator * (den // v.denominator)
+                   for j, v in row.items()}
+        out[i] = _primitive(row)
     return out
 
 
 def product_is_zero(a, b):
-    """Whether a * b == 0.  Scaling the rows of ``a`` and the columns of
-    ``b`` by nonzero numbers does not change which entries of the product
-    vanish, so this runs on their primitive integer forms."""
+    """Whether a * b == 0, on primitive integer forms: scaling the rows of
+    ``a`` and the columns of ``b`` (the rows of its transpose, made for
+    this one product) by nonzero numbers keeps the zero entries of a * b."""
     if a.cols != b.rows:
         raise ShapeMismatch(
             f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    return primitive_product_is_zero(primitive_rows(a),
-                                     primitive_rows(b, columns=True))
-
-
-def primitive_product_is_zero(rows, columns):
-    """Whether a * b == 0, given ``primitive_rows(a)`` and
-    ``primitive_rows(b, columns=True)`` for matrices of matching shape."""
     by_mid = {}
-    for j, col in columns.items():
+    for j, col in primitive_rows(b.transpose()).items():
         for k, v in col.items():
             by_mid.setdefault(k, []).append((j, v))
-    for row in rows.values():
+    for row in primitive_rows(a).values():
         acc = {}
         for k, x in row.items():
             for j, v in by_mid.get(k, ()):
@@ -210,12 +205,11 @@ class Echelon:
     column f, with 1 at f and 0 at the other free columns.
     """
 
-    __slots__ = ("cols", "rows", "_reduced")
+    __slots__ = ("cols", "rows")
 
     def __init__(self, cols, rows):
         self.cols = cols
         self.rows = rows
-        self._reduced = None
 
     @property
     def rank(self):
@@ -228,21 +222,32 @@ class Echelon:
             full[c] = reduce_row(self.rows[c], full)
         return full
 
-    def reduced(self):
-        """(rows, pivot columns) of the reduced row echelon form, made on
-        first use: each fully reduced row divided by its pivot, as a dense
-        tuple of Fractions."""
-        if self._reduced is None:
-            full = self._fully_reduced()
-            pivots = tuple(sorted(full))
-            rows = []
-            for c in pivots:
-                dense = [Fraction(0)] * self.cols
-                for j, v in full[c].items():
-                    dense[j] = Fraction(v, full[c][c])
-                rows.append(tuple(dense))
-            self._reduced = tuple(rows), pivots
-        return self._reduced
+    def reduced(self, shared=None):
+        """(rows, pivot columns) of the reduced row echelon form: each
+        fully reduced row divided by its pivot, as a dense tuple of
+        Fractions.  ``shared``, a dict, hands out each row and entry equal
+        to one made with it before (a row is found by its integer entries
+        with a positive pivot), so the forms made with one dict hold each
+        distinct row and value once."""
+        shared = {} if shared is None else shared
+        zero = shared.setdefault(Fraction(0), Fraction(0))
+        full = self._fully_reduced()
+        pivots = tuple(sorted(full))
+        rows = []
+        for c in pivots:
+            ints = full[c]
+            if ints[c] < 0:
+                ints = {j: -v for j, v in ints.items()}
+            key = frozenset(ints.items())
+            row = shared.get(key)
+            if row is None:
+                dense = [zero] * self.cols
+                for j, v in ints.items():
+                    x = Fraction(v, ints[c])
+                    dense[j] = shared.setdefault(x, x)
+                row = shared[key] = tuple(dense)
+            rows.append(row)
+        return tuple(rows), pivots
 
     def kernel_basis(self):
         """The kernel basis as tuples of Fractions (one entry per column),
@@ -260,20 +265,20 @@ class Echelon:
         return [tuple(vec) for vec in basis.values()]
 
 
-def echelon(m: RationalMatrix, rows=None) -> Echelon:
+def echelon(m: RationalMatrix) -> Echelon:
     """Fraction-free sparse elimination of ``m``.
 
-    Rows are cleared of denominators first, unless the caller passes
-    ``rows``, the ``primitive_rows(m)`` it has already made; the
-    elimination takes that dict over and empties it.  Each step takes the
-    shortest remaining row, the first in input order among equally short
-    ones, pivots on its first nonzero column and clears that column from
-    every other remaining row with ``eliminate``, so entries stay integers
-    and rows stay primitive.  The rows wait in a heap of (length, input
-    position, row); an entry whose row has since changed length or been
-    used is skipped when it comes up.
+    Rows are cleared of denominators first (``primitive_rows``), so a row
+    of ``m`` that is already a primitive integer row enters as it is: the
+    elimination changes only the dict that holds the rows, never a row.
+    Each step takes the shortest remaining row, the first in input order
+    among equally short ones, pivots on its first nonzero column and
+    clears that column from every other remaining row with ``eliminate``,
+    so entries stay integers and rows stay primitive.  The rows wait in a
+    heap of (length, input position, row); an entry whose row has since
+    changed length or been used is skipped when it comes up.
     """
-    live = primitive_rows(m) if rows is None else rows
+    live = primitive_rows(m)
     by_col = {}
     for i, row in live.items():
         for j in row:

@@ -153,7 +153,8 @@ def abstract_model(c, ambient_betti, flats, order) -> ArrangementModel:
         if not fl.get("betti"):
             raise MissingBetti(f"flat {fl['key']!r} has no Betti data")
         specs.append((fl["key"], int(fl["codim"])))
-    poset = IntersectionPoset.from_abstract(specs, order, codim_c=c)
+    poset = IntersectionPoset.from_abstract(
+        specs, order, codim_c=c, ambient_dim=(len(ambient_betti) - 1) // 2)
     key_to_index = {f.key[1]: f.index for f in poset.flats}
     strata = {poset.bottom: tuple(int(b) for b in ambient_betti)}
     for fl in flats:

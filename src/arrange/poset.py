@@ -23,8 +23,9 @@ echelon basis of primitive integer rows, so rank, consistency and member
 containment are reductions with ``linalg.reduce_row``.  A member's
 canonical reduced row echelon form (``linalg.rref``) finds repeated
 members; a flat's key is the reduced form of the echelon basis it already
-has (``linalg.Echelon.reduced``), written once, at the end.  This visits
-only actual flats instead of all 2^s index subsets.
+has (``linalg.Echelon.reduced``), written once, at the end, with equal
+rows and entries shared among the flats.  This visits only actual flats
+instead of all 2^s index subsets.
 
 Every build is bounded: the closure and the partition enumeration stop with
 ``TooManyFlats`` once they have made more than ``MAX_FLATS`` flats, so a
@@ -230,8 +231,9 @@ class IntersectionPoset:
             frontier = new_frontier
 
         flats = []
+        shared = {}   # one object per distinct key row and key entry
         for idx, basis in enumerate(bases):
-            key, _ = Echelon(ncoords + 1, basis).reduced()
+            key, _ = Echelon(ncoords + 1, basis).reduced(shared)
             flats.append(Flat(idx, len(key), ("lin", key),
                               f"F{idx}" if key else "ambient"))
 

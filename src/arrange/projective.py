@@ -78,9 +78,6 @@ class ProjProduct(Frozen):
     def top(self):
         return tuple(self.factor_dims)
 
-    def one(self):
-        return CohClass(self, 0, {tuple(0 for _ in self.factor_dims): 1})
-
     def zero(self, degree):
         return CohClass(self, degree, {})
 
@@ -92,9 +89,6 @@ class ProjProduct(Frozen):
             return self.zero(2)
         exp = tuple(1 if j == i else 0 for j in range(self.nfactors))
         return CohClass(self, 2, {exp: 1})
-
-    def generators(self):
-        return tuple(self.generator(i) for i in range(self.nfactors))
 
     def monomial_class(self, expts):
         expts = tuple(int(a) for a in expts)

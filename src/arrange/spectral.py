@@ -24,7 +24,7 @@ from .errors import ArrangeError, NotRankOne
 # homology_dim is no longer called here; it stays in this namespace for
 # callers that wrap it (benchmark/tracer.py counts its calls)
 from .linalg import (RationalMatrix, echelon, homology_dim,  # noqa: F401
-                     primitive_product_is_zero, primitive_rows)
+                     product_is_zero)
 from .polys import IntPoly
 from .poset import _bits
 from .projective import ProjProduct, pushforward
@@ -115,20 +115,20 @@ class SpectralPage:
     """The second page: a bigraded table of weighted cells with at most
     one differential, d_2c.
 
-    The page keeps its own copy of the caller's block table and makes the
-    factorisation of each block (``factor``) and the d^2 check
-    (``check_differential``) once; the blocks must not change afterwards.
-    Both read a block as primitive integer rows, made once per page: the
-    d^2 check makes those of each block it multiplies from the left, and
-    ``factor`` takes them over.
+    The page keeps its own copy of the caller's block table and takes the
+    rank of each block (``rank``, from one factorisation that is not kept)
+    and the d^2 check (``check_differential``) once; the blocks must not
+    change afterwards.  Both read a block's own rows where they are
+    primitive integer rows, as a built block's are, and never change them;
+    the d^2 check makes a block's primitive columns for one product at a
+    time.
     """
 
     def __init__(self, c, cells, differential=None):
         self.c = c
         self.cells = dict(cells)
         self.differential = None if differential is None else dict(differential)
-        self._factors = {}
-        self._rows = {}     # (p, q) -> primitive rows not yet factored
+        self._ranks = {}
         self._checked = False
         for (p, q), cell in self.cells.items():
             if q % (2 * c - 1):
@@ -165,23 +165,22 @@ class SpectralPage:
                 return m
         return RationalMatrix.zeros(self.cell_dim(*tgt), self.cell_dim(p, q))
 
-    def factor(self, p, q):
-        """Echelon form of the block leaving (p, q), made once per page."""
-        ech = self._factors.get((p, q))
-        if ech is None:
-            ech = self._factors[(p, q)] = echelon(
-                self.block(p, q), self._rows.pop((p, q), None))
-        return ech
+    def rank(self, p, q):
+        """Rank of the block leaving (p, q), factored once per page."""
+        r = self._ranks.get((p, q))
+        if r is None:
+            r = self._ranks[(p, q)] = echelon(self.block(p, q)).rank
+        return r
 
     def homology(self, p, q):
-        """dim ker(d_out) / im(d_in) at (p, q), from the blocks' factors;
+        """dim ker(d_out) / im(d_in) at (p, q), from the blocks' ranks;
         0 off the page.  The page must have passed check_differential."""
         cell = self.cells.get((p, q))
         if cell is None:
             return 0
         src = self.source_of(p, q)
-        rank_in = self.factor(*src).rank if src in self.cells else 0
-        return cell.dim - self.factor(p, q).rank - rank_in
+        rank_in = self.rank(*src) if src in self.cells else 0
+        return cell.dim - self.rank(p, q) - rank_in
 
     def check_differential(self):
         """d^2 = 0 and weight preservation of every nonzero block; once the
@@ -206,11 +205,7 @@ class SpectralPage:
             nxt = self.differential.get(tkey)
             if nxt is None or m.is_zero() or nxt.is_zero():
                 continue
-            rows = self._rows.get(tkey)
-            if rows is None:
-                rows = self._rows[tkey] = primitive_rows(nxt)
-            if not primitive_product_is_zero(
-                    rows, primitive_rows(m, columns=True)):
+            if not product_is_zero(nxt, m):
                 raise NotComposable(f"d^2 != 0 at {(p, q)}")
         self._checked = True
 
@@ -350,7 +345,8 @@ def build_differential(model, page) -> dict:
     inclusion of g's stratum into that of the flat S minus s_j spans.  A
     flat whose copies in a cell are not its nbc sets raises
     ``MalformedCell``.  Each image is pushed forward once per
-    (``ArrangementModel.inclusion_key``, monomial).
+    (``ArrangementModel.inclusion_key``, monomial), and added straight
+    into the integer rows of its block.
     """
     if not all(isinstance(s, ProjProduct) for s in model.strata.values()):
         raise ArrangeError("the differential needs every stratum's geometry "
@@ -393,29 +389,29 @@ def build_differential(model, page) -> dict:
         if tcell is None:
             continue
         tpos = {label: i for i, label in enumerate(tcell.basis)}
-        entries = {}
+        rows = {}
         for col, label in enumerate(cell.basis):
+            # distinct faces and nonzero images: each entry is set once
             for tlabel, coef in images(*label):
                 row = tpos.get(tlabel)
                 if row is None:
                     raise MalformedCell(
                         f"cell {tkey} has no basis label {tlabel}, the "
                         f"image of {label} in cell {(p, q)}")
-                entries[(row, col)] = entries.get((row, col), 0) + coef
-        diff[(p, q)] = RationalMatrix(tcell.dim, cell.dim, entries)
+                rows.setdefault(row, {})[col] = coef
+        diff[(p, q)] = RationalMatrix.of_rows(tcell.dim, cell.dim, rows)
     return diff
 
 
 def run(page: SpectralPage) -> RunResult:
     """Take homology at the single differential and read off the limits:
-    each block's rank and each cell's homology dimension, from the blocks'
-    factors."""
+    each block's rank, and each cell's homology dimension from those."""
     if page.differential is None:
         raise NotComposable("run needs an explicit differential")
     page.check_differential()
     homology, ranks = {}, {}
     for p, q in page.cells:
-        if r := page.factor(p, q).rank:
+        if r := page.rank(p, q):
             ranks[(p, q)] = r
         if h := page.homology(p, q):
             homology[(p, q)] = h
@@ -434,7 +430,7 @@ def skew_row_homology(page: SpectralPage, k: int, ell: int) -> int:
 
     For hypersurface models this is the weight-(k + ell) graded piece of
     H^k of the complement.  The position-``ell`` cell is (k - ell, ell),
-    and its homology is read from the same block factorisations that
+    and its homology is read from the same block ranks that
     ``run`` uses, so it is the entry ``run`` files under (k, k + ell).
     """
     if page.c != 1:

@@ -23,8 +23,9 @@ from arrange.stalks import PointwiseReport
 def dense(matrix):
     """The rows of a ``RationalMatrix`` as lists of Fractions."""
     rows = [[Fraction(0)] * matrix.cols for _ in range(matrix.rows)]
-    for (i, j), v in matrix.entries.items():
-        rows[i][j] = Fraction(v)
+    for i, row in matrix.by_row.items():
+        for j, v in row.items():
+            rows[i][j] = Fraction(v)
     return rows
 
 
@@ -662,8 +663,18 @@ def reference_compose(g, f):
         reference_pullback(f, img) for img in g.generator_images))
 
 
+def one_class(space):
+    """The unit class 1 in degree 0 of a ``ProjProduct``."""
+    return CohClass(space, 0, {(0,) * space.nfactors: 1})
+
+
+def generator_classes(space):
+    """The hyperplane class of each factor of a ``ProjProduct``."""
+    return tuple(space.generator(i) for i in range(space.nfactors))
+
+
 def reference_identity(space):
-    return SpaceMap(space, space, space.generators())
+    return SpaceMap(space, space, generator_classes(space))
 
 
 def space_map(a, b, scale=1):

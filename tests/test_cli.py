@@ -733,6 +733,22 @@ def test_round_trip_abstract_reproduces_page(tmp_path, monkeypatch):
         assert cells1 == cells2
 
 
+def test_abstract_export_keeps_ambient_dim(tmp_path, monkeypatch):
+    # an abstract model's ambient dimension is the one its ambient Betti
+    # list declares, not its deepest codimension, so an export fed back
+    # reports its source model's
+    monkeypatch.chdir(tmp_path)
+    config_p2_2 = {"schema_version": 1, "model": {
+        "kind": "configuration", "factor": [2], "points": 2}}
+    for doc, dim in ((BOOLEAN_P2, 2), (CONFIG_P1_3, 3), (config_p2_2, 4)):
+        report, _ = execute(parse(doc))
+        assert report["poset"]["ambient_dim"] == dim
+        doc2 = {"schema_version": 1, "model": report["abstract_model"]}
+        report2, code2 = execute(parse(doc2))
+        assert code2 == EXIT_OK
+        assert report2["poset"]["ambient_dim"] == dim
+
+
 def test_abstract_export_lists_exactly_the_covers(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     coordinate_p3 = {"schema_version": 1, "model": {

@@ -152,6 +152,18 @@ def test_one_rref_per_member(monkeypatch, forms, ambient_dim, mode, flats):
                            for row in key)) == real(key)
 
 
+def test_linear_keys_share_equal_rows():
+    # coordinate P^8: 511 flats, whose keys hold 2,295 rows, every one of
+    # them one of the 9 unit rows; a build keeps each distinct row, and
+    # each distinct entry, as one object
+    p = IntersectionPoset.from_linear_forms(coordinate_forms(8), 8,
+                                            "projective")
+    rows = [row for f in p.flats for row in f.key[1]]
+    assert len(p) == 511 and len(rows) == 2295
+    assert len({id(row) for row in rows}) == len(set(rows)) == 9
+    assert len({id(x) for row in rows for x in row}) == 2
+
+
 def test_projective_drops_cone_apex():
     # 2 coordinate hyperplanes of P^1: central cone in C^2 has the origin,
     # the projective poset must not

@@ -455,32 +455,51 @@ def test_each_nonzero_block_factorised_once(model, monkeypatch):
                for (k, ell), h in sweep.items())
 
 
-def test_run_clears_each_block_of_denominators_once(monkeypatch):
+def test_run_reuses_block_rows_and_makes_columns_once(monkeypatch):
     # coordinate P^8: 45 cells, 36 blocks, 28 of them followed by another
-    # nonzero block.  Each cell's block is made primitive row by row once,
-    # shared by its factor and the d^2 check that multiplies it from the
-    # left, and each of the 28 once column by column: 45 + 28 calls, where
-    # making both forms again for every product took 101
+    # nonzero block.  A built block's rows are primitive integer rows, so
+    # its factorisation and the d^2 check read them as they are and copy none;
+    # each of the 28 is turned into columns (transposed) once, for the one
+    # product that multiplies it from the right
     model = hyperplane_model(coordinate_forms(8), mode="projective")
     page = explicit_page(model)
-    calls = []
+    blocks = {id(m): m for m in page.differential.values()}
+    rows_read, copied, column_calls = set(), [], []
 
-    def counting(m, columns=False):
-        calls.append((id(m), columns))
-        return real(m, columns)
+    def counting(m):
+        out = real(m)
+        if id(m) in blocks:
+            rows_read.add(id(m))
+            copied.extend(i for i, row in out.items() if row is not m.by_row[i])
+        return out
 
-    real = linalg.primitive_rows
+    def transposing(m):
+        column_calls.append(id(m))
+        return transpose(m)
+
+    real, transpose = linalg.primitive_rows, RationalMatrix.transpose
     monkeypatch.setattr(linalg, "primitive_rows", counting)
-    monkeypatch.setattr(spectral, "primitive_rows", counting)
+    monkeypatch.setattr(RationalMatrix, "transpose", transposing)
     res = run(page)
     assert res.betti == IntPoly([1, 8, 28, 56, 70, 56, 28, 8, 1])
     assert len(page.cells) == 45 and len(page.differential) == 36
-    assert len(calls) == 73
-    assert sum(columns for _, columns in calls) == 28
-    # the 9 cells with no block get a zero block made on the spot
-    blocks = {id(m) for m in page.differential.values()}
-    on_blocks = [call for call in calls if call[0] in blocks]
-    assert len(on_blocks) == len(set(on_blocks)) == 73 - 9
+    assert rows_read == {i for i, m in blocks.items() if not m.is_zero()}
+    assert copied == []
+    assert set(column_calls) <= set(blocks)
+    assert len(column_calls) == len(set(column_calls)) == 28
+
+
+def test_run_leaves_blocks_unchanged():
+    # the factors hold the blocks' own rows, so an elimination that
+    # changed a row would change the differential
+    for model in (hyperplane_model(coordinate_forms(6), mode="projective"),
+                  configuration_model(ProjProduct((1,)), 4)):
+        page = explicit_page(model)
+        before = {key: {i: dict(row) for i, row in m.by_row.items()}
+                  for key, m in page.differential.items()}
+        run(page)
+        assert {key: m.by_row for key, m in page.differential.items()} == \
+            before
 
 
 def reference_rank(m):
@@ -695,11 +714,12 @@ def with_copies_changed(block, basis, change):
     i)."""
     column = {label: i for i, label in enumerate(basis)}
     entries = {}
-    for (row, col), value in block.entries.items():
-        flat, token, i = basis[col]
-        for j, coef in enumerate(change[i]):
-            at = (row, column[(flat, token, j)])
-            entries[at] = entries.get(at, 0) + coef * value
+    for row, values in block.by_row.items():
+        for col, value in values.items():
+            flat, token, i = basis[col]
+            for j, coef in enumerate(change[i]):
+                at = (row, column[(flat, token, j)])
+                entries[at] = entries.get(at, 0) + coef * value
     return RationalMatrix(block.rows, block.cols, entries)
 
 
