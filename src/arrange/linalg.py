@@ -185,6 +185,14 @@ def eliminate(row, pivot_row, col):
     return _primitive(out)
 
 
+def row_key(item):
+    """A primitive row, given as (pivot, row), as a hashable that it shares
+    with its negative: its entries with the pivot made positive."""
+    pivot, row = item
+    return frozenset(row.items() if row[pivot] > 0 else
+                     ((j, -v) for j, v in row.items()))
+
+
 def reduce_row(row, basis):
     """``row`` (a primitive integer row, dict column -> int) with every
     pivot column of the echelon ``basis`` ({pivot column: primitive row,
@@ -226,25 +234,26 @@ class Echelon:
         """(rows, pivot columns) of the reduced row echelon form: each
         fully reduced row divided by its pivot, as a dense tuple of
         Fractions.  ``shared``, a dict, hands out each row and entry equal
-        to one made with it before (a row is found by its integer entries
-        with a positive pivot), so the forms made with one dict hold each
-        distinct row and value once."""
+        to one made with it before (a row is found by its ``row_key``, an
+        entry by its numerator and denominator), so the forms made with one
+        dict hold each distinct row and value once."""
         shared = {} if shared is None else shared
-        zero = shared.setdefault(Fraction(0), Fraction(0))
+        zero = shared.setdefault((0, 1), Fraction(0))
         full = self._fully_reduced()
         pivots = tuple(sorted(full))
         rows = []
         for c in pivots:
             ints = full[c]
-            if ints[c] < 0:
-                ints = {j: -v for j, v in ints.items()}
-            key = frozenset(ints.items())
+            key = row_key((c, ints))
             row = shared.get(key)
             if row is None:
                 dense = [zero] * self.cols
+                p = ints[c]
                 for j, v in ints.items():
-                    x = Fraction(v, ints[c])
-                    dense[j] = shared.setdefault(x, x)
+                    g = gcd(v, p) if p > 0 else -gcd(v, p)
+                    x = v // g, p // g   # v / p in lowest terms
+                    dense[j] = shared.get(x) or shared.setdefault(
+                        x, Fraction(*x))
                 row = shared[key] = tuple(dense)
             rows.append(row)
         return tuple(rows), pivots

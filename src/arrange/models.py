@@ -92,7 +92,6 @@ def hyperplane_model(forms, mode="projective", ambient_dim=None) -> ArrangementM
     space, so they stay in feasibility/bounds mode with point-like stratum
     cohomology.
     """
-    forms = [(list(cov), Fraction(const)) for cov, const in forms]
     if not forms:
         raise ArrangeError("no forms")
     if ambient_dim is None:

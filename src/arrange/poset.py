@@ -10,22 +10,22 @@ poset's own flat indices and the members' atoms, so a flat keeps one index
 through the whole stalk recursion.
 
 An order is validated where it enters: ``from_abstract`` and ``from_dict``
-run ``_validate``.  A build needs no check: a linear build and a partition
-lattice both order flats by containment of member masks
-(``_containment_order``), graded since a flat is the intersection of the
-members in its mask; a partition's members are the pairs it merges.
+run ``_validate``.  A build needs no check: its order is the containment of
+member masks, graded since a flat is the intersection of the members in
+its mask; a partition's members are the pairs it merges.
 
-Linear builds enumerate flats by breadth-first closure: intersect each
-known flat with each member and deduplicate on the member mask, the set of
-members containing the result.  A linear flat is the intersection of the
-members that contain it, so that mask is its identity.  Each flat keeps an
-echelon basis of primitive integer rows, so rank, consistency and member
-containment are reductions with ``linalg.reduce_row``.  A member's
-canonical reduced row echelon form (``linalg.rref``) finds repeated
-members; a flat's key is the reduced form of the echelon basis it already
-has (``linalg.Echelon.reduced``), written once, at the end, with equal
-rows and entries shared among the flats.  This visits only actual flats
-instead of all 2^s index subsets.
+Linear builds enumerate flats by breadth-first closure over flats named by
+their member mask, the members containing them.  Each flat x keeps an
+echelon basis of primitive integer rows and reduces each member off it
+once against that basis (``linalg.reduce_row``): fully reduced with
+positive pivots, the rows left are x meet the member off x's pivots, so
+members with equal rows meet x in one flat and give its mask together.
+The order is read off these meets, each flat passing its down-set on to
+the flats it meets members in; a partition lattice runs
+``_containment_order`` instead.  A member's canonical form
+(``linalg.rref``) finds repeated members; a flat's key is the reduced form
+of its echelon basis (``linalg.Echelon.reduced``), written once, at the
+end, with equal rows and entries shared among the flats.
 
 Every build is bounded: the closure and the partition enumeration stop with
 ``TooManyFlats`` once they have made more than ``MAX_FLATS`` flats, so a
@@ -40,7 +40,7 @@ from functools import cached_property
 
 from .errors import ArrangeError
 from .linalg import (Echelon, RationalMatrix, primitive_rows, reduce_row,
-                     rref)
+                     row_key, rref)
 from .records import Frozen, Record
 
 # Most flats one build may make before it stops with TooManyFlats: 9 points
@@ -157,15 +157,15 @@ class IntersectionPoset:
         for rows in systems:
             aug = []
             for cov, const in rows:
-                cov = [Fraction(x) for x in cov]
-                if len(cov) != ncoords:
+                row = (*map(Fraction, cov), Fraction(const))
+                if len(row) != ncoords + 1:
                     raise InvalidForm(
-                        f"covector length {len(cov)} != {ncoords} coordinates")
-                if not any(cov):
+                        f"covector length {len(row) - 1} != {ncoords} coordinates")
+                if not any(row[:-1]):
                     raise InvalidForm("zero covector")
-                if mode in ("central", "projective") and Fraction(const):
+                if mode in ("central", "projective") and row[-1]:
                     raise InvalidForm(f"{mode} mode requires zero constants")
-                aug.append(tuple(cov) + (Fraction(const),))
+                aug.append(row)
             reduced, pivots = rref(aug)
             if pivots and pivots[-1] == ncoords:
                 raise InvalidForm("member system is inconsistent")
@@ -185,55 +185,60 @@ class IntersectionPoset:
             for reduced in member_rrefs]
         nmembers = len(member_rows)
 
-        # breadth-first closure, frontier order then member order; each flat
-        # has its member mask and an integer echelon basis of its rows
+        # breadth-first closure, frontier order then member order; bases[x]
+        # holds (pivot, row) pairs, kids[x] the flats x meets members in
         masks = [0]
-        bases = [{}]
+        bases = [()]
+        kids = []
         index_of = {0: 0}
         frontier = [0]
         while frontier:
             new_frontier = []
             for x in frontier:
-                basis, mask_x = bases[x], masks[x]
-                # each member's rows modulo x's basis, as echelon rows
-                # zero on its pivots, so m2 contains x meet m iff m2's
-                # reduced rows reduce to zero against m's alone
-                quotient = {}
-                for m in range(nmembers):
-                    if not mask_x >> m & 1:
-                        ech = quotient[m] = {}
-                        for row in member_rows[m]:
-                            if row := reduce_row(reduce_row(row, basis), ech):
-                                ech[min(row)] = row
-                children = []
-                for m, ech in quotient.items():
-                    if any(mask >> m & 1 and rank == len(ech)
-                           for mask, rank in children):
-                        continue  # x meets m in a flat already met
-                    if ncoords in ech:
-                        continue  # inconsistent: empty intersection
-                    if len(basis) + len(ech) > max_codim:
-                        continue  # projective: drop the cone apex
-                    mask = mask_x | 1 << m
-                    for m2, ech2 in quotient.items():
-                        if (m2 != m and len(ech2) <= len(ech) and not any(
-                                reduce_row(row, ech) for row in ech2.values())):
-                            mask |= 1 << m2
-                    children.append((mask, len(ech)))
-                    if mask not in index_of:
-                        index_of[mask] = len(masks)
-                        new_frontier.append(len(masks))
+                basis, mask_x = dict(bases[x]), masks[x]
+                groups = {}   # the flat x meets a member in -> [rows, members]
+                for m in range(nmembers) if len(basis) < max_codim else ():
+                    if mask_x >> m & 1:
+                        continue
+                    ech = {}   # m's rows modulo x's basis, zero on its pivots
+                    for row in member_rows[m]:
+                        if row := reduce_row(reduce_row(row, basis), ech):
+                            ech[min(row)] = row
+                    key = (row_key(*ech.items()) if len(ech) == 1 else
+                           frozenset(map(row_key, Echelon(
+                               ncoords + 1, ech)._fully_reduced().items())))
+                    groups.setdefault(key, [ech, 0])[1] |= 1 << m
+                kids.append(children := [])
+                for ech, members in groups.values():
+                    if ncoords in ech or len(basis) + len(ech) > max_codim:
+                        continue  # an empty meet, or the cone apex
+                    mask = mask_x | members
+                    # c >= 2: a shorter quotient inside this one joins it
+                    for ech2, members2 in groups.values() if len(ech) > 1 else ():
+                        if len(ech2) < len(ech) and not any(
+                                reduce_row(row, ech) for row in ech2.values()):
+                            mask |= members2
+                    if (child := index_of.get(mask)) is None:
+                        child = index_of[mask] = len(masks)
+                        new_frontier.append(child)
                         masks.append(mask)
-                        bases.append({**basis, **ech})
+                        bases.append(bases[x] + tuple(ech.items()))
                         if len(masks) > MAX_FLATS:
                             raise TooManyFlats(f"{mode} linear arrangement "
                                                f"of {nmembers} members")
+                    children.append(child)
             frontier = new_frontier
+
+        # by codimension, so down[x] is whole before x passes it on
+        down = [1 << i for i in range(len(masks))]
+        for x in sorted(range(len(masks)), key=lambda i: len(bases[i])):
+            for child in kids[x]:
+                down[child] |= down[x]
 
         flats = []
         shared = {}   # one object per distinct key row and key entry
         for idx, basis in enumerate(bases):
-            key, _ = Echelon(ncoords + 1, basis).reduced(shared)
+            key, _ = Echelon(ncoords + 1, dict(basis)).reduced(shared)
             flats.append(Flat(idx, len(key), ("lin", key),
                               f"F{idx}" if key else "ambient"))
 
@@ -244,8 +249,7 @@ class IntersectionPoset:
                 raise DuplicateMember("nested or repeated members")
             member_data.append((m, f"Z{m + 1}", atom))
 
-        return cls(ambient_dim, codim_c, mode, flats,
-                   _containment_order(masks, nmembers), member_data, masks)
+        return cls(ambient_dim, codim_c, mode, flats, down, member_data, masks)
 
     @classmethod
     def partition_lattice(cls, n, codim_c=1):
@@ -350,12 +354,14 @@ class IntersectionPoset:
         return up
 
     def _compute_mobius(self):
+        """mu(i) = -(sum of mu below i), by codimension: the flats below i
+        are counted in one mask per value of mu so far, which lacks i."""
         mob = [0] * len(self.flats)
+        having = {}   # value of mu -> mask of the flats with it
         for idx in sorted(range(len(self.flats)), key=lambda i: self.flats[i].codim):
-            if idx == self.bottom:
-                mob[idx] = 1
-            else:
-                mob[idx] = -sum(mob[j] for j in _bits(self.down[idx]) if j != idx)
+            mob[idx] = mu = 1 if idx == self.bottom else -sum(
+                v * (self.down[idx] & m).bit_count() for v, m in having.items())
+            having[mu] = having.get(mu, 0) | 1 << idx
         return mob
 
     def _validate(self):

@@ -164,6 +164,22 @@ def test_execute_boolean_p2(tmp_path, monkeypatch):
         {(0, 0): 1, (1, 2): 2, (2, 4): 1}
 
 
+def test_lattice_and_oracle_of_300_points_of_p1():
+    # a wide lattice: the bottom and one flat per point, each with mu = -1,
+    # and P^1 minus 300 points has Poincare polynomial 1 + 299t
+    doc = hyperplane_document([([1, -k], 0) for k in range(300)])
+    report, code = execute(parse(doc, command="lattice"))
+    assert code == EXIT_OK
+    flats = report["poset"]["flats"]
+    assert report["poset"]["flat_count"] == 301
+    assert flats["codim"] == [0] + [1] * 300
+    assert flats["mu"] == [1] + [-1] * 300
+    report, code = execute(parse(doc, command="oracle"))
+    assert code == EXIT_OK
+    assert report["oracle"]["poly"] == [1, 299]
+    assert report["oracle"]["text"] == "1 + 299t"
+
+
 def test_execute_configuration_f_p1_3(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     report, code = execute(parse(CONFIG_P1_3))

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -51,11 +52,16 @@ def test_zero_covector_rejected():
 
 
 def test_mobius_recursion_sums_to_zero():
-    p = IntersectionPoset.from_linear_forms(GENERIC3, 2, "affine")
-    for f in p.flats:
-        total = sum(p.mu(j) for j in range(len(p))
-                    if p.le(j, f.index))
-        assert total == (1 if f.index == p.bottom else 0)
+    for p in (IntersectionPoset.from_linear_forms(GENERIC3, 2, "affine"),
+              IntersectionPoset.from_linear_forms(braid_forms(5), 4,
+                                                  "projective"),
+              IntersectionPoset.from_linear_forms(coordinate_forms(4), 4,
+                                                  "projective"),
+              IntersectionPoset.partition_lattice(5)):
+        for f in p.flats:
+            total = sum(p.mu(j) for j in range(len(p))
+                        if p.le(j, f.index))
+            assert total == (1 if f.index == p.bottom else 0)
 
 
 def test_brute_force_subset_oracle():
@@ -150,6 +156,52 @@ def test_one_rref_per_member(monkeypatch, forms, ambient_dim, mode, flats):
         key = f.key[1]
         assert (key, tuple(next(j for j, v in enumerate(row) if v)
                            for row in key)) == real(key)
+
+
+def points_of_p1(m):
+    return [([1, -k], 0) for k in range(m)]
+
+
+@pytest.mark.parametrize("forms, ambient_dim, mode, most", [
+    (points_of_p1(100), 1, "projective", 200),
+    (points_of_p1(200), 1, "projective", 400),
+    (coordinate_forms(6), 6, "projective", 2240),
+    (braid_forms(5), 5, "central", 1870),
+], ids=["points_100", "points_200", "coordinate_P6", "braid_A4_central"])
+def test_reduce_row_calls_are_bounded(monkeypatch, forms, ambient_dim, mode,
+                                      most):
+    # each member is reduced once per flat it is off, and the flats at the
+    # codimension cap reduce none, so m points of P^1 cost at most 2m
+    # calls; a closure that rescans every member's quotient for each child
+    # makes 29,900 at m = 100, and 2,240 and 1,870 on coordinate P^6 and
+    # braid A4, which bound those two here
+    calls = []
+    real = poset.reduce_row
+
+    def counting(row, basis):
+        calls.append(1)
+        return real(row, basis)
+
+    monkeypatch.setattr(poset, "reduce_row", counting)
+    IntersectionPoset.from_linear_forms(forms, ambient_dim, mode)
+    assert len(calls) <= most
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+def test_shorter_quotient_inside_a_longer_one(order):
+    # in C^4, x1 = x2 = 0 meets x3 = x4 = 0 in the origin, which also lies
+    # on x1 = x3 = 0: from the flat x1 = x2 = 0 that member's quotient is
+    # the one row x3, inside the two rows x3, x4 of the other, so it joins
+    # the origin's mask from another group
+    members = [[([1, 0, 0, 0], 0), ([0, 1, 0, 0], 0)],
+               [([0, 0, 1, 0], 0), ([0, 0, 0, 1], 0)],
+               [([1, 0, 0, 0], 0), ([0, 0, 1, 0], 0)]]
+    systems = [members[i] for i in order]
+    p = IntersectionPoset.from_linear_systems(systems, 4, "central")
+    origin = next(f.index for f in p.flats if f.codim == 4)
+    assert p.member_mask(origin) == 0b111
+    assert p.to_dict() == reference_linear_poset(systems, 4,
+                                                 "central").to_dict()
 
 
 def test_linear_keys_share_equal_rows():
