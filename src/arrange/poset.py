@@ -202,7 +202,8 @@ class IntersectionPoset:
                         continue
                     ech = {}   # m's rows modulo x's basis, zero on its pivots
                     for row in member_rows[m]:
-                        if row := reduce_row(reduce_row(row, basis), ech):
+                        row = reduce_row(row, basis)
+                        if row := reduce_row(row, ech) if ech else row:
                             ech[min(row)] = row
                     key = (row_key(*ech.items()) if len(ech) == 1 else
                            frozenset(map(row_key, Echelon(

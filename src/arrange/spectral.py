@@ -11,6 +11,10 @@ and read each cell's homology dimension, the Betti numbers off the
 antidiagonals and the weight-graded pieces off the rows.  No basis of the
 limit page is picked.
 
+A cell's basis is its runs: one (flat, tokens, copies) run per stratum
+that reaches it, laid out run by run, then copy by copy, then token by
+token, so the differential finds each image's row by arithmetic.
+
 Without the differential (feasibility and bounds modes) the page still
 pins the Euler characteristic and per-degree bounds; with a target polynomial the
 admissible differential ranks form short chains along skew-rows, searched
@@ -49,66 +53,26 @@ class Infeasible(ArrangeError):
 
 
 class MalformedCell(ArrangeError):
-    """A cell's basis labels disagree with its dimension or its support."""
-
-
-class _Labels:
-    """The basis labels (flat, token, copy) of one page cell, held as runs
-    (flat, tokens, multiplicity) until a label is first read.
-
-    The length comes from the runs.  Iteration, indexing, equality and
-    hashing read the label tuple, which is expanded once, in the order
-    "run, copy, token", and then replaces the runs.  Only an explicit
-    differential reads labels, so the implicit modes never expand them.
-    """
-
-    __slots__ = ("_runs", "_len", "_labels")
-
-    def __init__(self, runs):
-        self._runs = runs
-        self._len = sum(len(tokens) * mult for _, tokens, mult in runs)
-        self._labels = None
-
-    def _expanded(self):
-        labels = self._labels
-        if labels is None:
-            labels = self._labels = tuple(
-                (flat, token, m) for flat, tokens, mult in self._runs
-                for m in range(mult) for token in tokens)
-            self._runs = None
-        return labels
-
-    def __len__(self):
-        return self._len
-
-    def __iter__(self):
-        return iter(self._expanded())
-
-    def __getitem__(self, i):
-        return self._expanded()[i]
-
-    def __eq__(self, other):
-        if isinstance(other, _Labels):
-            other = other._expanded()
-        return self._expanded() == other
-
-    def __hash__(self):
-        return hash(self._expanded())
-
-    def __repr__(self):
-        return repr(self._expanded())
+    """A cell's runs disagree with their flats' nbc sets, hold a flat twice,
+    or leave an image of the differential no place."""
 
 
 class WeightedCell(Frozen):
-    """One cell of a page; its position is its key in ``SpectralPage.cells``."""
-    __slots__ = ("dim", "weight", "basis")
+    """One cell of a page; its position is its key in ``SpectralPage.cells``.
 
-    def __init__(self, dim, weight, basis):
+    Its basis is ``runs``, one (flat, tokens, copies) run per stratum in
+    the cell, laid out run by run, then copy by copy, then token by token;
+    ``dim`` is read off the runs once.
+    """
+    __slots__ = ("weight", "runs", "dim")
+    _hidden = ("dim",)
+
+    def __init__(self, weight, runs):
         init = object.__setattr__
-        init(self, "dim", dim)
         init(self, "weight", weight)
-        # labels (flat index, monomial token, multiplicity index)
-        init(self, "basis", basis)
+        init(self, "runs", runs)
+        init(self, "dim", sum(len(tokens) * copies
+                              for _, tokens, copies in runs))
 
 
 class SpectralPage:
@@ -130,14 +94,10 @@ class SpectralPage:
         self.differential = None if differential is None else dict(differential)
         self._ranks = {}
         self._checked = False
-        for (p, q), cell in self.cells.items():
+        for _, q in self.cells:
             if q % (2 * c - 1):
                 raise ArrangeError(
                     f"cell at q={q} would violate the vanishing pattern (c={c})")
-            if cell.dim != len(cell.basis):
-                raise MalformedCell(
-                    f"cell ({p}, {q}) has dim {cell.dim} but "
-                    f"{len(cell.basis)} basis labels")
 
     def cell_dim(self, p, q):
         cell = self.cells.get((p, q))
@@ -285,9 +245,9 @@ def assemble_e2(model, dec) -> SpectralPage:
 
     Row q = 0 is the cohomology of the ambient space, the stratum of the
     bottom flat; each summand adds a row from the stratum of its support.
-    Cells carry basis labels (support, monomial token, multiplicity copy)
-    so a differential can be filled in later; they are expanded from runs
-    (support, tokens, multiplicity) only when first read.
+    Each adds one run (support, tokens, multiplicity) to every cell its
+    stratum reaches, ``tokens`` being the stratum's basis in that degree,
+    so a differential can be filled in later.
     """
     c = model.c
     rows = [(0, model.poset.bottom, 1)] + [
@@ -303,11 +263,9 @@ def assemble_e2(model, dec) -> SpectralPage:
             if tokens:
                 cells.setdefault((p, q), []).append((flat, tokens, multiplicity))
 
-    out = {}
-    for (p, q), runs in cells.items():
-        labels = _Labels(runs)
-        out[(p, q)] = WeightedCell(len(labels), p + stalk_weight(c, q), labels)
-    return SpectralPage(c, out)
+    return SpectralPage(c, {
+        (p, q): WeightedCell(p + stalk_weight(c, q), tuple(runs))
+        for (p, q), runs in cells.items()})
 
 
 def _nbc_bases(poset):
@@ -343,23 +301,21 @@ def build_differential(model, page) -> dict:
     Copy i of flat g on the page is g's i-th nbc set S, and
     d(x (x) e_S) = sum_j (-1)^j i_*(x) (x) e_(S minus s_j), with i the
     inclusion of g's stratum into that of the flat S minus s_j spans.  A
-    flat whose copies in a cell are not its nbc sets raises
-    ``MalformedCell``.  Each image is pushed forward once per
-    (``ArrangementModel.inclusion_key``, monomial), and added straight
-    into the integer rows of its block.
+    run whose copies are not its flat's nbc sets, and a target cell that
+    holds a flat in two runs or no run, raise ``MalformedCell``.  Each
+    image is pushed forward once per (``ArrangementModel.inclusion_key``,
+    monomial), and added straight into the integer rows of its block, at
+    row (run start) + copy * (run width) + (token position) of its target.
     """
     if not all(isinstance(s, ProjProduct) for s in model.strata.values()):
         raise ArrangeError("the differential needs every stratum's geometry "
                            "(a projective hyperplane or configuration model)")
     nbc, where = _nbc_bases(model.poset)
     for key, cell in page.cells.items():
-        copies = {}
-        for g, _, copy in cell.basis:
-            copies[g] = max(copies.get(g, 0), copy + 1)
-        for g, count in copies.items():
-            if count != len(nbc[g]):
+        for g, _, copies in cell.runs:
+            if copies != len(nbc[g]):
                 raise MalformedCell(
-                    f"cell {key} has {count} copies of flat {g}, which has "
+                    f"cell {key} has {copies} copies of flat {g}, which has "
                     f"{len(nbc[g])} nbc sets")
     faces = {}    # (flat, copy) -> [(sign, flat below, its copy, map key)]
     pushed = {}   # (map key, monomial) -> coefficients of the image
@@ -380,24 +336,37 @@ def build_differential(model, page) -> dict:
                 image = pushed[(key, token)] = pushforward(
                     f, f.source.monomial_class(token)).coeffs
             for exp, val in image.items():
-                yield (h, exp, at), sign * val
+                yield h, exp, at, sign * val
 
+    indexes = {}  # tokens -> {token: its position in the tuple}
     diff = {}
     for (p, q), cell in sorted(page.cells.items()):
         tkey = page.target_of(p, q)
         tcell = page.cells.get(tkey)
         if tcell is None:
             continue
-        tpos = {label: i for i, label in enumerate(tcell.basis)}
+        place, start = {}, 0  # flat -> (first row, token index, run width)
+        for h, tokens, copies in tcell.runs:
+            if h in place:
+                raise MalformedCell(f"cell {tkey} holds flat {h} in two runs")
+            index = indexes.get(tokens)
+            if index is None:
+                index = indexes[tokens] = {t: i for i, t in enumerate(tokens)}
+            place[h] = start, index, len(tokens)
+            start += len(tokens) * copies
+        columns = ((g, token, copy) for g, tokens, copies in cell.runs
+                   for copy in range(copies) for token in tokens)
         rows = {}
-        for col, label in enumerate(cell.basis):
+        for col, label in enumerate(columns):
             # distinct faces and nonzero images: each entry is set once
-            for tlabel, coef in images(*label):
-                row = tpos.get(tlabel)
-                if row is None:
+            for h, exp, at, coef in images(*label):
+                try:
+                    first, index, width = place[h]
+                    row = first + at * width + index[exp]
+                except KeyError:
                     raise MalformedCell(
-                        f"cell {tkey} has no basis label {tlabel}, the "
-                        f"image of {label} in cell {(p, q)}")
+                        f"cell {tkey} has no basis label {(h, exp, at)}, the "
+                        f"image of {label} in cell {(p, q)}") from None
                 rows.setdefault(row, {})[col] = coef
         diff[(p, q)] = RationalMatrix.of_rows(tcell.dim, cell.dim, rows)
     return diff

@@ -547,9 +547,9 @@ def enumerate_feasibility(page, target=None):
 
 
 def reference_basis_labels(model, dec):
-    """Oracle for the basis labels of ``spectral.assemble_e2``: the eager
+    """Oracle for the layout of ``spectral.assemble_e2``'s cells: the eager
     loop that wrote one (flat, token, copy) tuple per page dimension, kept
-    apart from the lazily expanded runs that replaced it.
+    apart from the runs that replaced it (``cell_labels`` expands those).
 
     The ambient row (the bottom flat's stratum) comes first, then the
     summands sorted by (level, support); each adds its copies ``for m in
@@ -684,8 +684,15 @@ def space_map(a, b, scale=1):
                     (CohClass(source, 2, {(1,): scale}),))
 
 
+def cell_labels(cell):
+    """A page cell's basis as (flat, token, copy) labels, expanded from its
+    runs in the order run, copy, token."""
+    return tuple((flat, token, copy) for flat, tokens, copies in cell.runs
+                 for copy in range(copies) for token in tokens)
+
+
 def _reference_positions(cell):
-    return {label: i for i, label in enumerate(cell.basis)}
+    return {label: i for i, label in enumerate(cell_labels(cell))}
 
 
 def reference_differential_ncd(model, page) -> dict:
@@ -716,7 +723,7 @@ def reference_differential_ncd(model, page) -> dict:
             continue
         tpos = _reference_positions(tcell)
         entries = {}
-        for col, (fi, token, _) in enumerate(cell.basis):
+        for col, (fi, token, _) in enumerate(cell_labels(cell)):
             mask = poset.member_mask(fi)
             for j, mpos in enumerate(_bits(mask)):
                 gi = mask_to_flat[mask & ~(1 << mpos)]
@@ -770,7 +777,7 @@ def reference_differential_config(model, page) -> dict:
             continue
         tpos = _reference_positions(tcell)
         entries = {}
-        for col, (fi, token, _) in enumerate(cell.basis):
+        for col, (fi, token, _) in enumerate(cell_labels(cell)):
             # copy i of the ambient collapses to the block holding point i
             block_of = {x: b for b, block in
                         enumerate(poset.flats[fi].key[1]) for x in block}
@@ -798,7 +805,7 @@ def reference_differential_config(model, page) -> dict:
                 continue
             tpos = _reference_positions(tcell)
             entries = {}
-            for col, (fi, token, mult) in enumerate(cell.basis):
+            for col, (fi, token, mult) in enumerate(cell_labels(cell)):
                 if fi != small:
                     raise MalformedCell(
                         f"cell ({p}, {q}) has a basis label on flat {fi}, "

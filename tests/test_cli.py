@@ -1157,42 +1157,6 @@ def braid_document(n):
     return doc
 
 
-@pytest.mark.parametrize("doc, flags", [
-    ({"schema_version": 1,
-      "model": {"kind": "configuration", "factor": [1], "points": 6}},
-     ["--mode", "bounds"]),
-    (braid_document(5), ["--target", "oracle"])],
-    ids=["F_P1_6_bounds", "braid_A4_target"])
-def test_implicit_modes_expand_no_basis_labels(doc, flags, tmp_path,
-                                               monkeypatch, capsys):
-    # cell dimensions and weights fix bounds and feasibility; only an
-    # explicit differential reads the basis labels
-    monkeypatch.chdir(tmp_path)
-    pages, expanded = [], []
-    real_assemble, real_expand = cli.assemble_e2, spectral._Labels._expanded
-
-    def assemble(*args, **kwargs):
-        pages.append(real_assemble(*args, **kwargs))
-        return pages[-1]
-
-    def expand(labels):
-        expanded.append(labels)
-        return real_expand(labels)
-
-    monkeypatch.setattr(cli, "assemble_e2", assemble)
-    monkeypatch.setattr(spectral._Labels, "_expanded", expand)
-    code = main(["verify", write_job(tmp_path, doc), *flags,
-                 "--format", "machine"])
-    report = json.loads(capsys.readouterr().out)
-    assert code == EXIT_OK and report["mode"] in ("bounds", "feasibility")
-    (page,) = pages
-    assert page.cells
-    assert all(type(cell.basis) is spectral._Labels
-               and cell.basis._labels is None
-               for cell in page.cells.values())
-    assert expanded == []
-
-
 def test_hyperplane_size_guard_passes_the_benchmark_sizes():
     # coordinate P^10, central braids A5 to A7 and 12 generic planes in P^3
     # build within MAX_FLATS; A7 has 28 forms of rank 7 but 4,140 flats

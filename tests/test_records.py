@@ -22,9 +22,9 @@ FROZEN = [
      Flat(3, 2, ("lin", (0, 2)), "F3")),
     (ProjProduct((1, 2)), ProjProduct([1, "2"]), ProjProduct((2, 1))),
     (space_map(1, 2), space_map(1, 2), space_map(1, 2, scale=2)),
-    (WeightedCell(1, 4, ((0, (1,), 0),)),
-     WeightedCell(1, 4, ((0, (1,), 0),)),
-     WeightedCell(1, 3, ((0, (1,), 0),))),
+    (WeightedCell(4, ((0, ((1,),), 1),)),
+     WeightedCell(4, ((0, ((1,),), 1),)),
+     WeightedCell(3, ((0, ((1,),), 1),))),
     (Summand(4, 1, 1, 2), Summand(4, 1, 1, 2), Summand(4, 1, 1, 3)),
 ]
 
