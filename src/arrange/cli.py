@@ -299,6 +299,8 @@ def _parse_forms(model):
         except (ValueError, ZeroDivisionError):
             raise SchemaError(f"model.forms[{i}].constant must be a rational "
                               f"number, got {const!r}") from None
+        _require(mode == "affine" or not const,
+                 f"model.forms[{i}].constant must be 0 in {mode} mode, got {const}")
         _require(any(row), f"{where} is zero, so it defines no hyperplane")
         if width is None:
             width = len(row)

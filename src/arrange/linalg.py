@@ -11,11 +11,10 @@ into new primitive rows and never changes a row it was given;
 ``reduce_row`` reduces one such row against an echelon basis.  That
 gives the rank, the pivot columns and the kernel basis of a matrix.
 
-``rref`` is a view of ``echelon``: the canonical Fraction form of a row
-space.  The poset layer calls it once per member, to find repeated members;
-its closure runs on integer rows with ``reduce_row``, and a flat's key is
-``Echelon.reduced`` of the echelon basis that the closure keeps, with
-equal rows and entries shared among the flats.
+The poset layer runs on these integer rows too (``primitive``,
+``reduce_row``), and a flat's key is ``Echelon.reduced`` of the echelon
+basis that its closure keeps.  ``rref`` is a view of ``echelon``: the
+canonical Fraction form of a row space.
 """
 
 from __future__ import annotations
@@ -132,19 +131,20 @@ def _primitive(row):
     return row
 
 
+def primitive(row):
+    """``row`` (column -> nonzero int or Fraction) cleared of denominators
+    and divided by the gcd of its entries; a row that is already so is
+    returned itself, so no caller may change a row it gets."""
+    if any(type(v) is not int for v in row.values()):
+        den = lcm(*(v.denominator for v in row.values()))
+        row = {j: v.numerator * (den // v.denominator)
+               for j, v in row.items()}
+    return _primitive(row)
+
+
 def primitive_rows(m):
-    """Each nonzero row of ``m`` as a dict column -> int, cleared of
-    denominators and divided by the gcd of its entries; keyed by row.  A
-    row of ``m`` that is already such an integer row is reused, not
-    copied, so no caller may change a row it gets."""
-    out = {}
-    for i, row in m.by_row.items():
-        if any(type(v) is not int for v in row.values()):
-            den = lcm(*(v.denominator for v in row.values()))
-            row = {j: v.numerator * (den // v.denominator)
-                   for j, v in row.items()}
-        out[i] = _primitive(row)
-    return out
+    """Each nonzero row of ``m`` as ``primitive`` makes it, keyed by row."""
+    return {i: primitive(row) for i, row in m.by_row.items()}
 
 
 def product_is_zero(a, b):
@@ -340,7 +340,6 @@ def rref(rows):
     """Reduced row echelon form with unit pivots, read off ``echelon``.
 
     Returns (rows, pivot_columns) with zero rows dropped, every entry a
-    Fraction.  The output is the canonical representative of the row space,
-    the form in which the poset layer compares members and keys flats.
+    Fraction: the canonical representative of the row space.
     """
     return echelon(RationalMatrix.from_rows(rows)).reduced()

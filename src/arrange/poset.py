@@ -15,17 +15,17 @@ member masks, graded since a flat is the intersection of the members in
 its mask; a partition's members are the pairs it merges.
 
 Linear builds enumerate flats by breadth-first closure over flats named by
-their member mask, the members containing them.  Each flat x keeps an
-echelon basis of primitive integer rows and reduces each member off it
-once against that basis (``linalg.reduce_row``): fully reduced with
+their member mask, the members containing them.  Members enter as
+primitive integer rows; each flat x keeps an echelon basis of such rows
+and reduces each member off it once (``_meet``): fully reduced with
 positive pivots, the rows left are x meet the member off x's pivots, so
 members with equal rows meet x in one flat and give its mask together.
+The meets with the bottom's empty basis key the members themselves.
 The order is read off these meets, each flat passing its down-set on to
 the flats it meets members in; a partition lattice runs
-``_containment_order`` instead.  A member's canonical form
-(``linalg.rref``) finds repeated members; a flat's key is the reduced form
-of its echelon basis (``linalg.Echelon.reduced``), written once, at the
-end, with equal rows and entries shared among the flats.
+``_containment_order`` instead.  A flat's key is the reduced form of its
+echelon basis (``linalg.Echelon.reduced``), written once, at the end, with
+equal rows and entries shared among the flats.
 
 Every build is bounded: the closure and the partition enumeration stop with
 ``TooManyFlats`` once they have made more than ``MAX_FLATS`` flats, so a
@@ -39,8 +39,8 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import ArrangeError
-from .linalg import (Echelon, RationalMatrix, primitive_rows, reduce_row,
-                     row_key, rref)
+# rref is not called here; benchmark/tracer.py counts calls to this name
+from .linalg import Echelon, primitive, reduce_row, row_key, rref  # noqa: F401
 from .records import Frozen, Record
 
 # Most flats one build may make before it stops with TooManyFlats: 9 points
@@ -107,6 +107,18 @@ class AdmissibilityReport(Record):
         self.note = note
 
 
+def _meet(rows, basis, cols):
+    """Primitive integer ``rows`` modulo the echelon ``basis``: the echelon
+    rows left, zero on its pivots, and their span's key (``row_key``s)."""
+    ech = {}
+    for row in rows:
+        row = reduce_row(row, basis)
+        if row := reduce_row(row, ech) if ech else row:
+            ech[min(row)] = row
+    return ech, (row_key(*ech.items()) if len(ech) == 1 else frozenset(
+        map(row_key, Echelon(cols, ech)._fully_reduced().items())))
+
+
 def _bits(mask):
     """Indices of the set bits, increasing; costs one step per set bit."""
     while mask:
@@ -153,9 +165,9 @@ class IntersectionPoset:
         if not systems:
             raise EmptyInput("no members given")
         ncoords = ambient_dim + 1 if mode == "projective" else ambient_dim
-        member_rrefs = []
+        meets = []   # each member's (echelon rows, span key)
         for rows in systems:
-            aug = []
+            ints = []
             for cov, const in rows:
                 row = (*map(Fraction, cov), Fraction(const))
                 if len(row) != ncoords + 1:
@@ -165,25 +177,20 @@ class IntersectionPoset:
                     raise InvalidForm("zero covector")
                 if mode in ("central", "projective") and row[-1]:
                     raise InvalidForm(f"{mode} mode requires zero constants")
-                aug.append(row)
-            reduced, pivots = rref(aug)
-            if pivots and pivots[-1] == ncoords:
+                ints.append(primitive({j: v for j, v in enumerate(row) if v}))
+            ech, key = _meet(ints, {}, ncoords + 1)
+            if ncoords in ech:
                 raise InvalidForm("member system is inconsistent")
-            member_rrefs.append(reduced)
-        if codim_c is None:
-            codim_c = len(member_rrefs[0])
-        for reduced in member_rrefs:
-            if len(reduced) != codim_c:
-                raise InvalidForm(
-                    f"member codimension {len(reduced)} != c = {codim_c}")
-        if len(set(member_rrefs)) != len(member_rrefs):
-            raise DuplicateMember("two members define the same subspace")
+            codim_c = len(ech) if codim_c is None else codim_c
+            if len(ech) != codim_c:
+                raise InvalidForm(f"member codimension {len(ech)} != c = {codim_c}")
+            meets.append((ech, key))
+        first = {}   # span key -> the first member with it
+        for m, (_, key) in enumerate(meets):
+            if (m0 := first.setdefault(key, m)) != m:
+                raise DuplicateMember(f"members Z{m0 + 1} and Z{m + 1} coincide")
 
         max_codim = ncoords - 1 if mode == "projective" else ncoords
-        member_rows = [
-            list(primitive_rows(RationalMatrix.from_rows(reduced)).values())
-            for reduced in member_rrefs]
-        nmembers = len(member_rows)
 
         # breadth-first closure, frontier order then member order; bases[x]
         # holds (pivot, row) pairs, kids[x] the flats x meets members in
@@ -197,18 +204,12 @@ class IntersectionPoset:
             for x in frontier:
                 basis, mask_x = dict(bases[x]), masks[x]
                 groups = {}   # the flat x meets a member in -> [rows, members]
-                for m in range(nmembers) if len(basis) < max_codim else ():
-                    if mask_x >> m & 1:
-                        continue
-                    ech = {}   # m's rows modulo x's basis, zero on its pivots
-                    for row in member_rows[m]:
-                        row = reduce_row(row, basis)
-                        if row := reduce_row(row, ech) if ech else row:
-                            ech[min(row)] = row
-                    key = (row_key(*ech.items()) if len(ech) == 1 else
-                           frozenset(map(row_key, Echelon(
-                               ncoords + 1, ech)._fully_reduced().items())))
-                    groups.setdefault(key, [ech, 0])[1] |= 1 << m
+                for m, own in enumerate(meets) if len(basis) < max_codim else ():
+                    if not mask_x >> m & 1:
+                        # the bottom meets each member in its own rows
+                        ech, key = (_meet(own[0].values(), basis, ncoords + 1)
+                                    if basis else own)
+                        groups.setdefault(key, [ech, 0])[1] |= 1 << m
                 kids.append(children := [])
                 for ech, members in groups.values():
                     if ncoords in ech or len(basis) + len(ech) > max_codim:
@@ -226,7 +227,7 @@ class IntersectionPoset:
                         bases.append(bases[x] + tuple(ech.items()))
                         if len(masks) > MAX_FLATS:
                             raise TooManyFlats(f"{mode} linear arrangement "
-                                               f"of {nmembers} members")
+                                               f"of {len(meets)} members")
                     children.append(child)
             frontier = new_frontier
 
@@ -243,12 +244,10 @@ class IntersectionPoset:
             flats.append(Flat(idx, len(key), ("lin", key),
                               f"F{idx}" if key else "ambient"))
 
-        member_data = []
-        for m in range(nmembers):
-            atom = index_of.get(1 << m)
-            if atom is None:
-                raise DuplicateMember("nested or repeated members")
-            member_data.append((m, f"Z{m + 1}", atom))
+        atoms = [index_of.get(1 << m) for m in range(len(meets))]
+        if None in atoms:
+            raise DuplicateMember("nested or repeated members")
+        member_data = [(m, f"Z{m + 1}", atom) for m, atom in enumerate(atoms)]
 
         return cls(ambient_dim, codim_c, mode, flats, down, member_data, masks)
 

@@ -1267,8 +1267,7 @@ def run_tracer(tmp_path, doc):
     (CONFIG_P1_3, {"stalks.tables", "spectral.differential", "spectral.run"},
      "stalks.content_key_calls"),
     (hyperplane_document(coordinate_forms(3)),
-     {"poset.build", "linalg.rref", "stalks.tables", "spectral.run"},
-     "poset.rref_calls"),
+     {"poset.build", "stalks.tables", "spectral.run"}, "poset.flats"),
     (hyperplane_document(random_generic_projective_forms(
         random.Random(4), 5, 2)),
      {"poset.build", "spectral.differential", "projective.pushforward",
@@ -1300,6 +1299,10 @@ def test_benchmark_tracer_runs(tmp_path, doc, spans, counter):
      lambda doc: doc["model"]["forms"][1].update(covector=["0", "1"])),
     ("model.forms[0].covector", BOOLEAN_P2,
      lambda doc: doc["model"].update(ambient=3)),
+    ("model.forms[1].constant", BOOLEAN_P2,
+     lambda doc: doc["model"]["forms"][1].update(constant="1/2")),
+    ("members Z1 and Z3 coincide", BOOLEAN_P2,
+     lambda doc: doc["model"]["forms"][2].update(covector=["-3", "0", "0"])),
     ("model.ambient", BOOLEAN_P2,
      lambda doc: doc["model"].update(ambient="1")),
     ("model.poset.flats[0].betti", ABSTRACT_PAIR,
@@ -1331,7 +1334,8 @@ def test_benchmark_tracer_runs(tmp_path, doc, spans, counter):
      lambda doc: doc.update(local_system={"exponents": ["1/2"] * 2})),
 ], ids=["options_list", "factor_string", "factor_bool", "factor_point",
         "covector_zero_denominator", "covector_zero", "covector_short",
-        "covector_off_ambient", "ambient_string",
+        "covector_off_ambient", "constant_off_affine", "duplicate_member",
+        "ambient_string",
         "betti_string", "codim_string", "order_single_key", "target_float",
         "cache_string", "hyperplane_c_bool", "configuration_c_bool",
         "exponents_for_forms", "exponents_for_pairs",

@@ -1,8 +1,10 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
+import arrange.linalg as linalg
 import arrange.poset as poset
 from arrange.errors import ArrangeError
 from arrange.poset import (DuplicateMember, EmptyInput, EmptyRestriction,
@@ -115,43 +117,58 @@ def test_member_mask_build_matches_reference_closure():
                     "rational", "parallel"}
 
 
-@pytest.mark.parametrize("systems, ambient_dim, mode", [
-    ([], 2, "affine"),
-    ([[([0, 0], 1)]], 2, "affine"),
-    ([[([1, 0, 0], 0)]], 2, "affine"),
-    ([[([1, 0], 0)], [([2, 0], 0)]], 2, "central"),
-    ([[([1, 0], 1)]], 2, "central"),
-    ([[([1, 0], 0), ([1, 0], 1)]], 2, "affine"),
-    ([[([1, 0], 0), ([0, 1], 0)], [([1, 0], 0)]], 2, "central"),
-    ([[([1, 0], 0), ([0, 1], 0)]], 1, "projective"),
+@pytest.mark.parametrize("systems, ambient_dim, mode, error", [
+    ([], 2, "affine", EmptyInput),
+    ([[([0, 0], 1)]], 2, "affine", InvalidForm),
+    ([[([1, 0, 0], 0)]], 2, "affine", InvalidForm),
+    ([[([1, 0], 0)], [([2, 0], 0)]], 2, "central", DuplicateMember),
+    ([[([1, 0], 1)]], 2, "central", InvalidForm),
+    ([[([1, 0], 0), ([1, 0], 1)]], 2, "affine", InvalidForm),
+    ([[([1, 0], 0), ([0, 1], 0)], [([1, 0], 0)]], 2, "central", InvalidForm),
+    ([[([1, 0], 0), ([0, 1], 0)]], 1, "projective", DuplicateMember),
+    # one plane of C^3 by two bases, (x, y) and (x + y, 2y)
+    ([[([1, 0, 0], 0), ([0, 1, 0], 0)], [([1, 1, 0], 0), ([0, 2, 0], 0)]],
+     3, "central", DuplicateMember),
+    # a rational form and its cleared integer multiple
+    ([[([Fraction(1, 2), Fraction(1, 3)], 0)], [([3, 2], 0)]], 2, "central",
+     DuplicateMember),
 ], ids=["empty", "zero_covector", "wrong_length", "duplicate",
         "central_constant", "inconsistent_member",
-        "codim_mismatch", "member_is_cone_apex"])
-def test_rejections_match_reference_closure(systems, ambient_dim, mode):
-    expected = _build(reference_linear_poset, systems, ambient_dim, mode)
-    assert isinstance(expected, type)
+        "codim_mismatch", "member_is_cone_apex",
+        "duplicate_plane_other_basis", "duplicate_cleared_multiple"])
+def test_rejections_match_reference_closure(systems, ambient_dim, mode, error):
+    assert _build(reference_linear_poset, systems, ambient_dim, mode) is error
     assert _build(IntersectionPoset.from_linear_systems,
-                  systems, ambient_dim, mode) is expected
+                  systems, ambient_dim, mode) is error
 
 
 @pytest.mark.parametrize("forms, ambient_dim, mode, flats", [
     (coordinate_forms(6), 6, "projective", 127),
     (braid_forms(5), 5, "central", 52),
 ], ids=["coordinate_P6", "braid_A4_central"])
-def test_one_rref_per_member(monkeypatch, forms, ambient_dim, mode, flats):
-    # a flat's key is the reduced form of the echelon basis the closure
-    # keeps, so no flat runs a fresh elimination
+def test_build_runs_no_rref(monkeypatch, forms, ambient_dim, mode, flats):
+    # members enter as primitive integer rows and are keyed like the
+    # closure's meets, and a flat's key is the reduced form of the echelon
+    # basis the closure keeps: the build runs no fresh elimination and
+    # makes no matrix
     calls = []
     real = poset.rref
 
-    def counting(rows):
-        calls.append(1)
-        return real(rows)
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(poset, "rref", counting)
+    monkeypatch.setattr(poset, "rref", counting(real))
+    monkeypatch.setattr(linalg, "primitive_rows",
+                        counting(linalg.primitive_rows))
+    monkeypatch.setattr(linalg.RationalMatrix, "__init__",
+                        counting(linalg.RationalMatrix.__init__))
     p = IntersectionPoset.from_linear_forms(forms, ambient_dim, mode)
     assert len(p) == flats
-    assert len(calls) == len(p.members)
+    assert calls == []
+    monkeypatch.undo()
     for f in p.flats:
         key = f.key[1]
         assert (key, tuple(next(j for j, v in enumerate(row) if v)
