@@ -19,8 +19,7 @@ from .polys import IntPoly
 from .poset import (AdmissibilityReport, DuplicateMember, EmptyInput,
                     EmptyRestriction, Flat, IntersectionPoset, LastMember,
                     Member)
-from .projective import (CohClass, DegreeMismatch, NegativeCodim, ProjProduct,
-                         SpaceMap, SpaceMismatch, power_inclusion, pushforward)
+from .projective import ProjProduct, pushforward
 from .spectral import (FeasibilityResult, Infeasible, MalformedCell,
                        MissingStratumData, NotComposable, RunResult,
                        SpectralPage, WeightTable, WeightViolation,

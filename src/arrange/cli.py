@@ -279,6 +279,9 @@ def _parse_forms(model):
     malformed form raises ``SchemaError`` naming its field.  Every covector
     has the length of the first, or ``model.ambient`` (+1 if projective)."""
     mode, ambient = model.get("mode", "projective"), model.get("ambient")
+    _require(mode != "projective" or ambient != 0,
+             "model.ambient must be >= 1 in projective mode: P^0 has no "
+             "hyperplanes")
     width = None if ambient is None else ambient + (mode == "projective")
     forms = []
     for i, entry in enumerate(model["forms"]):
@@ -303,6 +306,8 @@ def _parse_forms(model):
                  f"model.forms[{i}].constant must be 0 in {mode} mode, got {const}")
         _require(any(row), f"{where} is zero, so it defines no hyperplane")
         if width is None:
+            _require(mode != "projective" or len(row) > 1,
+                     f"{where} has 1 entry: P^0 has no hyperplanes")
             width = len(row)
         _require(len(row) == width,
                  f"{where} has {len(row)} entries; " + (

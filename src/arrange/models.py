@@ -5,7 +5,9 @@ machinery reads: the common member codimension c and one ``strata`` map
 from every flat to its stratum, a ``ProjProduct`` where the geometry is
 known and a Betti tuple otherwise.  The bottom flat's stratum is the
 ambient space.  Inclusions of strata are made only when a differential
-asks for them.  Projective hyperplane models and configuration models,
+asks for them, each as (source, target, pulls): the source factor that
+each target generator pulls back to, or ``None`` on a point (see
+``projective``).  Projective hyperplane models and configuration models,
 diagonal arrangements in a power of a projective product, have the
 geometry that ``spectral.build_differential`` needs; ``explicit`` says
 whether a run uses it by default.  Abstract models carry user-declared
@@ -20,7 +22,7 @@ from math import prod
 from .errors import ArrangeError, NotRankOne
 from .polys import IntPoly
 from .poset import IntersectionPoset
-from .projective import ProjProduct, SpaceMap, power_inclusion
+from .projective import ProjProduct
 from .records import Record
 
 
@@ -63,16 +65,21 @@ class ArrangementModel(Record):
 
     def inclusion(self, src, dst):
         """Inclusion of flat ``src``'s stratum into that of ``dst``, a flat
-        below it, made on each call: only an explicit differential reads
-        it.  ``inclusion(flat, poset.bottom)`` goes into the ambient space."""
+        below it, as (source, target, pulls), made on each call: only an
+        explicit differential reads it.  ``pulls[t]`` is the source factor
+        that target generator t pulls back to, or ``None`` on a point.
+        ``inclusion(flat, poset.bottom)`` goes into the ambient space."""
         key = self.inclusion_key(src, dst)
+        source, target = self.strata[src], self.strata[dst]
         if self.kind == "configuration":
-            return power_inclusion(self.factor, key)
+            # factor i of copy c is factor i of c's block, unless a point
+            dims = self.factor.factor_dims
+            return source, target, tuple(
+                None if d == 0 else block * len(dims) + i
+                for block in key for i, d in enumerate(dims))
         # projective subspaces: the hyperplane class restricts to the
         # hyperplane class, or to zero on a point
-        sgeom, dgeom = self.strata[src], self.strata[dst]
-        images = tuple(sgeom.generator(i) for i in range(dgeom.nfactors))
-        return SpaceMap(sgeom, dgeom, images)
+        return source, target, (None if source.dim == 0 else 0,)
 
 
 def _detect_ncd(poset):

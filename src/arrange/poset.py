@@ -246,7 +246,8 @@ class IntersectionPoset:
 
         atoms = [index_of.get(1 << m) for m in range(len(meets))]
         if None in atoms:
-            raise DuplicateMember("nested or repeated members")
+            # repeated members are refused above, so only the apex is left
+            raise DuplicateMember(f"Z{atoms.index(None) + 1} is the cone apex")
         member_data = [(m, f"Z{m + 1}", atom) for m, atom in enumerate(atoms)]
 
         return cls(ambient_dim, codim_c, mode, flats, down, member_data, masks)

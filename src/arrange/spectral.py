@@ -302,10 +302,12 @@ def build_differential(model, page) -> dict:
     d(x (x) e_S) = sum_j (-1)^j i_*(x) (x) e_(S minus s_j), with i the
     inclusion of g's stratum into that of the flat S minus s_j spans.  A
     run whose copies are not its flat's nbc sets, and a target cell that
-    holds a flat in two runs or no run, raise ``MalformedCell``.  Each
-    image is pushed forward once per (``ArrangementModel.inclusion_key``,
-    monomial), and added straight into the integer rows of its block, at
-    row (run start) + copy * (run width) + (token position) of its target.
+    holds a flat in two runs or no run, raise ``MalformedCell``.  A
+    monomial's image along the inclusion's pulls map is made once per
+    (``ArrangementModel.inclusion_key``, monomial).  Each image monomial
+    has coefficient 1, so the face's sign goes straight into the integer
+    rows of its block, at row (run start) + copy * (run width) + (token
+    position) of its target.
     """
     if not all(isinstance(s, ProjProduct) for s in model.strata.values()):
         raise ArrangeError("the differential needs every stratum's geometry "
@@ -318,7 +320,7 @@ def build_differential(model, page) -> dict:
                     f"cell {key} has {copies} copies of flat {g}, which has "
                     f"{len(nbc[g])} nbc sets")
     faces = {}    # (flat, copy) -> [(sign, flat below, its copy, map key)]
-    pushed = {}   # (map key, monomial) -> coefficients of the image
+    pushed = {}   # (map key, monomial) -> monomials of the image
 
     def images(g, token, copy):
         face = faces.get((g, copy))
@@ -332,11 +334,10 @@ def build_differential(model, page) -> dict:
         for sign, h, at, key in face:
             image = pushed.get((key, token))
             if image is None:
-                f = model.inclusion(g, h)
                 image = pushed[(key, token)] = pushforward(
-                    f, f.source.monomial_class(token)).coeffs
-            for exp, val in image.items():
-                yield h, exp, at, sign * val
+                    model.inclusion(g, h), token)
+            for exp in image:
+                yield h, exp, at, sign
 
     indexes = {}  # tokens -> {token: its position in the tuple}
     diff = {}

@@ -13,9 +13,8 @@ from arrange.errors import ArrangeError
 from arrange.linalg import RationalMatrix, eliminate, primitive_rows
 from arrange.poset import (DuplicateMember, EmptyInput, Flat,
                            IntersectionPoset, InvalidForm, _bits)
-from arrange.projective import (CohClass, DegreeMismatch, NegativeCodim,
-                                ProjProduct, SpaceMap, SpaceMismatch,
-                                power_inclusion)
+from arrange.projective import ProjProduct
+from arrange.records import Frozen
 from arrange.spectral import FeasibilityResult, Infeasible, MalformedCell
 from arrange.stalks import PointwiseReport
 
@@ -587,7 +586,118 @@ def reference_basis_labels(model, dec):
 
 # The cohomology ring of a product of projective spaces, and the Gysin map
 # defined by Poincare duality: the algebra that ``projective.pushforward``'s
-# exponent rule replaced, kept as its oracle.
+# exponent rule replaced, kept as its oracle.  A class is a validated
+# integer combination of exponent tuples, and a map is recorded by the
+# pullbacks of the target's generators, so any ring map can be written.
+
+class SpaceMismatch(ArrangeError):
+    pass
+
+
+class DegreeMismatch(ArrangeError):
+    pass
+
+
+class NegativeCodim(ArrangeError):
+    pass
+
+
+class CohClass:
+    """Homogeneous cohomology class on a ProjProduct."""
+
+    __slots__ = ("space", "degree", "coeffs")
+
+    def __init__(self, space, degree, coeffs):
+        if degree < 0 or degree % 2:
+            raise DegreeMismatch(f"degree must be even and >= 0, got {degree}")
+        self.space = space
+        self.degree = degree
+        self.coeffs = {}
+        box = space.factor_dims
+        for exp, c in coeffs.items():
+            if not c:
+                continue
+            if len(exp) != space.nfactors or any(
+                    a < 0 or a > n for a, n in zip(exp, box)):
+                raise SpaceMismatch(f"exponent {exp} outside {space}")
+            if 2 * sum(exp) != degree:
+                raise DegreeMismatch(
+                    f"monomial {exp} has degree {2 * sum(exp)}, class says {degree}")
+            self.coeffs[exp] = c
+
+    def is_zero(self):
+        return not self.coeffs
+
+    def __eq__(self, other):
+        return (isinstance(other, CohClass) and self.space == other.space
+                and self.degree == other.degree and self.coeffs == other.coeffs)
+
+    def __repr__(self):
+        if not self.coeffs:
+            return "0"
+        parts = []
+        for exp in sorted(self.coeffs):
+            c = self.coeffs[exp]
+            mono = "*".join(f"h{i + 1}^{a}" if a > 1 else f"h{i + 1}"
+                            for i, a in enumerate(exp) if a)
+            mono = mono or "1"
+            parts.append(mono if c == 1 else f"{c}*{mono}")
+        return " + ".join(parts)
+
+
+class SpaceMap(Frozen):
+    """Algebraic map recorded by the pullbacks of the target's generators."""
+
+    __slots__ = ("source", "target", "generator_images")
+
+    def __init__(self, source, target, generator_images):
+        if len(generator_images) != target.nfactors:
+            raise SpaceMismatch("need one generator image per target factor")
+        for img in generator_images:
+            if img.space != source or img.degree != 2:
+                raise SpaceMismatch("generator images must be degree-2 source classes")
+        init = object.__setattr__
+        init(self, "source", source)
+        init(self, "target", target)
+        init(self, "generator_images", generator_images)
+
+    @property
+    def codim(self):
+        return self.target.dim - self.source.dim
+
+
+def monomial_class(space, expts):
+    """The monomial with exponent tuple ``expts``, coefficient 1."""
+    expts = tuple(int(a) for a in expts)
+    return CohClass(space, 2 * sum(expts), {expts: 1})
+
+
+def generator_class(space, i):
+    """Degree-2 hyperplane class of factor i (zero if the factor is a point)."""
+    if space.factor_dims[i] == 0:
+        return CohClass(space, 2, {})
+    return monomial_class(space, [j == i for j in range(space.nfactors)])
+
+
+def generator_map(f):
+    """The inclusion f = (source, target, pulls) of ``projective`` as a
+    ``SpaceMap``: target generator t pulls back to source generator
+    ``pulls[t]``, or to zero where that is ``None``."""
+    source, target, pulls = f
+    return SpaceMap(source, target, tuple(
+        CohClass(source, 2, {}) if s is None else generator_class(source, s)
+        for s in pulls))
+
+
+def power_map(base, copy_to_block):
+    """The multi-diagonal inclusion base^(#blocks) -> base^(#copies) that
+    sends copy i into block ``copy_to_block[i]``, on generators."""
+    m, dims = base.nfactors, base.factor_dims
+    return generator_map((ProjProduct(dims * (max(copy_to_block) + 1)),
+                          ProjProduct(dims * len(copy_to_block)),
+                          tuple(b * m + i for b in copy_to_block
+                                for i in range(m))))
+
 
 def reference_add(a, b):
     """Sum of two classes of equal space and degree."""
@@ -617,7 +727,7 @@ def reference_pullback(f, a):
     """Ring pullback: substitute the generator images and expand."""
     if a.space != f.target:
         raise SpaceMismatch("class does not live on the map's target")
-    out = f.source.zero(a.degree)
+    out = CohClass(f.source, a.degree, {})
     for exp, c in a.coeffs.items():
         term = CohClass(f.source, 0, {(0,) * f.source.nfactors: c})
         for img, e in zip(f.generator_images, exp):
@@ -634,7 +744,7 @@ def reference_pair(a, b):
     if a.degree + b.degree != 2 * a.space.dim:
         raise DegreeMismatch(
             f"degrees {a.degree}+{b.degree} != 2*dim = {2 * a.space.dim}")
-    return reference_cup(a, b).coeffs.get(a.space.top(), 0)
+    return reference_cup(a, b).coeffs.get(a.space.factor_dims, 0)
 
 
 def reference_pushforward(f, a):
@@ -646,12 +756,12 @@ def reference_pushforward(f, a):
         raise NegativeCodim(f"pushforward needs codim >= 0, got {f.codim}")
     target = f.target
     degree = a.degree + 2 * f.codim
-    top = target.top()
+    top = target.factor_dims
     out = {}
     for mono in target.monomials(degree // 2):
         dual = tuple(t - m for t, m in zip(top, mono))
         out[mono] = reference_pair(
-            a, reference_pullback(f, target.monomial_class(dual)))
+            a, reference_pullback(f, monomial_class(target, dual)))
     return CohClass(target, degree, out)
 
 
@@ -670,7 +780,7 @@ def one_class(space):
 
 def generator_classes(space):
     """The hyperplane class of each factor of a ``ProjProduct``."""
-    return tuple(space.generator(i) for i in range(space.nfactors))
+    return tuple(generator_class(space, i) for i in range(space.nfactors))
 
 
 def reference_identity(space):
@@ -728,9 +838,9 @@ def reference_differential_ncd(model, page) -> dict:
             for j, mpos in enumerate(_bits(mask)):
                 gi = mask_to_flat[mask & ~(1 << mpos)]
                 sign = -1 if j % 2 else 1
-                inc = model.inclusion(fi, gi)
+                inc = generator_map(model.inclusion(fi, gi))
                 image = reference_pushforward(
-                    inc, model.strata[fi].monomial_class(token))
+                    inc, monomial_class(model.strata[fi], token))
                 for exp, val in image.coeffs.items():
                     row = tpos[(gi, exp, 0)]
                     s = entries.get((row, col), Fraction(0)) + sign * val
@@ -781,10 +891,10 @@ def reference_differential_config(model, page) -> dict:
             # copy i of the ambient collapses to the block holding point i
             block_of = {x: b for b, block in
                         enumerate(poset.flats[fi].key[1]) for x in block}
-            inc = power_inclusion(model.factor,
-                                  [block_of[i] for i in range(1, n + 1)])
+            inc = power_map(model.factor,
+                            [block_of[i] for i in range(1, n + 1)])
             image = reference_pushforward(
-                inc, model.strata[fi].monomial_class(token))
+                inc, monomial_class(model.strata[fi], token))
             for exp, val in image.coeffs.items():
                 row = tpos[(poset.bottom, exp, 0)]
                 entries[(row, col)] = entries.get((row, col), Fraction(0)) + val
@@ -793,7 +903,7 @@ def reference_differential_config(model, page) -> dict:
     if n == 3:
         small = next(f.index for f in poset.flats if f.codim == 2 * c)
         factor = model.factor
-        delta = power_inclusion(factor, [0, 0])   # Y -> Y^2 diagonal
+        delta = power_map(factor, [0, 0])   # Y -> Y^2 diagonal
         coeffs = {pf: _REFERENCE_TRIPLE_MULT[i]
                   for i, pf in enumerate(pair_flats)}
         for (p, q), cell in sorted(page.cells.items()):
@@ -810,7 +920,7 @@ def reference_differential_config(model, page) -> dict:
                     raise MalformedCell(
                         f"cell ({p}, {q}) has a basis label on flat {fi}, "
                         f"not on the small diagonal {small}")
-                image = reference_pushforward(delta, factor.monomial_class(token))
+                image = reference_pushforward(delta, monomial_class(factor, token))
                 for pf in pair_flats:
                     coef = coeffs[pf][mult]
                     if not coef:

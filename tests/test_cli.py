@@ -187,6 +187,20 @@ def test_execute_configuration_f_p1_3(tmp_path, monkeypatch):
     assert report["betti"] == [1, 0, 0, 1]
 
 
+def test_verify_configuration_with_a_point_factor(tmp_path, monkeypatch):
+    # P^1 x P^0 is P^1, so F(P^1 x P^0, 3) is F(P^1, 3); its explicit run
+    # pushes forward along inclusions that pull each point factor to zero
+    monkeypatch.chdir(tmp_path)
+    doc = copy.deepcopy(CONFIG_P1_3)
+    doc["model"]["factor"] = [1, 0]
+    report, code = execute(parse(doc, command="verify"))
+    expected, _ = execute(parse(CONFIG_P1_3, command="verify"))
+    assert code == EXIT_OK and report["mode"] == "explicit"
+    assert report["betti"] == expected["betti"] == [1, 0, 0, 1]
+    assert report["weight_table"] == expected["weight_table"] == [
+        {"k": 0, "w": 0, "dim": 1}, {"k": 3, "w": 4, "dim": 1}]
+
+
 def hyperplane_document(forms):
     return {"schema_version": 1,
             "model": {"kind": "hyperplane", "mode": "projective",
@@ -1305,6 +1319,10 @@ def test_benchmark_tracer_runs(tmp_path, doc, spans, counter):
      lambda doc: doc["model"]["forms"][2].update(covector=["-3", "0", "0"])),
     ("model.ambient", BOOLEAN_P2,
      lambda doc: doc["model"].update(ambient="1")),
+    ("model.forms[0].covector", BOOLEAN_P2,
+     lambda doc: doc["model"].update(forms=[{"covector": ["1"]}])),
+    ("model.ambient", BOOLEAN_P2,
+     lambda doc: doc["model"].update(forms=[{"covector": ["1"]}], ambient=0)),
     ("model.poset.flats[0].betti", ABSTRACT_PAIR,
      lambda doc: doc["model"]["poset"]["flats"][0].update(betti=["x"])),
     ("model.poset.flats[0].codim", ABSTRACT_PAIR,
@@ -1335,7 +1353,7 @@ def test_benchmark_tracer_runs(tmp_path, doc, spans, counter):
 ], ids=["options_list", "factor_string", "factor_bool", "factor_point",
         "covector_zero_denominator", "covector_zero", "covector_short",
         "covector_off_ambient", "constant_off_affine", "duplicate_member",
-        "ambient_string",
+        "ambient_string", "cone_apex", "cone_apex_ambient",
         "betti_string", "codim_string", "order_single_key", "target_float",
         "cache_string", "hyperplane_c_bool", "configuration_c_bool",
         "exponents_for_forms", "exponents_for_pairs",

@@ -35,9 +35,9 @@ def test_coordinate_model_is_ncd():
             for f in flats:
                 assert m.strata[f.index] == ProjProduct((n - k,))
         for f in m.poset.flats:
-            inc = m.inclusion(f.index, m.poset.bottom)
-            assert inc.source == m.strata[f.index]
-            assert inc.target == ProjProduct((n,))
+            source, target, _ = m.inclusion(f.index, m.poset.bottom)
+            assert source == m.strata[f.index]
+            assert target == ProjProduct((n,))
 
 
 @pytest.mark.parametrize("mode, ambient", [
@@ -100,10 +100,11 @@ def test_configuration_stratum_dimensions():
         m = configuration_model(ProjProduct(dims), n)
         ambient = ProjProduct(dims * n)
         for f in m.poset.flats:
-            geom, inc = m.strata[f.index], m.inclusion(f.index, m.poset.bottom)
+            geom = m.strata[f.index]
+            source, target, _ = m.inclusion(f.index, m.poset.bottom)
             assert geom.dim == ambient.dim - f.codim
-            assert inc.source == geom
-            assert inc.target == ambient
+            assert source == geom
+            assert target == ambient
 
 
 def test_configuration_model_makes_no_inclusion(monkeypatch):
@@ -114,12 +115,14 @@ def test_configuration_model_makes_no_inclusion(monkeypatch):
         calls.append(args)
         return real(*args)
 
-    real = models.power_inclusion
-    monkeypatch.setattr(models, "power_inclusion", counting)
+    real = models.ArrangementModel.inclusion
+    monkeypatch.setattr(models.ArrangementModel, "inclusion", counting)
     m = configuration_model(ProjProduct((1,)), 5)
     assert len(m.strata) == len(m.poset) == 52
     assert calls == []
-    m.inclusion(m.poset.bottom, m.poset.bottom)
+    ambient = m.strata[m.poset.bottom]
+    assert m.inclusion(m.poset.bottom, m.poset.bottom) == (
+        ambient, ambient, (0, 1, 2, 3, 4))
     assert len(calls) == 1
 
 

@@ -6,12 +6,12 @@ import pytest
 from arrange.cli import JobSpec
 from arrange.models import ArrangementModel, MonReport
 from arrange.poset import AdmissibilityReport, Flat, IntersectionPoset, Member
-from arrange.projective import ProjProduct, SpaceMap
+from arrange.projective import ProjProduct
 from arrange.spectral import FeasibilityResult, RunResult, WeightedCell
 import arrange.stalks as stalks_mod
 from arrange.stalks import (PointwiseReport, SheafDecomposition, StalkTable,
                             Summand)
-from helpers import run_child, space_map
+from helpers import SpaceMap, run_child, space_map
 
 
 # per frozen class: two records built apart with equal fields, and a third
@@ -50,7 +50,8 @@ def test_frozen_records_compare_and_hash_by_fields(a, b, other):
     assert a != other and other != a
     assert a != tuple(getattr(a, n) for n in type(a).__slots__)
     if isinstance(a, SpaceMap):
-        # its generator images are cohomology classes, which do not hash
+        # the oracle's map: its generator images are cohomology classes,
+        # which do not hash
         with pytest.raises(TypeError):
             hash(a)
     else:
