@@ -838,9 +838,14 @@ def reference_differential_ncd(model, page) -> dict:
             for j, mpos in enumerate(_bits(mask)):
                 gi = mask_to_flat[mask & ~(1 << mpos)]
                 sign = -1 if j % 2 else 1
-                inc = generator_map(model.inclusion(fi, gi))
+                # a linear subspace: the hyperplane class restricts to the
+                # hyperplane class (to zero on a point), made here, not
+                # read from the model's inclusion
+                source = model.strata[fi]
+                inc = SpaceMap(source, model.strata[gi],
+                               (generator_class(source, 0),))
                 image = reference_pushforward(
-                    inc, monomial_class(model.strata[fi], token))
+                    inc, monomial_class(source, token))
                 for exp, val in image.coeffs.items():
                     row = tpos[(gi, exp, 0)]
                     s = entries.get((row, col), Fraction(0)) + sign * val
