@@ -22,11 +22,11 @@ from .poset import (AdmissibilityReport, DuplicateMember, EmptyInput,
 from .projective import ProjProduct, pushforward
 from .spectral import (FeasibilityResult, Infeasible, MalformedCell,
                        MissingStratumData, NotComposable, RunResult,
-                       SpectralPage, WeightTable, WeightViolation,
-                       WeightedCell, assemble_e2, build_differential,
-                       feasibility, run, skew_row_homology)
+                       SpectralPage, WeightedCell, assemble_e2,
+                       build_differential, feasibility, run,
+                       skew_row_homology)
 from .stalks import (InconsistentDecomposition, PointwiseReport,
-                     RecursionDepthExceeded, SheafDecomposition, StalkTable,
-                     Summand, decompose, stalk_tables, verify_pointwise)
+                     RecursionDepthExceeded, SheafDecomposition, Summand,
+                     decompose, stalk_tables, verify_pointwise)
 
 __version__ = "0.1.0"

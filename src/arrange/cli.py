@@ -17,11 +17,10 @@ whose entry i belongs to flat i, and ``stalks[i]`` is flat i's stalk as
 a list by level.  ``decomposition`` is ``{"support", "level",
 "multiplicity"}``, three lists with one entry per summand.  Degrees and
 weights are not written: with c = ``poset.codim_c``, ``stalks[i][l]`` and
-a summand of level l sit in degree (2c-1)*l, and a stalk in degree k has
-weight 2ck // (2c-1) (``stalks.level_degree`` and
-``stalks.stalk_weight``), which ``render_human`` applies.  ``stalks`` is
-written once the pointwise verdict has passed; a failed one lists each
-stalk that the split misses, one off those degrees too.
+a summand of level l sit in degree (2c-1)*l with weight 2c*l
+(``stalks.level_degree`` and ``stalks.level_weight``), which
+``render_human`` applies.  ``stalks`` is written once the pointwise
+verdict has passed; a failed one lists each stalk that the split misses.
 
 A verdict compares values made by independent code, and each can fail:
 the flats' codimensions with the member codimension (``admissible``),
@@ -31,8 +30,8 @@ numbers and weights with the Orlik-Solomon count and purity.  The report
 holds one verdict list from the start.  A failed ``admissible``,
 ``pointwise_decomposition`` or ``euler_oracle`` verdict ends the run there,
 before the next stage builds on what it checked.  There is no vanishing
-verdict: the stalk recursion puts stalks only in degrees (2c-1)*l by its
-construction.
+verdict: the stalk recursion keys its tables by level, so it puts stalks
+only in degrees (2c-1)*l by its construction.
 
 Exit codes: 0 ok, 2 verification mismatch or a feasibility search left
 undecided at its split budget (``spectral.FEASIBILITY_BUDGET``),
@@ -66,7 +65,7 @@ from .spectral import (Infeasible, assemble_e2,  # noqa: F401
                        build_differential, feasibility, run,
                        skew_row_homology)
 from .stalks import (InconsistentDecomposition, decompose,  # noqa: F401
-                     level_degree, stalk_tables, stalk_weight,
+                     level_degree, level_weight, stalk_tables,
                      verify_pointwise)
 
 # benchmark/tracer.py wraps these two names as its spectral.differential
@@ -369,25 +368,16 @@ class ResultCache:
 
 def _stalks_section(poset, tables):
     """Flat i's stalk at index i, as a list whose entry l is the dimension
-    in degree (2c-1)*l; flats with one stalk share one list.  A degree
-    off that grid has no place in the list, so it is refused, not
-    dropped."""
-    step = level_degree(poset.codim_c, 1)
+    at level l; flats with one stalk share one list."""
     shared = {}
     section = []
     for f in poset.flats:
-        stalk = tuple(sorted(tables[f.index].dims.items()))
+        stalk = tuple(sorted(tables[f.index].items()))
         levels = shared.get(stalk)
         if levels is None:
-            levels = [0] * (stalk[-1][0] // step + 1)
-            for k, v in stalk:
-                level, off = divmod(k, step)
-                if off:
-                    raise ArrangeError(
-                        f"stalk of flat {f.display} has dimension {v} in "
-                        f"degree {k}, not a multiple of 2c-1 = {step}")
+            levels = shared[stalk] = [0] * (stalk[-1][0] + 1)
+            for level, v in stalk:
                 levels[level] = v
-            shared[stalk] = levels
         section.append(levels)
     return section
 
@@ -395,7 +385,7 @@ def _stalks_section(poset, tables):
 def _page_section(page, dims):
     """The cells of ``dims`` ((p, q) -> nonzero dim), with the weights of
     the page's cells at those places, and their Euler characteristic."""
-    cells = [{"p": p, "q": q, "dim": d, "weight": page.cells[(p, q)].weight}
+    cells = [{"p": p, "q": q, "dim": d, "weight": page.weight(p, q)}
              for (p, q), d in sorted(dims.items())]
     return {"cells": cells,
             "euler": sum((-1) ** (p + q) * d for (p, q), d in dims.items())}
@@ -488,8 +478,7 @@ def execute(job: JobSpec) -> tuple:
         "multiplicity": [s.multiplicity for s in dec.summands]}
     report["pointwise"] = {"ok": pw.ok, "mismatches": pw.mismatches}
     if not verdict("pointwise_decomposition", pw.ok):
-        # the mismatches name each stalk that the split misses, one off the
-        # (2c-1)*l degrees as well, which has no place in a stalks column
+        # the mismatches name each stalk that the split misses
         return report, EXIT_MISMATCH
     report["stalks"] = _stalks_section(poset, tables)
     del tables, pw
@@ -543,7 +532,8 @@ def execute(job: JobSpec) -> tuple:
         report["betti_text"] = str(res.betti)
         report["euler"] = res.euler
         report["weight_table"] = [
-            {"k": k, "w": w, "dim": d} for (k, w), d in res.weights.items()]
+            {"k": k, "w": w, "dim": d}
+            for (k, w), d in sorted(res.weights.items())]
         if oracle_poly is not None:
             match = res.betti == oracle_poly
             report["oracle"]["match"] = match
@@ -689,9 +679,8 @@ def render_human(report: dict) -> str:
     if "stalks" in report:
         out.append("stalk tables (degree: dim, weight):")
         for i, levels in enumerate(report["stalks"]):
-            degrees = [(level_degree(c, l), d)
-                       for l, d in enumerate(levels) if d]
-            pieces = [f"{k}: {d}, w{stalk_weight(c, k)}" for k, d in degrees]
+            pieces = [f"{level_degree(c, l)}: {d}, w{level_weight(c, l)}"
+                      for l, d in enumerate(levels) if d]
             out.append(f"  {display[i]} (codim {codim[i]}): "
                        + "; ".join(pieces))
     if "decomposition" in report:
@@ -700,9 +689,8 @@ def render_human(report: dict) -> str:
         rows = []
         for i, level, mult in zip(dec["support"], dec["level"],
                                   dec["multiplicity"]):
-            degree = level_degree(c, level)
-            rows.append((display[i], level, degree, mult,
-                         stalk_weight(c, degree)))
+            rows.append((display[i], level, level_degree(c, level), mult,
+                         level_weight(c, level)))
         out.extend("  " + ln for ln in _table(rows, ["support", "level", "degree", "mult", "weight"]))
     if "pointwise" in report:
         pw = report["pointwise"]

@@ -1,15 +1,16 @@
 """Second-page assembly, the single differential, and weight extraction.
 
-The page of a c-codimensional model has nonzero rows only at q = (2c-1)*l;
-the cell at (p, q) is pure of weight p + 2c*l, and the only differential
-that can be nonzero is the one of bidegree (2c, 1-2c), which preserves
-that weight.  By purity the sequence degenerates after it, so the limit
-page is the homology of that one differential, and only its dimensions
-and weights are read.  Running the page therefore means: check d^2 = 0
-and weight compatibility, take each block's rank from one factorisation,
-and read each cell's homology dimension, the Betti numbers off the
-antidiagonals and the weight-graded pieces off the rows.  No basis of the
-limit page is picked.
+The page of a c-codimensional model has nonzero rows only at q = (2c-1)*l,
+one per level l; the cell at (p, q) is pure of weight p + 2c*l
+(``SpectralPage.weight``), and the only differential that can be nonzero
+is the one of bidegree (2c, 1-2c), which moves a cell by one level and
+keeps that weight.  By purity the sequence degenerates after it, so the
+limit page is the homology of that one differential, and only its
+dimensions and weights are read.  Running the page therefore means: check
+d^2 = 0, take each block's rank from one factorisation, and read each
+cell's homology dimension, the Betti numbers off the antidiagonals and the
+weight-graded pieces off the rows: the part of H^k from row l has weight
+k + l.  No basis of the limit page is picked.
 
 A cell's basis is its runs: one (flat, tokens, copies) run per stratum
 that reaches it, laid out run by run, then copy by copy, then token by
@@ -33,14 +34,10 @@ from .polys import IntPoly
 from .poset import _bits
 from .projective import ProjProduct, pushforward
 from .records import Frozen, Record
-from .stalks import stalk_weight
+from .stalks import level_degree, level_weight
 
 
 class MissingStratumData(ArrangeError):
-    pass
-
-
-class WeightViolation(ArrangeError):
     pass
 
 
@@ -62,22 +59,22 @@ class WeightedCell(Frozen):
 
     Its basis is ``runs``, one (flat, tokens, copies) run per stratum in
     the cell, laid out run by run, then copy by copy, then token by token;
-    ``dim`` is read off the runs once.
+    ``dim`` is read off the runs once.  Its weight is the page's
+    (``SpectralPage.weight``).
     """
-    __slots__ = ("weight", "runs", "dim")
+    __slots__ = ("runs", "dim")
     _hidden = ("dim",)
 
-    def __init__(self, weight, runs):
+    def __init__(self, runs):
         init = object.__setattr__
-        init(self, "weight", weight)
         init(self, "runs", runs)
         init(self, "dim", sum(len(tokens) * copies
                               for _, tokens, copies in runs))
 
 
 class SpectralPage:
-    """The second page: a bigraded table of weighted cells with at most
-    one differential, d_2c.
+    """The second page: a bigraded table of cells with at most one
+    differential, d_2c.
 
     The page keeps its own copy of the caller's block table and takes the
     rank of each block (``rank``, from one factorisation that is not kept)
@@ -102,6 +99,10 @@ class SpectralPage:
     def cell_dim(self, p, q):
         cell = self.cells.get((p, q))
         return cell.dim if cell else 0
+
+    def weight(self, p, q):
+        """Weight p + 2c*l of the cell at (p, q = (2c-1)*l)."""
+        return p + level_weight(self.c, q // level_degree(self.c, 1))
 
     def target_of(self, p, q):
         return (p + 2 * self.c, q - 2 * self.c + 1)
@@ -143,8 +144,8 @@ class SpectralPage:
         return cell.dim - self.rank(p, q) - rank_in
 
     def check_differential(self):
-        """d^2 = 0 and weight preservation of every nonzero block; once the
-        page has passed, later calls return at once."""
+        """Block shapes and d^2 = 0; once the page has passed, later calls
+        return at once."""
         if self.differential is None:
             raise NotComposable("page has no differential")
         if self._checked:
@@ -156,10 +157,6 @@ class SpectralPage:
                 raise NotComposable(f"block at {(p, q)} has wrong source size")
             if m.rows != (tgt.dim if tgt else 0):
                 raise NotComposable(f"block at {(p, q)} has wrong target size")
-            if not m.is_zero() and tgt is not None and src.weight != tgt.weight:
-                raise WeightViolation(
-                    f"nonzero block {(p, q)} -> {self.target_of(p, q)} joins "
-                    f"weights {src.weight} and {tgt.weight}")
         for (p, q), m in self.differential.items():
             tkey = self.target_of(p, q)
             nxt = self.differential.get(tkey)
@@ -174,40 +171,13 @@ class SpectralPage:
                 f"differential={'yes' if self.differential else 'no'})")
 
 
-class WeightTable:
-    """Dimensions of the weight-graded pieces, keyed by (degree, weight).
-
-    Distinct rows on one antidiagonal carry distinct weights, so each key
-    receives contributions from at most one cell; that uniqueness is
-    asserted at insertion.
-    """
-
-    def __init__(self):
-        self.table = {}
-
-    def add(self, k, w, dim):
-        if (k, w) in self.table:
-            raise ArrangeError(f"two cells claim degree {k} weight {w}")
-        if dim:
-            self.table[(k, w)] = dim
-
-    def get(self, k, w):
-        return self.table.get((k, w), 0)
-
-    def total(self, k):
-        return sum(d for (kk, _), d in self.table.items() if kk == k)
-
-    def items(self):
-        return sorted(self.table.items())
-
-
 class RunResult(Record):
     __slots__ = ("homology", "betti", "weights", "ranks", "euler")
 
     def __init__(self, homology, betti, weights, ranks, euler):
         self.homology = homology   # (p, q) -> nonzero homology dimension
         self.betti = betti         # IntPoly
-        self.weights = weights     # WeightTable
+        self.weights = weights     # (degree, weight) -> nonzero dim
         self.ranks = ranks
         self.euler = euler
 
@@ -244,14 +214,15 @@ def assemble_e2(model, dec) -> SpectralPage:
     """Build the page from the decomposition and the model's strata.
 
     Row q = 0 is the cohomology of the ambient space, the stratum of the
-    bottom flat; each summand adds a row from the stratum of its support.
+    bottom flat; each summand adds a row q = (2c-1)*level from the stratum
+    of its support.
     Each adds one run (support, tokens, multiplicity) to every cell its
     stratum reaches, ``tokens`` being the stratum's basis in that degree,
     so a differential can be filled in later.
     """
     c = model.c
     rows = [(0, model.poset.bottom, 1)] + [
-        (s.degree, s.support, s.multiplicity)
+        (level_degree(c, s.level), s.support, s.multiplicity)
         for s in sorted(dec.summands, key=lambda s: (s.level, s.support))]
     cells = {}
     for q, flat, multiplicity in rows:
@@ -263,9 +234,8 @@ def assemble_e2(model, dec) -> SpectralPage:
             if tokens:
                 cells.setdefault((p, q), []).append((flat, tokens, multiplicity))
 
-    return SpectralPage(c, {
-        (p, q): WeightedCell(p + stalk_weight(c, q), tuple(runs))
-        for (p, q), runs in cells.items()})
+    return SpectralPage(c, {key: WeightedCell(tuple(runs))
+                            for key, runs in cells.items()})
 
 
 def _nbc_bases(poset):
@@ -388,9 +358,9 @@ def run(page: SpectralPage) -> RunResult:
     maxk = max((p + q for (p, q) in homology), default=0)
     betti = IntPoly([sum(h for (p, q), h in homology.items() if p + q == k)
                      for k in range(maxk + 1)])
-    weights = WeightTable()
-    for (p, q), h in homology.items():
-        weights.add(p + q, page.cells[(p, q)].weight, h)
+    # the weight minus the degree is the row's level: no key repeats
+    weights = {(p + q, page.weight(p, q)): h
+               for (p, q), h in homology.items()}
     return RunResult(homology, betti, weights, ranks, page.euler())
 
 

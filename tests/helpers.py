@@ -957,18 +957,25 @@ def reference_delete_member(poset, flats, atoms, pos):
     return kept, rest
 
 
+def degree_table(c, levels):
+    """A level -> dim stalk table of the package as degree -> dim: level l
+    sits in degree (2c-1)l."""
+    return {(2 * c - 1) * level: d for level, d in levels.items()}
+
+
 def reference_pointwise(model, dec, tables):
     """``stalks.verify_pointwise`` summed summand by summand with
-    ``poset.le`` at every (flat, degree)."""
-    poset = model.poset
+    ``poset.le`` at every (flat, degree), on ``tables`` (flat -> level
+    table) read as degrees."""
+    poset, c = model.poset, model.c
     by_degree = {}
     for s in dec.summands:
-        by_degree.setdefault(s.degree, []).append(s)
+        by_degree.setdefault((2 * c - 1) * s.level, []).append(s)
     mismatches = []
     for f in poset.flats:
-        table = tables[f.index]
-        for k in sorted(set(table.dims) | set(by_degree)):
-            lhs = table.dims.get(k, 0)
+        table = degree_table(c, tables[f.index])
+        for k in sorted(set(table) | set(by_degree)):
+            lhs = table.get(k, 0)
             if k == 0:
                 rhs = 1
             else:
@@ -981,10 +988,11 @@ def reference_pointwise(model, dec, tables):
 
 
 def reference_stalk_dims(model):
-    """The recursion of ``stalks._recurse`` memoized on the flat mask and
-    the atom mask alone: returns ({flat: dims}, memo).  Only states with one
-    flat mask and one atom set share an entry, so no two local arrangements
-    are identified by their shape."""
+    """The deletion/restriction recursion of ``stalks._recurse`` by degree,
+    gluing the restriction with a shift of 2c-1, memoized on the flat mask
+    and the atom mask alone: returns ({flat: degree -> dim}, memo).  Only
+    states with one flat mask and one atom set share an entry, so no two
+    local arrangements are identified by their shape."""
     poset, c = model.poset, model.c
     memo = {}
 

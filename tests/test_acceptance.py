@@ -14,8 +14,8 @@ from arrange.models import (check_mon, configuration_model, hyperplane_model,
 from arrange.polys import IntPoly
 from arrange.projective import ProjProduct
 from arrange.spectral import assemble_e2, feasibility, skew_row_homology
-from arrange.stalks import (decompose, stalk_tables, stalk_weight,
-                            verify_pointwise)
+from arrange.stalks import (decompose, level_degree, level_weight,
+                            stalk_tables, verify_pointwise)
 from helpers import (coordinate_forms, criterion_10_models,
                      random_central_forms, random_generic_projective_forms,
                      random_nongeneric_central_forms, run_explicit)
@@ -50,8 +50,9 @@ def test_criterion_1_torus():
         expected = IntPoly([1, 1]) ** n
         assert res.betti == expected
         for k in range(n + 1):
-            assert res.weights.get(k, 2 * k) == math.comb(n, k)
-            assert res.weights.total(k) == math.comb(n, k)
+            assert res.weights.get((k, 2 * k), 0) == math.comb(n, k)
+            assert sum(d for (kk, _), d in res.weights.items()
+                       if kk == k) == math.comb(n, k)
     _line(1, "torus Betti (1+t)^n and weights 2k for n = 1..6")
 
 
@@ -103,11 +104,13 @@ def test_criterion_5_vanishing_and_purity():
     for model in _models_for_criteria_1_to_4():
         c = model.c
         for table in stalk_tables(model).values():
-            for k, d in table.dims.items():
+            for level, d in table.items():
                 assert d > 0
+                k = level_degree(c, level)
                 assert k % (2 * c - 1) == 0, "vanishing window violated"
                 # degree (2c-1)*l has weight 2c*l
-                assert stalk_weight(c, k) == 2 * c * (k // (2 * c - 1)), "purity"
+                assert level_weight(c, level) == 2 * c * (k // (2 * c - 1)), \
+                    "purity"
                 checked += 1
     _line(5, f"vanishing/purity of every stalk entry ({checked} entries)")
 
@@ -135,7 +138,7 @@ def test_criterion_7_stalk_vs_mobius():
         poset = model.poset
         tables = stalk_tables(model)
         for f in poset.flats:
-            dims = tables[f.index].dims
+            dims = tables[f.index]
             for k in range(f.codim + 1):
                 oracle = sum(abs(poset.mu(j)) for j in range(len(poset))
                              if poset.le(j, f.index)
@@ -149,20 +152,23 @@ def test_criterion_8_engine_invariants():
         if not model.explicit:
             continue
         page, res = run_explicit(model)
-        page.check_differential()            # d^2 = 0 and weight preservation
+        page.check_differential()            # d^2 = 0
+        # d moves a cell by (2c, 1-2c), which keeps its weight
+        for key in page.differential:
+            assert page.weight(*key) == page.weight(*page.target_of(*key))
         assert page.euler() == sum((-1) ** (p + q) * h
                                    for (p, q), h in res.homology.items())
 
     rng = random.Random(20240204)
     base_forms = random_central_forms(rng, 5, 3)
     base = hyperplane_model(base_forms, mode="central")
-    base_tables = {base.poset.flats[i].key: t.dims
+    base_tables = {base.poset.flats[i].key: t
                    for i, t in stalk_tables(base).items()}
     for _ in range(20):
         perm = list(range(len(base_forms)))
         rng.shuffle(perm)
         model = hyperplane_model([base_forms[i] for i in perm], mode="central")
-        tables = {model.poset.flats[i].key: t.dims
+        tables = {model.poset.flats[i].key: t
                   for i, t in stalk_tables(model).items()}
         assert tables == base_tables
     _line(8, "d^2=0, weight preservation, Euler equality, 20 member permutations")
@@ -201,6 +207,6 @@ def test_criterion_10_skew_rows_match_weight_table():
         for k in range(maxk + 1):
             for ell in range(maxq + 1):
                 assert skew_row_homology(page, k, ell) == \
-                    res.weights.get(k, k + ell)
+                    res.weights.get((k, k + ell), 0)
                 pairs += 1
     _line(10, f"skew-row homology == weight table on every c=1 model ({pairs} pairs)")

@@ -5,7 +5,6 @@ import io
 import json
 import os
 import random
-import re
 import subprocess
 import sys
 import tempfile
@@ -26,10 +25,9 @@ from arrange.models import configuration_model
 from arrange.polys import IntPoly
 from arrange.poset import IntersectionPoset
 from arrange.projective import ProjProduct
-from arrange.errors import ArrangeError
-from arrange.stalks import StalkTable, decompose, stalk_tables
+from arrange.stalks import decompose, stalk_tables
 from helpers import (braid_forms, child_env, coordinate_forms,
-                     criterion_10_hyperplane_forms,
+                     criterion_10_hyperplane_forms, degree_table,
                      random_generic_projective_forms, run_child)
 
 BOOLEAN_P2 = {
@@ -278,7 +276,7 @@ def tamper_top_stalk(monkeypatch, by=1):
     def tampered(model):
         tables = real(model)
         deepest = max(model.poset.flats, key=lambda f: f.codim).index
-        dims = tables[deepest].dims
+        dims = tables[deepest]
         dims[max(dims)] += by
         return tables
 
@@ -516,7 +514,7 @@ def test_per_flat_sections_are_columns_by_flat_id(doc, tmp_path,
     tables = stalk_tables(model)
     assert len(report["stalks"]) == ps["flat_count"]
     for i, levels in enumerate(report["stalks"]):
-        dims = tables[i].dims
+        dims = degree_table(model.c, tables[i])
         assert all(k % step == 0 for k in dims)
         assert levels == [dims.get(step * l, 0)
                           for l in range(max(dims) // step + 1)]
@@ -525,20 +523,6 @@ def test_per_flat_sections_are_columns_by_flat_id(doc, tmp_path,
                     columns["multiplicity"])) == [
         (s.support, s.level, s.multiplicity)
         for s in decompose(model).summands]
-
-
-def test_stalk_off_the_level_degrees_is_refused_by_name():
-    # c = 2: a stalk in degree 2 lies between levels 0 and 1, so no index
-    # of its list holds it
-    poset = build_model(parse(CONFIG_P2_3)).poset
-    tables = {f.index: StalkTable({0: 1, 3: 1}) for f in poset.flats}
-    cli._stalks_section(poset, tables)
-    odd = poset.flats[2]
-    tables[odd.index] = StalkTable({0: 1, 2: 1})
-    message = (f"stalk of flat {odd.display} has dimension 1 in degree 2, "
-               f"not a multiple of 2c-1 = 3")
-    with pytest.raises(ArrangeError, match=f"^{re.escape(message)}$"):
-        cli._stalks_section(poset, tables)
 
 
 def string_counts(value, counts):
@@ -602,7 +586,7 @@ def test_human_weights_are_the_stalk_tables_weights(tmp_path, monkeypatch):
                 assert off == 0 and int(w) == 2 * c * level, line
                 dims[display[name]][int(k)] = int(dim)
         tables = stalk_tables(model)
-        assert dims == {i: t.dims for i, t in tables.items()}
+        assert dims == {i: degree_table(c, t) for i, t in tables.items()}
         stop = lines.index("pointwise check: ok")
         rows = [(display[name], *map(int, rest)) for name, *rest in
                 (line.split() for line in lines[end + 2:stop])]
@@ -818,20 +802,21 @@ def test_stalk_table_off_the_vanishing_degrees_fails_pointwise(tmp_path,
     real = cli.stalk_tables
 
     def tampered(model):
-        # c = 2: stalks may only live in degrees divisible by 2c - 1 = 3
+        # c = 2: the ambient's stalk is the constant sheaf alone, level 0
         tables = real(model)
-        tables[0].dims[2] = 1
+        tables[0][1] = 1
         return tables
 
     monkeypatch.setattr(cli, "stalk_tables", tampered)
     report, code = execute(parse(doc, command="verify"))
     assert code == EXIT_MISMATCH
-    # summands sit only in degrees 3 * level, so an entry off those degrees
-    # is a pointwise mismatch; there is no separate vanishing verdict
+    # no summand is supported at the bottom flat, so a level-1 entry there
+    # is a pointwise mismatch, named by its degree 3 * level; there is no
+    # separate vanishing verdict
     assert failed_verdicts(report) == ["pointwise_decomposition"]
-    assert {"flat": 0, "degree": 2, "stalk": 1,
+    assert {"flat": 0, "degree": 3, "stalk": 1,
             "decomposition": 0} in report["pointwise"]["mismatches"]
-    # the run ends before the stalks section, which has no column for it
+    # the run ends before the stalks section
     assert "stalks" not in report
     for command in ("stalks", "verify"):
         report, _ = execute(parse(doc, command=command))
@@ -1050,10 +1035,10 @@ def test_tampered_cache_entry_changes_no_byte(tmp_path, monkeypatch, capsys):
     model = build_model(parse(F_P1_4))
     tables = cli.stalk_tables(model)
     deepest = max(model.poset.flats, key=lambda f: f.codim).index
-    tables[deepest].dims[max(tables[deepest].dims)] += 1
+    tables[deepest][max(tables[deepest])] += 1
     entry = json.dumps({
         "poset": model.poset.to_dict(),
-        "stalks": [{"flat": i, "dims": {str(k): v for k, v in t.dims.items()}}
+        "stalks": [{"flat": i, "dims": {str(k): v for k, v in t.items()}}
                    for i, t in sorted(tables.items())]}, sort_keys=True)
     key = hashlib.sha256(
         json.dumps(F_P1_4["model"], sort_keys=True).encode()).hexdigest()

@@ -349,6 +349,6 @@ def test_abstract_reentry_matches_geometric_page():
                 order.append([f"F{f.index}", f"F{g.index}"])
     m2 = abstract_model(1, list(m.stratum_betti(poset.bottom)), flats, order)
     page2 = assemble_e2(m2, decompose(m2))
-    a = {k: (c.dim, c.weight) for k, c in page.cells.items()}
-    b = {k: (c.dim, c.weight) for k, c in page2.cells.items()}
+    a = {k: (c.dim, page.weight(*k)) for k, c in page.cells.items()}
+    b = {k: (c.dim, page2.weight(*k)) for k, c in page2.cells.items()}
     assert a == b

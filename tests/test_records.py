@@ -9,8 +9,7 @@ from arrange.poset import AdmissibilityReport, Flat, IntersectionPoset, Member
 from arrange.projective import ProjProduct
 from arrange.spectral import FeasibilityResult, RunResult, WeightedCell
 import arrange.stalks as stalks_mod
-from arrange.stalks import (PointwiseReport, SheafDecomposition, StalkTable,
-                            Summand)
+from arrange.stalks import PointwiseReport, SheafDecomposition, Summand
 from helpers import SpaceMap, run_child, space_map
 
 
@@ -22,10 +21,10 @@ FROZEN = [
      Flat(3, 2, ("lin", (0, 2)), "F3")),
     (ProjProduct((1, 2)), ProjProduct([1, "2"]), ProjProduct((2, 1))),
     (space_map(1, 2), space_map(1, 2), space_map(1, 2, scale=2)),
-    (WeightedCell(4, ((0, ((1,),), 1),)),
-     WeightedCell(4, ((0, ((1,),), 1),)),
-     WeightedCell(3, ((0, ((1,),), 1),))),
-    (Summand(4, 1, 1, 2), Summand(4, 1, 1, 2), Summand(4, 1, 1, 3)),
+    (WeightedCell(((0, ((1,),), 1),)),
+     WeightedCell(((0, ((1,),), 1),)),
+     WeightedCell(((0, ((1,),), 2),))),
+    (Summand(4, 1, 2), Summand(4, 1, 2), Summand(4, 1, 3)),
 ]
 
 
@@ -39,7 +38,7 @@ def mutable_records():
         JobSpec("run", {}), ArrangementModel("abstract", POSET, 1, {0: (1,)}),
         MonReport(True, [], [], []), AdmissibilityReport(True, []),
         RunResult(None, None, None, {}, 0), FeasibilityResult(0, {}),
-        StalkTable({0: 1}), SheafDecomposition(()),
+        SheafDecomposition(()),
         PointwiseReport(True)]
 
 
@@ -102,7 +101,7 @@ def test_mutable_records_compare_by_fields():
 
 
 def test_sheaf_decomposition_equality_ignores_the_pointwise_report():
-    summands = (Summand(1, 1, 1, 1),)
+    summands = (Summand(1, 1, 1),)
     checked = SheafDecomposition(summands, pointwise=PointwiseReport(True))
     assert checked == SheafDecomposition(summands)
     assert checked != SheafDecomposition(())
@@ -121,8 +120,8 @@ def test_stalk_memo_lives_in_the_callers_dict():
     # and the model compares and shows as before
     model = mutable_records()[1]
     memo = {}
-    table = stalks_mod._stalk_table(model, POSET.bottom, memo)
-    assert table == StalkTable({0: 1})
+    table = stalks_mod._stalk_table(model.poset, POSET.bottom, memo)
+    assert table == {0: 1}
     assert list(memo.values()) == [{0: 1}]
     assert model == mutable_records()[1]
     assert repr(model) == repr(mutable_records()[1])
@@ -130,6 +129,6 @@ def test_stalk_memo_lives_in_the_callers_dict():
 
 
 def test_repr_names_the_fields():
-    assert repr(Summand(4, 1, 1, 2)) == (
-        "Summand(support=4, level=1, degree=1, multiplicity=2)")
+    assert repr(Summand(4, 1, 2)) == (
+        "Summand(support=4, level=1, multiplicity=2)")
     assert repr(ProjProduct((1,))) == "ProjProduct(factor_dims=(1,))"

@@ -73,14 +73,11 @@ def test_json_stays_on_the_c_encoder():
     assert found == []
 
 
-def test_helpers_take_no_gysin_algebra_from_the_package():
-    # the oracles in helpers.py check projective.pushforward; the duality
-    # algebra they use, its classes and its generator-image maps are their
-    # own, so none of it comes from arrange
+def _taken_from_package(banned):
+    """Names in ``banned`` that helpers.py imports from arrange or reads
+    off an arrange module."""
     helpers = Path(__file__).resolve().parent / "helpers.py"
     tree = ast.parse(helpers.read_text(), filename=str(helpers))
-    banned = {"pushforward", "pullback", "cup", "poincare_pair", "CohClass",
-              "SpaceMap"}
     found = []
     for node in ast.walk(tree):
         if (isinstance(node, ast.ImportFrom)
@@ -89,6 +86,23 @@ def test_helpers_take_no_gysin_algebra_from_the_package():
                       if alias.name in banned]
         elif (isinstance(node, ast.Attribute) and node.attr in banned
               and isinstance(node.value, ast.Name)
-              and node.value.id in ("arrange", "projective", "spectral")):
+              and node.value.id in ("arrange", "projective", "spectral",
+                                    "stalks")):
             found.append(f"{node.value.id}.{node.attr}")
-    assert found == []
+    return found
+
+
+def test_helpers_take_no_gysin_algebra_from_the_package():
+    # the oracles in helpers.py check projective.pushforward; the duality
+    # algebra they use, its classes and its generator-image maps are their
+    # own, so none of it comes from arrange
+    assert _taken_from_package({"pushforward", "pullback", "cup",
+                                "poincare_pair", "CohClass",
+                                "SpaceMap"}) == []
+
+
+def test_helpers_take_no_level_grading_from_the_package():
+    # the stalk and pointwise oracles grade by degree with their own 2c-1
+    # shift; the package's level -> degree and level -> weight rules are
+    # what they check, so neither comes from arrange
+    assert _taken_from_package({"level_degree", "level_weight"}) == []

@@ -11,12 +11,12 @@ from arrange.errors import ArrangeError
 from arrange.models import ArrangementModel, abstract_model
 from arrange.poset import IntersectionPoset
 from arrange.stalks import (InconsistentDecomposition, RecursionDepthExceeded,
-                            StalkTable, decompose, stalk_tables,
-                            stalk_weight, verify_pointwise)
-from helpers import (braid_forms, coordinate_forms, random_central_forms,
-                     random_generic_projective_forms, random_linear_systems,
-                     reference_delete_member, reference_pointwise,
-                     reference_stalk_dims)
+                            decompose, level_degree, level_weight,
+                            stalk_tables, verify_pointwise)
+from helpers import (braid_forms, coordinate_forms, degree_table,
+                     random_central_forms, random_generic_projective_forms,
+                     random_linear_systems, reference_delete_member,
+                     reference_pointwise, reference_stalk_dims)
 
 
 def model_concurrent3(mode="central"):
@@ -31,28 +31,29 @@ def deepest(model):
 def test_single_hypersurface_stalk():
     m = hyperplane_model([([1, 0], 0)], mode="central")
     t = stalk_tables(m)[deepest(m)]
-    assert t.dims == {0: 1, 1: 1}
-    assert {k: stalk_weight(1, k) for k in t.dims} == {0: 0, 1: 2}
+    assert t == {0: 1, 1: 1}
+    assert {level_degree(1, l): level_weight(1, l) for l in t} == {0: 0, 1: 2}
 
 
 def test_single_member_higher_codim_stalk():
-    # c = 2 via the diagonal in P^2 x P^2: one member, degrees 0 and 2c-1 = 3
+    # c = 2 via the diagonal in P^2 x P^2: one member, levels 0 and 1, in
+    # degrees 0 and 2c-1 = 3
     m = configuration_model(ProjProduct((2,)), 2)
     t = stalk_tables(m)[deepest(m)]
-    assert t.dims == {0: 1, 3: 1}
-    assert {k: stalk_weight(2, k) for k in t.dims} == {0: 0, 3: 4}
+    assert t == {0: 1, 1: 1}
+    assert {level_degree(2, l): level_weight(2, l) for l in t} == {0: 0, 3: 4}
 
 
 def test_two_transverse_stalk():
     m = hyperplane_model([([1, 0], 0), ([0, 1], 0)], mode="central")
     t = stalk_tables(m)[deepest(m)]
-    assert t.dims == {0: 1, 1: 2, 2: 1}
+    assert t == {0: 1, 1: 2, 2: 1}
 
 
 def test_three_concurrent_stalk():
     m = model_concurrent3()
     t = stalk_tables(m)[deepest(m)]
-    assert t.dims == {0: 1, 1: 3, 2: 2}
+    assert t == {0: 1, 1: 3, 2: 2}
     top = m.poset.flats[deepest(m)]
     assert abs(m.poset.mu(top.index)) == 2
 
@@ -60,7 +61,7 @@ def test_three_concurrent_stalk():
 def test_bottom_stalk():
     m = model_concurrent3()
     t = stalk_tables(m)[m.poset.bottom]
-    assert t.dims == {0: 1}
+    assert t == {0: 1}
 
 
 def test_decompose_single_hypersurface():
@@ -68,31 +69,32 @@ def test_decompose_single_hypersurface():
     dec = decompose(m)
     assert len(dec.summands) == 1
     s = dec.summands[0]
-    assert (s.level, s.degree, s.multiplicity) == (1, 1, 1)
-    assert stalks_mod.stalk_weight(m.c, s.degree) == 2
+    assert (s.support, s.level, s.multiplicity) == (1, 1, 1)
+    assert level_degree(m.c, s.level) == 1
+    assert level_weight(m.c, s.level) == 2
 
 
 def test_decompose_boolean_p2():
     m = hyperplane_model(
         [([1, 0, 0], 0), ([0, 1, 0], 0), ([0, 0, 1], 0)], mode="projective")
     dec = decompose(m)
-    by_degree = {}
+    by_level = {}
     for s in dec.summands:
-        by_degree.setdefault(s.degree, []).append(s)
-    assert [s.multiplicity for s in by_degree[1]] == [1, 1, 1]
-    assert [s.multiplicity for s in by_degree[2]] == [1, 1, 1]
-    assert all(m.poset.flats[s.support].codim == 1 for s in by_degree[1])
-    assert all(m.poset.flats[s.support].codim == 2 for s in by_degree[2])
+        by_level.setdefault(s.level, []).append(s)
+    assert [s.multiplicity for s in by_level[1]] == [1, 1, 1]
+    assert [s.multiplicity for s in by_level[2]] == [1, 1, 1]
+    assert all(m.poset.flats[s.support].codim == 1 for s in by_level[1])
+    assert all(m.poset.flats[s.support].codim == 2 for s in by_level[2])
 
 
 def test_decompose_configuration_p1_cubed():
     m = configuration_model(ProjProduct((1,)), 3)
     dec = decompose(m)
-    by_degree = {}
+    by_level = {}
     for s in dec.summands:
-        by_degree.setdefault(s.degree, []).append(s)
-    assert sorted(s.multiplicity for s in by_degree[1]) == [1, 1, 1]
-    assert [s.multiplicity for s in by_degree[2]] == [2]
+        by_level.setdefault(s.level, []).append(s)
+    assert sorted(s.multiplicity for s in by_level[1]) == [1, 1, 1]
+    assert [s.multiplicity for s in by_level[2]] == [2]
 
 
 def test_pointwise_examples():
@@ -101,11 +103,11 @@ def test_pointwise_examples():
     dec = decompose(m, tables)
     rep = verify_pointwise(m, dec, tables)
     assert rep.ok and rep == dec.pointwise
-    # triple point in degree 2: recursion gives 2, decomposition multiplicity 2
+    # triple point at level 2: recursion gives 2, decomposition multiplicity 2
     top = deepest(m)
-    assert tables[top].dims[2] == 2
+    assert tables[top][2] == 2
     assert sum(s.multiplicity for s in dec.summands
-               if s.degree == 2 and m.poset.le(s.support, top)) == 2
+               if s.level == 2 and m.poset.le(s.support, top)) == 2
 
 
 def test_pointwise_generic_double_point():
@@ -115,7 +117,7 @@ def test_pointwise_generic_double_point():
     dec = decompose(m, tables)
     assert verify_pointwise(m, dec, tables).ok
     double = next(f.index for f in m.poset.flats if f.codim == 2)
-    assert tables[double].dims[1] == 2
+    assert tables[double][1] == 2
 
 
 def test_vanishing_and_purity_pattern():
@@ -129,24 +131,26 @@ def test_vanishing_and_purity_pattern():
     for m in models:
         c = m.c
         for table in stalk_tables(m).values():
-            for k, d in table.dims.items():
-                assert d > 0
-                assert k % (2 * c - 1) == 0
-                # degree (2c-1)*l has weight 2c*l
-                assert stalk_weight(c, k) == 2 * c * (k // (2 * c - 1))
+            # nonzero dims at levels 0, 1, ..., the top level
+            assert sorted(table) == list(range(len(table)))
+            assert all(d > 0 for d in table.values())
+            for level in table:
+                # level l sits in degree (2c-1)*l with weight 2c*l
+                assert level_degree(c, level) % (2 * c - 1) == 0
+                assert level_weight(c, level) == 2 * c * level
 
 
 def test_member_order_invariance():
     rng = random.Random(41)
     forms = random_central_forms(rng, 5, 3)
     base = hyperplane_model(forms, mode="central")
-    base_tables = {base.poset.flats[i].key: t.dims
+    base_tables = {base.poset.flats[i].key: t
                    for i, t in stalk_tables(base).items()}
     for _ in range(6):
         perm = list(range(len(forms)))
         rng.shuffle(perm)
         m = hyperplane_model([forms[i] for i in perm], mode="central")
-        tables = {m.poset.flats[i].key: t.dims
+        tables = {m.poset.flats[i].key: t
                   for i, t in stalk_tables(m).items()}
         assert tables == base_tables
 
@@ -161,7 +165,7 @@ def test_mobius_oracle_random_hyperplanes():
         poset = m.poset
         tables = stalk_tables(m)
         for f in poset.flats:
-            dims = tables[f.index].dims
+            dims = tables[f.index]
             for k in range(f.codim + 1):
                 oracle = sum(abs(poset.mu(j)) for j in range(len(poset))
                              if poset.le(j, f.index)
@@ -183,6 +187,24 @@ def test_partition_multiplicity_oracle():
             for b in blocks:
                 expected *= math.factorial(len(b) - 1)
             assert mult.get(f.index, 0) == expected
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_stalks_are_independent_of_c(n):
+    # F(X, n) has the partition lattice of n points for every factor X, with
+    # c = dim X; the stalk dimensions depend only on the local poset, so
+    # the level tables and the summands agree flat for flat
+    models = [configuration_model(ProjProduct(factor), n)
+              for factor in ((1,), (2,), (1, 1), (3,))]
+    assert sorted({m.c for m in models}) == [1, 2, 3]
+    tables, summands = [], []
+    for m in models:
+        keys = [f.key for f in m.poset.flats]
+        tables.append({keys[i]: t for i, t in stalk_tables(m).items()})
+        summands.append({(keys[s.support], s.level, s.multiplicity)
+                         for s in decompose(m).summands})
+    assert all(t == tables[0] for t in tables)
+    assert all(s == summands[0] for s in summands)
 
 
 def test_not_admissible_raises(monkeypatch):
@@ -211,7 +233,7 @@ def memo_of(model):
     """The memo of one ``stalk_tables`` call on ``model``, read back from
     the dict that ``_stalk_table`` fills, and the tables it gives."""
     memo = {}
-    tables = {f.index: stalks_mod._stalk_table(model, f.index, memo)
+    tables = {f.index: stalks_mod._stalk_table(model.poset, f.index, memo)
               for f in model.poset.flats}
     return memo, tables
 
@@ -250,7 +272,7 @@ def _normal_crossing_dims(k):
 
 
 def _partition_dims(blocks):
-    """prod over blocks b, i = 1..|b|-1 of (1 + i t), as degree -> dim."""
+    """prod over blocks b, i = 1..|b|-1 of (1 + i t), as level -> dim."""
     poly = [1]
     for b in blocks:
         for i in range(1, len(b)):
@@ -283,15 +305,15 @@ def test_recursion_builds_no_poset(monkeypatch):
     monkeypatch.setattr(IntersectionPoset, "__init__", refuse)
     for m in crossing:
         for i, t in stalk_tables(m).items():
-            assert t.dims == _normal_crossing_dims(m.poset.flats[i].codim)
+            assert t == _normal_crossing_dims(m.poset.flats[i].codim)
     expected = {str(f.index): _partition_dims(f.key[1])
                 for f in config.poset.proper_flats()}
     for i, t in stalk_tables(config).items():
         if i != config.poset.bottom:
-            assert t.dims == expected[str(i)]
+            assert t == expected[str(i)]
     for i, t in stalk_tables(twin).items():
         if i != twin.poset.bottom:
-            assert t.dims == expected[twin.poset.flats[i].display]
+            assert t == expected[twin.poset.flats[i].display]
 
 
 def test_memo_sizes():
@@ -323,7 +345,8 @@ SHAPE_MODELS = {
 def test_shape_key_matches_flat_and_atom_key(name):
     m = SHAPE_MODELS[name]()
     expected, memo = reference_stalk_dims(m)
-    assert {i: t.dims for i, t in stalk_tables(m).items()} == expected
+    assert {i: degree_table(m.c, t)
+            for i, t in stalk_tables(m).items()} == expected
     assert len(memo_of(m)[0]) < len(memo)
 
 
@@ -333,7 +356,7 @@ def test_shape_key_matches_on_random_linear_systems():
         if m.poset.mode == "abstract":
             continue
         expected, _ = reference_stalk_dims(m)
-        got = {i: t.dims for i, t in memo_of(m)[1].items()}
+        got = {i: degree_table(m.c, t) for i, t in memo_of(m)[1].items()}
         assert got == expected
 
 
@@ -349,7 +372,7 @@ def test_shared_position_masks_fall_back_to_flat_and_atom_key():
     m = ArrangementModel(kind="abstract", poset=poset, c=2, strata={})
     expected, memo = reference_stalk_dims(m)
     ours, tables = memo_of(m)
-    assert {i: t.dims for i, t in tables.items()} == expected
+    assert {i: degree_table(m.c, t) for i, t in tables.items()} == expected
     fallback = [key for key in ours if isinstance(key[1], int)]
     assert fallback and set(fallback) <= set(memo)
 
@@ -363,8 +386,8 @@ def test_abstract_models_keep_flat_and_atom_key():
         assert m.poset.local_position_masks(m.poset.bottom) is None
         ours, tables = memo_of(m)
         expected, memo = reference_stalk_dims(m)
-        assert {i: t.dims for i, t in tables.items()} == expected
-        assert ours == memo
+        assert {i: degree_table(m.c, t) for i, t in tables.items()} == expected
+        assert {key: degree_table(m.c, t) for key, t in ours.items()} == memo
 
 
 def test_local_position_masks_match_walk():
@@ -396,7 +419,7 @@ NON_LATTICE = (
 def test_incoherent_abstract_poset_fails_pointwise():
     # a codim-3 flat on three members with only one pairwise flat below it:
     # no actual arrangement has this incidence, and the pointwise check
-    # catches it (stalk 2 in degree 2 at D, multiplicity sum only 1)
+    # catches it (stalk 2 at level 2, degree 2, at D; multiplicity sum 1)
     m = abstract_model(1, [1], *INCOHERENT)
     with pytest.raises(InconsistentDecomposition) as err:
         decompose(m)
@@ -420,9 +443,9 @@ def test_long_deletion_chain_stays_under_the_depth_guard(monkeypatch):
     monkeypatch.setattr(stalks_mod, "_DEPTH_LIMIT", 1)
     m = hyperplane_model([([1, k], 0) for k in range(300)], mode="central")
     tables = stalk_tables(m)
-    assert tables[deepest(m)].dims == {0: 1, 1: 300, 2: 299}
+    assert tables[deepest(m)] == {0: 1, 1: 300, 2: 299}
     expected, _ = reference_stalk_dims(m)
-    assert {i: t.dims for i, t in tables.items()} == expected
+    assert {i: degree_table(m.c, t) for i, t in tables.items()} == expected
 
 
 def _oracle_models():
@@ -476,12 +499,12 @@ def test_delete_member_matches_reference_on_every_visited_state(monkeypatch):
     assert not kept >> t & 1
 
 
-def _tampered(model, tables, degree):
-    """``tables`` with 1 added at ``degree`` of the deepest flat."""
+def _tampered(model, tables, level):
+    """``tables`` with 1 added at ``level`` of the deepest flat."""
     deep = max(model.poset.flats, key=lambda f: f.codim).index
-    dims = dict(tables[deep].dims)
-    dims[degree] = dims.get(degree, 0) + 1
-    return {**tables, deep: StalkTable(dims)}
+    dims = dict(tables[deep])
+    dims[level] = dims.get(level, 0) + 1
+    return {**tables, deep: dims}
 
 
 def test_pointwise_matches_reference_sum():
@@ -497,9 +520,9 @@ def test_pointwise_matches_reference_sum():
         assert verify_pointwise(m, dec, tables=tables) == \
             reference_pointwise(m, dec, tables)
         checked += 1
-        top = max(max(t.dims) for t in tables.values())
-        for degree in (top, top + 2 * m.c - 1):
-            bad = _tampered(m, tables, degree)
+        top = max(max(t) for t in tables.values())
+        for level in (top, top + 1):
+            bad = _tampered(m, tables, level)
             report = verify_pointwise(m, dec, tables=bad)
             assert not report.ok
             assert report == reference_pointwise(m, dec, bad)
