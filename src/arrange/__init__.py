@@ -25,8 +25,7 @@ from .spectral import (FeasibilityResult, Infeasible, MalformedCell,
                        SpectralPage, WeightedCell, assemble_e2,
                        build_differential, feasibility, run,
                        skew_row_homology)
-from .stalks import (InconsistentDecomposition, PointwiseReport,
-                     RecursionDepthExceeded, SheafDecomposition, Summand,
+from .stalks import (PointwiseReport, RecursionDepthExceeded, Summand,
                      decompose, stalk_tables, verify_pointwise)
 
 __version__ = "0.1.0"

@@ -58,14 +58,12 @@ from .models import (abstract_model, check_mon, configuration_model,
 from .polys import IntPoly
 from .projective import ProjProduct
 from .records import Record
-# skew_row_homology is not called here and verify_pointwise runs inside
-# decompose; both stay in this namespace for callers that wrap them
-# (benchmark/tracer.py)
+# skew_row_homology is not called here; it stays in this namespace for
+# callers that wrap it (benchmark/tracer.py)
 from .spectral import (Infeasible, assemble_e2,  # noqa: F401
                        build_differential, feasibility, run,
                        skew_row_homology)
-from .stalks import (InconsistentDecomposition, decompose,  # noqa: F401
-                     level_degree, level_weight, stalk_tables,
+from .stalks import (decompose, level_degree, level_weight, stalk_tables,
                      verify_pointwise)
 
 # benchmark/tracer.py wraps these two names as its spectral.differential
@@ -467,15 +465,12 @@ def execute(job: JobSpec) -> tuple:
     # stage's state is dropped once its section is written, so none of it
     # is held while the abstract-model block is made
     tables = stalk_tables(model)
-    try:
-        dec = decompose(model, tables=tables)
-        pw = dec.pointwise
-    except InconsistentDecomposition as exc:
-        dec, pw = exc.dec, exc.report
+    summands = decompose(model, tables)
+    pw = verify_pointwise(model, summands, tables)
     report["decomposition"] = {
-        "support": [s.support for s in dec.summands],
-        "level": [s.level for s in dec.summands],
-        "multiplicity": [s.multiplicity for s in dec.summands]}
+        "support": [s.support for s in summands],
+        "level": [s.level for s in summands],
+        "multiplicity": [s.multiplicity for s in summands]}
     report["pointwise"] = {"ok": pw.ok, "mismatches": pw.mismatches}
     if not verdict("pointwise_decomposition", pw.ok):
         # the mismatches name each stalk that the split misses
@@ -485,8 +480,8 @@ def execute(job: JobSpec) -> tuple:
     if job.command == "stalks":
         return report, EXIT_OK
 
-    page = assemble_e2(model, dec)
-    del dec
+    page = assemble_e2(model, summands)
+    del summands
     report["e2"] = _page_section(
         page, {key: cell.dim for key, cell in page.cells.items()})
     if model.kind == "configuration":
@@ -782,13 +777,16 @@ def main(argv=None) -> int:
     args = _build_argparser().parse_args(argv)
     try:
         text = Path(args.file).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.file}: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:
         document = json.loads(text)
     except json.JSONDecodeError as exc:
         print(f"error: invalid JSON: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except RecursionError:
+        print("error: invalid JSON: nested too deeply", file=sys.stderr)
         return EXIT_INPUT
     overrides = {}
     if args.mode:

@@ -12,9 +12,8 @@ into new primitive rows and never changes a row it was given;
 gives the rank, the pivot columns and the kernel basis of a matrix.
 
 The poset layer runs on these integer rows too (``primitive``,
-``reduce_row``), and a flat's key is ``Echelon.reduced`` of the echelon
-basis that its closure keeps.  ``rref`` is a view of ``echelon``: the
-canonical Fraction form of a row space.
+``reduce_row``, ``row_key``).  ``rref`` is a view of ``echelon``: the
+canonical Fraction form of a row space, read off ``Echelon.reduced``.
 """
 
 from __future__ import annotations
@@ -230,32 +229,18 @@ class Echelon:
             full[c] = reduce_row(self.rows[c], full)
         return full
 
-    def reduced(self, shared=None):
+    def reduced(self):
         """(rows, pivot columns) of the reduced row echelon form: each
         fully reduced row divided by its pivot, as a dense tuple of
-        Fractions.  ``shared``, a dict, hands out each row and entry equal
-        to one made with it before (a row is found by its ``row_key``, an
-        entry by its numerator and denominator), so the forms made with one
-        dict hold each distinct row and value once."""
-        shared = {} if shared is None else shared
-        zero = shared.setdefault((0, 1), Fraction(0))
+        Fractions."""
         full = self._fully_reduced()
         pivots = tuple(sorted(full))
         rows = []
         for c in pivots:
-            ints = full[c]
-            key = row_key((c, ints))
-            row = shared.get(key)
-            if row is None:
-                dense = [zero] * self.cols
-                p = ints[c]
-                for j, v in ints.items():
-                    g = gcd(v, p) if p > 0 else -gcd(v, p)
-                    x = v // g, p // g   # v / p in lowest terms
-                    dense[j] = shared.get(x) or shared.setdefault(
-                        x, Fraction(*x))
-                row = shared[key] = tuple(dense)
-            rows.append(row)
+            row, p = [Fraction(0)] * self.cols, full[c][c]
+            for j, v in full[c].items():
+                row[j] = Fraction(v, p)
+            rows.append(tuple(row))
         return tuple(rows), pivots
 
     def kernel_basis(self):

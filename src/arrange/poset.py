@@ -23,9 +23,9 @@ members with equal rows meet x in one flat and give its mask together.
 The meets with the bottom's empty basis key the members themselves.
 The order is read off these meets, each flat passing its down-set on to
 the flats it meets members in; a partition lattice runs
-``_containment_order`` instead.  A flat's key is the reduced form of its
-echelon basis (``linalg.Echelon.reduced``), written once, at the end, with
-equal rows and entries shared among the flats.
+``_containment_order`` instead.  A flat is the intersection of the members
+through it, so its key is ``("lin", mask)``, its member mask, and its
+codimension is the length of its echelon basis.
 
 Every build is bounded: the closure and the partition enumeration stop with
 ``TooManyFlats`` once they have made more than ``MAX_FLATS`` flats, so a
@@ -237,12 +237,9 @@ class IntersectionPoset:
             for child in kids[x]:
                 down[child] |= down[x]
 
-        flats = []
-        shared = {}   # one object per distinct key row and key entry
-        for idx, basis in enumerate(bases):
-            key, _ = Echelon(ncoords + 1, dict(basis)).reduced(shared)
-            flats.append(Flat(idx, len(key), ("lin", key),
-                              f"F{idx}" if key else "ambient"))
+        flats = [Flat(idx, len(basis), ("lin", mask),
+                      f"F{idx}" if idx else "ambient")
+                 for idx, (mask, basis) in enumerate(zip(masks, bases))]
 
         atoms = [index_of.get(1 << m) for m in range(len(meets))]
         if None in atoms:

@@ -210,8 +210,9 @@ def _max_degree(data):
     return len(data) - 1
 
 
-def assemble_e2(model, dec) -> SpectralPage:
-    """Build the page from the decomposition and the model's strata.
+def assemble_e2(model, summands) -> SpectralPage:
+    """Build the page from the decomposition (a tuple of ``Summand``s, as
+    ``stalks.decompose`` makes it) and the model's strata.
 
     Row q = 0 is the cohomology of the ambient space, the stratum of the
     bottom flat; each summand adds a row q = (2c-1)*level from the stratum
@@ -223,7 +224,7 @@ def assemble_e2(model, dec) -> SpectralPage:
     c = model.c
     rows = [(0, model.poset.bottom, 1)] + [
         (level_degree(c, s.level), s.support, s.multiplicity)
-        for s in sorted(dec.summands, key=lambda s: (s.level, s.support))]
+        for s in sorted(summands, key=lambda s: (s.level, s.support))]
     cells = {}
     for q, flat, multiplicity in rows:
         data = model.strata.get(flat)

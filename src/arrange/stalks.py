@@ -16,8 +16,10 @@ atoms, is keyed by its flat mask and atom mask instead.  The memo is
 dropped when the call returns.
 
 Multiplicity of a stratum in the level-l constant-sheaf summand is the
-stalk dimension at its generic point; the pointwise check compares the
-resulting sum of multiplicities against the raw recursion at every flat.
+stalk dimension at its generic point (``decompose``).  The pointwise check
+(``verify_pointwise``) is a separate call on what ``decompose`` returned:
+it compares the resulting sum of multiplicities against the raw recursion
+at every flat, so a fault in the split cannot switch off its check.
 """
 
 from __future__ import annotations
@@ -35,20 +37,6 @@ _DEPTH_LIMIT = 200
 
 class RecursionDepthExceeded(ArrangeError):
     pass
-
-
-class InconsistentDecomposition(ArrangeError):
-    """Pointwise check failed: stalk dims are not sums of multiplicities.
-
-    Carries the attempted decomposition and the mismatch report; this can
-    only happen for declared (abstract) combinatorics that no actual
-    arrangement realizes.
-    """
-
-    def __init__(self, message, dec=None, report=None):
-        super().__init__(message)
-        self.dec = dec
-        self.report = report
 
 
 def level_degree(c, level):
@@ -71,16 +59,6 @@ class Summand(Frozen):
         init(self, "support", support)
         init(self, "level", level)
         init(self, "multiplicity", multiplicity)
-
-
-class SheafDecomposition(Record):
-    __slots__ = ("summands", "pointwise")
-    _hidden = ("pointwise",)
-
-    def __init__(self, summands, pointwise=None):
-        self.summands = summands
-        # the pointwise check that ``decompose`` ran on this decomposition
-        self.pointwise = pointwise
 
 
 class PointwiseReport(Record):
@@ -152,13 +130,11 @@ def stalk_tables(model) -> dict:
     return {f.index: _stalk_table(poset, f.index, memo) for f in poset.flats}
 
 
-def decompose(model, tables=None) -> SheafDecomposition:
-    """Constant-sheaf decomposition: one summand per flat with nonzero
-    generic stalk at its own level.  Level 0 (the constant sheaf on the
-    ambient space) is left implicit.  Given ``tables``, it reads them as
-    they are; without, it makes them with ``stalk_tables``."""
-    if tables is None:
-        tables = stalk_tables(model)
+def decompose(model, tables) -> tuple:
+    """Constant-sheaf decomposition, as a tuple of ``Summand``s: one per
+    flat with nonzero generic stalk in ``tables`` at its own level.  Level
+    0 (the constant sheaf on the ambient space) is left implicit.  It
+    checks nothing; ``verify_pointwise`` checks what it returns."""
     c = model.c
     summands = []
     for f in model.poset.flats:
@@ -168,29 +144,23 @@ def decompose(model, tables=None) -> SheafDecomposition:
         mult = tables[f.index].get(level, 0)
         if mult:
             summands.append(Summand(f.index, level, mult))
-    dec = SheafDecomposition(tuple(summands))
-    report = dec.pointwise = verify_pointwise(model, dec, tables)
-    if not report.ok:
-        raise InconsistentDecomposition(
-            f"{len(report.mismatches)} stalk/multiplicity mismatches",
-            dec=dec, report=report)
-    return dec
+    return tuple(summands)
 
 
-def verify_pointwise(model, dec: SheafDecomposition, tables) -> PointwiseReport:
+def verify_pointwise(model, summands, tables) -> PointwiseReport:
     """At every flat and level, the stalk dimension must equal the sum of
     multiplicities of summands whose support closure contains the flat; a
     mismatch names the flat and the level's degree.
 
     Each summand adds its multiplicity at every flat of the up-set of its
     support, so the sums cost one step per (summand, flat above it).  They
-    read only ``dec`` and the order, never the recursion or its memo, so the
-    raw recursion's dims in ``tables`` are compared with an independent
-    count."""
+    read only ``summands`` and the order, never the recursion or its memo,
+    so the raw recursion's dims in ``tables`` are compared with an
+    independent count."""
     poset, c = model.poset, model.c
     sums = {level: [0] * len(poset.flats)
-            for level in {s.level for s in dec.summands}}
-    for s in dec.summands:
+            for level in {s.level for s in summands}}
+    for s in summands:
         acc = sums[s.level]
         for f in _bits(poset.up[s.support]):
             acc[f] += s.multiplicity

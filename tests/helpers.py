@@ -108,6 +108,19 @@ def reference_rref(rows):
     return tuple(tuple(row) for row in mat[:r]), tuple(pivots)
 
 
+def flat_subspaces(poset, systems):
+    """Each linear flat's subspace, by flat index, found from the member
+    mask in its key alone: the Fraction reduced row echelon form
+    (``reference_rref``) of the augmented rows of the members in the mask.
+    A flat is the intersection of the members through it, so this is the
+    canonical form of its defining system.  ``systems`` holds each member's
+    (covector, constant) rows; a flat of a surgery keeps its key, so its
+    mask names members of the poset it came from."""
+    return [reference_rref([(*cov, const) for m in _bits(f.key[1])
+                            for cov, const in systems[m]])[0]
+            for f in poset.flats]
+
+
 def reduce_against(row, reduced_rows):
     """Reduce a single row against rows already in reduced echelon form."""
     out = [Fraction(x) for x in row]
@@ -180,9 +193,6 @@ def reference_linear_poset(systems, ambient_dim, mode="affine", codim_c=None):
                     new_frontier.append(reduced)
         frontier = new_frontier
 
-    flats = [Flat(idx, len(key), ("lin", key), f"F{idx}" if key else "ambient")
-             for idx, key in enumerate(order_list)]
-
     # member containment: every row of the member reduces to zero
     containment = []
     for key in order_list:
@@ -191,6 +201,10 @@ def reference_linear_poset(systems, ambient_dim, mode="affine", codim_c=None):
             if all(not any(reduce_against(row, key)) for row in mrows):
                 mask |= 1 << m
         containment.append(mask)
+
+    # a flat is named by the members through it
+    flats = [Flat(idx, len(key), ("lin", mask), f"F{idx}" if key else "ambient")
+             for idx, (key, mask) in enumerate(zip(order_list, containment))]
 
     # a linear flat equals the intersection of the members containing it,
     # so the order is containment of member sets
@@ -433,8 +447,9 @@ def run_child(cwd, *args):
 def explicit_page(model):
     """Assemble and differentiate a projective hyperplane or configuration
     model."""
-    from arrange import assemble_e2, build_differential, decompose
-    page = assemble_e2(model, decompose(model))
+    from arrange import (assemble_e2, build_differential, decompose,
+                         stalk_tables)
+    page = assemble_e2(model, decompose(model, stalk_tables(model)))
     return page.with_differential(build_differential(model, page))
 
 
@@ -545,7 +560,7 @@ def enumerate_feasibility(page, target=None):
                              unique=len(solutions) == 1, ranks=solutions[0])
 
 
-def reference_basis_labels(model, dec):
+def reference_basis_labels(model, summands):
     """Oracle for the layout of ``spectral.assemble_e2``'s cells: the eager
     loop that wrote one (flat, token, copy) tuple per page dimension, kept
     apart from the runs that replaced it (``cell_labels`` expands those).
@@ -578,7 +593,7 @@ def reference_basis_labels(model, dec):
 
     strata, c, bottom = model.strata, model.c, model.poset.bottom
     add_row(0, bottom, strata[bottom], 1)
-    for s in sorted(dec.summands, key=lambda s: (s.level, s.support)):
+    for s in sorted(summands, key=lambda s: (s.level, s.support)):
         add_row((2 * c - 1) * s.level, s.support, strata[s.support],
                 s.multiplicity)
     return {key: tuple(cell) for key, cell in labels.items()}
@@ -963,13 +978,13 @@ def degree_table(c, levels):
     return {(2 * c - 1) * level: d for level, d in levels.items()}
 
 
-def reference_pointwise(model, dec, tables):
+def reference_pointwise(model, summands, tables):
     """``stalks.verify_pointwise`` summed summand by summand with
     ``poset.le`` at every (flat, degree), on ``tables`` (flat -> level
     table) read as degrees."""
     poset, c = model.poset, model.c
     by_degree = {}
-    for s in dec.summands:
+    for s in summands:
         by_degree.setdefault((2 * c - 1) * s.level, []).append(s)
     mismatches = []
     for f in poset.flats:

@@ -16,7 +16,7 @@ from arrange.projective import ProjProduct
 from arrange.spectral import assemble_e2, feasibility, skew_row_homology
 from arrange.stalks import (decompose, level_degree, level_weight,
                             stalk_tables, verify_pointwise)
-from helpers import (coordinate_forms, criterion_10_models,
+from helpers import (coordinate_forms, criterion_10_models, flat_subspaces,
                      random_central_forms, random_generic_projective_forms,
                      random_nongeneric_central_forms, run_explicit)
 
@@ -78,7 +78,7 @@ def test_criterion_3_nongeneric_feasibility():
     for i, forms in enumerate(cases):
         model = hyperplane_model(forms, mode="central")
         oracle = os_oracle(model.poset)
-        dec = decompose(model)
+        dec = decompose(model, stalk_tables(model))
         page = assemble_e2(model, dec)
         res = feasibility(page, oracle)
         assert res.feasible, f"case {i} infeasible"
@@ -162,14 +162,15 @@ def test_criterion_8_engine_invariants():
     rng = random.Random(20240204)
     base_forms = random_central_forms(rng, 5, 3)
     base = hyperplane_model(base_forms, mode="central")
-    base_tables = {base.poset.flats[i].key: t
-                   for i, t in stalk_tables(base).items()}
+    subspaces = flat_subspaces(base.poset, [[f] for f in base_forms])
+    base_tables = {subspaces[i]: t for i, t in stalk_tables(base).items()}
     for _ in range(20):
         perm = list(range(len(base_forms)))
         rng.shuffle(perm)
-        model = hyperplane_model([base_forms[i] for i in perm], mode="central")
-        tables = {model.poset.flats[i].key: t
-                  for i, t in stalk_tables(model).items()}
+        forms = [base_forms[i] for i in perm]
+        model = hyperplane_model(forms, mode="central")
+        subspaces = flat_subspaces(model.poset, [[f] for f in forms])
+        tables = {subspaces[i]: t for i, t in stalk_tables(model).items()}
         assert tables == base_tables
     _line(8, "d^2=0, weight preservation, Euler equality, 20 member permutations")
 

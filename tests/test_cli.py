@@ -522,7 +522,7 @@ def test_per_flat_sections_are_columns_by_flat_id(doc, tmp_path,
     assert list(zip(columns["support"], columns["level"],
                     columns["multiplicity"])) == [
         (s.support, s.level, s.multiplicity)
-        for s in decompose(model).summands]
+        for s in decompose(model, stalk_tables(model))]
 
 
 def string_counts(value, counts):
@@ -595,7 +595,7 @@ def test_human_weights_are_the_stalk_tables_weights(tmp_path, monkeypatch):
             assert degree == (2 * c - 1) * level and weight == 2 * c * level
         assert [(flat, level, mult) for flat, level, _, mult, _ in rows] == [
             (s.support, s.level, s.multiplicity)
-            for s in decompose(model, tables).summands]
+            for s in decompose(model, tables)]
 
 
 # the human `verify` reports of F(P^1,3) and coordinate P^2
@@ -1245,6 +1245,21 @@ def run_job(tmp_path, doc):
     return run_child(tmp_path, "-m", "arrange.cli", "run", path, "--no-cache")
 
 
+@pytest.mark.parametrize("data", [
+    b"\xff\xfe{}",
+    b"[" * 200_000 + b"]" * 200_000,
+], ids=["not_utf8", "nested_too_deeply"])
+def test_undecodable_job_file_is_input_error(tmp_path, data):
+    # a file that is not UTF-8 fails as it is read, and JSON nested past
+    # the interpreter's recursion limit as it is decoded
+    path = tmp_path / "job.json"
+    path.write_bytes(data)
+    proc = run_child(tmp_path, "-m", "arrange.cli", "verify", str(path))
+    assert proc.returncode == EXIT_INPUT
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
 def test_console_entry_point(tmp_path):
     proc = run_job(tmp_path, CONFIG_P1_3)
     assert proc.returncode == 0, proc.stderr
@@ -1275,9 +1290,10 @@ def run_tracer(tmp_path, doc):
 def test_benchmark_tracer_runs(tmp_path, doc, spans, counter):
     # the traced benchmark run rebinds names inside the package, among them
     # cli.skew_row_homology, which no stage calls; a rename there must fail
-    # here, not only in the benchmark
+    # here, not only in the benchmark.  The pointwise check is a call of
+    # execute's own, so its span shows on every job
     names, counts = run_tracer(tmp_path, doc)
-    assert spans <= names
+    assert spans | {"stalks.pointwise"} <= names
     assert "spectral.skew_rows" not in names
     assert counts[counter] > 0
 
@@ -1356,16 +1372,15 @@ def test_malformed_document_exits_4_without_traceback(tmp_path, field, base,
 
 
 def test_pointwise_check_runs_once_per_job(tmp_path, monkeypatch):
-    import arrange.stalks as stalks
     monkeypatch.chdir(tmp_path)
     calls = []
-    real = stalks.verify_pointwise
+    real = cli.verify_pointwise
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(stalks, "verify_pointwise", counting)
+    monkeypatch.setattr(cli, "verify_pointwise", counting)
     report, code = execute(parse(BOOLEAN_P2, command="verify"))
     assert code == EXIT_OK
     assert len(calls) == 1

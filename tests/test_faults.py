@@ -9,7 +9,7 @@ import pytest
 import arrange.cli as cli
 from arrange.cli import EXIT_MISMATCH, main
 from arrange.linalg import RationalMatrix
-from helpers import coordinate_forms
+from helpers import braid_forms, coordinate_forms
 
 
 def add_one_to_the_deepest_stalk(real):
@@ -21,6 +21,14 @@ def add_one_to_the_deepest_stalk(real):
         deepest = max(model.poset.flats, key=lambda f: f.codim).index
         tables[deepest][1] += 1
         return tables
+    return tampered
+
+
+def drop_the_last_summand(real):
+    # the split is checked outside the code that makes it, so a summand it
+    # loses shows as a stalk that the pointwise check cannot account for
+    def tampered(model, tables):
+        return real(model, tables)[:-1]
     return tampered
 
 
@@ -39,6 +47,13 @@ FAULTS = {
         {"kind": "configuration", "factor": [2], "points": 3},
         "stalk_tables", add_one_to_the_deepest_stalk,
         ["pointwise_decomposition"]),
+    "dropped_summand_braid_P4": (
+        {"kind": "hyperplane", "mode": "projective",
+         "forms": [{"covector": cov} for cov, _ in braid_forms(5)]},
+        "decompose", drop_the_last_summand, ["pointwise_decomposition"]),
+    "dropped_summand_F(P2,3)": (
+        {"kind": "configuration", "factor": [2], "points": 3},
+        "decompose", drop_the_last_summand, ["pointwise_decomposition"]),
     "zeroed_block_coordinate_P3": (
         {"kind": "hyperplane", "mode": "projective",
          "forms": [{"covector": cov} for cov, _ in coordinate_forms(3)]},

@@ -233,7 +233,7 @@ def test_euler_oracle_matches_the_page():
     for dims, n in [((1,), 2), ((1,), 3), ((1,), 4), ((1,), 5), ((2,), 3),
                     ((2,), 4), ((1, 1), 3), ((1, 1), 4)]:
         m = configuration_model(ProjProduct(dims), n)
-        page = assemble_e2(m, decompose(m))
+        page = assemble_e2(m, decompose(m, stalk_tables(m)))
         assert page.euler() == euler_oracle(m.factor, n), (dims, n)
 
 
@@ -304,8 +304,8 @@ def test_abstract_tangential_pair_accepted():
          {"key": "T", "codim": 2, "betti": [1, 0, 1]}],
         [["Z1", "T"], ["Z2", "T"]])
     assert not m.explicit
-    dec = decompose(m)
-    assert sorted(s.level for s in dec.summands) == [1, 1, 2]
+    dec = decompose(m, stalk_tables(m))
+    assert sorted(s.level for s in dec) == [1, 1, 2]
 
 
 def test_abstract_codim_violation_rejected():
@@ -320,7 +320,7 @@ def test_abstract_codim_violation_rejected():
     with pytest.raises(NotAdmissible, match=r"B \(codim 3\)"):
         stalk_tables(m)
     with pytest.raises(NotAdmissible):
-        decompose(m)
+        decompose(m, stalk_tables(m))
 
 
 def test_abstract_missing_betti_rejected():
@@ -330,7 +330,7 @@ def test_abstract_missing_betti_rejected():
 
 def test_abstract_reentry_matches_geometric_page():
     m = hyperplane_model(BRAID3, mode="projective")
-    dec = decompose(m)
+    dec = decompose(m, stalk_tables(m))
     page = assemble_e2(m, dec)
 
     poset = m.poset
@@ -348,7 +348,7 @@ def test_abstract_reentry_matches_geometric_page():
             if poset.le(f.index, g.index):
                 order.append([f"F{f.index}", f"F{g.index}"])
     m2 = abstract_model(1, list(m.stratum_betti(poset.bottom)), flats, order)
-    page2 = assemble_e2(m2, decompose(m2))
+    page2 = assemble_e2(m2, decompose(m2, stalk_tables(m2)))
     a = {k: (c.dim, page.weight(*k)) for k, c in page.cells.items()}
     b = {k: (c.dim, page2.weight(*k)) for k, c in page2.cells.items()}
     assert a == b

@@ -10,8 +10,9 @@ from arrange.errors import ArrangeError
 from arrange.poset import (DuplicateMember, EmptyInput, EmptyRestriction,
                            IntersectionPoset, InvalidForm, LastMember)
 from helpers import (braid_forms, brute_force_linear_flats, coordinate_forms,
-                     random_central_forms, random_linear_systems,
-                     reference_linear_poset, reference_partition_lattice)
+                     flat_subspaces, random_central_forms,
+                     random_linear_systems, reference_linear_poset,
+                     reference_partition_lattice)
 
 GENERIC3 = [([1, 0], 0), ([0, 1], 0), ([1, 1], 1)]
 CONCURRENT3 = [([1, 0], 0), ([0, 1], 0), ([1, 1], 0)]
@@ -82,8 +83,10 @@ def test_brute_force_subset_oracle():
         except DuplicateMember:
             continue
         oracle = brute_force_linear_flats(forms, ncoords)
-        built = {f.key[1]: frozenset(m.label for i, m in enumerate(p.members)
-                                     if p.member_mask(f.index) >> i & 1)
+        subspaces = flat_subspaces(p, [[form] for form in forms])
+        built = {subspaces[f.index]: frozenset(
+                     m.label for i, m in enumerate(p.members)
+                     if p.member_mask(f.index) >> i & 1)
                  for f in p.flats}
         assert built == oracle
 
@@ -148,11 +151,11 @@ def test_rejections_match_reference_closure(systems, ambient_dim, mode, error):
 ], ids=["coordinate_P6", "braid_A4_central"])
 def test_build_runs_no_rref(monkeypatch, forms, ambient_dim, mode, flats):
     # members enter as primitive integer rows and are keyed like the
-    # closure's meets, and a flat's key is the reduced form of the echelon
-    # basis the closure keeps: the build runs no fresh elimination and
-    # makes no matrix
+    # closure's meets, and a flat's key is its member mask, with the length
+    # of the echelon basis the closure keeps as its codimension: the build
+    # runs no fresh elimination, puts no basis into reduced form and makes
+    # no matrix
     calls = []
-    real = poset.rref
 
     def counting(fn):
         def wrapper(*args, **kwargs):
@@ -160,7 +163,9 @@ def test_build_runs_no_rref(monkeypatch, forms, ambient_dim, mode, flats):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(poset, "rref", counting(real))
+    monkeypatch.setattr(poset, "rref", counting(poset.rref))
+    monkeypatch.setattr(linalg.Echelon, "reduced",
+                        counting(linalg.Echelon.reduced))
     monkeypatch.setattr(linalg, "primitive_rows",
                         counting(linalg.primitive_rows))
     monkeypatch.setattr(linalg.RationalMatrix, "__init__",
@@ -169,10 +174,10 @@ def test_build_runs_no_rref(monkeypatch, forms, ambient_dim, mode, flats):
     assert len(p) == flats
     assert calls == []
     monkeypatch.undo()
+    subspaces = flat_subspaces(p, [[form] for form in forms])
     for f in p.flats:
-        key = f.key[1]
-        assert (key, tuple(next(j for j, v in enumerate(row) if v)
-                           for row in key)) == real(key)
+        assert f.key == ("lin", p.member_mask(f.index))
+        assert f.codim == len(subspaces[f.index])
 
 
 def points_of_p1(m):
@@ -221,18 +226,6 @@ def test_shorter_quotient_inside_a_longer_one(order):
     assert p.member_mask(origin) == 0b111
     assert p.to_dict() == reference_linear_poset(systems, 4,
                                                  "central").to_dict()
-
-
-def test_linear_keys_share_equal_rows():
-    # coordinate P^8: 511 flats, whose keys hold 2,295 rows, every one of
-    # them one of the 9 unit rows; a build keeps each distinct row, and
-    # each distinct entry, as one object
-    p = IntersectionPoset.from_linear_forms(coordinate_forms(8), 8,
-                                            "projective")
-    rows = [row for f in p.flats for row in f.key[1]]
-    assert len(p) == 511 and len(rows) == 2295
-    assert len({id(row) for row in rows}) == len(set(rows)) == 9
-    assert len({id(x) for row in rows for x in row}) == 2
 
 
 def test_projective_drops_cone_apex():
@@ -350,12 +343,17 @@ def test_deletion_matches_rebuild():
         p = IntersectionPoset.from_linear_forms(forms, len(forms[0][0]), "central")
         k = rng.randrange(len(forms))
         surgical = p.deletion(k)
+        rest = [f for i, f in enumerate(forms) if i != k]
         rebuilt = IntersectionPoset.from_linear_forms(
-            [f for i, f in enumerate(forms) if i != k],
-            len(forms[0][0]), "central")
-        assert {f.key for f in surgical.flats} == {f.key for f in rebuilt.flats}
-        a = {f.key: (f.codim, surgical.mu(f.index)) for f in surgical.flats}
-        b = {f.key: (f.codim, rebuilt.mu(f.index)) for f in rebuilt.flats}
+            rest, len(forms[0][0]), "central")
+        # the surgery keeps p's keys, whose masks number the members of p
+        old = flat_subspaces(surgical, [[f] for f in forms])
+        new = flat_subspaces(rebuilt, [[f] for f in rest])
+        assert set(old) == set(new)
+        a = {old[f.index]: (f.codim, surgical.mu(f.index))
+             for f in surgical.flats}
+        b = {new[f.index]: (f.codim, rebuilt.mu(f.index))
+             for f in rebuilt.flats}
         assert a == b
 
 
@@ -421,10 +419,13 @@ def test_member_permutation_gives_same_keys():
     for _ in range(5):
         perm = list(range(5))
         rng.shuffle(perm)
-        q = IntersectionPoset.from_linear_forms(
-            [forms[i] for i in perm], 3, "central")
-        a = sorted((f.codim, p.mu(f.index), repr(f.key)) for f in p.flats)
-        b = sorted((f.codim, q.mu(f.index), repr(f.key)) for f in q.flats)
+        permuted = [forms[i] for i in perm]
+        q = IntersectionPoset.from_linear_forms(permuted, 3, "central")
+        # a key names members by position, so compare the subspaces
+        at_p = flat_subspaces(p, [[f] for f in forms])
+        at_q = flat_subspaces(q, [[f] for f in permuted])
+        a = sorted((f.codim, p.mu(f.index), at_p[f.index]) for f in p.flats)
+        b = sorted((f.codim, q.mu(f.index), at_q[f.index]) for f in q.flats)
         assert a == b
 
 

@@ -9,7 +9,7 @@ from arrange.poset import AdmissibilityReport, Flat, IntersectionPoset, Member
 from arrange.projective import ProjProduct
 from arrange.spectral import FeasibilityResult, RunResult, WeightedCell
 import arrange.stalks as stalks_mod
-from arrange.stalks import PointwiseReport, SheafDecomposition, Summand
+from arrange.stalks import PointwiseReport, Summand
 from helpers import SpaceMap, run_child, space_map
 
 
@@ -17,8 +17,8 @@ from helpers import SpaceMap, run_child, space_map
 # that differs from them in one field
 FROZEN = [
     (Member("x", "H0", 1), Member("x", "H0", 1), Member("x", "H0", 2)),
-    (Flat(3, 2, ("lin", (0, 1)), "F3"), Flat(3, 2, ("lin", (0, 1)), "F3"),
-     Flat(3, 2, ("lin", (0, 2)), "F3")),
+    (Flat(3, 2, ("lin", 0b011), "F3"), Flat(3, 2, ("lin", 0b011), "F3"),
+     Flat(3, 2, ("lin", 0b101), "F3")),
     (ProjProduct((1, 2)), ProjProduct([1, "2"]), ProjProduct((2, 1))),
     (space_map(1, 2), space_map(1, 2), space_map(1, 2, scale=2)),
     (WeightedCell(((0, ((1,),), 1),)),
@@ -38,7 +38,6 @@ def mutable_records():
         JobSpec("run", {}), ArrangementModel("abstract", POSET, 1, {0: (1,)}),
         MonReport(True, [], [], []), AdmissibilityReport(True, []),
         RunResult(None, None, None, {}, 0), FeasibilityResult(0, {}),
-        SheafDecomposition(()),
         PointwiseReport(True)]
 
 
@@ -98,14 +97,6 @@ def test_mutable_records_compare_by_fields():
     assert mutable_records() == mutable_records()
     assert AdmissibilityReport(True, [], "n") != AdmissibilityReport(True, [])
     assert FeasibilityResult(0, {}, splits=1) != FeasibilityResult(0, {})
-
-
-def test_sheaf_decomposition_equality_ignores_the_pointwise_report():
-    summands = (Summand(1, 1, 1),)
-    checked = SheafDecomposition(summands, pointwise=PointwiseReport(True))
-    assert checked == SheafDecomposition(summands)
-    assert checked != SheafDecomposition(())
-    assert "pointwise" not in repr(checked)
 
 
 def test_defaults_are_fresh_per_instance():

@@ -18,7 +18,7 @@ from arrange.spectral import (Infeasible, MalformedCell, MissingStratumData,
                               NotComposable, SpectralPage, WeightedCell,
                               assemble_e2, build_differential, feasibility,
                               run, skew_row_homology)
-from arrange.stalks import decompose
+from arrange.stalks import decompose, stalk_tables
 from helpers import (braid_forms, cell_labels, child_env, coordinate_forms,
                      criterion_10_models, dense, enumerate_feasibility,
                      explicit_page,
@@ -32,7 +32,7 @@ TWO_POINTS_P1 = [([1, 0], 0), ([0, 1], 0)]
 
 
 def assemble(model):
-    dec = decompose(model)
+    dec = decompose(model, stalk_tables(model))
     return assemble_e2(model, dec)
 
 
@@ -73,9 +73,9 @@ def test_assemble_missing_stratum_data():
     # one entry dropped from the strata: a summand's support, then the
     # bottom flat, whose stratum gives the ambient row
     m = hyperplane_model(BOOLEAN_P2, mode="projective")
-    dec = decompose(m)
+    dec = decompose(m, stalk_tables(m))
     strata = m.strata
-    for flat in (dec.summands[-1].support, m.poset.bottom):
+    for flat in (dec[-1].support, m.poset.bottom):
         m.strata = {f: data for f, data in strata.items() if f != flat}
         with pytest.raises(MissingStratumData, match=rf"flat {flat}$"):
             assemble_e2(m, dec)
@@ -619,7 +619,7 @@ LABEL_MODELS = {
 @pytest.mark.parametrize("name", sorted(LABEL_MODELS))
 def test_lazy_labels_match_the_eager_loop(name):
     model = LABEL_MODELS[name]()
-    dec = decompose(model)
+    dec = decompose(model, stalk_tables(model))
     page = assemble_e2(model, dec)
     expected = reference_basis_labels(model, dec)
     assert page.cells.keys() == expected.keys()

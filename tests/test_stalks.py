@@ -10,13 +10,13 @@ from arrange.projective import ProjProduct
 from arrange.errors import ArrangeError
 from arrange.models import ArrangementModel, abstract_model
 from arrange.poset import IntersectionPoset
-from arrange.stalks import (InconsistentDecomposition, RecursionDepthExceeded,
-                            decompose, level_degree, level_weight,
-                            stalk_tables, verify_pointwise)
+from arrange.stalks import (RecursionDepthExceeded, decompose, level_degree,
+                            level_weight, stalk_tables, verify_pointwise)
 from helpers import (braid_forms, coordinate_forms, degree_table,
-                     random_central_forms, random_generic_projective_forms,
-                     random_linear_systems, reference_delete_member,
-                     reference_pointwise, reference_stalk_dims)
+                     flat_subspaces, random_central_forms,
+                     random_generic_projective_forms, random_linear_systems,
+                     reference_delete_member, reference_pointwise,
+                     reference_stalk_dims)
 
 
 def model_concurrent3(mode="central"):
@@ -66,9 +66,9 @@ def test_bottom_stalk():
 
 def test_decompose_single_hypersurface():
     m = hyperplane_model([([1, 2], 0)], mode="central")
-    dec = decompose(m)
-    assert len(dec.summands) == 1
-    s = dec.summands[0]
+    dec = decompose(m, stalk_tables(m))
+    assert len(dec) == 1
+    s = dec[0]
     assert (s.support, s.level, s.multiplicity) == (1, 1, 1)
     assert level_degree(m.c, s.level) == 1
     assert level_weight(m.c, s.level) == 2
@@ -77,9 +77,9 @@ def test_decompose_single_hypersurface():
 def test_decompose_boolean_p2():
     m = hyperplane_model(
         [([1, 0, 0], 0), ([0, 1, 0], 0), ([0, 0, 1], 0)], mode="projective")
-    dec = decompose(m)
+    dec = decompose(m, stalk_tables(m))
     by_level = {}
-    for s in dec.summands:
+    for s in dec:
         by_level.setdefault(s.level, []).append(s)
     assert [s.multiplicity for s in by_level[1]] == [1, 1, 1]
     assert [s.multiplicity for s in by_level[2]] == [1, 1, 1]
@@ -89,9 +89,9 @@ def test_decompose_boolean_p2():
 
 def test_decompose_configuration_p1_cubed():
     m = configuration_model(ProjProduct((1,)), 3)
-    dec = decompose(m)
+    dec = decompose(m, stalk_tables(m))
     by_level = {}
-    for s in dec.summands:
+    for s in dec:
         by_level.setdefault(s.level, []).append(s)
     assert sorted(s.multiplicity for s in by_level[1]) == [1, 1, 1]
     assert [s.multiplicity for s in by_level[2]] == [2]
@@ -101,12 +101,11 @@ def test_pointwise_examples():
     m = model_concurrent3()
     tables = stalk_tables(m)
     dec = decompose(m, tables)
-    rep = verify_pointwise(m, dec, tables)
-    assert rep.ok and rep == dec.pointwise
+    assert verify_pointwise(m, dec, tables).ok
     # triple point at level 2: recursion gives 2, decomposition multiplicity 2
     top = deepest(m)
     assert tables[top][2] == 2
-    assert sum(s.multiplicity for s in dec.summands
+    assert sum(s.multiplicity for s in dec
                if s.level == 2 and m.poset.le(s.support, top)) == 2
 
 
@@ -144,14 +143,15 @@ def test_member_order_invariance():
     rng = random.Random(41)
     forms = random_central_forms(rng, 5, 3)
     base = hyperplane_model(forms, mode="central")
-    base_tables = {base.poset.flats[i].key: t
-                   for i, t in stalk_tables(base).items()}
+    subspaces = flat_subspaces(base.poset, [[f] for f in forms])
+    base_tables = {subspaces[i]: t for i, t in stalk_tables(base).items()}
     for _ in range(6):
         perm = list(range(len(forms)))
         rng.shuffle(perm)
-        m = hyperplane_model([forms[i] for i in perm], mode="central")
-        tables = {m.poset.flats[i].key: t
-                  for i, t in stalk_tables(m).items()}
+        permuted = [forms[i] for i in perm]
+        m = hyperplane_model(permuted, mode="central")
+        subspaces = flat_subspaces(m.poset, [[f] for f in permuted])
+        tables = {subspaces[i]: t for i, t in stalk_tables(m).items()}
         assert tables == base_tables
 
 
@@ -177,8 +177,8 @@ def test_partition_multiplicity_oracle():
     # multiplicity of the flat of a partition is prod (|block|-1)!
     for n in (2, 3, 4, 5):
         m = configuration_model(ProjProduct((1,)), n)
-        dec = decompose(m)
-        mult = {s.support: s.multiplicity for s in dec.summands}
+        dec = decompose(m, stalk_tables(m))
+        mult = {s.support: s.multiplicity for s in dec}
         for f in m.poset.flats:
             if f.index == m.poset.bottom:
                 continue
@@ -202,7 +202,7 @@ def test_stalks_are_independent_of_c(n):
         keys = [f.key for f in m.poset.flats]
         tables.append({keys[i]: t for i, t in stalk_tables(m).items()})
         summands.append({(keys[s.support], s.level, s.multiplicity)
-                         for s in decompose(m).summands})
+                         for s in decompose(m, stalk_tables(m))})
     assert all(t == tables[0] for t in tables)
     assert all(s == summands[0] for s in summands)
 
@@ -249,7 +249,7 @@ def test_memoization_shares_work():
 
 def test_admissibility_checked_once_per_call(monkeypatch):
     # stalk_tables checks once; decompose reads the tables it is given as
-    # they are, and checks only through the stalk_tables call it makes
+    # they are and checks nothing
     calls = []
     real = IntersectionPoset.check_admissible
 
@@ -263,8 +263,6 @@ def test_admissibility_checked_once_per_call(monkeypatch):
     assert len(calls) == 1
     decompose(m, tables)
     assert len(calls) == 1
-    decompose(m)
-    assert len(calls) == 2
 
 
 def _normal_crossing_dims(k):
@@ -421,10 +419,10 @@ def test_incoherent_abstract_poset_fails_pointwise():
     # no actual arrangement has this incidence, and the pointwise check
     # catches it (stalk 2 at level 2, degree 2, at D; multiplicity sum 1)
     m = abstract_model(1, [1], *INCOHERENT)
-    with pytest.raises(InconsistentDecomposition) as err:
-        decompose(m)
-    assert err.value.report.mismatches
-    assert any(mm["degree"] == 2 for mm in err.value.report.mismatches)
+    tables = stalk_tables(m)
+    report = verify_pointwise(m, decompose(m, tables), tables)
+    assert report.ok is False
+    assert any(mm["degree"] == 2 for mm in report.mismatches)
 
 
 def test_recursion_depth_guard(monkeypatch):
@@ -513,10 +511,7 @@ def test_pointwise_matches_reference_sum():
         if not m.poset.check_admissible().ok:
             continue
         tables = stalk_tables(m)
-        try:
-            dec = decompose(m, tables=tables)
-        except InconsistentDecomposition as err:
-            dec = err.dec
+        dec = decompose(m, tables)
         assert verify_pointwise(m, dec, tables=tables) == \
             reference_pointwise(m, dec, tables)
         checked += 1
@@ -541,5 +536,6 @@ def test_decompose_makes_no_order_queries(monkeypatch):
         return real(self, i, j)
 
     monkeypatch.setattr(IntersectionPoset, "le", counting)
-    decompose(m)
+    tables = stalk_tables(m)
+    assert verify_pointwise(m, decompose(m, tables), tables).ok
     assert calls == []
