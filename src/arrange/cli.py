@@ -36,9 +36,9 @@ only in degrees (2c-1)*l by its construction.
 Exit codes: 0 ok, 2 verification mismatch or a feasibility search left
 undecided at its split budget (``spectral.FEASIBILITY_BUDGET``),
 3 infeasible target (in explicit mode, a target that the Betti numbers
-miss), 4 input error, including a document that declares more than
-``poset.MAX_FLATS`` cohomology classes and a model whose poset build made
-more than that many flats and stopped there.
+miss), 4 input error, including a malformed command line, a document that
+declares more than ``poset.MAX_FLATS`` cohomology classes and a model
+whose poset build made more than that many flats and stopped there.
 """
 
 from __future__ import annotations
@@ -213,10 +213,6 @@ def parse(document: dict, command: str = "run", overrides: dict | None = None) -
     options = document.get("options") or {}
     _require(isinstance(options, dict),
              f"options must be a JSON object, got {options!r}")
-    # accepted for old documents; it has no effect
-    cache = options.get("cache", True)
-    _require(isinstance(cache, bool),
-             f"options.cache must be true or false, got {cache!r}")
     options = dict(options)
     options.update(overrides or {})
     mode = options.get("mode")
@@ -484,11 +480,12 @@ def execute(job: JobSpec) -> tuple:
     del summands
     report["e2"] = _page_section(
         page, {key: cell.dim for key, cell in page.cells.items()})
+    euler = report["e2"]["euler"]   # every page of the sequence has it
     if model.kind == "configuration":
         # chi(F(X, n)) from the Fadell-Neuwirth fibration, read from the
         # factor and the point count alone; a miss ends the run before a
         # differential is built on the page
-        expected, euler = euler_oracle(model.factor, model.n), page.euler()
+        expected = euler_oracle(model.factor, model.n)
         if euler != expected:
             verdict("euler_oracle", False, expected=expected, page=euler)
             return report, EXIT_MISMATCH
@@ -525,7 +522,7 @@ def execute(job: JobSpec) -> tuple:
         report["einfty"] = _page_section(page, res.homology)
         report["betti"] = res.betti.to_list()
         report["betti_text"] = str(res.betti)
-        report["euler"] = res.euler
+        report["euler"] = euler
         report["weight_table"] = [
             {"k": k, "w": w, "dim": d}
             for (k, w), d in sorted(res.weights.items())]
@@ -554,7 +551,7 @@ def execute(job: JobSpec) -> tuple:
             verdict("feasibility", False)
             return report, EXIT_INFEASIBLE
         section = {
-            "euler": res.euler,
+            "euler": euler,
             "bounds": [{"k": k, "lower": lo, "upper": hi}
                        for k, (lo, hi) in sorted(res.bounds.items())],
         }
@@ -768,13 +765,15 @@ def _build_argparser():
         p.add_argument("--target",
                        help="Betti target: 'oracle' or comma-separated coefficients")
         p.add_argument("--format", choices=["human", "machine"], dest="fmt")
-        p.add_argument("--no-cache", action="store_true",
-                       help="accepted for old scripts; has no effect")
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_argparser().parse_args(argv)
+    try:
+        args = _build_argparser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed the help (code 0) or a usage error (code 2)
+        return EXIT_INPUT if exc.code else EXIT_OK
     try:
         text = Path(args.file).read_text()
     except (OSError, UnicodeDecodeError) as exc:

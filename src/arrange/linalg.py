@@ -75,10 +75,6 @@ class RationalMatrix:
     def zeros(cls, rows, cols):
         return cls(rows, cols)
 
-    @classmethod
-    def identity(cls, n):
-        return cls(n, n, {(i, i): 1 for i in range(n)})
-
     def is_zero(self):
         return not self.by_row
 

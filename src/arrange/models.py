@@ -27,14 +27,12 @@ from .records import Record
 
 
 class ArrangementModel(Record):
-    __slots__ = ("kind", "poset", "c", "strata", "factor", "n", "ncd",
-                 "explicit")
+    __slots__ = ("kind", "poset", "strata", "factor", "n", "ncd", "explicit")
 
-    def __init__(self, kind, poset, c, strata, factor=None, n=None,
-                 ncd=False, explicit=False):
+    def __init__(self, kind, poset, strata, factor=None, n=None, ncd=False,
+                 explicit=False):
         self.kind = kind
         self.poset = poset
-        self.c = c
         # flat index -> ProjProduct or Betti tuple; strata[poset.bottom]
         # is the ambient space
         self.strata = strata
@@ -42,6 +40,11 @@ class ArrangementModel(Record):
         self.n = n
         self.ncd = ncd
         self.explicit = explicit
+
+    @property
+    def c(self):
+        """The common member codimension, the poset's."""
+        return self.poset.codim_c
 
     def stratum_betti(self, flat):
         data = self.strata[flat]
@@ -111,7 +114,7 @@ def hyperplane_model(forms, mode="projective", ambient_dim=None) -> ArrangementM
     else:
         strata = {f.index: (1,) for f in poset.flats}
     return ArrangementModel(
-        kind="hyperplane", poset=poset, c=1, strata=strata,
+        kind="hyperplane", poset=poset, strata=strata,
         ncd=ncd, explicit=ncd and mode == "projective")
 
 
@@ -130,7 +133,7 @@ def configuration_model(factor: ProjProduct, n: int) -> ArrangementModel:
     # explicit by default up to three points: a cost cap, not a limit of
     # the differential, until a page-size constant replaces it
     return ArrangementModel(
-        kind="configuration", poset=poset, c=c, strata=strata,
+        kind="configuration", poset=poset, strata=strata,
         factor=factor, n=n, explicit=n <= 3)
 
 
@@ -165,7 +168,7 @@ def abstract_model(c, ambient_betti, flats, order) -> ArrangementModel:
     strata = {poset.bottom: tuple(int(b) for b in ambient_betti)}
     for fl in flats:
         strata[key_to_index[str(fl["key"])]] = tuple(int(b) for b in fl["betti"])
-    return ArrangementModel(kind="abstract", poset=poset, c=c, strata=strata)
+    return ArrangementModel(kind="abstract", poset=poset, strata=strata)
 
 
 def os_oracle(poset: IntersectionPoset) -> IntPoly:
@@ -211,13 +214,16 @@ def _mobius_poly(poset):
 
 
 class MonReport(Record):
-    __slots__ = ("ok", "ok_flats", "bad_flats", "conclusion")
+    __slots__ = ("ok_flats", "bad_flats", "conclusion")
 
-    def __init__(self, ok, ok_flats, bad_flats, conclusion):
-        self.ok = ok
+    def __init__(self, ok_flats, bad_flats, conclusion):
         self.ok_flats = ok_flats
         self.bad_flats = bad_flats
         self.conclusion = conclusion
+
+    @property
+    def ok(self):
+        return not self.bad_flats
 
 
 def check_mon(model: ArrangementModel, exponents) -> MonReport:
@@ -242,9 +248,8 @@ def check_mon(model: ArrangementModel, exponents) -> MonReport:
             if mask >> m & 1:
                 total += exps[m]
         (ok_flats if total % 1 else bad_flats).append(f.index)
-    ok = not bad_flats
     conclusion = []
-    if ok:
+    if not bad_flats:
         conclusion = [
             "boundary stalks of the derived pushforward vanish",
             "Rj_*L = j_!L",
@@ -252,4 +257,4 @@ def check_mon(model: ArrangementModel, exponents) -> MonReport:
             "the page is concentrated in the bottom row",
             "H^p(U;L) = H^p(X,D;j_*L)  (relative group not computed)",
         ]
-    return MonReport(ok, ok_flats, bad_flats, conclusion)
+    return MonReport(ok_flats, bad_flats, conclusion)

@@ -17,14 +17,6 @@ class IntPoly:
         self.coeffs = tuple(int(c) for c in cs)
 
     @classmethod
-    def zero(cls):
-        return cls(())
-
-    @classmethod
-    def one(cls):
-        return cls((1,))
-
-    @classmethod
     def monomial(cls, degree, coeff=1):
         return cls((0,) * degree + (coeff,))
 
@@ -59,23 +51,6 @@ class IntPoly:
         n = max(len(self.coeffs), len(other.coeffs))
         return IntPoly(
             tuple(self.coeff(i) + other.coeff(i) for i in range(n)))
-
-    def __mul__(self, other):
-        if not self.coeffs or not other.coeffs:
-            return IntPoly(())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return IntPoly(out)
-
-    def __pow__(self, n):
-        acc = IntPoly.one()
-        for _ in range(n):
-            acc = acc * self
-        return acc
 
     def div_exact(self, other):
         """Exact division; raises if the remainder is nonzero."""

@@ -9,8 +9,9 @@ Surgery works on local arrangements ``(flats, atoms)``: a bitmask of the
 poset's own flat indices and the members' atoms, so a flat keeps one index
 through the whole stalk recursion.
 
-An order is validated where it enters: ``from_abstract`` and ``from_dict``
-run ``_validate``.  A build needs no check: its order is the containment of
+An order is validated where it enters: ``from_abstract`` and ``from_dict``,
+which reads a stored form that the package itself never writes, run
+``_validate``.  A build needs no check: its order is the containment of
 member masks, graded since a flat is the intersection of the members in
 its mask; a partition's members are the pairs it merges.
 
@@ -99,12 +100,15 @@ class Flat(Frozen):
 
 
 class AdmissibilityReport(Record):
-    __slots__ = ("ok", "violations", "note")
+    __slots__ = ("violations", "note")
 
-    def __init__(self, ok, violations, note=""):
-        self.ok = ok
+    def __init__(self, violations, note=""):
         self.violations = violations
         self.note = note
+
+    @property
+    def ok(self):
+        return not self.violations
 
 
 def _meet(rows, basis, cols):
@@ -401,10 +405,6 @@ class IntersectionPoset:
     def __len__(self):
         return len(self.flats)
 
-    def le(self, i, j):
-        """True when flat i's support contains flat j's (i at most as deep)."""
-        return bool(self.down[j] >> i & 1)
-
     def member_mask(self, i):
         return self._member_mask[i]
 
@@ -481,7 +481,7 @@ class IntersectionPoset:
         if self.mode == "abstract":
             note = ("abstract input: smoothness and irreducibility of the "
                     "declared strata are trusted, not verified")
-        return AdmissibilityReport(not violations, violations, note)
+        return AdmissibilityReport(violations, note)
 
     # ----- surgery ----------------------------------------------------------
 
@@ -583,19 +583,9 @@ class IntersectionPoset:
         return self._sub_poset(*self.restrict_to_member(*self._whole(member_pos)))
 
     # ----- serialization ----------------------------------------------------
-    # no path of the package calls these; the tests and benchmark/tracer.py do
-
-    def to_dict(self):
-        return {
-            "ambient_dim": self.ambient_dim,
-            "codim_c": self.codim_c,
-            "mode": self.mode,
-            "flats": [{"codim": f.codim, "key": _obj_to_json(f.key),
-                       "display": f.display} for f in self.flats],
-            "down": [str(m) for m in self.down],
-            "members": [{"label": _obj_to_json(m.label), "display": m.display,
-                         "atom": m.atom} for m in self.members],
-        }
+    # no path of the package calls from_dict, and none writes the stored
+    # form it reads; benchmark/tracer.py binds it.  A stored key or label is
+    # JSON, with a tuple as {"tuple": [...]} and a Fraction as {"frac": "p/q"}
 
     @classmethod
     def from_dict(cls, data):
@@ -667,18 +657,6 @@ def _set_partitions(n):
                     raise TooManyFlats(f"partition lattice of {n} points")
         level = grown
     return level
-
-
-# JSON codecs for the heterogeneous keys/labels used above.
-
-def _obj_to_json(obj):
-    if isinstance(obj, Fraction):
-        return {"frac": str(obj)}
-    if isinstance(obj, tuple):
-        return {"tuple": [_obj_to_json(x) for x in obj]}
-    if isinstance(obj, (str, int, bool)) or obj is None:
-        return obj
-    raise ArrangeError(f"cannot serialize {type(obj).__name__}")
 
 
 def _obj_from_json(data):

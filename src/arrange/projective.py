@@ -52,10 +52,6 @@ class ProjProduct(Frozen):
     def dim(self):
         return sum(self.factor_dims)
 
-    @property
-    def nfactors(self):
-        return len(self.factor_dims)
-
     def monomials(self, k):
         return _monomials(self.factor_dims, k)
 

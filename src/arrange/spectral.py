@@ -172,23 +172,24 @@ class SpectralPage:
 
 
 class RunResult(Record):
-    __slots__ = ("homology", "betti", "weights", "ranks", "euler")
+    """The limits of a run; the Euler characteristic is the page's."""
+    __slots__ = ("homology", "betti", "weights", "ranks")
 
-    def __init__(self, homology, betti, weights, ranks, euler):
+    def __init__(self, homology, betti, weights, ranks):
         self.homology = homology   # (p, q) -> nonzero homology dimension
         self.betti = betti         # IntPoly
         self.weights = weights     # (degree, weight) -> nonzero dim
         self.ranks = ranks
-        self.euler = euler
 
 
 class FeasibilityResult(Record):
-    __slots__ = ("euler", "bounds", "feasible", "unique", "ranks",
-                 "undecided", "splits")
+    """Bounds, and the rank search's outcome when there is a target; the
+    Euler characteristic is the page's."""
+    __slots__ = ("bounds", "feasible", "unique", "ranks", "undecided",
+                 "splits")
 
-    def __init__(self, euler, bounds, feasible=None, unique=None, ranks=None,
+    def __init__(self, bounds, feasible=None, unique=None, ranks=None,
                  undecided=False, splits=0):
-        self.euler = euler
         self.bounds = bounds           # k -> (lower, upper)
         self.feasible = feasible
         self.unique = unique
@@ -362,7 +363,7 @@ def run(page: SpectralPage) -> RunResult:
     # the weight minus the degree is the row's level: no key repeats
     weights = {(p + q, page.weight(p, q)): h
                for (p, q), h in homology.items()}
-    return RunResult(homology, betti, weights, ranks, page.euler())
+    return RunResult(homology, betti, weights, ranks)
 
 
 def skew_row_homology(page: SpectralPage, k: int, ell: int) -> int:
@@ -484,8 +485,9 @@ class _RankSearch:
 
 
 def feasibility(page: SpectralPage, target: IntPoly | None = None) -> FeasibilityResult:
-    """Exact Euler characteristic, per-degree bounds, and (optionally) the
-    integer rank assignments reproducing a target Betti polynomial.
+    """Per-degree bounds, and (optionally) the integer rank assignments
+    reproducing a target Betti polynomial, whose Euler characteristic must
+    be the page's.
 
     Every cell has at most one incoming and one outgoing block, so the
     unknown ranks decompose along skew-rows.  The search walks the
@@ -499,7 +501,6 @@ def feasibility(page: SpectralPage, target: IntPoly | None = None) -> Feasibilit
     stops and returns an undecided result (``feasible`` None, ``undecided``
     True), never ``Infeasible``.
     """
-    euler = page.euler()
     cells = page.cells
     upper = {}
     for (p, q), cell in cells.items():
@@ -513,7 +514,7 @@ def feasibility(page: SpectralPage, target: IntPoly | None = None) -> Feasibilit
         pair = bounds.get(k, (0, upper[k]))
         bounds[k] = (pair[0] + lo, upper[k])
     if target is None:
-        return FeasibilityResult(euler, bounds)
+        return FeasibilityResult(bounds)
 
     maxk = max(upper, default=0)
     if target.degree > maxk:
@@ -523,7 +524,7 @@ def feasibility(page: SpectralPage, target: IntPoly | None = None) -> Feasibilit
         if not 0 <= target.coeff(k) <= upper.get(k, 0):
             raise Infeasible(
                 f"target b_{k} = {target.coeff(k)} outside [0, {upper.get(k, 0)}]")
-    if target.evaluate(-1) != euler:
+    if target.evaluate(-1) != (euler := page.euler()):
         raise Infeasible(
             f"target Euler characteristic {target.evaluate(-1)} != {euler}")
 
@@ -531,11 +532,11 @@ def feasibility(page: SpectralPage, target: IntPoly | None = None) -> Feasibilit
     try:
         count = search.count(0, search.start)
     except _OverBudget:
-        return FeasibilityResult(euler, bounds, undecided=True,
+        return FeasibilityResult(bounds, undecided=True,
                                  splits=search.splits)
     if not count:
         raise Infeasible(
             "no integer rank assignment matches the target along the "
             f"skew-rows; first obstruction at total degree {search.deepest}")
-    return FeasibilityResult(euler, bounds, feasible=True, unique=count == 1,
+    return FeasibilityResult(bounds, feasible=True, unique=count == 1,
                              ranks=search.first_ranks(), splits=search.splits)

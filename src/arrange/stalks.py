@@ -62,11 +62,14 @@ class Summand(Frozen):
 
 
 class PointwiseReport(Record):
-    __slots__ = ("ok", "mismatches")
+    __slots__ = ("mismatches",)
 
-    def __init__(self, ok, mismatches=None):
-        self.ok = ok
+    def __init__(self, mismatches=None):
         self.mismatches = [] if mismatches is None else mismatches
+
+    @property
+    def ok(self):
+        return not self.mismatches
 
 
 def _recurse(poset, memo, flats, atoms, masks, depth=0):
@@ -177,4 +180,4 @@ def verify_pointwise(model, summands, tables) -> PointwiseReport:
                 mismatches.append({
                     "flat": f.index, "degree": level_degree(c, level),
                     "stalk": lhs, "decomposition": rhs})
-    return PointwiseReport(not mismatches, mismatches)
+    return PointwiseReport(mismatches)

@@ -28,6 +28,36 @@ def dense(matrix):
     return rows
 
 
+def le(poset, i, j):
+    """True when flat i's support contains flat j's (i at most as deep)."""
+    return bool(poset.down[j] >> i & 1)
+
+
+def _stored(obj):
+    """A flat key or member label as the stored form writes it."""
+    if isinstance(obj, Fraction):
+        return {"frac": str(obj)}
+    if isinstance(obj, tuple):
+        return {"tuple": [_stored(x) for x in obj]}
+    return obj
+
+
+def poset_dict(poset):
+    """The stored form that ``IntersectionPoset.from_dict`` reads: two
+    posets with one form have the same flats, order and members, index by
+    index."""
+    return {
+        "ambient_dim": poset.ambient_dim,
+        "codim_c": poset.codim_c,
+        "mode": poset.mode,
+        "flats": [{"codim": f.codim, "key": _stored(f.key),
+                   "display": f.display} for f in poset.flats],
+        "down": [str(m) for m in poset.down],
+        "members": [{"label": _stored(m.label), "display": m.display,
+                     "atom": m.atom} for m in poset.members],
+    }
+
+
 def minor_rank(rows):
     """Rank as the largest nonvanishing minor, by determinant expansion.
 
@@ -464,14 +494,14 @@ def enumerate_feasibility(page, target=None):
     """Oracle for ``spectral.feasibility``: the plain enumerator that the
     memoized search replaced, kept apart from it.
 
-    Exact Euler characteristic, per-degree bounds, and (optionally) the
-    integer rank assignments reproducing a target Betti polynomial.
+    Per-degree bounds, and (optionally) the integer rank assignments
+    reproducing a target Betti polynomial, whose Euler characteristic must
+    be the page's.
 
     Every cell has at most one incoming and one outgoing block, so the
     unknown ranks decompose along skew-rows; the search walks antidiagonals
     in order and enumerates rank splittings exactly.
     """
-    euler = page.euler()
     cells = page.cells
     upper = {}
     for (p, q), cell in cells.items():
@@ -487,7 +517,7 @@ def enumerate_feasibility(page, target=None):
     for k in upper:
         bounds.setdefault(k, (0, upper[k]))
     if target is None:
-        return FeasibilityResult(euler, bounds)
+        return FeasibilityResult(bounds)
 
     maxk = max(upper, default=0)
     if target.degree > maxk:
@@ -497,6 +527,7 @@ def enumerate_feasibility(page, target=None):
         if not 0 <= target.coeff(k) <= upper.get(k, 0):
             raise Infeasible(
                 f"target b_{k} = {target.coeff(k)} outside [0, {upper.get(k, 0)}]")
+    euler = sum((-1) ** (p + q) * cell.dim for (p, q), cell in cells.items())
     if target.evaluate(-1) != euler:
         raise Infeasible(
             f"target Euler characteristic {target.evaluate(-1)} != {euler}")
@@ -556,7 +587,7 @@ def enumerate_feasibility(page, target=None):
         raise Infeasible(
             "no integer rank assignment matches the target along the "
             f"skew-rows; first obstruction at total degree {deepest[0]}")
-    return FeasibilityResult(euler, bounds, feasible=True,
+    return FeasibilityResult(bounds, feasible=True,
                              unique=len(solutions) == 1, ranks=solutions[0])
 
 
@@ -632,7 +663,7 @@ class CohClass:
         for exp, c in coeffs.items():
             if not c:
                 continue
-            if len(exp) != space.nfactors or any(
+            if len(exp) != len(box) or any(
                     a < 0 or a > n for a, n in zip(exp, box)):
                 raise SpaceMismatch(f"exponent {exp} outside {space}")
             if 2 * sum(exp) != degree:
@@ -666,7 +697,7 @@ class SpaceMap(Frozen):
     __slots__ = ("source", "target", "generator_images")
 
     def __init__(self, source, target, generator_images):
-        if len(generator_images) != target.nfactors:
+        if len(generator_images) != len(target.factor_dims):
             raise SpaceMismatch("need one generator image per target factor")
         for img in generator_images:
             if img.space != source or img.degree != 2:
@@ -691,7 +722,7 @@ def generator_class(space, i):
     """Degree-2 hyperplane class of factor i (zero if the factor is a point)."""
     if space.factor_dims[i] == 0:
         return CohClass(space, 2, {})
-    return monomial_class(space, [j == i for j in range(space.nfactors)])
+    return monomial_class(space, [j == i for j in range(len(space.factor_dims))])
 
 
 def generator_map(f):
@@ -707,7 +738,8 @@ def generator_map(f):
 def power_map(base, copy_to_block):
     """The multi-diagonal inclusion base^(#blocks) -> base^(#copies) that
     sends copy i into block ``copy_to_block[i]``, on generators."""
-    m, dims = base.nfactors, base.factor_dims
+    dims = base.factor_dims
+    m = len(dims)
     return generator_map((ProjProduct(dims * (max(copy_to_block) + 1)),
                           ProjProduct(dims * len(copy_to_block)),
                           tuple(b * m + i for b in copy_to_block
@@ -744,7 +776,7 @@ def reference_pullback(f, a):
         raise SpaceMismatch("class does not live on the map's target")
     out = CohClass(f.source, a.degree, {})
     for exp, c in a.coeffs.items():
-        term = CohClass(f.source, 0, {(0,) * f.source.nfactors: c})
+        term = CohClass(f.source, 0, {(0,) * len(f.source.factor_dims): c})
         for img, e in zip(f.generator_images, exp):
             for _ in range(e):
                 term = reference_cup(term, img)
@@ -790,12 +822,12 @@ def reference_compose(g, f):
 
 def one_class(space):
     """The unit class 1 in degree 0 of a ``ProjProduct``."""
-    return CohClass(space, 0, {(0,) * space.nfactors: 1})
+    return CohClass(space, 0, {(0,) * len(space.factor_dims): 1})
 
 
 def generator_classes(space):
     """The hyperplane class of each factor of a ``ProjProduct``."""
-    return tuple(generator_class(space, i) for i in range(space.nfactors))
+    return tuple(generator_class(space, i) for i in range(len(space.factor_dims)))
 
 
 def reference_identity(space):
@@ -979,9 +1011,9 @@ def degree_table(c, levels):
 
 
 def reference_pointwise(model, summands, tables):
-    """``stalks.verify_pointwise`` summed summand by summand with
-    ``poset.le`` at every (flat, degree), on ``tables`` (flat -> level
-    table) read as degrees."""
+    """``stalks.verify_pointwise`` summed summand by summand with ``le`` at
+    every (flat, degree), on ``tables`` (flat -> level table) read as
+    degrees."""
     poset, c = model.poset, model.c
     by_degree = {}
     for s in summands:
@@ -995,11 +1027,11 @@ def reference_pointwise(model, summands, tables):
                 rhs = 1
             else:
                 rhs = sum(s.multiplicity for s in by_degree.get(k, ())
-                          if poset.le(s.support, f.index))
+                          if le(poset, s.support, f.index))
             if lhs != rhs:
                 mismatches.append({"flat": f.index, "degree": k,
                                    "stalk": lhs, "decomposition": rhs})
-    return PointwiseReport(not mismatches, mismatches)
+    return PointwiseReport(mismatches)
 
 
 def reference_stalk_dims(model):

